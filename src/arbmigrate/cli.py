@@ -55,7 +55,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for path in args.paths:
         try:
             source = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             return _usage_error(f"cannot read {path}: {exc}")
         try:
             unit = parse_source(source, path=path)

@@ -1,13 +1,16 @@
-"""Hand-written longest-match tokenizer for MiniSol.
+"""Table-driven tokenizer for MiniSol.
 
-Whitespace and comments are skipped but positions are tracked, so every token
-knows its byte offset and 1-based line/column (tabs count as one column).  A
-token's ``text`` is the exact source slice, i.e.
+One master regex is built from the token table of docs/minisol-grammar.md;
+at each position the first row that matches wins.  Whitespace and comments
+are skipped but positions are tracked, so every token knows its byte offset
+and 1-based line/column (tabs count as one column).  A token's ``text`` is
+the exact source slice, i.e.
 ``source[tok.offset : tok.offset + len(tok.text)] == tok.text``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,7 +28,6 @@ class TokenKind(Enum):
 
 class Severity(Enum):
     ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True)
@@ -69,139 +71,70 @@ KEYWORDS = frozenset(
 )
 
 # Longest first so e.g. '==' wins over '='.
-_OPERATORS = (
+OPERATORS = (
     "||", "&&", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=",
     "++", "--", "=>", "<", ">", "+", "-", "*", "/", "%", "!", "=",
 )
 
-_PUNCT = "(){}[];,."
+PUNCTUATION = "(){}[];,."
 
-
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
+# The grammar's token table in match order.  Each error row comes right
+# after the row whose malformed form it catches, before a shorter row ('/'
+# or '0') can claim the prefix; ILLEGAL takes any character left over.
+_ROWS = (
+    ("SKIP", r"[ \t\r\n]+|//[^\n]*|/\*.*?\*/"),
+    ("OPEN_COMMENT", r"/\*"),
+    ("STRING", r'"(?:\\.|[^"\\\n])*"'),
+    ("LONE_QUOTE", r'"'),
+    ("HEX", r"0[xX][0-9a-fA-F]+"),
+    ("BARE_HEX", r"0[xX]"),
+    ("NUMBER", r"[0-9]+"),
+    ("IDENTIFIER", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("OPERATOR", "|".join(map(re.escape, OPERATORS))),
+    ("PUNCT", f"[{re.escape(PUNCTUATION)}]"),
+    ("ILLEGAL", r"."),
+)
+_MASTER = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _ROWS), re.DOTALL)
+_KINDS = {name: TokenKind[name] for name in ("STRING", "HEX", "NUMBER", "IDENTIFIER", "OPERATOR", "PUNCT")}
+_ERRORS = {
+    "OPEN_COMMENT": "unterminated block comment",
+    "LONE_QUOTE": "unterminated string literal",
+    "BARE_HEX": "hex literal needs at least one digit",
+}
 
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize; raises MiniSolSyntaxError listing every lexical error."""
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            advance((end if end != -1 else n) - i)
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                diagnostics.append(Diagnostic("unterminated block comment", line, col))
+    line, line_start = 1, 0
+    for m in _MASTER.finditer(source):
+        row, text, offset = m.lastgroup, m.group(), m.start()
+        kind = _KINDS.get(row)
+        if kind is TokenKind.IDENTIFIER and text in KEYWORDS:
+            kind = TokenKind.KEYWORD
+        elif kind is TokenKind.HEX and len(text) == 42:
+            kind = TokenKind.ADDRESS
+        if kind is not None:
+            tokens.append(Token(kind, text, line, offset - line_start + 1, offset))
+        elif row != "SKIP":
+            message = _ERRORS.get(row) or f"illegal character {text!r}"
+            diagnostics.append(Diagnostic(message, line, offset - line_start + 1))
+            if row == "OPEN_COMMENT":
                 break
-            advance(end + 2 - i)
-            continue
-        if c == '"':
-            start_line, start_col, start = line, col, i
-            j = i + 1
-            value_ok = False
-            while j < n:
-                if source[j] == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if source[j] == '"':
-                    value_ok = True
-                    break
-                if source[j] == "\n":
-                    break
-                j += 1
-            if not value_ok:
-                diagnostics.append(Diagnostic("unterminated string literal", start_line, start_col))
-                advance(1)
-                continue
-            text = source[start : j + 1]
-            tokens.append(Token(TokenKind.STRING, text, start_line, start_col, start))
-            advance(len(text))
-            continue
-        if source.startswith("0x", i) or source.startswith("0X", i):
-            j = i + 2
-            while j < n and source[j] in "0123456789abcdefABCDEF":
-                j += 1
-            if j == i + 2:
-                diagnostics.append(Diagnostic("hex literal needs at least one digit", line, col))
-                advance(2)
-                continue
-            text = source[i:j]
-            kind = TokenKind.ADDRESS if len(text) == 42 else TokenKind.HEX
-            tokens.append(Token(kind, text, line, col, i))
-            advance(len(text))
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            text = source[i:j]
-            tokens.append(Token(TokenKind.NUMBER, text, line, col, i))
-            advance(len(text))
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            text = source[i:j]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-            tokens.append(Token(kind, text, line, col, i))
-            advance(len(text))
-            continue
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token(TokenKind.OPERATOR, op, line, col, i))
-                advance(len(op))
-                break
-        else:
-            if c in _PUNCT:
-                tokens.append(Token(TokenKind.PUNCT, c, line, col, i))
-                advance(1)
-            else:
-                diagnostics.append(Diagnostic(f"illegal character {c!r}", line, col))
-                advance(1)
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = offset + text.rindex("\n") + 1
 
     if diagnostics:
         raise MiniSolSyntaxError(diagnostics)
     return tokens
 
 
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+
 def unescape_string(text: str) -> str:
     """Literal text (with quotes) -> value. Supports \\\\ \\" \\n \\t."""
-    body = text[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            out.append({"n": "\n", "t": "\t"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), text[1:-1])

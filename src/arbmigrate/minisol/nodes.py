@@ -29,10 +29,6 @@ class Node:
     span: Span
 
 
-def _span_field() -> Span:
-    return EMPTY_SPAN
-
-
 class BindingKind(Enum):
     STATE_VAR = "state_var"
     LOCAL = "local"

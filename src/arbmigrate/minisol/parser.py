@@ -64,7 +64,7 @@ _LOCATIONS = ("memory", "calldata", "storage")
 # Type keywords usable as conversion callees, e.g. payable(x) or address(0).
 _CAST_KEYWORDS = frozenset({"address", "payable", "uint256", "uint", "bool", "string"})
 
-_BINARY_PRECEDENCE = {
+BINARY_PRECEDENCE = {
     "||": 1,
     "&&": 2,
     "==": 3, "!=": 3,
@@ -188,6 +188,8 @@ class _Parser:
             except _ParseFailure as failure:
                 self.diagnostics.append(failure.diagnostic)
                 self._sync_statement()
+                # the sync stops before a stray '}', which no contract can start
+                self._accept("}")
         span = (
             self._span_from(first, self._prev())
             if first is not None and self.pos > 0
@@ -536,7 +538,7 @@ class _Parser:
             tok = self._peek()
             if tok is None:
                 return left
-            prec = _BINARY_PRECEDENCE.get(tok.text)
+            prec = BINARY_PRECEDENCE.get(tok.text)
             if prec is None or prec < min_prec:
                 return left
             op = self._advance().text

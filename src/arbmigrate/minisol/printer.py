@@ -37,15 +37,8 @@ from .nodes import (
     VarDeclStmt,
     WhileStmt,
 )
+from .parser import BINARY_PRECEDENCE
 
-_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
-}
 _UNARY_PREC = 7
 _POSTFIX_PREC = 8
 _ATOM_PREC = 9
@@ -58,7 +51,7 @@ def _escape(value: str) -> str:
 
 def _prec(expr: Expr) -> int:
     if isinstance(expr, BinaryExpr):
-        return _PRECEDENCE[expr.op]
+        return BINARY_PRECEDENCE[expr.op]
     if isinstance(expr, UnaryExpr):
         return _UNARY_PREC
     if isinstance(expr, (MemberAccess, IndexAccess, CallExpr)):
@@ -96,7 +89,7 @@ def print_expr(expr: Expr) -> str:
         )
         return f"{expr.op}({operand})" if needs else f"{expr.op}{operand}"
     if isinstance(expr, BinaryExpr):
-        prec = _PRECEDENCE[expr.op]
+        prec = BINARY_PRECEDENCE[expr.op]
         left = _child(expr.left, prec)
         # all binary ops are left-associative: an equal-precedence right
         # child needs parentheses to survive a round trip

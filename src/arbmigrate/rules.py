@@ -544,23 +544,20 @@ def analyze(unit: SourceUnit, config: RuleConfig | None = None) -> list[Finding]
     cfg = config or DEFAULT_CONFIG
     findings: list[Finding] = []
 
-    def make_add(rule_id: str) -> _Add:
-        def add(rid: str, node: Node, message: str) -> None:
-            findings.append(
-                Finding(
-                    rule_id=rid,
-                    file=unit.path,
-                    line=node.span.line,
-                    column=node.span.column,
-                    excerpt=_excerpt(unit, node),
-                    message=message,
-                )
+    def add(rule_id: str, node: Node, message: str) -> None:
+        findings.append(
+            Finding(
+                rule_id=rule_id,
+                file=unit.path,
+                line=node.span.line,
+                column=node.span.column,
+                excerpt=_excerpt(unit, node),
+                message=message,
             )
-
-        return add
+        )
 
     for rule_id in sorted(cfg.enabled):
-        _DETECTORS[rule_id](unit, cfg, make_add(rule_id))
+        _DETECTORS[rule_id](unit, cfg, add)
     findings.sort(key=Finding.sort_key)
     return findings
 

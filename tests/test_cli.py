@@ -71,6 +71,22 @@ class TestAnalyze:
         assert code == 2
         assert "cannot read" in err
 
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.sol"
+        bad.write_bytes("contract C {} // caf\u00e9".encode("latin-1"))
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 2
+        assert f"cannot read {bad}:" in err
+        assert "Traceback" not in err
+
+    def test_superscript_digit_is_a_diagnostic(self, tmp_path, capsys):
+        bad = tmp_path / "sup.sol"
+        bad.write_text("contract C { function f() public { uint256 x = \u00b2; } }", encoding="utf-8")
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 2
+        assert "sup.sol:1:48: error: illegal character '\u00b2'" in err
+        assert "Traceback" not in err
+
     def test_multiple_files_sorted_output(self, capsys):
         code, out, _ = run(
             capsys,

@@ -1,6 +1,10 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbmigrate.minisol import (
     AddressLit,
@@ -40,6 +44,7 @@ from arbmigrate.minisol import (
     tokenize,
     walk,
 )
+from arbmigrate.minisol.lexer import KEYWORDS, OPERATORS, PUNCTUATION
 
 SAMPLE = """
 contract Vault {
@@ -67,6 +72,12 @@ contract Vault {
     }
 }
 """
+
+# Characters that make up most MiniSol tokens, so generated text often lexes,
+# plus near misses: other whitespace and non-ASCII letters and digits.
+_MINISOL_CHARS = ' \t\r\n/*"\\0123456789xXabcfAF_zZ+-=<>!&|%(){}[];,.\f\v\u00e9\u00b2'
+# What may lie between two tokens: whitespace and comments only.
+_SKIPPED = re.compile(r"(?:[ \t\r\n]|//[^\n]*|/\*.*?\*/)*", re.S)
 
 
 class TestTokenizer:
@@ -110,6 +121,46 @@ class TestTokenizer:
     def test_token_text_matches_source_slice(self):
         for tok in tokenize(SAMPLE):
             assert SAMPLE[tok.offset : tok.offset + len(tok.text)] == tok.text
+
+    @pytest.mark.parametrize("char", ["\u00b2", "\u00e9", "\u0661"])
+    def test_non_ascii_letter_or_digit_is_illegal(self, char):
+        with pytest.raises(MiniSolSyntaxError) as err:
+            tokenize(f"uint256 a;\n  x = {char};")
+        [diag] = err.value.diagnostics
+        assert diag.message == f"illegal character {char!r}"
+        assert (diag.line, diag.column) == (2, 7)
+
+    @pytest.mark.parametrize("char", ["\u00b2", "\u00e9", "\u0661"])
+    def test_parse_source_reports_non_ascii_instead_of_crashing(self, char):
+        with pytest.raises(MiniSolSyntaxError):
+            parse_source(f"contract C {{ function f() public {{ uint256 x = {char}; }} }}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | st.text(alphabet=_MINISOL_CHARS))
+    def test_tokens_tile_the_source(self, source):
+        try:
+            tokens = tokenize(source)
+        except MiniSolSyntaxError:
+            return
+        end = 0
+        for tok in tokens:
+            assert source[tok.offset : tok.offset + len(tok.text)] == tok.text
+            assert tok.line == source.count("\n", 0, tok.offset) + 1
+            assert tok.column == tok.offset - source.rfind("\n", 0, tok.offset)
+            assert _SKIPPED.fullmatch(source, end, tok.offset)
+            end = tok.offset + len(tok.text)
+        assert _SKIPPED.fullmatch(source, end)
+
+
+def test_grammar_doc_token_rows_match_lexer_tables():
+    doc = (Path(__file__).parents[1] / "docs" / "minisol-grammar.md").read_text()
+
+    def row(kind):
+        return re.search(rf"^\| {kind} +\| `(.*)` +\|$", doc, re.M)[1].split()
+
+    assert tuple(row("operator")) == OPERATORS
+    assert "".join(row("punctuation")) == PUNCTUATION
+    assert frozenset(re.search(r"^Keywords: `([^`]*)`", doc, re.M)[1].split()) == KEYWORDS
 
 
 class TestParser:
@@ -158,6 +209,14 @@ class TestParser:
         with pytest.raises(MiniSolSyntaxError) as err:
             parse_source(source)
         assert len(err.value.diagnostics) == 2
+
+    @pytest.mark.parametrize(
+        "source", ["}", "contract C {\n    function} f() public {\n    }\n}\n"]
+    )
+    def test_stray_closing_brace_at_top_level_is_reported(self, source):
+        with pytest.raises(MiniSolSyntaxError) as err:
+            parse_source(source)
+        assert err.value.diagnostics[-1].message.startswith("expected 'contract'")
 
     def test_unsupported_construct_is_an_honest_failure(self):
         with pytest.raises(MiniSolSyntaxError) as err:
