@@ -44,11 +44,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.rules:
         rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()]
         try:
-            for rule_id in rule_ids:
-                get_rule(rule_id)
+            config = config.with_enabled(rule_ids)
         except ValueError as exc:
             return _usage_error(str(exc))
-        config = config.with_enabled(rule_ids)
 
     findings = []
     files = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -49,8 +50,7 @@ class MiniSolSyntaxError(Exception):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cache
 from typing import Iterator, Union
 
 
@@ -283,20 +284,27 @@ class SourceUnit(Node):
     span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
-def children(node: Node) -> Iterator[Node]:
+@cache
+def _child_fields(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name != "span")
+
+
+def children(node: Node) -> list[Node]:
     """Direct child nodes, in source order (field declaration order)."""
-    for f in fields(node):  # type: ignore[arg-type]
-        value = getattr(node, f.name)
-        if isinstance(value, Node) and f.name != "span":
-            yield value
+    out: list[Node] = []
+    for name in _child_fields(type(node)):
+        value = getattr(node, name)
+        if isinstance(value, Node):
+            out.append(value)
         elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, Node):
-                    yield item
+            out.extend(item for item in value if isinstance(item, Node))
+    return out
 
 
 def walk(node: Node) -> Iterator[Node]:
-    """The node itself and every descendant, pre-order."""
-    yield node
-    for child in children(node):
-        yield from walk(child)
+    """The node itself and every descendant, pre-order; iterative, so any depth walks."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))

@@ -53,6 +53,7 @@ from .nodes import (
     UnaryExpr,
     VarDeclStmt,
     WhileStmt,
+    children,
     walk,
 )
 
@@ -74,6 +75,11 @@ BINARY_PRECEDENCE = {
 }
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%="})
 
+# Deepest nesting of statements and operands the parser accepts.  Each level
+# costs at most twelve Python frames, so any input stays inside the default
+# recursion limit of 1000; deeper input gets a diagnostic.
+MAX_NESTING = 64
+
 
 class _ParseFailure(Exception):
     def __init__(self, diagnostic: Diagnostic):
@@ -81,11 +87,27 @@ class _ParseFailure(Exception):
         super().__init__(str(diagnostic))
 
 
+def _nested(parse):
+    """Count one nesting level around a recursive grammar method."""
+
+    def method(self: "_Parser"):
+        if self.depth >= MAX_NESTING:
+            raise self._fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return parse(self)
+        finally:
+            self.depth -= 1
+
+    return method
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], source: str):
         self.tokens = tokens
         self.source = source
         self.pos = 0
+        self.depth = 0
         self.diagnostics: list[Diagnostic] = []
 
     # -- token helpers ---------------------------------------------------
@@ -381,6 +403,7 @@ class _Parser:
             return self.parse_block()
         return [self.parse_statement()]
 
+    @_nested
     def parse_statement(self) -> Stmt:
         tok = self._peek()
         if tok is None:
@@ -457,10 +480,7 @@ class _Parser:
         then_body = self._body_or_single()
         else_body: list[Stmt] | None = None
         if self._accept("else"):
-            if self._check("if"):
-                else_body = [self.parse_if()]
-            else:
-                else_body = self._body_or_single()
+            else_body = self._body_or_single()
         return IfStmt(
             condition=condition,
             then_body=then_body,
@@ -550,6 +570,7 @@ class _Parser:
                 span=Span(left.span.start, right.span.end, left.span.line, left.span.column),
             )
 
+    @_nested
     def parse_unary(self) -> Expr:
         tok = self._peek()
         if tok is not None and tok.text in {"!", "-"}:
@@ -674,18 +695,7 @@ def annotate_bindings(unit: SourceUnit) -> None:
         def resolve_stmt(stmt: Stmt | None, scope: set[str], params: set[str]) -> None:
             if stmt is None:
                 return
-            if isinstance(stmt, VarDeclStmt):
-                if stmt.initializer is not None:
-                    resolve(stmt.initializer, scope, params)
-                scope.add(stmt.name)
-            elif isinstance(stmt, AssignStmt):
-                resolve(stmt.target, scope, params)
-                resolve(stmt.value, scope, params)
-            elif isinstance(stmt, IncDecStmt):
-                resolve(stmt.target, scope, params)
-            elif isinstance(stmt, RequireStmt):
-                resolve(stmt.condition, scope, params)
-            elif isinstance(stmt, IfStmt):
+            if isinstance(stmt, IfStmt):
                 resolve(stmt.condition, scope, params)
                 resolve_stmts(stmt.then_body, set(scope), params)
                 if stmt.else_body is not None:
@@ -700,13 +710,11 @@ def annotate_bindings(unit: SourceUnit) -> None:
             elif isinstance(stmt, WhileStmt):
                 resolve(stmt.condition, scope, params)
                 resolve_stmts(stmt.body, set(scope), params)
-            elif isinstance(stmt, EmitStmt):
-                resolve(stmt.call, scope, params)
-            elif isinstance(stmt, ReturnStmt):
-                if stmt.value is not None:
-                    resolve(stmt.value, scope, params)
-            elif isinstance(stmt, ExprStmt):
-                resolve(stmt.expression, scope, params)
+            else:  # a simple statement: resolve its expressions, then declare
+                for expr in children(stmt):
+                    resolve(expr, scope, params)
+                if isinstance(stmt, VarDeclStmt):
+                    scope.add(stmt.name)
 
         for var in contract.state_vars:
             if var.initializer is not None:

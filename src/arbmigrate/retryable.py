@@ -37,10 +37,6 @@ class TicketState(Enum):
     EXPIRED = "expired"
 
 
-TERMINAL_STATES = frozenset(
-    {TicketState.AUTO_REDEEMED, TicketState.MANUALLY_REDEEMED, TicketState.EXPIRED}
-)
-
 # (state, operation) -> allowed; used by tests to enumerate the machine.
 TRANSITIONS = {
     TicketState.CREATED: {"auto_redeem"},

@@ -9,7 +9,8 @@ form is canonical (sorted keys, LF, trailing newline).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -36,6 +37,7 @@ from .minisol import (
     StateVarDecl,
     VarDeclStmt,
     WhileStmt,
+    children,
     walk,
 )
 
@@ -220,16 +222,15 @@ class RuleConfig:
             raise ValueError("timestamp_threshold_s must be positive")
         if self.block_number_literal_min <= 0:
             raise ValueError("block_number_literal_min must be positive")
-        needs = {
-            "ARB-SEQ-001": (self.oracle_patterns, "oracle_patterns"),
-            "ARB-ALIAS-001": (self.alias_patterns, "alias_patterns"),
-            "ARB-DOS-001": (self.loop_call_triggers, "loop_call_triggers"),
-        }
-        for rule_id, (patterns, key) in needs.items():
+        needs = (
+            ("ARB-SEQ-001", self.oracle_patterns, "oracle_patterns"),
+            ("ARB-ALIAS-001", self.alias_patterns, "alias_patterns"),
+            ("ARB-DOS-001", self.loop_call_triggers, "loop_call_triggers"),
+            ("ARB-SEQ-001", self.uptime_patterns, "uptime_patterns"),
+        )
+        for rule_id, patterns, key in needs:
             if rule_id in self.enabled and not patterns:
                 raise ValueError(f"{key} must be nonempty while {rule_id} is enabled")
-        if "ARB-SEQ-001" in self.enabled and not self.uptime_patterns:
-            raise ValueError("uptime_patterns must be nonempty while ARB-SEQ-001 is enabled")
 
     def with_enabled(self, rule_ids: Iterable[str]) -> "RuleConfig":
         return replace(self, enabled=frozenset(rule_ids))
@@ -239,26 +240,15 @@ class RuleConfig:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("rule config must be a JSON object")
-        known = {
-            "enabled", "oracle_patterns", "uptime_patterns", "alias_patterns",
-            "timestamp_threshold_s", "loop_call_triggers", "block_number_literal_min",
-        }
-        unknown = set(data) - known
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ValueError(
                 f"unknown rule config keys: {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(sorted(known))}"
+                f"known: {', '.join(sorted(defaults))}"
             )
-        kwargs: dict = {}
-        if "enabled" in data:
-            kwargs["enabled"] = frozenset(data["enabled"])
-        for key in ("oracle_patterns", "uptime_patterns", "alias_patterns", "loop_call_triggers"):
-            if key in data:
-                kwargs[key] = tuple(data[key])
-        for key in ("timestamp_threshold_s", "block_number_literal_min"):
-            if key in data:
-                kwargs[key] = int(data[key])
-        return cls(**kwargs)
+        # each value takes its default's type: frozenset, tuple or int
+        return cls(**{key: type(defaults[key])(value) for key, value in data.items()})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RuleConfig":
@@ -286,15 +276,14 @@ def _contains_member(expr: Node, obj_name: str, member: str) -> bool:
 
 def _name_parts(expr: Expr) -> list[str]:
     """Identifier components along a callee chain, e.g. feed.getPrice -> [feed, getPrice]."""
+    parts: list[str] = []
+    while isinstance(expr, (MemberAccess, CallExpr, IndexAccess)):
+        if isinstance(expr, MemberAccess):
+            parts.append(expr.member)
+        expr = expr.callee if isinstance(expr, CallExpr) else expr.obj
     if isinstance(expr, Ident):
-        return [expr.name]
-    if isinstance(expr, MemberAccess):
-        return _name_parts(expr.obj) + [expr.member]
-    if isinstance(expr, CallExpr):
-        return _name_parts(expr.callee)
-    if isinstance(expr, IndexAccess):
-        return _name_parts(expr.obj)
-    return []
+        parts.append(expr.name)
+    return parts[::-1]
 
 
 def _call_matches(call: CallExpr, patterns: Sequence[str]) -> bool:
@@ -310,95 +299,113 @@ def _excerpt(unit: SourceUnit, node: Node, limit: int = 120) -> str:
     return first_line
 
 
+# --- the index: one full-tree pass per unit ---------------------------------
+
+# Each node is filed as a site (node, contract, function, top): the contract
+# and function that enclose it (None outside one) and the position among the
+# function's children (params, returns, then body statements) of the one
+# that holds it, so positions order a function's top-level statements.
+_Index = dict[type, list[tuple[Node, "ContractDef | None", "FunctionDef | None", int]]]
+
+
+def _index(unit: SourceUnit) -> _Index:
+    """Every node of unit filed under its exact type, each bucket in pre-order."""
+    index: _Index = defaultdict(list)
+    stack: list = [(unit, None, None, -1)]
+    while stack:
+        node, contract, function, top = site = stack.pop()
+        index[type(node)].append(site)
+        kids = children(node)
+        if isinstance(node, FunctionDef):
+            stack.extend((kid, contract, node, i) for i, kid in reversed(list(enumerate(kids))))
+            continue
+        if isinstance(node, ContractDef):
+            contract = node
+        stack.extend((kid, contract, function, top) for kid in reversed(kids))
+    return index
+
+
 # --- detectors --------------------------------------------------------------
 
 _Add = Callable[[str, Node, str], None]
-
-
-def _detect_seq_001(unit: SourceUnit, config: RuleConfig, add: _Add) -> None:
-    for contract in unit.contracts:
-        for fn in contract.functions:
-            uptime_seen = False
-            for stmt in fn.body:
-                calls = [n for n in walk(stmt) if isinstance(n, CallExpr)]
-                for call in calls:
-                    if _call_matches(call, config.uptime_patterns):
-                        continue
-                    if _call_matches(call, config.oracle_patterns) and not uptime_seen:
-                        add(
-                            "ARB-SEQ-001",
-                            call,
-                            f"oracle read in {contract.name}.{fn.name} without a "
-                            "preceding sequencer uptime check",
-                        )
-                if any(_call_matches(c, config.uptime_patterns) for c in calls):
-                    uptime_seen = True
-
-
-def _detect_time_001(unit: SourceUnit, config: RuleConfig, add: _Add) -> None:
-    for node in walk(unit):
-        if isinstance(node, BinaryExpr) and node.op in {"==", "!="}:
-            if _is_member(node.left, "block", "number") or _is_member(
-                node.right, "block", "number"
-            ):
-                add(
-                    "ARB-TIME-001",
-                    node,
-                    "strict equality against block.number; the observed L1 "
-                    "number skips values on L2, so this may never match",
-                )
-
-
 _CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 
 
-def _detect_time_002(unit: SourceUnit, config: RuleConfig, add: _Add) -> None:
-    for contract in unit.contracts:
-        linked: set[str] = set()
-        for node in walk(contract):
-            if isinstance(node, (StateVarDecl, VarDeclStmt)):
-                if node.initializer is not None and _contains_member(
-                    node.initializer, "block", "number"
-                ):
-                    linked.add(node.name)
-            elif isinstance(node, AssignStmt):
-                if isinstance(node.target, Ident) and _contains_member(
-                    node.value, "block", "number"
-                ):
-                    linked.add(node.target.name)
-            elif isinstance(node, BinaryExpr) and node.op in _CMP_OPS:
-                for side, other in ((node.left, node.right), (node.right, node.left)):
-                    if isinstance(other, Ident) and _contains_member(side, "block", "number"):
-                        linked.add(other.name)
-        if not linked:
+def _detect_seq_001(index: _Index, config: RuleConfig, add: _Add) -> None:
+    first_uptime: dict[int, int] = {}  # id(function) -> top of its first uptime check
+    oracle_reads = []
+    for call, contract, fn, top in index[CallExpr]:
+        if fn is None:
             continue
-
-        def _flag(literal: Node, var_name: str) -> None:
-            if isinstance(literal, NumberLit) and literal.value >= config.block_number_literal_min:
-                add(
-                    "ARB-TIME-002",
-                    literal,
-                    f"hardcoded block number {literal.value} tied to "
-                    f"block.number via {var_name!r}",
-                )
-
-        for node in walk(contract):
-            if isinstance(node, (StateVarDecl, VarDeclStmt)):
-                if node.name in linked and node.initializer is not None:
-                    _flag(node.initializer, node.name)
-            elif isinstance(node, AssignStmt):
-                if isinstance(node.target, Ident) and node.target.name in linked:
-                    _flag(node.value, node.target.name)
-            elif isinstance(node, BinaryExpr) and node.op in _CMP_OPS:
-                for side, other in ((node.left, node.right), (node.right, node.left)):
-                    if isinstance(other, Ident) and other.name in linked:
-                        _flag(side, other.name)
+        if _call_matches(call, config.uptime_patterns):
+            first_uptime.setdefault(id(fn), top)
+        elif _call_matches(call, config.oracle_patterns):
+            oracle_reads.append((call, contract, fn, top))
+    for call, contract, fn, top in oracle_reads:
+        if top <= first_uptime.get(id(fn), top):
+            add(
+                "ARB-SEQ-001",
+                call,
+                f"oracle read in {contract.name}.{fn.name} without a "
+                "preceding sequencer uptime check",
+            )
 
 
-def _detect_time_003(unit: SourceUnit, config: RuleConfig, add: _Add) -> None:
+def _detect_time_001(index: _Index, config: RuleConfig, add: _Add) -> None:
+    for node, *_ in index[BinaryExpr]:
+        if node.op in {"==", "!="} and (
+            _is_member(node.left, "block", "number") or _is_member(node.right, "block", "number")
+        ):
+            add(
+                "ARB-TIME-001",
+                node,
+                "strict equality against block.number; the observed L1 "
+                "number skips values on L2, so this may never match",
+            )
+
+
+def _ties(node: Node) -> list[tuple[Node, str]]:
+    """(value, variable name) pairs node ties: a declaration's initializer, an
+    assignment's value, or a comparison's side opposite a bare variable."""
+    if isinstance(node, (StateVarDecl, VarDeclStmt)):
+        return [] if node.initializer is None else [(node.initializer, node.name)]
+    if isinstance(node, AssignStmt):
+        return [(node.value, node.target.name)] if isinstance(node.target, Ident) else []
+    if node.op not in _CMP_OPS:
+        return []
+    pairs = ((node.left, node.right), (node.right, node.left))
+    return [(side, other.name) for side, other in pairs if isinstance(other, Ident)]
+
+
+def _detect_time_002(index: _Index, config: RuleConfig, add: _Add) -> None:
+    ties = [
+        (id(contract), value, name)
+        for cls in (StateVarDecl, VarDeclStmt, AssignStmt, BinaryExpr)
+        for node, contract, _, _ in index[cls]
+        for value, name in _ties(node)
+    ]
+    linked = {
+        (contract, name)
+        for contract, value, name in ties
+        if _contains_member(value, "block", "number")
+    }
+    for contract, value, name in ties:
+        if (
+            (contract, name) in linked
+            and isinstance(value, NumberLit)
+            and value.value >= config.block_number_literal_min
+        ):
+            add(
+                "ARB-TIME-002",
+                value,
+                f"hardcoded block number {value.value} tied to block.number via {name!r}",
+            )
+
+
+def _detect_time_003(index: _Index, config: RuleConfig, add: _Add) -> None:
     ops = {"+", "-", "%"} | _CMP_OPS
-    for node in walk(unit):
-        if not (isinstance(node, BinaryExpr) and node.op in ops):
+    for node, *_ in index[BinaryExpr]:
+        if node.op not in ops:
             continue
         for side, other in ((node.left, node.right), (node.right, node.left)):
             if (
@@ -415,120 +422,94 @@ def _detect_time_003(unit: SourceUnit, config: RuleConfig, add: _Add) -> None:
                 break
 
 
-def _detect_alias_001(unit: SourceUnit, config: RuleConfig, add: _Add) -> None:
-    for node in walk(unit):
-        if isinstance(node, CallExpr) and _call_matches(node, config.alias_patterns):
-            return  # file is alias-aware
-    for contract in unit.contracts:
-        address_vars = {
-            v.name
-            for v in contract.state_vars
-            if isinstance(v.var_type, ElementaryType) and v.var_type.name == "address"
-        }
-        for node in walk(contract):
-            if not (isinstance(node, BinaryExpr) and node.op in {"==", "!="}):
-                continue
-            for side, other in ((node.left, node.right), (node.right, node.left)):
-                if not _is_member(side, "msg", "sender"):
-                    continue
-                is_state_address = (
-                    isinstance(other, Ident)
-                    and other.binding is BindingKind.STATE_VAR
-                    and other.name in address_vars
-                )
-                if is_state_address or isinstance(other, AddressLit):
-                    add(
-                        "ARB-ALIAS-001",
-                        node,
-                        "msg.sender compared against a raw L1 address; "
-                        "L1-contract callers arrive aliased, so this check "
-                        "misbehaves for cross-chain messages",
-                    )
-                    break
+def _state_vars(index: _Index, is_kind: Callable[[Node], bool]) -> set[tuple[int, str]]:
+    """(id(contract), name) of each state variable whose type is_kind accepts."""
+    return {(id(c), v.name) for v, c, _, _ in index[StateVarDecl] if is_kind(v.var_type)}
 
 
-def _loop_over_dynamic_state_array(
-    condition: Expr | None, dynamic_arrays: set[str]
-) -> bool:
-    if condition is None:
-        return False
-    for node in walk(condition):
-        if (
-            isinstance(node, MemberAccess)
-            and node.member == "length"
-            and isinstance(node.obj, Ident)
-            and node.obj.name in dynamic_arrays
-            and node.obj.binding is BindingKind.STATE_VAR
-        ):
-            return True
-    return False
-
-
-def _detect_dos_001(unit: SourceUnit, config: RuleConfig, add: _Add) -> None:
-    triggers = {t.lower() for t in config.loop_call_triggers}
-    for contract in unit.contracts:
-        dynamic_arrays = {
-            v.name
-            for v in contract.state_vars
-            if isinstance(v.var_type, ArrayType) and v.var_type.length is None
-        }
-        if not dynamic_arrays:
+def _detect_alias_001(index: _Index, config: RuleConfig, add: _Add) -> None:
+    if any(_call_matches(call, config.alias_patterns) for call, *_ in index[CallExpr]):
+        return  # file is alias-aware
+    address_vars = _state_vars(
+        index, lambda t: isinstance(t, ElementaryType) and t.name == "address"
+    )
+    for node, contract, _, _ in index[BinaryExpr]:
+        if node.op not in {"==", "!="}:
             continue
-        for node in walk(contract):
-            if not isinstance(node, (ForStmt, WhileStmt)):
+        for side, other in ((node.left, node.right), (node.right, node.left)):
+            if not _is_member(side, "msg", "sender"):
                 continue
-            if not _loop_over_dynamic_state_array(node.condition, dynamic_arrays):
-                continue
-            for inner in node.body:
-                body_calls = [
-                    n
-                    for n in walk(inner)
-                    if isinstance(n, CallExpr)
-                    and isinstance(n.callee, MemberAccess)
-                    and n.callee.member.lower() in triggers
-                ]
-                if body_calls:
-                    add(
-                        "ARB-DOS-001",
-                        node,
-                        "loop bounded by a dynamic state array's length makes "
-                        "external calls; growing the array can exhaust block gas",
-                    )
-                    break
-
-
-def _detect_dos_002(unit: SourceUnit, config: RuleConfig, add: _Add) -> None:
-    for contract in unit.contracts:
-        for fn in contract.functions:
-            if fn.mutability != "payable" or "deposit" not in fn.name.lower():
-                continue
-            protected = False
-            for node in walk(fn):
-                if not isinstance(node, RequireStmt):
-                    continue
-                for sub in walk(node.condition):
-                    if (
-                        isinstance(sub, BinaryExpr)
-                        and sub.op in {"<", "<=", ">", ">="}
-                        and (
-                            _contains_member(sub.left, "msg", "value")
-                            or _contains_member(sub.right, "msg", "value")
-                        )
-                    ):
-                        protected = True
-                        break
-                if protected:
-                    break
-            if not protected:
+            is_state_address = (
+                isinstance(other, Ident)
+                and other.binding is BindingKind.STATE_VAR
+                and (id(contract), other.name) in address_vars
+            )
+            if is_state_address or isinstance(other, AddressLit):
                 add(
-                    "ARB-DOS-002",
-                    fn,
-                    f"payable function {fn.name!r} accepts deposits with no "
-                    "minimum-amount require; dust spam is cheap on L2",
+                    "ARB-ALIAS-001",
+                    node,
+                    "msg.sender compared against a raw L1 address; "
+                    "L1-contract callers arrive aliased, so this check "
+                    "misbehaves for cross-chain messages",
                 )
+                break
 
 
-_DETECTORS: dict[str, Callable[[SourceUnit, RuleConfig, _Add], None]] = {
+def _detect_dos_001(index: _Index, config: RuleConfig, add: _Add) -> None:
+    triggers = {t.lower() for t in config.loop_call_triggers}
+    dynamic_arrays = _state_vars(
+        index, lambda t: isinstance(t, ArrayType) and t.length is None
+    )
+    if not dynamic_arrays:
+        return
+    for loop, contract, _, _ in index[ForStmt] + index[WhileStmt]:
+        if loop.condition is None:
+            continue
+        bounded = any(
+            isinstance(n, MemberAccess)
+            and n.member == "length"
+            and isinstance(n.obj, Ident)
+            and (id(contract), n.obj.name) in dynamic_arrays
+            and n.obj.binding is BindingKind.STATE_VAR
+            for n in walk(loop.condition)
+        )
+        if bounded and any(
+            isinstance(n, CallExpr)
+            and isinstance(n.callee, MemberAccess)
+            and n.callee.member.lower() in triggers
+            for stmt in loop.body
+            for n in walk(stmt)
+        ):
+            add(
+                "ARB-DOS-001",
+                loop,
+                "loop bounded by a dynamic state array's length makes "
+                "external calls; growing the array can exhaust block gas",
+            )
+
+
+def _detect_dos_002(index: _Index, config: RuleConfig, add: _Add) -> None:
+    protected = {
+        id(fn)
+        for require, _, fn, _ in index[RequireStmt]
+        if any(
+            isinstance(sub, BinaryExpr)
+            and sub.op in {"<", "<=", ">", ">="}
+            and _contains_member(sub, "msg", "value")
+            for sub in walk(require.condition)
+        )
+    }
+    for fn, *_ in index[FunctionDef]:
+        if fn.mutability == "payable" and "deposit" in fn.name.lower() and id(fn) not in protected:
+            add(
+                "ARB-DOS-002",
+                fn,
+                f"payable function {fn.name!r} accepts deposits with no "
+                "minimum-amount require; dust spam is cheap on L2",
+            )
+
+
+_DETECTORS: dict[str, Callable[[_Index, RuleConfig, _Add], None]] = {
     "ARB-SEQ-001": _detect_seq_001,
     "ARB-TIME-001": _detect_time_001,
     "ARB-TIME-002": _detect_time_002,
@@ -556,8 +537,9 @@ def analyze(unit: SourceUnit, config: RuleConfig | None = None) -> list[Finding]
             )
         )
 
+    index = _index(unit)
     for rule_id in sorted(cfg.enabled):
-        _DETECTORS[rule_id](unit, cfg, add)
+        _DETECTORS[rule_id](index, cfg, add)
     findings.sort(key=Finding.sort_key)
     return findings
 
@@ -593,19 +575,25 @@ def findings_from_json(text: str) -> list[Finding]:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "findings" not in doc:
         raise ValueError("not a findings document: missing 'findings'")
+    if not isinstance(doc["findings"], list):
+        raise ValueError("not a findings document: 'findings' is not a list")
     out = []
-    for item in doc["findings"]:
-        get_rule(item["rule_id"])  # validate known rule
-        out.append(
-            Finding(
-                rule_id=item["rule_id"],
-                file=item["file"],
-                line=int(item["line"]),
-                column=int(item["column"]),
-                excerpt=item.get("excerpt", ""),
-                message=item.get("message", ""),
+    for index, item in enumerate(doc["findings"]):
+        try:
+            out.append(
+                Finding(
+                    rule_id=get_rule(item["rule_id"]).id,
+                    file=str(item["file"]),
+                    line=int(item["line"]),
+                    column=int(item["column"]),
+                    excerpt=item.get("excerpt", ""),
+                    message=item.get("message", ""),
+                )
             )
-        )
+        except KeyError as exc:
+            raise ValueError(f"finding {index} lacks {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"finding {index} is malformed: {exc}") from None
     out.sort(key=Finding.sort_key)
     return out
 

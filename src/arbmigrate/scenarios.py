@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import retryable
 from .aliasing import Address, SenderContext, SenderKind, l2_msg_sender
@@ -33,6 +33,7 @@ class ScenarioSpec:
     risk: str
     params: Mapping[str, Any]
     linked_rules: tuple[str, ...]
+    run: Callable[[dict[str, Any], int], DifferentialReport] = field(compare=False, repr=False)
 
 
 @dataclass
@@ -77,6 +78,8 @@ def _run_stale_oracle(params: dict[str, Any], seed: int) -> DifferentialReport:
     start_price = params["start_price_cents"]
     if start_price < 10:
         raise ScenarioError("start_price_cents must be at least 10")
+    if params["positions"] < 0:
+        raise ScenarioError("positions must be non-negative")
     times = list(range(0, horizon + 1, interval))
     prices: list[int] = []
     price = start_price
@@ -155,7 +158,6 @@ def _run_stale_oracle(params: dict[str, Any], seed: int) -> DifferentialReport:
             "the last pre-outage price and liquidation decisions drift from "
             "the true market."
         ),
-        linked_rules=["ARB-SEQ-001"],
     )
 
 
@@ -177,6 +179,8 @@ def _run_block_number_equality(params: dict[str, Any], seed: int) -> Differentia
     )
     view = L2View(sync_period=params["sync_period_s"])
     horizon = params["horizon_s"]
+    if horizon <= 0:
+        raise ScenarioError("horizon_s must be positive")
 
     produced: set[int] = set()
     observable: set[int] = set()
@@ -206,7 +210,6 @@ def _run_block_number_equality(params: dict[str, Any], seed: int) -> Differentia
             "numbers are simply never observable there and the equality can "
             "never fire for them."
         ),
-        linked_rules=["ARB-TIME-001", "ARB-TIME-002"],
     )
 
 
@@ -249,7 +252,6 @@ def _run_alias_permission(params: dict[str, Any], seed: int) -> DifferentialRepo
             "sender: the raw `msg.sender == owner` check denies the rightful "
             "owner, while an alias-aware check accepts it."
         ),
-        linked_rules=["ARB-ALIAS-001"],
     )
 
 
@@ -318,7 +320,6 @@ def _run_dos_refund_loop(params: dict[str, Any], seed: int) -> DifferentialRepor
             "price of pushing entries, which is cheap enough on L2 to make "
             "inflating the array to the failure point an affordable attack."
         ),
-        linked_rules=["ARB-DOS-001", "ARB-DOS-002"],
     )
 
 
@@ -349,6 +350,8 @@ def _ledger_summary(ledger: retryable.FeeLedger) -> dict[str, int]:
 
 
 def _run_retryable_fee_paths(params: dict[str, Any], seed: int) -> DifferentialReport:
+    if params["auto_fail_gas_required"] <= params["l2_gas_provided"]:
+        raise ScenarioError("auto_fail_gas_required must exceed l2_gas_provided")
     funds = params["submission_fee"] + params["l2_gas_provided"] + params["callvalue"]
 
     def fresh_ticket(ledger: retryable.FeeLedger, ticket_id: str) -> retryable.Ticket:
@@ -416,71 +419,60 @@ def _run_retryable_fee_paths(params: dict[str, Any], seed: int) -> DifferentialR
             "buffered ticket expire after a week forfeits the carried value "
             "unless it was escrowed."
         ),
-        linked_rules=[],
     )
 
 
 # --- registry / dispatch -------------------------------------------------------
 
 
-_SCENARIOS: tuple[tuple[ScenarioSpec, Any], ...] = (
-    (
-        ScenarioSpec(
-            id="S1",
-            title="stale-oracle",
-            risk="outdated off-chain data while the sequencer is down",
-            params=_S1_DEFAULTS,
-            linked_rules=("ARB-SEQ-001",),
-        ),
-        _run_stale_oracle,
+_SCENARIOS: tuple[ScenarioSpec, ...] = (
+    ScenarioSpec(
+        id="S1",
+        title="stale-oracle",
+        risk="outdated off-chain data while the sequencer is down",
+        params=_S1_DEFAULTS,
+        linked_rules=("ARB-SEQ-001",),
+        run=_run_stale_oracle,
     ),
-    (
-        ScenarioSpec(
-            id="S2",
-            title="block-number-equality",
-            risk="block-number equality checks that can never fire on L2",
-            params=_S2_DEFAULTS,
-            linked_rules=("ARB-TIME-001", "ARB-TIME-002"),
-        ),
-        _run_block_number_equality,
+    ScenarioSpec(
+        id="S2",
+        title="block-number-equality",
+        risk="block-number equality checks that can never fire on L2",
+        params=_S2_DEFAULTS,
+        linked_rules=("ARB-TIME-001", "ARB-TIME-002"),
+        run=_run_block_number_equality,
     ),
-    (
-        ScenarioSpec(
-            id="S3",
-            title="alias-permission",
-            risk="permission checks that ignore L1-to-L2 address aliasing",
-            params=_S3_DEFAULTS,
-            linked_rules=("ARB-ALIAS-001",),
-        ),
-        _run_alias_permission,
+    ScenarioSpec(
+        id="S3",
+        title="alias-permission",
+        risk="permission checks that ignore L1-to-L2 address aliasing",
+        params=_S3_DEFAULTS,
+        linked_rules=("ARB-ALIAS-001",),
+        run=_run_alias_permission,
     ),
-    (
-        ScenarioSpec(
-            id="S4",
-            title="dos-refund-loop",
-            risk="unbounded loops that cheap L2 fees make attackable",
-            params=_S4_DEFAULTS,
-            linked_rules=("ARB-DOS-001", "ARB-DOS-002"),
-        ),
-        _run_dos_refund_loop,
+    ScenarioSpec(
+        id="S4",
+        title="dos-refund-loop",
+        risk="unbounded loops that cheap L2 fees make attackable",
+        params=_S4_DEFAULTS,
+        linked_rules=("ARB-DOS-001", "ARB-DOS-002"),
+        run=_run_dos_refund_loop,
     ),
-    (
-        ScenarioSpec(
-            id="S5",
-            title="retryable-fee-paths",
-            risk="repeated submission fees and expiry losses on L1-to-L2 tickets",
-            params=_S5_DEFAULTS,
-            linked_rules=(),
-        ),
-        _run_retryable_fee_paths,
+    ScenarioSpec(
+        id="S5",
+        title="retryable-fee-paths",
+        risk="repeated submission fees and expiry losses on L1-to-L2 tickets",
+        params=_S5_DEFAULTS,
+        linked_rules=(),
+        run=_run_retryable_fee_paths,
     ),
 )
 
-_SCENARIOS_BY_ID = {spec.id: (spec, runner) for spec, runner in _SCENARIOS}
+_SCENARIOS_BY_ID = {spec.id: spec for spec in _SCENARIOS}
 
 
 def list_scenarios() -> list[ScenarioSpec]:
-    return [spec for spec, _ in _SCENARIOS]
+    return list(_SCENARIOS)
 
 
 def _coerce(value: Any, default: Any, key: str) -> Any:
@@ -510,9 +502,9 @@ def run_scenario(
 ) -> DifferentialReport:
     """Run one built-in scenario with overridden parameters."""
     if scenario_id not in _SCENARIOS_BY_ID:
-        valid = ", ".join(spec.id for spec, _ in _SCENARIOS)
+        valid = ", ".join(spec.id for spec in _SCENARIOS)
         raise ScenarioError(f"unknown scenario {scenario_id!r}; valid ids: {valid}")
-    spec, runner = _SCENARIOS_BY_ID[scenario_id]
+    spec = _SCENARIOS_BY_ID[scenario_id]
     merged = dict(spec.params)
     for key, value in (params or {}).items():
         if key not in merged:
@@ -521,7 +513,12 @@ def run_scenario(
                 f"unknown parameter {key!r} for scenario {scenario_id}; valid: {valid}"
             )
         merged[key] = _coerce(value, merged[key], key)
-    return runner(merged, seed)
+    try:
+        report = spec.run(merged, seed)
+    except ValueError as exc:  # a simulator rejected a parameter value
+        raise ScenarioError(f"scenario {scenario_id}: {exc}") from exc
+    report.linked_rules = list(spec.linked_rules)
+    return report
 
 
 def serialize_report(report: DifferentialReport) -> str:

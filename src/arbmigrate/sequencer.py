@@ -131,7 +131,7 @@ class Sequencer:
                 return
         raise KeyError(f"no queued delayed-inbox transaction with id {tx_id!r}")
 
-    def staleness(self, now: int | None = None) -> int:
+    def staleness(self) -> int:
         """Largest (execution time - submit time) over the executed log; 0 if empty."""
         if not self.executed_log:
             return 0

@@ -59,6 +59,16 @@ class TestAnalyze:
         assert code == 0
         assert out.count("ARB-TIME-003") == 2
 
+    def test_rules_the_config_cannot_serve_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "rules.json"
+        config.write_text(json.dumps({"enabled": ["ARB-TIME-003"], "oracle_patterns": []}))
+        code, _, err = run(
+            capsys, "analyze", "--config", str(config), "--rules", "ARB-SEQ-001",
+            str(CORPUS / "seq_oracle_dirty.sol"),
+        )
+        assert code == 2
+        assert "oracle_patterns must be nonempty" in err
+
     def test_unparseable_file_exits_two_with_diagnostics(self, tmp_path, capsys):
         bad = tmp_path / "bad.sol"
         bad.write_text("contract C { function f() public { uint256 x = ; } }")
@@ -86,6 +96,26 @@ class TestAnalyze:
         assert code == 2
         assert "sup.sol:1:48: error: illegal character '\u00b2'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "body, code",
+        [
+            ("x = " + " + ".join(["x"] * 5000) + ";", 0),
+            ("x = a" + "[0]" * 3000 + ";", 0),
+            ("a" + ".b" * 3000 + "();", 0),
+            ("x = " + "!" * 3000 + "x;", 2),
+            ("x = " + "(" * 2000 + "x" + ")" * 2000 + ";", 2),
+            ("if (x) { " * 600 + "x = 1;" + " }" * 600, 2),
+        ],
+        ids=["plus-chain", "index-chain", "member-chain", "not-run", "parens", "nested-ifs"],
+    )
+    def test_deep_input_exits_cleanly(self, tmp_path, capsys, body, code):
+        path = tmp_path / "deep.sol"
+        path.write_text(f"contract C {{ function f(uint256 x) public {{ {body} }} }}")
+        got, _, err = run(capsys, "analyze", str(path))
+        assert got == code
+        assert "Traceback" not in err
+        assert ("nesting deeper than 64 levels" in err) == (code == 2)
 
     def test_multiple_files_sorted_output(self, capsys):
         code, out, _ = run(
@@ -133,6 +163,24 @@ class TestScenarioCommands:
         code, _, err = run(capsys, "scenario", "run", "S1", "--param", "downtime")
         assert code == 2
         assert "key=value" in err
+
+    @pytest.mark.parametrize(
+        "sid, param",
+        [
+            ("S1", "positions=-1"),
+            ("S2", "horizon_s=0"),
+            ("S3", "l1_sender=0x12"),
+            ("S3", "sender_kind=robot"),
+            ("S4", "l2_gas_price_wei=0"),
+            ("S5", "submission_fee=-5"),
+            ("S5", "auto_fail_gas_required=1"),
+        ],
+    )
+    def test_out_of_range_param_is_usage_error(self, capsys, sid, param):
+        code, out, err = run(capsys, "scenario", "run", sid, "--param", param)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_check_mode_flags_divergence(self, capsys):
         code, _, _ = run(capsys, "scenario", "run", "S3", "--check")
@@ -223,6 +271,23 @@ class TestChecklistCommand:
         code, _, err = run(capsys, "checklist", str(path))
         assert code == 2
         assert "cannot load findings" in err
+
+
+    @pytest.mark.parametrize(
+        "finding, key",
+        [
+            ({"rule_id": "ARB-SEQ-001", "line": 1, "column": 1}, "'file'"),
+            ({"rule_id": "ARB-SEQ-001", "file": "a.sol", "column": 1}, "'line'"),
+            ({"rule_id": "ARB-SEQ-001", "file": "a.sol", "line": 1}, "'column'"),
+            ({"file": "a.sol", "line": 1, "column": 1}, "'rule_id'"),
+        ],
+    )
+    def test_finding_missing_a_key_is_usage_error(self, tmp_path, capsys, finding, key):
+        path = tmp_path / "findings.json"
+        path.write_text(json.dumps({"findings": [finding]}))
+        code, _, err = run(capsys, "checklist", str(path))
+        assert code == 2
+        assert key in err
 
 
 class TestSimCommand:

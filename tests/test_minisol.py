@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,26 @@ class TestParser:
                 assert kid.span.end <= node.span.end
             for a, b in zip(kids, kids[1:]):
                 assert a.span.end <= b.span.start
+
+    def test_walk_of_a_5000_deep_tree_is_recursive_pre_order(self):
+        tree = NumberLit(value=0)
+        for i in range(1, 5001):
+            tree = BinaryExpr(op="+", left=tree, right=NumberLit(value=i))
+
+        def reference(node, out):
+            out.append(node)
+            for kid in children(node):
+                reference(kid, out)
+            return out
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 6000)
+        try:
+            expected = reference(tree, [])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(expected) == 10001
+        assert [id(n) for n in walk(tree)] == [id(n) for n in expected]
 
     def test_every_identifier_resolves_or_is_free(self):
         from arbmigrate.minisol import BindingKind

@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from arbmigrate.minisol import parse_source
+from arbmigrate.minisol import parse_source, print_source
 from arbmigrate.rules import (
     Category,
     Finding,
@@ -307,6 +308,14 @@ class TestCorpus:
             unit = parse_source((CORPUS / name).read_text(), path=name)
             got = [{"rule_id": f.rule_id, "line": f.line} for f in analyze(unit)]
             assert got == expected, name
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.sol")))
+    def test_printing_and_reparsing_keeps_rule_counts(self, name):
+        unit = parse_source((CORPUS / name).read_text(), path=name)
+        reprinted = parse_source(print_source(unit), path=name)
+        assert Counter(f.rule_id for f in analyze(reprinted)) == Counter(
+            f.rule_id for f in analyze(unit)
+        )
 
     def test_json_output_byte_identical_across_runs(self):
         def run():
