@@ -54,16 +54,6 @@ class L1Chain:
         if self.block_interval <= 0:
             raise ValueError("block_interval must be positive")
 
-    def blocks_through(self, t: float) -> list[tuple[int, int]]:
-        """Ordered (number, timestamp) pairs minted up to and including time t."""
-        if t < 0:
-            raise ValueError("time must be non-negative")
-        minted = int(t) // self.block_interval
-        return [
-            (self.genesis_number + k, k * self.block_interval)
-            for k in range(minted + 1)
-        ]
-
 
 @dataclass(frozen=True)
 class L2View:

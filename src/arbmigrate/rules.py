@@ -247,8 +247,19 @@ class RuleConfig:
                 f"unknown rule config keys: {', '.join(sorted(unknown))}; "
                 f"known: {', '.join(sorted(defaults))}"
             )
-        # each value takes its default's type: frozenset, tuple or int
-        return cls(**{key: type(defaults[key])(value) for key, value in data.items()})
+        # each value takes its default's type: int, or frozenset/tuple of names
+        values = {}
+        for key, value in data.items():
+            kind = type(defaults[key])
+            if kind is int:
+                ok = isinstance(value, int) and not isinstance(value, bool)
+            else:
+                ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+            if not ok:
+                expected = "an integer" if kind is int else "a list of strings"
+                raise ValueError(f"rule config key {key!r} expects {expected}, got {value!r}")
+            values[key] = kind(value)
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RuleConfig":

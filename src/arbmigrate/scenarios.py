@@ -17,7 +17,7 @@ from typing import Any, Callable, Mapping
 
 from . import retryable
 from .aliasing import Address, SenderContext, SenderKind, l2_msg_sender
-from .chainmodel import L1Chain, L2View, WallClock, l1_block_number_at, l2_view_l1_number_at
+from .chainmodel import L1Chain, L2View, WallClock, l2_view_l1_number_at
 from .gasmodel import GasParams, gas_fees
 from .sequencer import L2Tx, Sequencer, SequencerStatus, TxOrigin
 
@@ -182,25 +182,28 @@ def _run_block_number_equality(params: dict[str, Any], seed: int) -> Differentia
     if horizon <= 0:
         raise ScenarioError("horizon_s must be positive")
 
-    produced: set[int] = set()
-    observable: set[int] = set()
-    for t in range(horizon):
-        clock = WallClock(t)
-        produced.add(l1_block_number_at(clock, chain))
-        observable.add(l2_view_l1_number_at(clock, chain, view))
+    # Counted over the seconds [0, horizon) without visiting them. L1 mints
+    # one number per block interval started in that range. The L2 view
+    # refreshes at each multiple of sync_period in it, and each refresh shows
+    # a distinct, produced number (sync_period is a multiple of
+    # block_interval, which the one call below checks), so the observable
+    # numbers are exactly the refreshes.
+    l2_view_l1_number_at(WallClock(0), chain, view)
+    produced = (horizon - 1) // chain.block_interval + 1
+    observable = (horizon - 1) // view.sync_period + 1
 
-    fraction = len(observable & produced) / len(produced)
+    fraction = observable / produced
     divergence = {"unobservable_fraction": 1.0 - fraction}
     return DifferentialReport(
         scenario_id="S2",
         seed=seed,
         params=params,
         l1_outcome={
-            "distinct_numbers": len(produced),
+            "distinct_numbers": produced,
             "observable_fraction": 1.0,
         },
         l2_outcome={
-            "distinct_numbers": len(observable),
+            "distinct_numbers": observable,
             "observable_fraction": fraction,
         },
         divergence=divergence,
@@ -279,11 +282,9 @@ def _run_dos_refund_loop(params: dict[str, Any], seed: int) -> DifferentialRepor
     if base > limit:
         raise ScenarioError("base_gas already exceeds block_gas_limit")
 
-    n = 1
-    while base + n * per <= limit:
-        n += 1
-    first_failing_n = n
-    max_safe_n = n - 1
+    # smallest n with base + n * per > limit
+    first_failing_n = (limit - base) // per + 1
+    max_safe_n = first_failing_n - 1
 
     l1_push_cost = params["push_gas"] * params["l1_gas_price_wei"]
     l2_push_cost = gas_fees(
@@ -563,7 +564,8 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
 
     Returns a summary: executed transactions (with execution time and the
     gas parameters they carried), final queue contents, ticket states, and
-    the fee ledger.
+    the fee ledger.  A malformed record raises :class:`EventScriptError`
+    naming its index.
     """
     seq = Sequencer()
     ledger = retryable.FeeLedger()
@@ -571,68 +573,81 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
     reverted: list[str] = []
     last_at = 0
 
-    for index, event in enumerate(events):
-        if "at" not in event or "action" not in event:
-            raise EventScriptError(f"event {index} must have 'at' and 'action'")
-        at = int(event["at"])
-        action = event["action"]
-        if at < last_at:
-            raise EventScriptError(f"event {index} at {at} precedes {last_at}")
-        last_at = at
+    def ticket(event: Mapping[str, Any]) -> retryable.Ticket:
+        ticket_id = str(event["id"])
+        if ticket_id not in tickets:
+            raise EventScriptError(f"unknown ticket id {ticket_id!r}")
+        return tickets[ticket_id]
 
-        if action == "sequencer_down":
-            seq.set_status(SequencerStatus.DOWN)
-        elif action == "sequencer_up":
-            seq.set_status(SequencerStatus.ACTIVE)
-        elif action == "submit_tx":
-            seq.submit(
-                L2Tx(
-                    id=str(event["id"]),
-                    submit_time=at,
-                    origin=TxOrigin(event.get("origin", "direct_to_sequencer")),
-                    gas_price=int(event.get("gas_price", 0)),
-                    gas_limit=int(event.get("gas_limit", 0)),
-                    underpriced=bool(event.get("underpriced", False)),
+    for index, event in enumerate(events):
+        try:
+            if "at" not in event or "action" not in event:
+                raise EventScriptError("must have 'at' and 'action'")
+            at = int(event["at"])
+            action = event["action"]
+            if at < last_at:
+                raise EventScriptError(f"at {at} precedes {last_at}")
+            last_at = at
+
+            if action == "sequencer_down":
+                seq.set_status(SequencerStatus.DOWN)
+            elif action == "sequencer_up":
+                seq.set_status(SequencerStatus.ACTIVE)
+            elif action == "submit_tx":
+                seq.submit(
+                    L2Tx(
+                        id=str(event["id"]),
+                        submit_time=at,
+                        origin=TxOrigin(event.get("origin", "direct_to_sequencer")),
+                        gas_price=int(event.get("gas_price", 0)),
+                        gas_limit=int(event.get("gas_limit", 0)),
+                        underpriced=bool(event.get("underpriced", False)),
+                    )
                 )
-            )
-        elif action == "tick":
-            seq.tick(at)
-        elif action == "create_ticket":
-            ticket_id = str(event["id"])
-            if ticket_id in tickets or ticket_id in reverted:
-                raise EventScriptError(f"duplicate ticket id {ticket_id!r}")
-            try:
-                tickets[ticket_id] = retryable.create_ticket(
+            elif action == "tick":
+                seq.tick(at)
+            elif action == "create_ticket":
+                ticket_id = str(event["id"])
+                if ticket_id in tickets or ticket_id in reverted:
+                    raise EventScriptError(f"duplicate ticket id {ticket_id!r}")
+                try:
+                    tickets[ticket_id] = retryable.create_ticket(
+                        ledger,
+                        ticket_id=ticket_id,
+                        created_at=at,
+                        funds_provided=int(event["funds_provided"]),
+                        required=int(event["required"]),
+                        submission_fee=int(event["submission_fee"]),
+                        l2_gas_provided=int(event["l2_gas_provided"]),
+                        callvalue=int(event["callvalue"]),
+                        refund_address=int(event.get("refund_address", 0)),
+                        l1_gas_spent=int(event.get("l1_gas_spent", 0)),
+                        escrow_callvalue=bool(event.get("escrow_callvalue", True)),
+                    )
+                except retryable.TicketRevert:
+                    reverted.append(ticket_id)
+            elif action == "auto_redeem":
+                retryable.auto_redeem(
+                    ticket(event), ledger, int(event["l2_gas_required"]), now=at
+                )
+            elif action == "manual_redeem":
+                retryable.manual_redeem(
+                    ticket(event),
                     ledger,
-                    ticket_id=ticket_id,
-                    created_at=at,
-                    funds_provided=int(event["funds_provided"]),
-                    required=int(event["required"]),
-                    submission_fee=int(event["submission_fee"]),
-                    l2_gas_provided=int(event["l2_gas_provided"]),
-                    callvalue=int(event["callvalue"]),
-                    refund_address=int(event.get("refund_address", 0)),
-                    l1_gas_spent=int(event.get("l1_gas_spent", 0)),
-                    escrow_callvalue=bool(event.get("escrow_callvalue", True)),
+                    int(event["new_submission_fee"]),
+                    int(event["l2_gas"]),
+                    now=at,
                 )
-            except retryable.TicketRevert:
-                reverted.append(ticket_id)
-        elif action == "auto_redeem":
-            retryable.auto_redeem(
-                tickets[str(event["id"])], ledger, int(event["l2_gas_required"]), now=at
-            )
-        elif action == "manual_redeem":
-            retryable.manual_redeem(
-                tickets[str(event["id"])],
-                ledger,
-                int(event["new_submission_fee"]),
-                int(event["l2_gas"]),
-                now=at,
-            )
-        elif action == "expire_tickets":
-            retryable.expire_tickets(tickets.values(), ledger, now=at)
-        else:
-            raise EventScriptError(f"unknown action {action!r} in event {index}")
+            elif action == "expire_tickets":
+                retryable.expire_tickets(tickets.values(), ledger, now=at)
+            else:
+                raise EventScriptError(f"unknown action {action!r}")
+        except EventScriptError as exc:
+            raise EventScriptError(f"event {index}: {exc}") from None
+        except KeyError as exc:
+            raise EventScriptError(f"event {index}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise EventScriptError(f"event {index}: {exc}") from exc
 
     return {
         "executed": [

@@ -5,6 +5,13 @@ transactions before anything newer) and then its own pending queue.  While it
 is down, transactions pile up in the delayed inbox; only entries older than
 ``force_inclusion_delay`` get executed regardless of sequencer status, so
 nothing is ever stuck forever.
+
+A down tick scans the delayed inbox only when something may be force-included:
+the sequencer keeps a watermark no later than the oldest ``submit_time`` among
+the queued delayed-inbox transactions that are not underpriced, and a tick
+less than ``force_inclusion_delay`` after it returns at once.  Change queued
+transactions through ``submit`` and ``reprice`` only; editing one in place
+can leave the watermark too late.
 """
 
 from __future__ import annotations
@@ -69,6 +76,10 @@ class Sequencer:
     executed_log: list[tuple[L2Tx, int]] = field(default_factory=list)
     _seen_ids: set[str] = field(default_factory=set)
     _last_tick: int | None = field(default=None)
+    # A lower bound on the submit_time of every delayed-inbox tx that is not
+    # underpriced, None when there is none. It starts at 0, which bounds any
+    # inbox the constructor was given; each full scan makes it exact again.
+    _watermark: int | None = field(default=0, init=False, compare=False, repr=False)
 
     def submit(self, tx: L2Tx) -> None:
         """Route a fresh transaction to the pending queue or the delayed inbox.
@@ -86,6 +97,13 @@ class Sequencer:
             self.pending.append(tx)
         else:
             self.delayed_inbox.append(tx)
+            self._lower_watermark(tx)
+
+    def _lower_watermark(self, tx: L2Tx) -> None:
+        if not tx.underpriced and (
+            self._watermark is None or tx.submit_time < self._watermark
+        ):
+            self._watermark = tx.submit_time
 
     def set_status(self, status: SequencerStatus) -> None:
         self.status = status
@@ -102,6 +120,9 @@ class Sequencer:
                 executed.append(self.delayed_inbox.popleft())
             while self.pending:
                 executed.append(self.pending.popleft())
+            self._watermark = None
+        elif self._watermark is None or now - self._watermark < self.force_inclusion_delay:
+            return executed  # nothing has waited out the delay yet
         else:
             # Force inclusion: delayed-inbox txs whose age reached the
             # configured delay run even without the sequencer, unless their
@@ -117,6 +138,9 @@ class Sequencer:
                 else:
                     remaining.append(tx)
             self.delayed_inbox = remaining
+            self._watermark = min(
+                (tx.submit_time for tx in remaining if not tx.underpriced), default=None
+            )
 
         for tx in executed:
             self.executed_log.append((tx, now))
@@ -128,6 +152,7 @@ class Sequencer:
             if tx.id == tx_id:
                 tx.gas_price = gas_price
                 tx.underpriced = False
+                self._lower_watermark(tx)
                 return
         raise KeyError(f"no queued delayed-inbox transaction with id {tx_id!r}")
 

@@ -130,13 +130,6 @@ class TestClockAndChain:
         with pytest.raises(ValueError):
             clock.advance(0)
 
-    def test_blocks_through_consecutive_numbers_and_spacing(self):
-        blocks = CHAIN.blocks_through(61)
-        numbers = [n for n, _ in blocks]
-        stamps = [ts for _, ts in blocks]
-        assert numbers == list(range(1000, 1005))
-        assert all(b - a == 15 for a, b in zip(stamps, stamps[1:]))
-
     def test_chain_validation(self):
         with pytest.raises(ValueError):
             L1Chain(genesis_number=-1)

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,21 @@ class TestAnalyze:
         )
         assert code == 2
         assert "oracle_patterns must be nonempty" in err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"timestamp_threshold_s": None}, "'timestamp_threshold_s' expects an integer, got None"),
+            ({"oracle_patterns": 5}, "'oracle_patterns' expects a list of strings, got 5"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, config, message):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "analyze", "--config", str(path), str(CORPUS / "dos_loop_clean.sol"))
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_unparseable_file_exits_two_with_diagnostics(self, tmp_path, capsys):
         bad = tmp_path / "bad.sol"
@@ -181,6 +197,29 @@ class TestScenarioCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "sid, params, budget_s",
+        [
+            ("S4", ["block_gas_limit=1000000000000000000", "per_iteration_gas=1"], 2),
+            ("S2", ["horizon_s=1000000000000"], 2),
+            # 60,000 one-second steps, 40,000 of them down: linear work takes
+            # about 0.5 s on a 2-CPU machine, a rescan of the inbox per down
+            # tick takes minutes
+            ("S1", ["horizon_s=60000", "downtime_s=40000", "update_interval_s=1"], 10),
+        ],
+        ids=["S4-gas-limit-1e18", "S2-horizon-1e12", "S1-long-outage"],
+    )
+    def test_large_params_run_within_budget(self, capsys, sid, params, budget_s):
+        argv = ["scenario", "run", sid]
+        for param in params:
+            argv += ["--param", param]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(out)["scenario_id"] == sid
+        assert elapsed < budget_s, f"{sid} took {elapsed:.2f}s"
 
     def test_check_mode_flags_divergence(self, capsys):
         code, _, _ = run(capsys, "scenario", "run", "S3", "--check")

@@ -1,10 +1,14 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbmigrate.chainmodel import L1Chain, L2View, WallClock, l1_block_number_at, l2_view_l1_number_at
 from arbmigrate.scenarios import (
     DifferentialReport,
+    EventScriptError,
     ScenarioError,
     list_scenarios,
     run_scenario,
@@ -116,6 +120,90 @@ class TestBlockNumberEquality:
     def test_no_lag_no_divergence(self):
         report = run_scenario("S2", {"block_interval_s": 15, "sync_period_s": 15})
         assert not report.divergent
+
+
+def _s2_by_enumeration(params):
+    """S2 as it was first written: one set entry per second of the horizon."""
+    chain = L1Chain(genesis_number=params["genesis_number"], block_interval=params["block_interval_s"])
+    view = L2View(sync_period=params["sync_period_s"])
+    if params["horizon_s"] <= 0:
+        raise ScenarioError("horizon_s must be positive")
+    produced, observable = set(), set()
+    for t in range(params["horizon_s"]):
+        produced.add(l1_block_number_at(WallClock(t), chain))
+        observable.add(l2_view_l1_number_at(WallClock(t), chain, view))
+    fraction = len(observable & produced) / len(produced)
+    return len(produced), len(observable), fraction
+
+
+def _s4_by_counting(params):
+    """S4's failure point as it was first written: count n up one at a time."""
+    limit, base, per = params["block_gas_limit"], params["base_gas"], params["per_iteration_gas"]
+    if per <= 0:
+        raise ScenarioError("per_iteration_gas must be positive")
+    if base > limit:
+        raise ScenarioError("base_gas already exceeds block_gas_limit")
+    n = 1
+    while base + n * per <= limit:
+        n += 1
+    return n
+
+
+def _same_outcome(sid, params, reference):
+    """run_scenario agrees with reference(params): the same values, or the same error."""
+    try:
+        expected = reference(params)
+    except ValueError as exc:
+        with pytest.raises(ScenarioError, match=re.escape(f"scenario {sid}: {exc}") + "$"):
+            run_scenario(sid, params)
+        return None
+    return expected, run_scenario(sid, params)
+
+
+class TestClosedFormsMatchTheLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        interval=st.integers(-1, 7),
+        sync=st.integers(-1, 45),
+        horizon=st.integers(-2, 400),
+        genesis=st.integers(-1, 60),
+    )
+    def test_s2_counts_equal_enumeration(self, interval, sync, horizon, genesis):
+        params = {"block_interval_s": interval, "sync_period_s": sync,
+                  "horizon_s": horizon, "genesis_number": genesis}
+        outcome = _same_outcome("S2", params, _s2_by_enumeration)
+        if outcome is not None:
+            (produced, observable, fraction), report = outcome
+            assert report.l1_outcome["distinct_numbers"] == produced
+            assert report.l2_outcome["distinct_numbers"] == observable
+            assert report.l2_outcome["observable_fraction"] == fraction
+            assert report.divergence["unobservable_fraction"] == 1.0 - fraction
+
+    def test_s2_sync_period_off_the_block_grid_still_rejected(self):
+        params = {"block_interval_s": 15, "sync_period_s": 40, "horizon_s": 100, "genesis_number": 0}
+        assert _same_outcome("S2", params, _s2_by_enumeration) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        limit=st.integers(-5, 3000),
+        base=st.one_of(st.none(), st.integers(-5, 3000)),
+        per=st.integers(-2, 60),
+    )
+    def test_s4_first_failing_n_equals_counting(self, limit, base, per):
+        params = {"block_gas_limit": limit, "base_gas": limit if base is None else base,
+                  "per_iteration_gas": per}
+        outcome = _same_outcome("S4", params, _s4_by_counting)
+        if outcome is not None:
+            n, report = outcome
+            for side in (report.l1_outcome, report.l2_outcome):
+                assert side["first_failing_n"] == n
+                assert side["max_safe_n"] == n - 1
+            assert report.l1_outcome["attack_cost_wei"] == n * 50_000 * 20_000_000_000
+
+    def test_s4_base_equal_to_limit_fails_at_one(self):
+        params = {"block_gas_limit": 700, "base_gas": 700, "per_iteration_gas": 9}
+        n, report = _same_outcome("S4", params, _s4_by_counting)
+        assert n == report.l2_outcome["first_failing_n"] == 1
 
 
 class TestAliasPermission:
@@ -260,3 +348,24 @@ class TestEventReplay:
             ])
         with pytest.raises(EventScriptError, match="'at'"):
             replay_events([{"action": "tick"}])
+
+    @pytest.mark.parametrize(
+        "events, message",
+        [
+            ([{"at": 0, "action": "auto_redeem", "id": "nope", "l2_gas_required": 1}],
+             "event 0: unknown ticket id 'nope'"),
+            ([{"at": 0, "action": "tick"}, {"at": 1, "action": "submit_tx"}],
+             "event 1: missing field 'id'"),
+            ([{"at": 0, "action": "submit_tx", "id": "a", "origin": "moon"}],
+             "event 0: 'moon' is not a valid TxOrigin"),
+            ([{"at": 0, "action": "submit_tx", "id": "a"}, {"at": 1, "action": "submit_tx", "id": "a"}],
+             "event 1: transaction id 'a' already submitted"),
+            ([{"at": "soon", "action": "tick"}], "event 0: invalid literal for int"),
+        ],
+        ids=["unknown-ticket", "missing-id", "bad-origin", "duplicate-tx", "non-integer-at"],
+    )
+    def test_malformed_record_names_its_index(self, events, message):
+        from arbmigrate.scenarios import replay_events
+
+        with pytest.raises(EventScriptError, match=re.escape(message)):
+            replay_events(events)

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +97,31 @@ def test_underpriced_tx_skips_force_inclusion_until_repriced():
         seq.reprice("cheap", gas_price=60)
 
 
+def test_each_delayed_tx_is_force_included_at_its_own_deadline():
+    seq = Sequencer(status=SequencerStatus.DOWN, force_inclusion_delay=100)
+    seq.submit(delayed("late", 50))
+    seq.submit(delayed("early", 0))
+    seq.submit(delayed("cheap", 0, underpriced=True))
+    assert seq.tick(99) == []
+    assert [tx.id for tx in seq.tick(100)] == ["early"]
+    seq.submit(delayed("backdated", 20))
+    assert [tx.id for tx in seq.tick(120)] == ["backdated"]
+    assert seq.tick(149) == []
+    assert [tx.id for tx in seq.tick(150)] == ["late"]
+    seq.reprice("cheap", gas_price=5)
+    assert [tx.id for tx in seq.tick(150)] == ["cheap"]
+
+
+def test_inbox_given_to_the_constructor_is_force_included():
+    seq = Sequencer(
+        status=SequencerStatus.DOWN,
+        force_inclusion_delay=10,
+        delayed_inbox=deque([delayed("a", 3)]),
+    )
+    assert seq.tick(12) == []
+    assert [tx.id for tx in seq.tick(13)] == ["a"]
+
+
 def test_tick_time_regression_rejected():
     seq = Sequencer()
     seq.tick(100)
@@ -169,3 +196,83 @@ def test_conservation_and_no_duplicates_under_random_schedules(events):
     assert len(executed_ids) == len(set(executed_ids))
     times = [at for _, at in seq.executed_log]
     assert times == sorted(times)
+
+
+class FullScanSequencer(Sequencer):
+    """Reference: every down tick scans the whole delayed inbox."""
+
+    def tick(self, now):
+        if self._last_tick is not None and now < self._last_tick:
+            raise TimeRegression(f"tick at {now} precedes previous tick at {self._last_tick}")
+        self._last_tick = now
+        executed = []
+        if self.status is SequencerStatus.ACTIVE:
+            executed += self.delayed_inbox
+            executed += self.pending
+            self.delayed_inbox, self.pending = deque(), deque()
+        else:
+            remaining = deque()
+            for tx in self.delayed_inbox:
+                if not tx.underpriced and now - tx.submit_time >= self.force_inclusion_delay:
+                    executed.append(tx)
+                else:
+                    remaining.append(tx)
+            self.delayed_inbox = remaining
+        self.executed_log += [(tx, now) for tx in executed]
+        return executed
+
+
+_SCHEDULE = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("submit"),
+            st.sampled_from(list(TxOrigin)),
+            st.sampled_from([-50, -5, -1, 0, 1, 5, 50]),  # submit_time - now: not monotone
+            st.booleans(),  # underpriced
+        ),
+        st.tuples(st.just("reprice"), st.integers(0, 40)),  # an index into the ids so far
+        st.tuples(st.just("status"), st.sampled_from(list(SequencerStatus))),
+        st.tuples(st.just("tick"), st.sampled_from([0, 1, 4, 5, 45, 50, 86_400])),
+    ),
+    min_size=4,
+    max_size=60,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    delay=st.sampled_from([0, 5, 50, 86_400]),
+    status=st.sampled_from(list(SequencerStatus)),
+    schedule=_SCHEDULE,
+)
+def test_watermark_ticks_match_a_full_scan(delay, status, schedule):
+    fast = Sequencer(status=status, force_inclusion_delay=delay)
+    slow = FullScanSequencer(status=status, force_inclusion_delay=delay)
+    now = 100
+    ids = []
+    for i, (kind, *args) in enumerate(schedule):
+        if kind == "submit":
+            origin, offset, underpriced = args
+            ids.append(f"tx{i}")
+            for seq in (fast, slow):
+                seq.submit(L2Tx(id=ids[-1], submit_time=now + offset,
+                                origin=origin, underpriced=underpriced))
+        elif kind == "reprice":
+            tx_id = ids[args[0]] if args[0] < len(ids) else "unknown"
+            outcomes = []
+            for seq in (fast, slow):
+                try:
+                    seq.reprice(tx_id, gas_price=7)
+                    outcomes.append(None)
+                except KeyError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+        elif kind == "status":
+            fast.set_status(args[0])
+            slow.set_status(args[0])
+        else:
+            now += args[0]
+            assert [tx.id for tx in fast.tick(now)] == [tx.id for tx in slow.tick(now)]
+    assert [(tx.id, at) for tx, at in fast.executed_log] == [(tx.id, at) for tx, at in slow.executed_log]
+    assert [tx.id for tx in fast.delayed_inbox] == [tx.id for tx in slow.delayed_inbox]
+    assert [tx.id for tx in fast.pending] == [tx.id for tx in slow.pending]
