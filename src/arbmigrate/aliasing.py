@@ -81,17 +81,12 @@ def undo_alias(a: Address, offset: Address = ALIAS_OFFSET) -> Address:
     return Address((a.value - offset.value) % ADDRESS_SPACE)
 
 
-def l2_msg_sender(
-    ctx: SenderContext,
-    offset: Address = ALIAS_OFFSET,
-    *,
-    alias_externally_owned: bool = False,
-) -> Address:
+def l2_msg_sender(ctx: SenderContext, offset: Address = ALIAS_OFFSET) -> Address:
     """The sender an L2 contract observes for a message from ``ctx``.
 
     Contract senders are aliased; externally owned senders pass through
-    unchanged unless ``alias_externally_owned`` is set.
+    unchanged.
     """
-    if ctx.l1_sender_kind is SenderKind.CONTRACT or alias_externally_owned:
+    if ctx.l1_sender_kind is SenderKind.CONTRACT:
         return apply_alias(ctx.l1_sender, offset)
     return ctx.l1_sender

@@ -35,11 +35,6 @@ class WallClock:
         if self.t < 0:
             raise ValueError(f"wall clock cannot be negative, got {self.t}")
 
-    def advance(self, dt: float) -> "WallClock":
-        if dt <= 0:
-            raise ValueError("wall clock must advance strictly")
-        return WallClock(self.t + dt)
-
 
 @dataclass(frozen=True)
 class L1Chain:

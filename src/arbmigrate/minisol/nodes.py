@@ -24,10 +24,11 @@ class Span:
 EMPTY_SPAN = Span(0, 0, 0, 0)
 
 
+@dataclass
 class Node:
-    """Marker base class for all AST nodes."""
+    """Base class for all AST nodes; every node takes its span as a keyword."""
 
-    span: Span
+    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False, kw_only=True)
 
 
 class BindingKind(Enum):
@@ -45,21 +46,18 @@ class BindingKind(Enum):
 @dataclass
 class ElementaryType(Node):
     name: str  # uint256 | address | bool | string
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class ArrayType(Node):
     base: "TypeName"
     length: int | None  # None = dynamic
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class MappingType(Node):
     key: ElementaryType
     value: "TypeName"
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 TypeName = Union[ElementaryType, ArrayType, MappingType]
@@ -71,66 +69,56 @@ TypeName = Union[ElementaryType, ArrayType, MappingType]
 @dataclass
 class NumberLit(Node):
     value: int
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class HexLit(Node):
     value: int
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class AddressLit(Node):
     value: int
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class StringLit(Node):
     value: str
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class BoolLit(Node):
     value: bool
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class Ident(Node):
     name: str
     binding: BindingKind = field(default=BindingKind.FREE, compare=False, repr=False)
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class MemberAccess(Node):
     obj: "Expr"
     member: str
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class IndexAccess(Node):
     obj: "Expr"
     index: "Expr"
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class CallExpr(Node):
     callee: "Expr"
     args: list["Expr"] = field(default_factory=list)
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class UnaryExpr(Node):
     op: str  # ! or -
     operand: "Expr"
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
@@ -138,7 +126,6 @@ class BinaryExpr(Node):
     op: str
     left: "Expr"
     right: "Expr"
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 Expr = Union[
@@ -156,7 +143,6 @@ class VarDeclStmt(Node):
     name: str
     location: str | None = None  # memory | calldata | storage
     initializer: Expr | None = None
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
@@ -164,21 +150,18 @@ class AssignStmt(Node):
     target: Expr
     op: str  # = += -= *= /= %=
     value: Expr
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class IncDecStmt(Node):
     target: Expr
     op: str  # ++ or --
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class RequireStmt(Node):
     condition: Expr
     message: StringLit | None = None
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
@@ -186,7 +169,6 @@ class IfStmt(Node):
     condition: Expr
     then_body: list["Stmt"] = field(default_factory=list)
     else_body: list["Stmt"] | None = None
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
@@ -195,32 +177,27 @@ class ForStmt(Node):
     condition: Expr | None
     post: "Stmt | None"
     body: list["Stmt"] = field(default_factory=list)
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class WhileStmt(Node):
     condition: Expr
     body: list["Stmt"] = field(default_factory=list)
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class EmitStmt(Node):
     call: CallExpr
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class ReturnStmt(Node):
     value: Expr | None = None
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class ExprStmt(Node):
     expression: Expr
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 Stmt = Union[
@@ -237,7 +214,6 @@ class Param(Node):
     var_type: TypeName
     name: str
     location: str | None = None
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
@@ -246,7 +222,6 @@ class StateVarDecl(Node):
     visibility: str | None
     name: str
     initializer: Expr | None = None
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
@@ -258,14 +233,12 @@ class FunctionDef(Node):
     modifiers: list[str] = field(default_factory=list)
     returns: list[TypeName] = field(default_factory=list)
     body: list[Stmt] = field(default_factory=list)
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @dataclass
 class ContractDef(Node):
     name: str
     members: list[StateVarDecl | FunctionDef] = field(default_factory=list)
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
     @property
     def state_vars(self) -> list[StateVarDecl]:
@@ -281,7 +254,6 @@ class SourceUnit(Node):
     contracts: list[ContractDef] = field(default_factory=list)
     path: str = field(default="<source>", compare=False)
     source: str = field(default="", compare=False, repr=False)
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
 @cache

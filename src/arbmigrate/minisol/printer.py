@@ -60,6 +60,43 @@ def _prec(expr: Expr) -> int:
 
 
 def print_expr(expr: Expr) -> str:
+    # Binary and postfix chains nest down their left operand (`x + x + x`,
+    # `a[0][0]`, `a.b.c()`), so that spine is walked with a loop: each link
+    # adds the text to the right of its left operand, and the innermost
+    # operand is printed last, as the head.
+    tails: list[str] = []
+    while isinstance(expr, (BinaryExpr, MemberAccess, IndexAccess, CallExpr)):
+        if isinstance(expr, BinaryExpr):
+            prec = BINARY_PRECEDENCE[expr.op]
+            # all binary ops are left-associative: an equal-precedence right
+            # child needs parentheses to survive a round trip
+            right = print_expr(expr.right)
+            if _prec(expr.right) <= prec:
+                right = f"({right})"
+            tails.append(f" {expr.op} {right}")
+            inner = expr.left
+        else:
+            prec = _POSTFIX_PREC
+            if isinstance(expr, MemberAccess):
+                tails.append(f".{expr.member}")
+                inner = expr.obj
+            elif isinstance(expr, IndexAccess):
+                tails.append(f"[{print_expr(expr.index)}]")
+                inner = expr.obj
+            else:
+                tails.append(f"({', '.join(print_expr(a) for a in expr.args)})")
+                inner = expr.callee
+        if _prec(inner) < prec:
+            head = f"({print_expr(inner)})"
+            break
+        expr = inner
+    else:
+        head = _print_operand(expr)
+    return head + "".join(reversed(tails))
+
+
+def _print_operand(expr: Expr) -> str:
+    """A literal, an identifier or a unary expression."""
     if isinstance(expr, NumberLit):
         return str(expr.value)
     if isinstance(expr, HexLit):
@@ -72,13 +109,6 @@ def print_expr(expr: Expr) -> str:
         return "true" if expr.value else "false"
     if isinstance(expr, Ident):
         return expr.name
-    if isinstance(expr, MemberAccess):
-        return f"{_child(expr.obj, _POSTFIX_PREC)}.{expr.member}"
-    if isinstance(expr, IndexAccess):
-        return f"{_child(expr.obj, _POSTFIX_PREC)}[{print_expr(expr.index)}]"
-    if isinstance(expr, CallExpr):
-        args = ", ".join(print_expr(a) for a in expr.args)
-        return f"{_child(expr.callee, _POSTFIX_PREC)}({args})"
     if isinstance(expr, UnaryExpr):
         operand = print_expr(expr.operand)
         needs = _prec(expr.operand) < _UNARY_PREC or (
@@ -88,23 +118,7 @@ def print_expr(expr: Expr) -> str:
             and expr.operand.op == "-"
         )
         return f"{expr.op}({operand})" if needs else f"{expr.op}{operand}"
-    if isinstance(expr, BinaryExpr):
-        prec = BINARY_PRECEDENCE[expr.op]
-        left = _child(expr.left, prec)
-        # all binary ops are left-associative: an equal-precedence right
-        # child needs parentheses to survive a round trip
-        right = print_expr(expr.right)
-        if _prec(expr.right) <= prec:
-            right = f"({right})"
-        return f"{left} {expr.op} {right}"
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _child(expr: Expr, parent_prec: int) -> str:
-    text = print_expr(expr)
-    if _prec(expr) < parent_prec:
-        return f"({text})"
-    return text
 
 
 def print_type(t: TypeName) -> str:

@@ -40,7 +40,7 @@ class TicketState(Enum):
 # (state, operation) -> allowed; used by tests to enumerate the machine.
 TRANSITIONS = {
     TicketState.CREATED: {"auto_redeem"},
-    TicketState.BUFFERED: {"manual_redeem", "expire", "renew"},
+    TicketState.BUFFERED: {"manual_redeem", "expire"},
     TicketState.AUTO_REDEEMED: set(),
     TicketState.MANUALLY_REDEEMED: set(),
     TicketState.EXPIRED: set(),
@@ -92,10 +92,9 @@ class Ticket:
     excess: int = 0
     escrow_callvalue: bool = True
     state: TicketState = TicketState.CREATED
-    lifetime_extension: int = 0
 
-    def deadline(self, buffer_lifetime: int = BUFFER_LIFETIME) -> int:
-        return self.created_at + buffer_lifetime + self.lifetime_extension
+    def deadline(self) -> int:
+        return self.created_at + BUFFER_LIFETIME
 
 
 def create_ticket(
@@ -177,29 +176,21 @@ def manual_redeem(
     new_submission_fee: int,
     l2_gas: int,
     now: int,
-    buffer_lifetime: int = BUFFER_LIFETIME,
 ) -> None:
     """Redeem a buffered ticket by hand, paying the submission fee again."""
     if ticket.state is not TicketState.BUFFERED:
         raise TicketStateError(f"manual_redeem on ticket in state {ticket.state.value}")
     if min(new_submission_fee, l2_gas) < 0:
         raise ValueError("fee amounts must be non-negative")
-    if now >= ticket.deadline(buffer_lifetime):
-        raise RedeemWindowClosed(
-            f"ticket {ticket.id} redeem window closed at {ticket.deadline(buffer_lifetime)}"
-        )
+    if now >= ticket.deadline():
+        raise RedeemWindowClosed(f"ticket {ticket.id} redeem window closed at {ticket.deadline()}")
     ticket.state = TicketState.MANUALLY_REDEEMED
     ledger.paid_in += new_submission_fee + l2_gas + ticket.callvalue
     ledger.consumed_as_fees += new_submission_fee + l2_gas
     ledger.delivered_callvalue += ticket.callvalue
 
 
-def expire_tickets(
-    tickets: Iterable[Ticket],
-    ledger: FeeLedger,
-    now: int,
-    buffer_lifetime: int = BUFFER_LIFETIME,
-) -> list[Ticket]:
+def expire_tickets(tickets: Iterable[Ticket], ledger: FeeLedger, now: int) -> list[Ticket]:
     """Expire every buffered ticket whose lifetime elapsed; returns those expired.
 
     The carried callvalue is lost unless the ticket escrows it separately
@@ -209,7 +200,7 @@ def expire_tickets(
     for ticket in tickets:
         if ticket.state is not TicketState.BUFFERED:
             continue
-        if now < ticket.deadline(buffer_lifetime):
+        if now < ticket.deadline():
             continue
         ticket.state = TicketState.EXPIRED
         ledger.paid_in += ticket.callvalue
@@ -220,26 +211,3 @@ def expire_tickets(
         expired.append(ticket)
     return expired
 
-
-def renew_ticket(
-    ticket: Ticket,
-    ledger: FeeLedger,
-    fee: int,
-    now: int,
-    *,
-    allow_renew: bool = False,
-    buffer_lifetime: int = BUFFER_LIFETIME,
-    extension: int = BUFFER_LIFETIME,
-) -> None:
-    """Extend a buffered ticket's lifetime for a fee. Disabled by default."""
-    if not allow_renew:
-        raise TicketStateError("renew is disabled by configuration")
-    if ticket.state is not TicketState.BUFFERED:
-        raise TicketStateError(f"renew on ticket in state {ticket.state.value}")
-    if fee < 0:
-        raise ValueError("fee must be non-negative")
-    if now >= ticket.deadline(buffer_lifetime):
-        raise RedeemWindowClosed(f"ticket {ticket.id} already past its deadline")
-    ticket.lifetime_extension += extension
-    ledger.paid_in += fee
-    ledger.consumed_as_fees += fee

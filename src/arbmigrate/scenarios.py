@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Mapping
 
 from . import retryable
@@ -26,6 +26,11 @@ class ScenarioError(ValueError):
     """Unknown scenario id or bad parameter."""
 
 
+# What a runner returns: the L1 outcome, the L2 outcome and the divergence
+# metrics; run_scenario adds the rest of the report from the spec.
+Outcome = tuple[dict[str, Any], dict[str, Any], dict[str, float]]
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     id: str
@@ -33,7 +38,8 @@ class ScenarioSpec:
     risk: str
     params: Mapping[str, Any]
     linked_rules: tuple[str, ...]
-    run: Callable[[dict[str, Any], int], DifferentialReport] = field(compare=False, repr=False)
+    narrative: str
+    run: Callable[[dict[str, Any], int], Outcome] = field(compare=False, repr=False)
 
 
 @dataclass
@@ -45,7 +51,7 @@ class DifferentialReport:
     l2_outcome: dict[str, Any]
     divergence: dict[str, float]
     narrative: str
-    linked_rules: list[str] = field(default_factory=list)
+    linked_rules: list[str]
 
     @property
     def divergent(self) -> bool:
@@ -55,18 +61,7 @@ class DifferentialReport:
 # --- S1: stale oracle during sequencer downtime ----------------------------
 
 
-_S1_DEFAULTS: dict[str, Any] = {
-    "downtime_s": 3600,
-    "down_start_s": 600,
-    "horizon_s": 7200,
-    "update_interval_s": 60,
-    "positions": 8,
-    "start_price_cents": 10_000,
-    "volatility_bp": 200,
-}
-
-
-def _run_stale_oracle(params: dict[str, Any], seed: int) -> DifferentialReport:
+def _run_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
     rng = random.Random(seed)
     interval = params["update_interval_s"]
     horizon = params["horizon_s"]
@@ -133,46 +128,44 @@ def _run_stale_oracle(params: dict[str, Any], seed: int) -> DifferentialReport:
                 wrongful += 1
                 monetary_delta += abs(true_price - observed_price)
 
-    divergence = {
+    l1 = {"liquidated_positions": len(l1_liquidated), "price_staleness_s": 0}
+    l2 = {"liquidated_positions": len(l2_liquidated), "price_staleness_s": max_staleness}
+    return l1, l2, {
         "max_price_staleness_s": max_staleness,
         "wrongful_liquidation_events": wrongful,
         "monetary_delta_cents": monetary_delta,
     }
-    return DifferentialReport(
-        scenario_id="S1",
-        seed=seed,
-        params=params,
-        l1_outcome={
-            "liquidated_positions": len(l1_liquidated),
-            "price_staleness_s": 0,
-        },
-        l2_outcome={
-            "liquidated_positions": len(l2_liquidated),
-            "price_staleness_s": max_staleness,
-        },
-        divergence=divergence,
-        narrative=(
-            "A lending book watches an off-chain price feed. On L1 every "
-            "update lands immediately; on L2 the updates flow through the "
-            "sequencer, so during the outage the book keeps trading against "
-            "the last pre-outage price and liquidation decisions drift from "
-            "the true market."
-        ),
-    )
+
+
+_S1 = ScenarioSpec(
+    id="S1",
+    title="stale-oracle",
+    risk="outdated off-chain data while the sequencer is down",
+    params={
+        "downtime_s": 3600,
+        "down_start_s": 600,
+        "horizon_s": 7200,
+        "update_interval_s": 60,
+        "positions": 8,
+        "start_price_cents": 10_000,
+        "volatility_bp": 200,
+    },
+    linked_rules=("ARB-SEQ-001",),
+    narrative=(
+        "A lending book watches an off-chain price feed. On L1 every "
+        "update lands immediately; on L2 the updates flow through the "
+        "sequencer, so during the outage the book keeps trading against "
+        "the last pre-outage price and liquidation decisions drift from "
+        "the true market."
+    ),
+    run=_run_stale_oracle,
+)
 
 
 # --- S2: strict block-number equality ---------------------------------------
 
 
-_S2_DEFAULTS: dict[str, Any] = {
-    "block_interval_s": 15,
-    "sync_period_s": 60,
-    "horizon_s": 3600,
-    "genesis_number": 1000,
-}
-
-
-def _run_block_number_equality(params: dict[str, Any], seed: int) -> DifferentialReport:
+def _run_block_number_equality(params: dict[str, Any], seed: int) -> Outcome:
     chain = L1Chain(
         genesis_number=params["genesis_number"],
         block_interval=params["block_interval_s"],
@@ -193,40 +186,36 @@ def _run_block_number_equality(params: dict[str, Any], seed: int) -> Differentia
     observable = (horizon - 1) // view.sync_period + 1
 
     fraction = observable / produced
-    divergence = {"unobservable_fraction": 1.0 - fraction}
-    return DifferentialReport(
-        scenario_id="S2",
-        seed=seed,
-        params=params,
-        l1_outcome={
-            "distinct_numbers": produced,
-            "observable_fraction": 1.0,
-        },
-        l2_outcome={
-            "distinct_numbers": observable,
-            "observable_fraction": fraction,
-        },
-        divergence=divergence,
-        narrative=(
-            "A condition like `block.number == N` sees every block number on "
-            "L1, but the L2 view refreshes only at sync instants, so most "
-            "numbers are simply never observable there and the equality can "
-            "never fire for them."
-        ),
-    )
+    l1 = {"distinct_numbers": produced, "observable_fraction": 1.0}
+    l2 = {"distinct_numbers": observable, "observable_fraction": fraction}
+    return l1, l2, {"unobservable_fraction": 1.0 - fraction}
+
+
+_S2 = ScenarioSpec(
+    id="S2",
+    title="block-number-equality",
+    risk="block-number equality checks that can never fire on L2",
+    params={
+        "block_interval_s": 15,
+        "sync_period_s": 60,
+        "horizon_s": 3600,
+        "genesis_number": 1000,
+    },
+    linked_rules=("ARB-TIME-001", "ARB-TIME-002"),
+    narrative=(
+        "A condition like `block.number == N` sees every block number on "
+        "L1, but the L2 view refreshes only at sync instants, so most "
+        "numbers are simply never observable there and the equality can "
+        "never fire for them."
+    ),
+    run=_run_block_number_equality,
+)
 
 
 # --- S3: alias-unaware permission check --------------------------------------
 
 
-_S3_DEFAULTS: dict[str, Any] = {
-    "l1_sender": "0x00000000000000000000000000000000deadbeef",
-    "sender_kind": "contract",
-    "offset": "0x1111000000000000000000000000000000001111",
-}
-
-
-def _run_alias_permission(params: dict[str, Any], seed: int) -> DifferentialReport:
+def _run_alias_permission(params: dict[str, Any], seed: int) -> Outcome:
     owner = Address.from_hex(params["l1_sender"])
     offset = Address.from_hex(params["offset"])
     kind = SenderKind(params["sender_kind"])
@@ -237,43 +226,39 @@ def _run_alias_permission(params: dict[str, Any], seed: int) -> DifferentialRepo
     alias_aware_l2 = "allow" if l2_sender == l2_msg_sender(ctx, offset) else "deny"
     raw_check_l1 = "allow"  # on L1 the caller is its own address
 
-    divergence = {"raw_check_mismatch": 1 if raw_check_l1 != raw_check_l2 else 0}
-    return DifferentialReport(
-        scenario_id="S3",
-        seed=seed,
-        params=params,
-        l1_outcome={"raw_check": raw_check_l1, "observed_sender": owner.hex()},
-        l2_outcome={
-            "raw_check": raw_check_l2,
-            "alias_aware_check": alias_aware_l2,
-            "observed_sender": l2_sender.hex(),
-        },
-        divergence=divergence,
-        narrative=(
-            "An owner-gated function authorizes the L1 contract directly on "
-            "L1, but the same message arriving on L2 carries the aliased "
-            "sender: the raw `msg.sender == owner` check denies the rightful "
-            "owner, while an alias-aware check accepts it."
-        ),
-    )
+    l1 = {"raw_check": raw_check_l1, "observed_sender": owner.hex()}
+    l2 = {
+        "raw_check": raw_check_l2,
+        "alias_aware_check": alias_aware_l2,
+        "observed_sender": l2_sender.hex(),
+    }
+    return l1, l2, {"raw_check_mismatch": 1 if raw_check_l1 != raw_check_l2 else 0}
+
+
+_S3 = ScenarioSpec(
+    id="S3",
+    title="alias-permission",
+    risk="permission checks that ignore L1-to-L2 address aliasing",
+    params={
+        "l1_sender": "0x00000000000000000000000000000000deadbeef",
+        "sender_kind": "contract",
+        "offset": "0x1111000000000000000000000000000000001111",
+    },
+    linked_rules=("ARB-ALIAS-001",),
+    narrative=(
+        "An owner-gated function authorizes the L1 contract directly on "
+        "L1, but the same message arriving on L2 carries the aliased "
+        "sender: the raw `msg.sender == owner` check denies the rightful "
+        "owner, while an alias-aware check accepts it."
+    ),
+    run=_run_alias_permission,
+)
 
 
 # --- S4: unbounded refund loop ------------------------------------------------
 
 
-_S4_DEFAULTS: dict[str, Any] = {
-    "block_gas_limit": 30_000_000,
-    "base_gas": 50_000,
-    "per_iteration_gas": 40_000,
-    "push_gas": 50_000,
-    "push_calldata_bytes": 68,
-    "l1_gas_price_wei": 20_000_000_000,
-    "l2_gas_price_wei": 100_000_000,
-    "calldata_price_l1_wei": 320_000_000_000,
-}
-
-
-def _run_dos_refund_loop(params: dict[str, Any], seed: int) -> DifferentialReport:
+def _run_dos_refund_loop(params: dict[str, Any], seed: int) -> Outcome:
     limit = params["block_gas_limit"]
     base = params["base_gas"]
     per = params["per_iteration_gas"]
@@ -298,59 +283,42 @@ def _run_dos_refund_loop(params: dict[str, Any], seed: int) -> DifferentialRepor
     l1_attack_cost = first_failing_n * l1_push_cost
     l2_attack_cost = first_failing_n * l2_push_cost
 
-    divergence = {"attack_cost_delta_wei": l1_attack_cost - l2_attack_cost}
-    return DifferentialReport(
-        scenario_id="S4",
-        seed=seed,
-        params=params,
-        l1_outcome={
-            "first_failing_n": first_failing_n,
-            "max_safe_n": max_safe_n,
-            "attack_cost_wei": l1_attack_cost,
-        },
-        l2_outcome={
-            "first_failing_n": first_failing_n,
-            "max_safe_n": max_safe_n,
-            "attack_cost_wei": l2_attack_cost,
-        },
-        divergence=divergence,
-        narrative=(
-            "A refund loop over a growable participant list dies once "
-            "base + N * per-iteration gas passes the block gas limit. The "
-            "loop math is identical on both chains; what differs is the "
-            "price of pushing entries, which is cheap enough on L2 to make "
-            "inflating the array to the failure point an affordable attack."
-        ),
-    )
+    loop = {"first_failing_n": first_failing_n, "max_safe_n": max_safe_n}
+    l1 = {**loop, "attack_cost_wei": l1_attack_cost}
+    l2 = {**loop, "attack_cost_wei": l2_attack_cost}
+    return l1, l2, {"attack_cost_delta_wei": l1_attack_cost - l2_attack_cost}
+
+
+_S4 = ScenarioSpec(
+    id="S4",
+    title="dos-refund-loop",
+    risk="unbounded loops that cheap L2 fees make attackable",
+    params={
+        "block_gas_limit": 30_000_000,
+        "base_gas": 50_000,
+        "per_iteration_gas": 40_000,
+        "push_gas": 50_000,
+        "push_calldata_bytes": 68,
+        "l1_gas_price_wei": 20_000_000_000,
+        "l2_gas_price_wei": 100_000_000,
+        "calldata_price_l1_wei": 320_000_000_000,
+    },
+    linked_rules=("ARB-DOS-001", "ARB-DOS-002"),
+    narrative=(
+        "A refund loop over a growable participant list dies once "
+        "base + N * per-iteration gas passes the block gas limit. The "
+        "loop math is identical on both chains; what differs is the "
+        "price of pushing entries, which is cheap enough on L2 to make "
+        "inflating the array to the failure point an affordable attack."
+    ),
+    run=_run_dos_refund_loop,
+)
 
 
 # --- S5: retryable ticket fee paths -------------------------------------------
 
 
-_S5_DEFAULTS: dict[str, Any] = {
-    "submission_fee": 1_000,
-    "l2_gas_provided": 5_000,
-    "auto_gas_required": 3_000,
-    "auto_fail_gas_required": 6_000,
-    "callvalue": 100_000,
-    "manual_submission_fee": 1_000,
-    "manual_l2_gas": 3_000,
-    "l1_direct_fee": 3_000,
-    "escrow_callvalue": False,
-}
-
-
-def _ledger_summary(ledger: retryable.FeeLedger) -> dict[str, int]:
-    return {
-        "paid_in": ledger.paid_in,
-        "refunded": ledger.refunded,
-        "consumed_as_fees": ledger.consumed_as_fees,
-        "delivered_callvalue": ledger.delivered_callvalue,
-        "lost": ledger.lost,
-    }
-
-
-def _run_retryable_fee_paths(params: dict[str, Any], seed: int) -> DifferentialReport:
+def _run_retryable_fee_paths(params: dict[str, Any], seed: int) -> Outcome:
     if params["auto_fail_gas_required"] <= params["l2_gas_provided"]:
         raise ScenarioError("auto_fail_gas_required must exceed l2_gas_provided")
     funds = params["submission_fee"] + params["l2_gas_provided"] + params["callvalue"]
@@ -392,82 +360,51 @@ def _run_retryable_fee_paths(params: dict[str, Any], seed: int) -> DifferentialR
     for ledger in (ledger_a, ledger_b, ledger_c):
         ledger.assert_balanced()
 
-    divergence = {
+    l1 = {"fees": params["l1_direct_fee"], "delivered": params["callvalue"], "lost": 0}
+    l2 = {
+        "auto_success": asdict(ledger_a),
+        "auto_fail_manual": asdict(ledger_b),
+        "auto_fail_expiry": asdict(ledger_c),
+    }
+    return l1, l2, {
         "extra_fees_auto_vs_l1": ledger_a.consumed_as_fees - params["l1_direct_fee"],
         "extra_fees_manual_vs_auto": ledger_b.consumed_as_fees - ledger_a.consumed_as_fees,
         "value_lost_on_expiry": ledger_c.lost,
     }
-    return DifferentialReport(
-        scenario_id="S5",
-        seed=seed,
-        params=params,
-        l1_outcome={
-            "fees": params["l1_direct_fee"],
-            "delivered": params["callvalue"],
-            "lost": 0,
-        },
-        l2_outcome={
-            "auto_success": _ledger_summary(ledger_a),
-            "auto_fail_manual": _ledger_summary(ledger_b),
-            "auto_fail_expiry": _ledger_summary(ledger_c),
-        },
-        divergence=divergence,
-        narrative=(
-            "The same value transfer costs one fee on L1. Via a retryable "
-            "ticket it can take three shapes: auto-redeem success refunds "
-            "the submission fee, a failed auto-redeem charges it and a "
-            "manual redeem pays it again plus fresh gas, and letting the "
-            "buffered ticket expire after a week forfeits the carried value "
-            "unless it was escrowed."
-        ),
-    )
+
+
+_S5 = ScenarioSpec(
+    id="S5",
+    title="retryable-fee-paths",
+    risk="repeated submission fees and expiry losses on L1-to-L2 tickets",
+    params={
+        "submission_fee": 1_000,
+        "l2_gas_provided": 5_000,
+        "auto_gas_required": 3_000,
+        "auto_fail_gas_required": 6_000,
+        "callvalue": 100_000,
+        "manual_submission_fee": 1_000,
+        "manual_l2_gas": 3_000,
+        "l1_direct_fee": 3_000,
+        "escrow_callvalue": False,
+    },
+    linked_rules=(),
+    narrative=(
+        "The same value transfer costs one fee on L1. Via a retryable "
+        "ticket it can take three shapes: auto-redeem success refunds "
+        "the submission fee, a failed auto-redeem charges it and a "
+        "manual redeem pays it again plus fresh gas, and letting the "
+        "buffered ticket expire after a week forfeits the carried value "
+        "unless it was escrowed."
+    ),
+    run=_run_retryable_fee_paths,
+)
 
 
 # --- registry / dispatch -------------------------------------------------------
 
 
-_SCENARIOS: tuple[ScenarioSpec, ...] = (
-    ScenarioSpec(
-        id="S1",
-        title="stale-oracle",
-        risk="outdated off-chain data while the sequencer is down",
-        params=_S1_DEFAULTS,
-        linked_rules=("ARB-SEQ-001",),
-        run=_run_stale_oracle,
-    ),
-    ScenarioSpec(
-        id="S2",
-        title="block-number-equality",
-        risk="block-number equality checks that can never fire on L2",
-        params=_S2_DEFAULTS,
-        linked_rules=("ARB-TIME-001", "ARB-TIME-002"),
-        run=_run_block_number_equality,
-    ),
-    ScenarioSpec(
-        id="S3",
-        title="alias-permission",
-        risk="permission checks that ignore L1-to-L2 address aliasing",
-        params=_S3_DEFAULTS,
-        linked_rules=("ARB-ALIAS-001",),
-        run=_run_alias_permission,
-    ),
-    ScenarioSpec(
-        id="S4",
-        title="dos-refund-loop",
-        risk="unbounded loops that cheap L2 fees make attackable",
-        params=_S4_DEFAULTS,
-        linked_rules=("ARB-DOS-001", "ARB-DOS-002"),
-        run=_run_dos_refund_loop,
-    ),
-    ScenarioSpec(
-        id="S5",
-        title="retryable-fee-paths",
-        risk="repeated submission fees and expiry losses on L1-to-L2 tickets",
-        params=_S5_DEFAULTS,
-        linked_rules=(),
-        run=_run_retryable_fee_paths,
-    ),
-)
+_SCENARIOS: tuple[ScenarioSpec, ...] = (_S1, _S2, _S3, _S4, _S5)
 
 _SCENARIOS_BY_ID = {spec.id: spec for spec in _SCENARIOS}
 
@@ -488,11 +425,6 @@ def _coerce(value: Any, default: Any, key: str) -> Any:
             return int(value)
         except (TypeError, ValueError):
             raise ScenarioError(f"parameter {key!r} expects an integer, got {value!r}") from None
-    if isinstance(default, float):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ScenarioError(f"parameter {key!r} expects a number, got {value!r}") from None
     return str(value)
 
 
@@ -515,11 +447,19 @@ def run_scenario(
             )
         merged[key] = _coerce(value, merged[key], key)
     try:
-        report = spec.run(merged, seed)
+        l1_outcome, l2_outcome, divergence = spec.run(merged, seed)
     except ValueError as exc:  # a simulator rejected a parameter value
         raise ScenarioError(f"scenario {scenario_id}: {exc}") from exc
-    report.linked_rules = list(spec.linked_rules)
-    return report
+    return DifferentialReport(
+        scenario_id=spec.id,
+        seed=seed,
+        params=merged,
+        l1_outcome=l1_outcome,
+        l2_outcome=l2_outcome,
+        divergence=divergence,
+        narrative=spec.narrative,
+        linked_rules=list(spec.linked_rules),
+    )
 
 
 def serialize_report(report: DifferentialReport) -> str:
@@ -646,7 +586,7 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
             raise EventScriptError(f"event {index}: {exc}") from None
         except KeyError as exc:
             raise EventScriptError(f"event {index}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, retryable.TicketStateError) as exc:
             raise EventScriptError(f"event {index}: {exc}") from exc
 
     return {
@@ -666,5 +606,5 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
         "max_staleness_s": seq.staleness(),
         "tickets": {tid: t.state.value for tid, t in sorted(tickets.items())},
         "reverted_tickets": sorted(reverted),
-        "ledger": _ledger_summary(ledger),
+        "ledger": asdict(ledger),
     }

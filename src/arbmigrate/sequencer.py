@@ -9,9 +9,9 @@ nothing is ever stuck forever.
 A down tick scans the delayed inbox only when something may be force-included:
 the sequencer keeps a watermark no later than the oldest ``submit_time`` among
 the queued delayed-inbox transactions that are not underpriced, and a tick
-less than ``force_inclusion_delay`` after it returns at once.  Change queued
-transactions through ``submit`` and ``reprice`` only; editing one in place
-can leave the watermark too late.
+less than ``force_inclusion_delay`` after it returns at once.  Queue
+transactions through ``submit`` only; editing a queued one in place can leave
+the watermark too late.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class L2Tx:
     """One L2 transaction.
 
     ``underpriced`` marks a delayed-inbox submission whose manually chosen
-    gas parameters are too low; it is excluded from force inclusion until
-    repriced.
+    gas parameters are too low; it is never force-included, and waits in the
+    delayed inbox until the sequencer is active again.
     """
 
     id: str
@@ -97,13 +97,10 @@ class Sequencer:
             self.pending.append(tx)
         else:
             self.delayed_inbox.append(tx)
-            self._lower_watermark(tx)
-
-    def _lower_watermark(self, tx: L2Tx) -> None:
-        if not tx.underpriced and (
-            self._watermark is None or tx.submit_time < self._watermark
-        ):
-            self._watermark = tx.submit_time
+            if not tx.underpriced and (
+                self._watermark is None or tx.submit_time < self._watermark
+            ):
+                self._watermark = tx.submit_time
 
     def set_status(self, status: SequencerStatus) -> None:
         self.status = status
@@ -145,16 +142,6 @@ class Sequencer:
         for tx in executed:
             self.executed_log.append((tx, now))
         return executed
-
-    def reprice(self, tx_id: str, gas_price: int) -> None:
-        """Clear the underpriced flag on a queued delayed-inbox transaction."""
-        for tx in self.delayed_inbox:
-            if tx.id == tx_id:
-                tx.gas_price = gas_price
-                tx.underpriced = False
-                self._lower_watermark(tx)
-                return
-        raise KeyError(f"no queued delayed-inbox transaction with id {tx_id!r}")
 
     def staleness(self) -> int:
         """Largest (execution time - submit time) over the executed log; 0 if empty."""

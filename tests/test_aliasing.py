@@ -116,7 +116,3 @@ class TestL2MsgSender:
         sender = l2_msg_sender(ctx)
         assert (sender == self.OWNER) is False
         assert (sender == apply_alias(self.OWNER)) is True
-
-    def test_eoa_aliasing_is_configurable(self):
-        ctx = SenderContext(self.OWNER, SenderKind.EXTERNALLY_OWNED)
-        assert l2_msg_sender(ctx, alias_externally_owned=True) == apply_alias(self.OWNER)

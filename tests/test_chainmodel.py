@@ -124,12 +124,6 @@ class TestClockAndChain:
         with pytest.raises(ValueError):
             WallClock(-1)
 
-    def test_advance_is_strict(self):
-        clock = WallClock(5)
-        assert clock.advance(10).t == 15
-        with pytest.raises(ValueError):
-            clock.advance(0)
-
     def test_chain_validation(self):
         with pytest.raises(ValueError):
             L1Chain(genesis_number=-1)

@@ -1,0 +1,95 @@
+"""Byte-for-byte golden outputs: the refactor oracle.
+
+Each case below renders one command or API call to text and compares it with
+a file under ``tests/golden/``. The files hold the findings JSON of the
+corpus, the scenario catalog, every scenario report at its defaults and at
+one non-default setting, and the summary of a fixed event script that uses
+every replay action. A change that keeps behaviour keeps these bytes.
+
+To record the files again after an intended output change, run
+``PYTHONPATH=src python tests/test_golden.py`` from the repository root and
+review the diff.
+"""
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from arbmigrate.cli import main
+from arbmigrate.scenarios import replay_events
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPUS_FILES = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "tests" / "corpus").glob("*.sol"))
+
+# (golden file, CLI argv); paths are relative to the repository root.
+CLI_CASES = [
+    ("analyze_corpus.json", ["analyze", "--format", "json", *CORPUS_FILES]),
+    ("scenario_list.txt", ["scenario", "list"]),
+    *[(f"{sid}_default.json", ["scenario", "run", sid]) for sid in ("S1", "S2", "S3", "S4", "S5")],
+    ("S1_downtime7200_seed3.json",
+     ["scenario", "run", "S1", "--param", "downtime_s=7200", "--seed", "3"]),
+    ("S2_interval12_sync36.json",
+     ["scenario", "run", "S2", "--param", "block_interval_s=12", "--param", "sync_period_s=36",
+      "--param", "horizon_s=1000", "--param", "genesis_number=5"]),
+    ("S3_externally_owned.json",
+     ["scenario", "run", "S3", "--param", "sender_kind=externally_owned"]),
+    ("S4_cheaper_loop.json",
+     ["scenario", "run", "S4", "--param", "per_iteration_gas=25000",
+      "--param", "push_calldata_bytes=200"]),
+    ("S5_escrowed_seed9.json",
+     ["scenario", "run", "S5", "--param", "escrow_callvalue=true",
+      "--param", "auto_gas_required=5000", "--seed", "9"]),
+]
+
+REPLAY_SCRIPT = "replay_script.json"
+REPLAY_SUMMARY = "replay_summary.json"
+
+
+def _cli_output(argv: list[str]) -> str:
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code == 0, f"{argv} exited {code}"
+    return out.getvalue()
+
+
+def _replay_output() -> str:
+    events = json.loads((GOLDEN / REPLAY_SCRIPT).read_text(encoding="utf-8"))
+    return json.dumps(replay_events(events), indent=2, sort_keys=True) + "\n"
+
+
+def _read(name: str) -> str:
+    return (GOLDEN / name).read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("name, argv", CLI_CASES, ids=[name for name, _ in CLI_CASES])
+def test_cli_output_matches_golden(name, argv):
+    assert _cli_output(argv) == _read(name)
+
+
+def test_replay_summary_matches_golden():
+    assert _replay_output() == _read(REPLAY_SUMMARY)
+
+
+def test_replay_script_uses_every_action():
+    events = json.loads(_read(REPLAY_SCRIPT))
+    assert {e["action"] for e in events} == {
+        "sequencer_down", "sequencer_up", "submit_tx", "tick", "create_ticket",
+        "auto_redeem", "manual_redeem", "expire_tickets",
+    }
+
+
+if __name__ == "__main__":
+    for name, argv in CLI_CASES:
+        (GOLDEN / name).write_bytes(_cli_output(argv).encode("utf-8"))
+    (GOLDEN / REPLAY_SUMMARY).write_bytes(_replay_output().encode("utf-8"))

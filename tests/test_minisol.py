@@ -326,6 +326,22 @@ class TestPrinter:
         again = parse_source(f"contract C {{ function f() public {{ x = {printed}; }} }}")
         assert again == unit
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "x = " + " + ".join(["x"] * 5000) + ";",
+            "x = a" + "[0]" * 3000 + ";",
+            "a" + ".b" * 3000 + "();",
+        ],
+        ids=["plus-chain", "index-chain", "member-chain"],
+    )
+    def test_long_left_chains_print_and_reparse(self, body):
+        # compares text: dataclass == on a 5000-deep tree would recurse too
+        unit = parse_source(f"contract C {{ function f(uint256 x) public {{ {body} }} }}")
+        printed = print_source(unit)
+        assert print_source(parse_source(printed)) == printed
+        assert body in printed
+
 
 # --- random AST generator for the parse/print property ----------------------
 

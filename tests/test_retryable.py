@@ -15,7 +15,6 @@ from arbmigrate.retryable import (
     create_ticket,
     expire_tickets,
     manual_redeem,
-    renew_ticket,
 )
 
 
@@ -182,24 +181,6 @@ class TestExpiry:
         ticket = make_ticket(ledger)
         assert expire_tickets([ticket], ledger, now=10 * 86_400) == []
         assert ticket.state is TicketState.CREATED
-
-
-class TestRenew:
-    def test_disabled_by_default(self):
-        ledger = FeeLedger()
-        ticket = make_ticket(ledger)
-        auto_redeem(ticket, ledger, l2_gas_required=9_999, now=60)
-        with pytest.raises(TicketStateError):
-            renew_ticket(ticket, ledger, fee=10, now=86_400)
-
-    def test_enabled_renew_extends_deadline_for_a_fee(self):
-        ledger = FeeLedger()
-        ticket = make_ticket(ledger)
-        auto_redeem(ticket, ledger, l2_gas_required=9_999, now=60)
-        renew_ticket(ticket, ledger, fee=10, now=86_400, allow_renew=True)
-        assert expire_tickets([ticket], ledger, now=604_800) == []
-        assert expire_tickets([ticket], ledger, now=2 * 604_800) != []
-        assert ledger.balanced()
 
 
 class TestStateMachine:

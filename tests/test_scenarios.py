@@ -285,6 +285,10 @@ class TestRetryableFeePaths:
         assert report.l2_outcome["auto_fail_manual"]["delivered_callvalue"] == 100_000
 
 
+_TICKET = {"at": 0, "action": "create_ticket", "id": "t", "funds_provided": 30,
+           "required": 30, "submission_fee": 10, "l2_gas_provided": 10, "callvalue": 10}
+
+
 class TestEventReplay:
     def test_downtime_script_reproduces_recovery_ordering(self):
         from arbmigrate.scenarios import replay_events
@@ -361,8 +365,16 @@ class TestEventReplay:
             ([{"at": 0, "action": "submit_tx", "id": "a"}, {"at": 1, "action": "submit_tx", "id": "a"}],
              "event 1: transaction id 'a' already submitted"),
             ([{"at": "soon", "action": "tick"}], "event 0: invalid literal for int"),
+            ([_TICKET, {"at": 1, "action": "auto_redeem", "id": "t", "l2_gas_required": 1},
+              {"at": 2, "action": "auto_redeem", "id": "t", "l2_gas_required": 1}],
+             "event 2: auto_redeem on ticket in state auto_redeemed"),
+            ([_TICKET, {"at": 1, "action": "auto_redeem", "id": "t", "l2_gas_required": 99},
+              {"at": 700_000, "action": "manual_redeem", "id": "t", "new_submission_fee": 1,
+               "l2_gas": 1}],
+             "event 2: ticket t redeem window closed at 604800"),
         ],
-        ids=["unknown-ticket", "missing-id", "bad-origin", "duplicate-tx", "non-integer-at"],
+        ids=["unknown-ticket", "missing-id", "bad-origin", "duplicate-tx", "non-integer-at",
+             "second-auto-redeem", "redeem-after-window"],
     )
     def test_malformed_record_names_its_index(self, events, message):
         from arbmigrate.scenarios import replay_events

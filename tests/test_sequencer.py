@@ -85,16 +85,14 @@ def test_force_inclusion_after_configured_delay():
     assert seq.status is SequencerStatus.DOWN
 
 
-def test_underpriced_tx_skips_force_inclusion_until_repriced():
+def test_underpriced_tx_skips_force_inclusion_until_the_sequencer_is_active():
     seq = Sequencer(status=SequencerStatus.DOWN)
     seq.submit(delayed("cheap", 0, gas_price=1, underpriced=True))
     assert seq.tick(90_000) == []
-    seq.reprice("cheap", gas_price=50)
+    seq.set_status(SequencerStatus.ACTIVE)
     executed = seq.tick(90_001)
     assert [tx.id for tx in executed] == ["cheap"]
-    assert executed[0].gas_price == 50
-    with pytest.raises(KeyError):
-        seq.reprice("cheap", gas_price=60)
+    assert executed[0].gas_price == 1
 
 
 def test_each_delayed_tx_is_force_included_at_its_own_deadline():
@@ -108,8 +106,8 @@ def test_each_delayed_tx_is_force_included_at_its_own_deadline():
     assert [tx.id for tx in seq.tick(120)] == ["backdated"]
     assert seq.tick(149) == []
     assert [tx.id for tx in seq.tick(150)] == ["late"]
-    seq.reprice("cheap", gas_price=5)
-    assert [tx.id for tx in seq.tick(150)] == ["cheap"]
+    assert seq.tick(10_000) == []
+    assert [tx.id for tx in seq.delayed_inbox] == ["cheap"]
 
 
 def test_inbox_given_to_the_constructor_is_force_included():
@@ -230,7 +228,6 @@ _SCHEDULE = st.lists(
             st.sampled_from([-50, -5, -1, 0, 1, 5, 50]),  # submit_time - now: not monotone
             st.booleans(),  # underpriced
         ),
-        st.tuples(st.just("reprice"), st.integers(0, 40)),  # an index into the ids so far
         st.tuples(st.just("status"), st.sampled_from(list(SequencerStatus))),
         st.tuples(st.just("tick"), st.sampled_from([0, 1, 4, 5, 45, 50, 86_400])),
     ),
@@ -249,24 +246,12 @@ def test_watermark_ticks_match_a_full_scan(delay, status, schedule):
     fast = Sequencer(status=status, force_inclusion_delay=delay)
     slow = FullScanSequencer(status=status, force_inclusion_delay=delay)
     now = 100
-    ids = []
     for i, (kind, *args) in enumerate(schedule):
         if kind == "submit":
             origin, offset, underpriced = args
-            ids.append(f"tx{i}")
             for seq in (fast, slow):
-                seq.submit(L2Tx(id=ids[-1], submit_time=now + offset,
+                seq.submit(L2Tx(id=f"tx{i}", submit_time=now + offset,
                                 origin=origin, underpriced=underpriced))
-        elif kind == "reprice":
-            tx_id = ids[args[0]] if args[0] < len(ids) else "unknown"
-            outcomes = []
-            for seq in (fast, slow):
-                try:
-                    seq.reprice(tx_id, gas_price=7)
-                    outcomes.append(None)
-                except KeyError as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1]
         elif kind == "status":
             fast.set_status(args[0])
             slow.set_status(args[0])
