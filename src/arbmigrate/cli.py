@@ -106,7 +106,10 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         return _usage_error(str(exc))
     text = serialize_report(report)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _usage_error(f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
     if args.check and report.divergent:

@@ -10,6 +10,7 @@ serialized report.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from dataclasses import asdict, dataclass, field
@@ -510,6 +511,9 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
     seq = Sequencer()
     ledger = retryable.FeeLedger()
     tickets: dict[str, retryable.Ticket] = {}
+    created: dict[str, int] = {}  # ticket id -> creation order, reverted ones too
+    # (deadline, creation order, ticket) of every ticket auto_redeem buffered
+    buffered: list[tuple[int, int, retryable.Ticket]] = []
     reverted: list[str] = []
     last_at = 0
 
@@ -519,11 +523,17 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
             raise EventScriptError(f"unknown ticket id {ticket_id!r}")
         return tickets[ticket_id]
 
+    def integer(event: Mapping[str, Any], key: str, default: int | None = None) -> int:
+        value = event[key] if default is None else event.get(key, default)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise EventScriptError(f"field {key!r} expects an integer, got {value!r}")
+        return value
+
     for index, event in enumerate(events):
         try:
             if "at" not in event or "action" not in event:
                 raise EventScriptError("must have 'at' and 'action'")
-            at = int(event["at"])
+            at = integer(event, "at")
             action = event["action"]
             if at < last_at:
                 raise EventScriptError(f"at {at} precedes {last_at}")
@@ -539,8 +549,8 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                         id=str(event["id"]),
                         submit_time=at,
                         origin=TxOrigin(event.get("origin", "direct_to_sequencer")),
-                        gas_price=int(event.get("gas_price", 0)),
-                        gas_limit=int(event.get("gas_limit", 0)),
+                        gas_price=integer(event, "gas_price", 0),
+                        gas_limit=integer(event, "gas_limit", 0),
                         underpriced=bool(event.get("underpriced", False)),
                     )
                 )
@@ -550,36 +560,42 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                 ticket_id = str(event["id"])
                 if ticket_id in tickets or ticket_id in reverted:
                     raise EventScriptError(f"duplicate ticket id {ticket_id!r}")
+                created[ticket_id] = len(created)
                 try:
                     tickets[ticket_id] = retryable.create_ticket(
                         ledger,
                         ticket_id=ticket_id,
                         created_at=at,
-                        funds_provided=int(event["funds_provided"]),
-                        required=int(event["required"]),
-                        submission_fee=int(event["submission_fee"]),
-                        l2_gas_provided=int(event["l2_gas_provided"]),
-                        callvalue=int(event["callvalue"]),
-                        refund_address=int(event.get("refund_address", 0)),
-                        l1_gas_spent=int(event.get("l1_gas_spent", 0)),
+                        funds_provided=integer(event, "funds_provided"),
+                        required=integer(event, "required"),
+                        submission_fee=integer(event, "submission_fee"),
+                        l2_gas_provided=integer(event, "l2_gas_provided"),
+                        callvalue=integer(event, "callvalue"),
+                        refund_address=integer(event, "refund_address", 0),
+                        l1_gas_spent=integer(event, "l1_gas_spent", 0),
                         escrow_callvalue=bool(event.get("escrow_callvalue", True)),
                     )
                 except retryable.TicketRevert:
                     reverted.append(ticket_id)
             elif action == "auto_redeem":
-                retryable.auto_redeem(
-                    ticket(event), ledger, int(event["l2_gas_required"]), now=at
-                )
+                t = ticket(event)
+                if not retryable.auto_redeem(t, ledger, integer(event, "l2_gas_required"), now=at):
+                    heapq.heappush(buffered, (t.deadline(), created[t.id], t))
             elif action == "manual_redeem":
                 retryable.manual_redeem(
                     ticket(event),
                     ledger,
-                    int(event["new_submission_fee"]),
-                    int(event["l2_gas"]),
+                    integer(event, "new_submission_fee"),
+                    integer(event, "l2_gas"),
                     now=at,
                 )
             elif action == "expire_tickets":
-                retryable.expire_tickets(tickets.values(), ledger, now=at)
+                # Deadlines grow with creation order, so this pops in creation
+                # order; expire_tickets skips the ones manually redeemed since.
+                due = []
+                while buffered and buffered[0][0] <= at:
+                    due.append(heapq.heappop(buffered)[2])
+                retryable.expire_tickets(due, ledger, now=at)
             else:
                 raise EventScriptError(f"unknown action {action!r}")
         except EventScriptError as exc:
@@ -602,7 +618,7 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
             for tx, at in seq.executed_log
         ],
         "pending": [tx.id for tx in seq.pending],
-        "delayed_inbox": [tx.id for tx in seq.delayed_inbox],
+        "delayed_inbox": list(seq.delayed_inbox),
         "max_staleness_s": seq.staleness(),
         "tickets": {tid: t.state.value for tid, t in sorted(tickets.items())},
         "reverted_tickets": sorted(reverted),

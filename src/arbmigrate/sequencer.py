@@ -6,16 +6,18 @@ is down, transactions pile up in the delayed inbox; only entries older than
 ``force_inclusion_delay`` get executed regardless of sequencer status, so
 nothing is ever stuck forever.
 
-A down tick scans the delayed inbox only when something may be force-included:
-the sequencer keeps a watermark no later than the oldest ``submit_time`` among
-the queued delayed-inbox transactions that are not underpriced, and a tick
-less than ``force_inclusion_delay`` after it returns at once.  Queue
-transactions through ``submit`` only; editing a queued one in place can leave
-the watermark too late.
+A down tick touches only what it force-includes: the delayed-inbox
+transactions that are not underpriced also sit in a min-heap ordered by
+``(submit_time, arrival order)``, so its top is the oldest one.  The tick pops
+the entries that have waited out ``force_inclusion_delay``, runs them in
+arrival order and removes them from the inbox, a dict keyed by transaction id.
+Queue transactions through ``submit`` only; editing a queued one in place
+leaves the heap out of date.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -72,14 +74,22 @@ class Sequencer:
     status: SequencerStatus = SequencerStatus.ACTIVE
     force_inclusion_delay: int = DEFAULT_FORCE_INCLUSION_DELAY
     pending: deque[L2Tx] = field(default_factory=deque)
-    delayed_inbox: deque[L2Tx] = field(default_factory=deque)
+    delayed_inbox: dict[str, L2Tx] = field(default_factory=dict)  # id -> tx, arrival order
     executed_log: list[tuple[L2Tx, int]] = field(default_factory=list)
     _seen_ids: set[str] = field(default_factory=set)
     _last_tick: int | None = field(default=None)
-    # A lower bound on the submit_time of every delayed-inbox tx that is not
-    # underpriced, None when there is none. It starts at 0, which bounds any
-    # inbox the constructor was given; each full scan makes it exact again.
-    _watermark: int | None = field(default=0, init=False, compare=False, repr=False)
+    # (submit_time, arrival order, id) of every delayed-inbox tx that is not
+    # underpriced; arrival orders grow with each tx the inbox takes in.
+    _due: list[tuple[int, int, str]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._seen_ids.update(self.delayed_inbox, (tx.id for tx in self.pending))
+        self._due = [
+            (tx.submit_time, order, tx.id)
+            for order, tx in enumerate(self.delayed_inbox.values())
+            if not tx.underpriced
+        ]
+        heapq.heapify(self._due)
 
     def submit(self, tx: L2Tx) -> None:
         """Route a fresh transaction to the pending queue or the delayed inbox.
@@ -96,11 +106,9 @@ class Sequencer:
         ):
             self.pending.append(tx)
         else:
-            self.delayed_inbox.append(tx)
-            if not tx.underpriced and (
-                self._watermark is None or tx.submit_time < self._watermark
-            ):
-                self._watermark = tx.submit_time
+            self.delayed_inbox[tx.id] = tx
+            if not tx.underpriced:
+                heapq.heappush(self._due, (tx.submit_time, len(self._seen_ids), tx.id))
 
     def set_status(self, status: SequencerStatus) -> None:
         self.status = status
@@ -111,33 +119,20 @@ class Sequencer:
             raise TimeRegression(f"tick at {now} precedes previous tick at {self._last_tick}")
         self._last_tick = now
 
-        executed: list[L2Tx] = []
         if self.status is SequencerStatus.ACTIVE:
-            while self.delayed_inbox:
-                executed.append(self.delayed_inbox.popleft())
-            while self.pending:
-                executed.append(self.pending.popleft())
-            self._watermark = None
-        elif self._watermark is None or now - self._watermark < self.force_inclusion_delay:
-            return executed  # nothing has waited out the delay yet
+            executed = [*self.delayed_inbox.values(), *self.pending]
+            self.delayed_inbox.clear()
+            self.pending.clear()
+            self._due.clear()
         else:
             # Force inclusion: delayed-inbox txs whose age reached the
             # configured delay run even without the sequencer, unless their
-            # gas parameters are flagged underpriced.
-            remaining: deque[L2Tx] = deque()
-            for tx in self.delayed_inbox:
-                eligible = (
-                    not tx.underpriced
-                    and now - tx.submit_time >= self.force_inclusion_delay
-                )
-                if eligible:
-                    executed.append(tx)
-                else:
-                    remaining.append(tx)
-            self.delayed_inbox = remaining
-            self._watermark = min(
-                (tx.submit_time for tx in remaining if not tx.underpriced), default=None
-            )
+            # gas parameters are flagged underpriced (those are not queued).
+            due = []
+            while self._due and now - self._due[0][0] >= self.force_inclusion_delay:
+                due.append(heapq.heappop(self._due))
+            due.sort(key=lambda entry: entry[1])
+            executed = [self.delayed_inbox.pop(tx_id) for _, _, tx_id in due]
 
         for tx in executed:
             self.executed_log.append((tx, now))

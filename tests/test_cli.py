@@ -170,6 +170,14 @@ class TestScenarioCommands:
         doc = json.loads(out_file.read_text())
         assert doc["l2_outcome"]["first_failing_n"] == 30_000_000 // 7000 + 1
 
+    def test_unwritable_out_file_is_usage_error(self, tmp_path, capsys):
+        out_file = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "scenario", "run", "S1", "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_file}: ")
+        assert not out_file.parent.exists()
+
     def test_unknown_scenario_is_usage_error(self, capsys):
         code, _, err = run(capsys, "scenario", "run", "S8")
         assert code == 2
@@ -207,8 +215,13 @@ class TestScenarioCommands:
             # about 0.5 s on a 2-CPU machine, a rescan of the inbox per down
             # tick takes minutes
             ("S1", ["horizon_s=60000", "downtime_s=40000", "update_interval_s=1"], 10),
+            # 120,000 one-second steps, all down, 33,600 of them past the
+            # force-inclusion delay: popping what is due takes about 1.5 s,
+            # a rescan of the inbox per tick past the delay takes minutes
+            ("S1", ["horizon_s=120000", "downtime_s=120000", "down_start_s=0",
+                    "update_interval_s=1"], 10),
         ],
-        ids=["S4-gas-limit-1e18", "S2-horizon-1e12", "S1-long-outage"],
+        ids=["S4-gas-limit-1e18", "S2-horizon-1e12", "S1-long-outage", "S1-outage-past-delay"],
     )
     def test_large_params_run_within_budget(self, capsys, sid, params, budget_s):
         argv = ["scenario", "run", sid]

@@ -1,10 +1,12 @@
 import json
 import re
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arbmigrate import retryable
 from arbmigrate.chainmodel import L1Chain, L2View, WallClock, l1_block_number_at, l2_view_l1_number_at
 from arbmigrate.scenarios import (
     DifferentialReport,
@@ -364,7 +366,15 @@ class TestEventReplay:
              "event 0: 'moon' is not a valid TxOrigin"),
             ([{"at": 0, "action": "submit_tx", "id": "a"}, {"at": 1, "action": "submit_tx", "id": "a"}],
              "event 1: transaction id 'a' already submitted"),
-            ([{"at": "soon", "action": "tick"}], "event 0: invalid literal for int"),
+            ([{"at": "soon", "action": "tick"}], "event 0: field 'at' expects an integer, got 'soon'"),
+            ([{"at": 1.5, "action": "tick"}], "event 0: field 'at' expects an integer, got 1.5"),
+            ([{"at": "7", "action": "tick"}], "event 0: field 'at' expects an integer, got '7'"),
+            ([{"at": True, "action": "tick"}], "event 0: field 'at' expects an integer, got True"),
+            ([{"at": 0, "action": "submit_tx", "id": "a", "gas_price": 2.9}],
+             "event 0: field 'gas_price' expects an integer, got 2.9"),
+            ([{**_TICKET, "callvalue": "10"}], "event 0: field 'callvalue' expects an integer, got '10'"),
+            ([_TICKET, {"at": 1, "action": "auto_redeem", "id": "t", "l2_gas_required": False}],
+             "event 1: field 'l2_gas_required' expects an integer, got False"),
             ([_TICKET, {"at": 1, "action": "auto_redeem", "id": "t", "l2_gas_required": 1},
               {"at": 2, "action": "auto_redeem", "id": "t", "l2_gas_required": 1}],
              "event 2: auto_redeem on ticket in state auto_redeemed"),
@@ -374,10 +384,98 @@ class TestEventReplay:
              "event 2: ticket t redeem window closed at 604800"),
         ],
         ids=["unknown-ticket", "missing-id", "bad-origin", "duplicate-tx", "non-integer-at",
-             "second-auto-redeem", "redeem-after-window"],
+             "fractional-at", "string-at", "bool-at", "fractional-gas-price", "string-callvalue",
+             "bool-gas-required", "second-auto-redeem", "redeem-after-window"],
     )
     def test_malformed_record_names_its_index(self, events, message):
         from arbmigrate.scenarios import replay_events
 
         with pytest.raises(EventScriptError, match=re.escape(message)):
             replay_events(events)
+
+
+def _replay_with_full_scan_expiry(events):
+    """Reference for ticket scripts: every expire record scans every ticket created."""
+    ledger = retryable.FeeLedger()
+    tickets, reverted = {}, []
+    for index, event in enumerate(events):
+        at, action = event["at"], event["action"]
+        try:
+            if action == "create_ticket":
+                try:
+                    tickets[event["id"]] = retryable.create_ticket(
+                        ledger, ticket_id=event["id"], created_at=at,
+                        funds_provided=event["funds_provided"], required=event["required"],
+                        submission_fee=event["submission_fee"],
+                        l2_gas_provided=event["l2_gas_provided"], callvalue=event["callvalue"],
+                        refund_address=0, escrow_callvalue=event["escrow_callvalue"],
+                    )
+                except retryable.TicketRevert:
+                    reverted.append(event["id"])
+            elif action == "auto_redeem":
+                retryable.auto_redeem(tickets[event["id"]], ledger, event["l2_gas_required"], now=at)
+            elif action == "manual_redeem":
+                retryable.manual_redeem(tickets[event["id"]], ledger, event["new_submission_fee"],
+                                        event["l2_gas"], now=at)
+            else:
+                retryable.expire_tickets(tickets.values(), ledger, now=at)
+        except retryable.TicketStateError as exc:
+            raise EventScriptError(f"event {index}: {exc}") from exc
+    return {
+        "executed": [], "pending": [], "delayed_inbox": [], "max_staleness_s": 0,
+        "tickets": {tid: t.state.value for tid, t in sorted(tickets.items())},
+        "reverted_tickets": sorted(reverted),
+        "ledger": asdict(ledger),
+    }
+
+
+@st.composite
+def _ticket_scripts(draw):
+    """Ticket scripts: redeems out of creation order, equal deadlines, expiry at the deadline."""
+    window = retryable.BUFFER_LIFETIME
+    events, created_at, fresh, buffered = [], {}, [], []
+    at = 0
+    for n in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["create", "create", "auto", "auto", "manual", "expire",
+                                     "at_deadline", "wait"]))
+        if kind == "wait":
+            at += draw(st.sampled_from([1, 100, window - 1, window]))
+        elif kind == "create":
+            value, short = draw(st.integers(0, 50)), draw(st.booleans()) and draw(st.booleans())
+            events.append({**_TICKET, "at": at, "id": f"t{n}", "funds_provided": 20 + value - short,
+                           "required": 20 + value, "callvalue": value,
+                           "escrow_callvalue": draw(st.booleans())})
+            if not short:
+                created_at[f"t{n}"] = at
+                fresh.append(f"t{n}")
+        elif kind == "auto" and fresh:
+            tid = fresh.pop(draw(st.integers(0, len(fresh) - 1)))
+            fail = draw(st.booleans())
+            events.append({"at": at, "action": "auto_redeem", "id": tid,
+                           "l2_gas_required": 11 if fail else 10})
+            buffered += [tid] * fail
+        elif kind == "manual" and buffered:
+            tid = buffered.pop(draw(st.integers(0, len(buffered) - 1)))
+            if at < created_at[tid] + window:
+                events.append({"at": at, "action": "manual_redeem", "id": tid,
+                               "new_submission_fee": 3, "l2_gas": 4})
+        elif kind == "at_deadline" and created_at:
+            at = max(at, created_at[draw(st.sampled_from(sorted(created_at)))] + window)
+            events.append({"at": at, "action": "expire_tickets"})
+        elif kind == "expire":
+            events.append({"at": at, "action": "expire_tickets"})
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=_ticket_scripts())
+def test_heap_expiry_matches_a_full_scan(events):
+    from arbmigrate.scenarios import replay_events
+
+    def outcome(replay):
+        try:
+            return json.dumps(replay(events), sort_keys=True)
+        except EventScriptError as exc:
+            return str(exc)
+
+    assert outcome(replay_events) == outcome(_replay_with_full_scan_expiry)

@@ -35,7 +35,7 @@ def test_down_sequencer_accumulates_in_delayed_inbox():
     seq.submit(direct("a", 10))
     seq.submit(direct("b", 20))
     assert seq.tick(30) == []
-    assert [tx.id for tx in seq.delayed_inbox] == ["a", "b"]
+    assert list(seq.delayed_inbox) == ["a", "b"]
     assert seq.executed_log == []
 
 
@@ -51,7 +51,7 @@ def test_duplicate_id_rejected_and_state_unchanged():
 def test_delayed_origin_always_enters_delayed_inbox():
     seq = Sequencer()
     seq.submit(delayed("d", 5))
-    assert [tx.id for tx in seq.delayed_inbox] == ["d"]
+    assert list(seq.delayed_inbox) == ["d"]
 
 
 def test_status_transitions():
@@ -107,17 +107,22 @@ def test_each_delayed_tx_is_force_included_at_its_own_deadline():
     assert seq.tick(149) == []
     assert [tx.id for tx in seq.tick(150)] == ["late"]
     assert seq.tick(10_000) == []
-    assert [tx.id for tx in seq.delayed_inbox] == ["cheap"]
+    assert list(seq.delayed_inbox) == ["cheap"]
 
 
 def test_inbox_given_to_the_constructor_is_force_included():
     seq = Sequencer(
         status=SequencerStatus.DOWN,
         force_inclusion_delay=10,
-        delayed_inbox=deque([delayed("a", 3)]),
+        pending=deque([direct("p", 0)]),
+        delayed_inbox={"a": delayed("a", 3), "b": delayed("b", 1, underpriced=True)},
     )
     assert seq.tick(12) == []
     assert [tx.id for tx in seq.tick(13)] == ["a"]
+    for tx in (delayed("b", 20), direct("p", 20)):
+        with pytest.raises(DuplicateTransaction):
+            seq.submit(tx)
+    assert seq.counts() == (3, 1, 1, 1)
 
 
 def test_tick_time_regression_rejected():
@@ -205,16 +210,16 @@ class FullScanSequencer(Sequencer):
         self._last_tick = now
         executed = []
         if self.status is SequencerStatus.ACTIVE:
-            executed += self.delayed_inbox
+            executed += self.delayed_inbox.values()
             executed += self.pending
-            self.delayed_inbox, self.pending = deque(), deque()
+            self.delayed_inbox, self.pending = {}, deque()
         else:
-            remaining = deque()
-            for tx in self.delayed_inbox:
+            remaining = {}
+            for tx in self.delayed_inbox.values():
                 if not tx.underpriced and now - tx.submit_time >= self.force_inclusion_delay:
                     executed.append(tx)
                 else:
-                    remaining.append(tx)
+                    remaining[tx.id] = tx
             self.delayed_inbox = remaining
         self.executed_log += [(tx, now) for tx in executed]
         return executed
@@ -240,11 +245,16 @@ _SCHEDULE = st.lists(
 @given(
     delay=st.sampled_from([0, 5, 50, 86_400]),
     status=st.sampled_from(list(SequencerStatus)),
+    inbox=st.lists(st.tuples(st.sampled_from([-50, 0, 50]), st.booleans()), max_size=4),
     schedule=_SCHEDULE,
 )
-def test_watermark_ticks_match_a_full_scan(delay, status, schedule):
-    fast = Sequencer(status=status, force_inclusion_delay=delay)
-    slow = FullScanSequencer(status=status, force_inclusion_delay=delay)
+def test_heap_ticks_match_a_full_scan(delay, status, inbox, schedule):
+    given = [delayed(f"given{i}", 100 + offset, underpriced=cheap)
+             for i, (offset, cheap) in enumerate(inbox)]
+    fast = Sequencer(status=status, force_inclusion_delay=delay,
+                     delayed_inbox={tx.id: tx for tx in given})
+    slow = FullScanSequencer(status=status, force_inclusion_delay=delay,
+                             delayed_inbox={tx.id: tx for tx in given})
     now = 100
     for i, (kind, *args) in enumerate(schedule):
         if kind == "submit":
@@ -259,5 +269,5 @@ def test_watermark_ticks_match_a_full_scan(delay, status, schedule):
             now += args[0]
             assert [tx.id for tx in fast.tick(now)] == [tx.id for tx in slow.tick(now)]
     assert [(tx.id, at) for tx, at in fast.executed_log] == [(tx.id, at) for tx, at in slow.executed_log]
-    assert [tx.id for tx in fast.delayed_inbox] == [tx.id for tx in slow.delayed_inbox]
+    assert list(fast.delayed_inbox) == list(slow.delayed_inbox)
     assert [tx.id for tx in fast.pending] == [tx.id for tx in slow.pending]
