@@ -248,7 +248,8 @@ _SCHEDULE = st.lists(
     inbox=st.lists(st.tuples(st.sampled_from([-50, 0, 50]), st.booleans()), max_size=4),
     schedule=_SCHEDULE,
 )
-def test_heap_ticks_match_a_full_scan(delay, status, inbox, schedule):
+def test_watermark_ticks_match_a_full_scan(delay, status, inbox, schedule):
+    """The heap top is the exact watermark: ticks match a full scan of every down tick."""
     given = [delayed(f"given{i}", 100 + offset, underpriced=cheap)
              for i, (offset, cheap) in enumerate(inbox)]
     fast = Sequencer(status=status, force_inclusion_delay=delay,
