@@ -7,9 +7,9 @@ the corresponding risk patterns in contract source, and differential
 scenarios demonstrating each risk end to end.
 """
 
-__version__ = "0.1.0"
+import importlib
 
-from . import aliasing, chainmodel, gasmodel, minisol, retryable, rules, scenarios, sequencer
+__version__ = "0.1.0"
 
 __all__ = [
     "__version__",
@@ -22,3 +22,10 @@ __all__ = [
     "scenarios",
     "sequencer",
 ]
+
+
+def __getattr__(name: str):
+    """Import a listed submodule on first access, so each entry point loads only what it runs."""
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,21 +12,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .aliasing import ALIAS_OFFSET, Address, apply_alias, undo_alias
-from .chainmodel import L1Chain, L2View, block_number_table
-from .gasmodel import GasParams, cost_comparison_table, quote, render_savings_table
-from .minisol import MiniSolSyntaxError, parse_source
-from .rules import (
-    RuleConfig,
-    analyze,
-    findings_from_json,
-    findings_to_json,
-    get_rule,
-    migration_checklist,
-    render_checklist,
-    rule_catalog,
-)
-from .scenarios import ScenarioError, list_scenarios, run_scenario, serialize_report
 
 
 def _usage_error(message: str) -> int:
@@ -35,6 +20,8 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .minisol import MiniSolSyntaxError, parse_source
+    from .rules import RuleConfig, analyze, findings_to_json, get_rule
     config = RuleConfig()
     if args.config:
         try:
@@ -50,19 +37,24 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     findings = []
     files = []
+    status = 0  # 2 once any file is unreadable or unparseable; every bad file is reported
     for path in args.paths:
         try:
             source = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            return _usage_error(f"cannot read {path}: {exc}")
+            status = _usage_error(f"cannot read {path}: {exc}")
+            continue
         try:
             unit = parse_source(source, path=path)
         except MiniSolSyntaxError as exc:
             for diag in exc.diagnostics:
                 print(f"{path}:{diag}", file=sys.stderr)
-            return 2
+            status = 2
+            continue
         files.append(path)
         findings.extend(analyze(unit, config))
+    if status:
+        return status
 
     findings.sort(key=lambda f: f.sort_key())
     if args.format == "json":
@@ -83,6 +75,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_list(args: argparse.Namespace) -> int:
+    from .scenarios import list_scenarios
     for spec in list_scenarios():
         print(f"{spec.id}  {spec.title}")
         print(f"    risk: {spec.risk}")
@@ -94,6 +87,7 @@ def _cmd_scenario_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
+    from .scenarios import ScenarioError, run_scenario, serialize_report
     params = {}
     for item in args.param or []:
         if "=" not in item:
@@ -118,6 +112,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gas_calc(args: argparse.Namespace) -> int:
+    from .gasmodel import GasParams, quote
     try:
         q = quote(
             GasParams(
@@ -135,11 +130,13 @@ def _cmd_gas_calc(args: argparse.Namespace) -> int:
 
 
 def _cmd_gas_table(args: argparse.Namespace) -> int:
+    from .gasmodel import cost_comparison_table, render_savings_table
     print(render_savings_table(cost_comparison_table()))
     return 0
 
 
 def _cmd_alias(args: argparse.Namespace) -> int:
+    from .aliasing import ALIAS_OFFSET, Address, apply_alias, undo_alias
     try:
         address = Address.from_hex(args.address)
         offset = Address.from_hex(args.offset) if args.offset else ALIAS_OFFSET
@@ -151,6 +148,7 @@ def _cmd_alias(args: argparse.Namespace) -> int:
 
 
 def _cmd_checklist(args: argparse.Namespace) -> int:
+    from .rules import findings_from_json, migration_checklist, render_checklist
     try:
         text = Path(args.findings).read_text(encoding="utf-8")
         findings = findings_from_json(text)
@@ -161,6 +159,7 @@ def _cmd_checklist(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
+    from .chainmodel import L1Chain, L2View, block_number_table
     try:
         chain = L1Chain(genesis_number=args.genesis, block_interval=args.block_interval)
         view = L2View(sync_period=args.sync_period)
@@ -174,6 +173,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_rules(args: argparse.Namespace) -> int:
+    from .rules import rule_catalog
     for rule in rule_catalog():
         print(f"{rule.id}  [{rule.severity.value}]  {rule.category.value}")
         print(f"    {rule.description}")

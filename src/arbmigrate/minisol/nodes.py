@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     start: int
     end: int
     line: int

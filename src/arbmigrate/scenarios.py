@@ -529,6 +529,12 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
             raise EventScriptError(f"field {key!r} expects an integer, got {value!r}")
         return value
 
+    def boolean(event: Mapping[str, Any], key: str, default: bool) -> bool:
+        value = event.get(key, default)
+        if not isinstance(value, bool):
+            raise EventScriptError(f"field {key!r} expects a boolean, got {value!r}")
+        return value
+
     for index, event in enumerate(events):
         try:
             if "at" not in event or "action" not in event:
@@ -551,7 +557,7 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                         origin=TxOrigin(event.get("origin", "direct_to_sequencer")),
                         gas_price=integer(event, "gas_price", 0),
                         gas_limit=integer(event, "gas_limit", 0),
-                        underpriced=bool(event.get("underpriced", False)),
+                        underpriced=boolean(event, "underpriced", False),
                     )
                 )
             elif action == "tick":
@@ -573,7 +579,7 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                         callvalue=integer(event, "callvalue"),
                         refund_address=integer(event, "refund_address", 0),
                         l1_gas_spent=integer(event, "l1_gas_spent", 0),
-                        escrow_callvalue=bool(event.get("escrow_callvalue", True)),
+                        escrow_callvalue=boolean(event, "escrow_callvalue", True),
                     )
                 except retryable.TicketRevert:
                     reverted.append(ticket_id)

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import arbmigrate
 from arbmigrate.cli import main
 
 CORPUS = Path(__file__).parent / "corpus"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -132,6 +137,18 @@ class TestAnalyze:
         assert got == code
         assert "Traceback" not in err
         assert ("nesting deeper than 64 levels" in err) == (code == 2)
+
+    def test_every_bad_file_is_reported_before_exit_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.sol"
+        bad = tmp_path / "bad.sol"
+        bad.write_text("contract C { function f() public { uint256 x = ; } }")
+        code, out, err = run(
+            capsys, "analyze", str(CORPUS / "dos_loop_dirty.sol"), str(missing), str(bad)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"cannot read {missing}:" in err
+        assert "bad.sol:1:" in err
 
     def test_multiple_files_sorted_output(self, capsys):
         code, out, _ = run(
@@ -373,3 +390,47 @@ def test_usage_error_exit_code_via_argparse():
     with pytest.raises(SystemExit) as err:
         main(["gas"])
     assert err.value.code == 2
+
+
+def _arbmigrate_modules_after(code):
+    """The arbmigrate modules loaded once code has run in a fresh interpreter."""
+    script = f"{code}\nimport sys\nprint(*(m for m in sys.modules if m.startswith('arbmigrate')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(arbmigrate.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+_SIMULATORS = {"scenarios", "sequencer", "retryable", "chainmodel", "gasmodel", "aliasing"}
+
+
+@pytest.mark.parametrize(
+    "code, loaded, absent",
+    [
+        (f"from arbmigrate import cli; cli.main(['analyze', {str(CORPUS / 'dos_loop_dirty.sol')!r}])",
+         {"minisol", "rules"}, _SIMULATORS),
+        ("from arbmigrate import cli; cli.main(['scenario', 'run', 'S3'])",
+         {"scenarios", "aliasing"}, {"minisol", "rules"}),
+        ("from arbmigrate import scenarios", {"scenarios"}, {"minisol", "rules"}),
+        ("import arbmigrate; arbmigrate.rules.analyze", {"rules"}, _SIMULATORS),
+    ],
+    ids=["analyze", "scenario-run", "import-scenarios", "package-attribute"],
+)
+def test_entry_point_loads_only_its_layers(code, loaded, absent):
+    modules = _arbmigrate_modules_after(code)
+    assert {f"arbmigrate.{name}" for name in loaded} <= modules
+    assert not modules & {f"arbmigrate.{name}" for name in absent}
+
+
+def test_readme_library_imports_run():
+    block = README.read_text().split("## Library use", 1)[1].split("```", 2)[1]
+    imports = [line for line in block.splitlines() if line.startswith(("from ", "import "))]
+    assert len(imports) >= 5
+    assert "arbmigrate.rules" in _arbmigrate_modules_after("\n".join(imports))
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        arbmigrate.nope

@@ -79,6 +79,11 @@ contract Vault {
 _MINISOL_CHARS = ' \t\r\n/*"\\0123456789xXabcfAF_zZ+-=<>!&|%(){}[];,.\f\v\u00e9\u00b2'
 # What may lie between two tokens: whitespace and comments only.
 _SKIPPED = re.compile(r"(?:[ \t\r\n]|//[^\n]*|/\*.*?\*/)*", re.S)
+# Token sequences in a function body, which reach deeper into the parser than random characters.
+_TOKEN_SOUP = st.lists(
+    st.sampled_from(sorted(KEYWORDS) + list(OPERATORS) + list(PUNCTUATION) + ["x", "1", "0x1f"]),
+    max_size=40,
+).map(lambda toks: "contract C { function f(uint256 x) public { " + " ".join(toks) + " } }")
 
 
 class TestTokenizer:
@@ -151,6 +156,17 @@ class TestTokenizer:
             assert _SKIPPED.fullmatch(source, end, tok.offset)
             end = tok.offset + len(tok.text)
         assert _SKIPPED.fullmatch(source, end)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | st.text(alphabet=_MINISOL_CHARS) | _TOKEN_SOUP)
+    def test_parse_source_returns_a_unit_or_raises_a_syntax_error(self, source):
+        try:
+            unit = parse_source(source)
+        except MiniSolSyntaxError:
+            return
+        assert isinstance(unit, SourceUnit)
+        for node in walk(unit):
+            assert 0 <= node.span.start <= node.span.end <= len(source)
 
 
 def test_grammar_doc_token_rows_match_lexer_tables():

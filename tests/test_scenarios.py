@@ -382,10 +382,19 @@ class TestEventReplay:
               {"at": 700_000, "action": "manual_redeem", "id": "t", "new_submission_fee": 1,
                "l2_gas": 1}],
              "event 2: ticket t redeem window closed at 604800"),
+            ([{**_TICKET, "escrow_callvalue": "false"}],
+             "event 0: field 'escrow_callvalue' expects a boolean, got 'false'"),
+            ([{"at": 0, "action": "submit_tx", "id": "a", "underpriced": "no"}],
+             "event 0: field 'underpriced' expects a boolean, got 'no'"),
+            ([{**_TICKET, "escrow_callvalue": 0}],
+             "event 0: field 'escrow_callvalue' expects a boolean, got 0"),
+            ([{"at": 0, "action": "submit_tx", "id": "a", "underpriced": 1}],
+             "event 0: field 'underpriced' expects a boolean, got 1"),
         ],
         ids=["unknown-ticket", "missing-id", "bad-origin", "duplicate-tx", "non-integer-at",
              "fractional-at", "string-at", "bool-at", "fractional-gas-price", "string-callvalue",
-             "bool-gas-required", "second-auto-redeem", "redeem-after-window"],
+             "bool-gas-required", "second-auto-redeem", "redeem-after-window",
+             "string-false-escrow", "string-no-underpriced", "zero-escrow", "one-underpriced"],
     )
     def test_malformed_record_names_its_index(self, events, message):
         from arbmigrate.scenarios import replay_events
