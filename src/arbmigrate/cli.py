@@ -26,7 +26,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.config:
         try:
             config = RuleConfig.from_file(args.config)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # json: RecursionError on deep nesting
             return _usage_error(f"cannot load rule config: {exc}")
     if args.rules:
         rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()]
@@ -152,7 +152,7 @@ def _cmd_checklist(args: argparse.Namespace) -> int:
     try:
         text = Path(args.findings).read_text(encoding="utf-8")
         findings = findings_from_json(text)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         return _usage_error(f"cannot load findings: {exc}")
     sys.stdout.write(render_checklist(migration_checklist(findings)))
     return 0

@@ -11,7 +11,6 @@ the exact source slice, i.e.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -31,8 +30,7 @@ class Severity(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     message: str
     line: int
     column: int

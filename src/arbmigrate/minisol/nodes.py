@@ -2,14 +2,14 @@
 
 Every node carries a source span (byte offsets plus the 1-based line/column
 of its first token).  Spans, like name-binding annotations, are excluded from
-equality so two parses of the same text compare structurally equal.
+equality so two parses of the same text compare structurally equal.  A node
+class declares its fields once, in source order, as the positional parameters
+of its ``__init__``; ``span`` is keyword-only and a list defaults to a new one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cache
 from typing import Iterator, NamedTuple, Union
 
 
@@ -23,11 +23,26 @@ class Span(NamedTuple):
 EMPTY_SPAN = Span(0, 0, 0, 0)
 
 
-@dataclass
 class Node:
-    """Base class for all AST nodes; every node takes its span as a keyword."""
+    """Base class of all AST nodes: field-wise ``==`` and repr; unhashable."""
 
-    span: Span = field(default=EMPTY_SPAN, compare=False, repr=False, kw_only=True)
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._compared = tuple(f for f in cls._fields if f not in ("binding", "path", "source"))
+        cls._shown = tuple(f for f in cls._fields if f not in ("binding", "source"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._compared)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
 
 
 class BindingKind(Enum):
@@ -42,21 +57,19 @@ class BindingKind(Enum):
 # --- types ---------------------------------------------------------------
 
 
-@dataclass
 class ElementaryType(Node):
-    name: str  # uint256 | address | bool | string
+    def __init__(self, name: str, *, span: Span = EMPTY_SPAN):  # uint256 | address | bool | string
+        self.span, self.name = span, name
 
 
-@dataclass
 class ArrayType(Node):
-    base: "TypeName"
-    length: int | None  # None = dynamic
+    def __init__(self, base: TypeName, length: int | None, *, span: Span = EMPTY_SPAN):
+        self.span, self.base, self.length = span, base, length  # length None = dynamic
 
 
-@dataclass
 class MappingType(Node):
-    key: ElementaryType
-    value: "TypeName"
+    def __init__(self, key: ElementaryType, value: TypeName, *, span: Span = EMPTY_SPAN):
+        self.span, self.key, self.value = span, key, value
 
 
 TypeName = Union[ElementaryType, ArrayType, MappingType]
@@ -65,66 +78,61 @@ TypeName = Union[ElementaryType, ArrayType, MappingType]
 # --- expressions ----------------------------------------------------------
 
 
-@dataclass
 class NumberLit(Node):
-    value: int
+    def __init__(self, value: int, *, span: Span = EMPTY_SPAN):
+        self.span, self.value = span, value
 
 
-@dataclass
 class HexLit(Node):
-    value: int
+    def __init__(self, value: int, *, span: Span = EMPTY_SPAN):
+        self.span, self.value = span, value
 
 
-@dataclass
 class AddressLit(Node):
-    value: int
+    def __init__(self, value: int, *, span: Span = EMPTY_SPAN):
+        self.span, self.value = span, value
 
 
-@dataclass
 class StringLit(Node):
-    value: str
+    def __init__(self, value: str, *, span: Span = EMPTY_SPAN):
+        self.span, self.value = span, value
 
 
-@dataclass
 class BoolLit(Node):
-    value: bool
+    def __init__(self, value: bool, *, span: Span = EMPTY_SPAN):
+        self.span, self.value = span, value
 
 
-@dataclass
 class Ident(Node):
-    name: str
-    binding: BindingKind = field(default=BindingKind.FREE, compare=False, repr=False)
+    def __init__(self, name: str, binding: BindingKind = BindingKind.FREE,
+                 *, span: Span = EMPTY_SPAN):
+        self.span, self.name, self.binding = span, name, binding
 
 
-@dataclass
 class MemberAccess(Node):
-    obj: "Expr"
-    member: str
+    def __init__(self, obj: Expr, member: str, *, span: Span = EMPTY_SPAN):
+        self.span, self.obj, self.member = span, obj, member
 
 
-@dataclass
 class IndexAccess(Node):
-    obj: "Expr"
-    index: "Expr"
+    def __init__(self, obj: Expr, index: Expr, *, span: Span = EMPTY_SPAN):
+        self.span, self.obj, self.index = span, obj, index
 
 
-@dataclass
 class CallExpr(Node):
-    callee: "Expr"
-    args: list["Expr"] = field(default_factory=list)
+    def __init__(self, callee: Expr, args: list[Expr] | None = None, *, span: Span = EMPTY_SPAN):
+        self.span, self.callee = span, callee
+        self.args = [] if args is None else args
 
 
-@dataclass
 class UnaryExpr(Node):
-    op: str  # ! or -
-    operand: "Expr"
+    def __init__(self, op: str, operand: Expr, *, span: Span = EMPTY_SPAN):  # op: ! or -
+        self.span, self.op, self.operand = span, op, operand
 
 
-@dataclass
 class BinaryExpr(Node):
-    op: str
-    left: "Expr"
-    right: "Expr"
+    def __init__(self, op: str, left: Expr, right: Expr, *, span: Span = EMPTY_SPAN):
+        self.span, self.op, self.left, self.right = span, op, left, right
 
 
 Expr = Union[
@@ -136,67 +144,63 @@ Expr = Union[
 # --- statements -----------------------------------------------------------
 
 
-@dataclass
 class VarDeclStmt(Node):
-    var_type: TypeName
-    name: str
-    location: str | None = None  # memory | calldata | storage
-    initializer: Expr | None = None
+    def __init__(self, var_type: TypeName, name: str, location: str | None = None,
+                 initializer: Expr | None = None, *, span: Span = EMPTY_SPAN):
+        self.span, self.var_type, self.name = span, var_type, name
+        self.location, self.initializer = location, initializer  # memory | calldata | storage
 
 
-@dataclass
 class AssignStmt(Node):
-    target: Expr
-    op: str  # = += -= *= /= %=
-    value: Expr
+    def __init__(self, target: Expr, op: str, value: Expr, *, span: Span = EMPTY_SPAN):
+        self.span, self.target, self.op, self.value = span, target, op, value  # = += -= *= /= %=
 
 
-@dataclass
 class IncDecStmt(Node):
-    target: Expr
-    op: str  # ++ or --
+    def __init__(self, target: Expr, op: str, *, span: Span = EMPTY_SPAN):  # op: ++ or --
+        self.span, self.target, self.op = span, target, op
 
 
-@dataclass
 class RequireStmt(Node):
-    condition: Expr
-    message: StringLit | None = None
+    def __init__(self, condition: Expr, message: StringLit | None = None,
+                 *, span: Span = EMPTY_SPAN):
+        self.span, self.condition, self.message = span, condition, message
 
 
-@dataclass
 class IfStmt(Node):
-    condition: Expr
-    then_body: list["Stmt"] = field(default_factory=list)
-    else_body: list["Stmt"] | None = None
+    def __init__(self, condition: Expr, then_body: list[Stmt] | None = None,
+                 else_body: list[Stmt] | None = None, *, span: Span = EMPTY_SPAN):
+        self.span, self.condition = span, condition
+        self.then_body = [] if then_body is None else then_body
+        self.else_body = else_body  # None = no else branch
 
 
-@dataclass
 class ForStmt(Node):
-    init: "Stmt | None"
-    condition: Expr | None
-    post: "Stmt | None"
-    body: list["Stmt"] = field(default_factory=list)
+    def __init__(self, init: Stmt | None, condition: Expr | None, post: Stmt | None,
+                 body: list[Stmt] | None = None, *, span: Span = EMPTY_SPAN):
+        self.span, self.init, self.condition, self.post = span, init, condition, post
+        self.body = [] if body is None else body
 
 
-@dataclass
 class WhileStmt(Node):
-    condition: Expr
-    body: list["Stmt"] = field(default_factory=list)
+    def __init__(self, condition: Expr, body: list[Stmt] | None = None, *, span: Span = EMPTY_SPAN):
+        self.span, self.condition = span, condition
+        self.body = [] if body is None else body
 
 
-@dataclass
 class EmitStmt(Node):
-    call: CallExpr
+    def __init__(self, call: CallExpr, *, span: Span = EMPTY_SPAN):
+        self.span, self.call = span, call
 
 
-@dataclass
 class ReturnStmt(Node):
-    value: Expr | None = None
+    def __init__(self, value: Expr | None = None, *, span: Span = EMPTY_SPAN):
+        self.span, self.value = span, value
 
 
-@dataclass
 class ExprStmt(Node):
-    expression: Expr
+    def __init__(self, expression: Expr, *, span: Span = EMPTY_SPAN):
+        self.span, self.expression = span, expression
 
 
 Stmt = Union[
@@ -208,36 +212,37 @@ Stmt = Union[
 # --- declarations ---------------------------------------------------------
 
 
-@dataclass
 class Param(Node):
-    var_type: TypeName
-    name: str
-    location: str | None = None
+    def __init__(self, var_type: TypeName, name: str, location: str | None = None,
+                 *, span: Span = EMPTY_SPAN):
+        self.span, self.var_type, self.name, self.location = span, var_type, name, location
 
 
-@dataclass
 class StateVarDecl(Node):
-    var_type: TypeName
-    visibility: str | None
-    name: str
-    initializer: Expr | None = None
+    def __init__(self, var_type: TypeName, visibility: str | None, name: str,
+                 initializer: Expr | None = None, *, span: Span = EMPTY_SPAN):
+        self.span, self.var_type, self.visibility = span, var_type, visibility
+        self.name, self.initializer = name, initializer
 
 
-@dataclass
 class FunctionDef(Node):
-    name: str
-    params: list[Param] = field(default_factory=list)
-    visibility: str | None = None
-    mutability: str | None = None  # payable | view | pure
-    modifiers: list[str] = field(default_factory=list)
-    returns: list[TypeName] = field(default_factory=list)
-    body: list[Stmt] = field(default_factory=list)
+    def __init__(self, name: str, params: list[Param] | None = None, visibility: str | None = None,
+                 mutability: str | None = None, modifiers: list[str] | None = None,
+                 returns: list[TypeName] | None = None, body: list[Stmt] | None = None,
+                 *, span: Span = EMPTY_SPAN):
+        self.span, self.name = span, name
+        self.params = [] if params is None else params
+        self.visibility, self.mutability = visibility, mutability  # payable | view | pure
+        self.modifiers = [] if modifiers is None else modifiers
+        self.returns = [] if returns is None else returns
+        self.body = [] if body is None else body
 
 
-@dataclass
 class ContractDef(Node):
-    name: str
-    members: list[StateVarDecl | FunctionDef] = field(default_factory=list)
+    def __init__(self, name: str, members: list[StateVarDecl | FunctionDef] | None = None,
+                 *, span: Span = EMPTY_SPAN):
+        self.span, self.name = span, name
+        self.members = [] if members is None else members
 
     @property
     def state_vars(self) -> list[StateVarDecl]:
@@ -248,22 +253,17 @@ class ContractDef(Node):
         return [m for m in self.members if isinstance(m, FunctionDef)]
 
 
-@dataclass
 class SourceUnit(Node):
-    contracts: list[ContractDef] = field(default_factory=list)
-    path: str = field(default="<source>", compare=False)
-    source: str = field(default="", compare=False, repr=False)
-
-
-@cache
-def _child_fields(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.name != "span")
+    def __init__(self, contracts: list[ContractDef] | None = None, path: str = "<source>",
+                 source: str = "", *, span: Span = EMPTY_SPAN):
+        self.span, self.path, self.source = span, path, source
+        self.contracts = [] if contracts is None else contracts
 
 
 def children(node: Node) -> list[Node]:
     """Direct child nodes, in source order (field declaration order)."""
     out: list[Node] = []
-    for name in _child_fields(type(node)):
+    for name in node._fields:
         value = getattr(node, name)
         if isinstance(value, Node):
             out.append(value)

@@ -140,8 +140,15 @@ class _Parser:
         tok = self._peek()
         return tok is not None and tok.kind == kind
 
-    def _advance(self) -> Token:
+    def _current(self) -> Token:
+        """The next token, not consumed; a syntax error at the end of input."""
         tok = self._peek()
+        if tok is None:
+            raise self._fail("unexpected end of input")
+        return tok
+
+    def _advance(self) -> Token:
+        tok = self._peek()  # _current inlined: this is the parser's hottest helper
         if tok is None:
             raise self._fail("unexpected end of input")
         self.pos += 1
@@ -248,8 +255,7 @@ class _Parser:
         )
 
     def parse_state_var(self) -> StateVarDecl:
-        start = self._peek()
-        assert start is not None
+        start = self._current()
         var_type = self.parse_typename()
         visibility = None
         tok = self._peek()
@@ -323,8 +329,7 @@ class _Parser:
         )
 
     def parse_param(self) -> Param:
-        start = self._peek()
-        assert start is not None
+        start = self._current()
         var_type = self.parse_typename()
         location = None
         tok = self._peek()
@@ -435,8 +440,7 @@ class _Parser:
         return stmt
 
     def parse_var_decl(self) -> VarDeclStmt:
-        start = self._peek()
-        assert start is not None
+        start = self._current()
         if start.text == "mapping":
             raise self._fail("unsupported construct: mapping variables must be state variables")
         var_type = self.parse_typename(allow_mapping=False)
@@ -528,8 +532,7 @@ class _Parser:
 
     def parse_simple_statement(self) -> Stmt:
         """Assignment, increment/decrement, or bare expression (no ';')."""
-        start = self._peek()
-        assert start is not None
+        start = self._current()
         expr = self.parse_expression()
         tok = self._peek()
         if tok is not None and tok.text in _ASSIGN_OPS:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .minisol import (
     AddressLit,
@@ -57,8 +56,7 @@ class Severity(Enum):
     INFO = "info"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: str
     category: Category
     severity: Severity
@@ -66,8 +64,7 @@ class Rule:
     remediation: str
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     rule_id: str
     file: str
     line: int
@@ -205,8 +202,7 @@ def get_rule(rule_id: str) -> Rule:
         ) from None
 
 
-@dataclass(frozen=True)
-class RuleConfig:
+class _RuleSettings(NamedTuple):
     enabled: frozenset[str] = frozenset(_RULES_BY_ID)
     oracle_patterns: tuple[str, ...] = ("latestRoundData", "getPrice", "getGLPprice")
     uptime_patterns: tuple[str, ...] = ("sequencerUptimeFeed", "checkSequencerUp")
@@ -215,7 +211,14 @@ class RuleConfig:
     loop_call_triggers: tuple[str, ...] = ("transfer", "send", "call")
     block_number_literal_min: int = 1_000_000  # heuristic floor for "looks like a block height"
 
-    def __post_init__(self) -> None:
+
+class RuleConfig(_RuleSettings):
+    """Immutable rule settings, checked whenever one is built (``_replace`` included)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "RuleConfig":
+        self = super().__new__(cls, *args, **kwargs)
         for rule_id in self.enabled:
             get_rule(rule_id)
         if self.timestamp_threshold_s <= 0:
@@ -231,16 +234,21 @@ class RuleConfig:
         for rule_id, patterns, key in needs:
             if rule_id in self.enabled and not patterns:
                 raise ValueError(f"{key} must be nonempty while {rule_id} is enabled")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "RuleConfig":
+        return cls(*iterable)
 
     def with_enabled(self, rule_ids: Iterable[str]) -> "RuleConfig":
-        return replace(self, enabled=frozenset(rule_ids))
+        return self._replace(enabled=frozenset(rule_ids))
 
     @classmethod
     def from_json(cls, text: str) -> "RuleConfig":
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("rule config must be a JSON object")
-        defaults = {f.name: f.default for f in fields(cls)}
+        defaults = cls._field_defaults
         unknown = set(data) - set(defaults)
         if unknown:
             raise ValueError(
@@ -590,21 +598,19 @@ def findings_from_json(text: str) -> list[Finding]:
         raise ValueError("not a findings document: 'findings' is not a list")
     out = []
     for index, item in enumerate(doc["findings"]):
-        try:
-            out.append(
-                Finding(
-                    rule_id=get_rule(item["rule_id"]).id,
-                    file=str(item["file"]),
-                    line=int(item["line"]),
-                    column=int(item["column"]),
-                    excerpt=item.get("excerpt", ""),
-                    message=item.get("message", ""),
-                )
-            )
-        except KeyError as exc:
-            raise ValueError(f"finding {index} lacks {exc}") from None
-        except TypeError as exc:
-            raise ValueError(f"finding {index} is malformed: {exc}") from None
+        if not isinstance(item, dict):
+            raise ValueError(f"finding {index} is malformed: not an object")
+        item = {"excerpt": "", "message": "", **item}
+        for key in Finding._fields:  # JSON integers for line and column, strings for the rest
+            if key not in item:
+                raise ValueError(f"finding {index} lacks {key!r}")
+            kind = int if key in ("line", "column") else str
+            if type(item[key]) is not kind:
+                expected = "an integer" if kind is int else "a string"
+                raise ValueError(f"finding {index}: field {key!r} expects {expected}, got {item[key]!r}")
+        finding = Finding(*(item[key] for key in Finding._fields))
+        get_rule(finding.rule_id)
+        out.append(finding)
     out.sort(key=Finding.sort_key)
     return out
 
@@ -612,8 +618,7 @@ def findings_from_json(text: str) -> list[Finding]:
 # --- migration checklist ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChecklistStep:
+class ChecklistStep(NamedTuple):
     key: str
     title: str
     detail: str

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import arbmigrate
 from arbmigrate.cli import main
+from arbmigrate.rules import RuleConfig, rule_catalog
+from arbmigrate.scenarios import list_scenarios
 
 CORPUS = Path(__file__).parent / "corpus"
 README = Path(__file__).parents[1] / "README.md"
@@ -342,6 +348,16 @@ class TestChecklistCommand:
         assert "cannot load findings" in err
 
 
+    @pytest.mark.parametrize("command", ["checklist", "analyze --config"])
+    def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = {"checklist": ["checklist", str(path)],
+                "analyze --config": ["analyze", "--config", str(path), str(CORPUS / "dos_loop_dirty.sol")]}
+        code, out, err = run(capsys, *argv[command])
+        assert (code, out) == (2, "")
+        assert "recursion" in err
+
     @pytest.mark.parametrize(
         "finding, key",
         [
@@ -357,6 +373,31 @@ class TestChecklistCommand:
         code, _, err = run(capsys, "checklist", str(path))
         assert code == 2
         assert key in err
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("line", "1e400", "an integer, got inf"),
+            ("line", '"7"', "an integer, got '7'"),
+            ("line", "1.9", "an integer, got 1.9"),
+            ("line", "true", "an integer, got True"),
+            ("column", "-1e400", "an integer, got -inf"),
+            ("column", "null", "an integer, got None"),
+            ("file", "5", "a string, got 5"),
+            ("rule_id", '["ARB-SEQ-001"]', "a string, got ['ARB-SEQ-001']"),
+            ("excerpt", "7", "a string, got 7"),
+            ("message", "null", "a string, got None"),
+        ],
+    )
+    def test_finding_field_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, key, value, expected):
+        fields = {"rule_id": '"ARB-SEQ-001"', "file": '"a.sol"', "line": "1", "column": "1", key: value}
+        good = '{"rule_id": "ARB-SEQ-001", "file": "b.sol", "line": 2, "column": 3}'
+        bad = ", ".join(f'"{k}": {v}' for k, v in fields.items())
+        path = tmp_path / "findings.json"
+        path.write_text(f'{{"findings": [{good}, {{{bad}}}]}}')  # raw text: json.dumps cannot write 1e400
+        code, out, err = run(capsys, "checklist", str(path))
+        assert (code, out) == (2, "")
+        assert f"finding 1: field '{key}' expects {expected}" in err
 
 
 class TestSimCommand:
@@ -392,9 +433,9 @@ def test_usage_error_exit_code_via_argparse():
     assert err.value.code == 2
 
 
-def _arbmigrate_modules_after(code):
-    """The arbmigrate modules loaded once code has run in a fresh interpreter."""
-    script = f"{code}\nimport sys\nprint(*(m for m in sys.modules if m.startswith('arbmigrate')))"
+def _modules_after(code):
+    """The modules loaded once code has run in a fresh interpreter."""
+    script = f"{code}\nimport sys\nprint(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(arbmigrate.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
@@ -419,18 +460,154 @@ _SIMULATORS = {"scenarios", "sequencer", "retryable", "chainmodel", "gasmodel", 
     ids=["analyze", "scenario-run", "import-scenarios", "package-attribute"],
 )
 def test_entry_point_loads_only_its_layers(code, loaded, absent):
-    modules = _arbmigrate_modules_after(code)
+    modules = _modules_after(code)
     assert {f"arbmigrate.{name}" for name in loaded} <= modules
     assert not modules & {f"arbmigrate.{name}" for name in absent}
+
+
+@pytest.mark.parametrize("command", ["analyze", "checklist"])
+def test_analyzer_side_defines_its_classes_without_code_generation(tmp_path, command):
+    # every analyze job is a fresh process: importing dataclasses (and inspect) and generating
+    # methods for each class would be paid again per job
+    config = tmp_path / "rules.json"
+    config.write_text(json.dumps({"timestamp_threshold_s": 90}))
+    findings = tmp_path / "findings.json"
+    source = str(CORPUS / "time_interval_dirty.sol")
+    argv = {
+        "analyze": ["analyze", "--check", "--format", "json", "--config", str(config), source],
+        "checklist": ["checklist", str(findings)],
+    }[command]
+    findings.write_text(json.dumps({"findings": [
+        {"rule_id": "ARB-TIME-003", "file": "a.sol", "line": 3, "column": 9},
+    ]}))
+    modules = _modules_after(f"from arbmigrate import cli; cli.main({argv!r})")
+    assert {"arbmigrate.minisol.nodes", "arbmigrate.rules"} & modules
+    assert not modules & {"dataclasses", "inspect"}
 
 
 def test_readme_library_imports_run():
     block = README.read_text().split("## Library use", 1)[1].split("```", 2)[1]
     imports = [line for line in block.splitlines() if line.startswith(("from ", "import "))]
     assert len(imports) >= 5
-    assert "arbmigrate.rules" in _arbmigrate_modules_after("\n".join(imports))
+    assert "arbmigrate.rules" in _modules_after("\n".join(imports))
 
 
 def test_unknown_package_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         arbmigrate.nope
+
+
+# --- generated argv: every run exits 0, 1 or 2 -------------------------------
+
+_RULE_IDS = [rule.id for rule in rule_catalog()]
+_PARAMS = {spec.id: [*spec.params, "nope"] for spec in list_scenarios()}
+_ADDRESSES = ["0x00000000000000000000000000000000deadbeef", "0x1111000000000000000000000000000000001111"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)  # json.dumps writes infinite floats as Infinity, which json.loads reads back as inf
+_NUMBER = st.integers(-5, 5000).map(str) | st.sampled_from(
+    ["", "x", "1.5", "1e400", "-inf", "nan", "0x10", "true", str(2**70), str(-(2**70))]
+)
+_SMALL = st.integers(-5, 5000).map(str)
+_SOURCE = st.one_of(
+    st.builds(lambda src, cut: src[:cut], st.sampled_from([p.read_bytes() for p in sorted(CORPUS.glob("*.sol"))]),
+              st.integers(0, 2000)),
+    st.binary(max_size=20),
+    st.text(max_size=20).map(lambda text: text.encode("utf-8", "surrogatepass")),
+)
+_CONFIG = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "enabled": st.lists(st.sampled_from(_RULE_IDS), max_size=3),
+        "timestamp_threshold_s": st.integers(1, 200),
+        "oracle_patterns": st.lists(st.sampled_from(["getPrice", "latestRoundData", ""]), max_size=2),
+    }).map(json.dumps),
+    st.dictionaries(
+        st.sampled_from([*RuleConfig._fields, "nope"]),
+        _JSON | st.integers(-3, 200) | st.lists(st.sampled_from([*_RULE_IDS, "ARB-NOPE", ""]), max_size=3),
+        max_size=3,
+    ).map(json.dumps),
+    _JSON.map(json.dumps),
+    st.text(max_size=10),
+)
+_GOOD_FINDING = st.fixed_dictionaries(
+    {"rule_id": st.sampled_from(_RULE_IDS), "file": st.text(max_size=5),
+     "line": st.integers(0, 99), "column": st.integers(0, 99)},
+    optional={"excerpt": st.text(max_size=5), "message": st.text(max_size=5)},
+)
+_BAD_FINDING = st.builds(  # a good finding with a field dropped or overwritten by any JSON value
+    lambda good, drop, bad: {**{k: v for k, v in good.items() if k != drop}, **bad},
+    _GOOD_FINDING,
+    st.sampled_from(["rule_id", "file", "line", "column", "none"]),
+    st.dictionaries(st.sampled_from(["rule_id", "file", "line", "column", "excerpt", "message"]), _JSON,
+                    max_size=1),
+)
+_FINDINGS = st.one_of(
+    st.lists(_GOOD_FINDING, max_size=3).map(lambda items: json.dumps({"findings": items})),
+    st.lists(_GOOD_FINDING | _BAD_FINDING | _JSON, max_size=3).map(lambda items: json.dumps({"findings": items})),
+    _JSON.map(json.dumps),
+    st.text(max_size=10),
+)
+
+
+def _draw_argv(data, tmp: Path) -> list[str]:
+    def file(content: str | bytes) -> str:
+        path = tmp / f"input{len(written)}"
+        path.write_bytes(content.encode() if isinstance(content, str) else content)
+        written.append(path)
+        return str(path)
+
+    def options(choices: dict) -> list[str]:
+        flags = data.draw(st.lists(st.sampled_from(sorted(choices)), max_size=len(choices), unique=True))
+        return [arg for flag in flags for arg in (flag, data.draw(choices[flag]))]
+
+    written: list[Path] = []
+    command = data.draw(st.sampled_from(["analyze", "checklist", "scenario", "gas", "alias", "sim", "other"]))
+    if command == "analyze":
+        paths = [file(source) for source in data.draw(st.lists(_SOURCE, min_size=1, max_size=2))]
+        paths += data.draw(st.sampled_from([[], [], [str(tmp / "missing.sol")]]))
+        rules = st.lists(st.sampled_from([*_RULE_IDS, "ARB-NOPE", " ", ""]), max_size=3).map(",".join)
+        return ["analyze", *paths, *options({
+            "--rules": rules, "--config": _CONFIG.map(file), "--format": st.sampled_from(["text", "json", "json", "xml"]),
+        }), *data.draw(st.sampled_from([[], ["--check"]]))]
+    if command == "checklist":
+        return ["checklist", data.draw(_FINDINGS.map(file) | st.just(str(tmp / "missing.json")))]
+    if command == "scenario":
+        sid = data.draw(st.sampled_from([*_PARAMS, "S9"]))
+        argv = ["scenario", "run", sid]
+        for key in data.draw(st.lists(st.sampled_from(_PARAMS.get(sid, ["nope"])), max_size=3)):
+            # S1's sample and position counts drive its loops (see CHANGES.md FOUND on S1 sizes)
+            value = _SMALL if (sid, key) in {("S1", "horizon_s"), ("S1", "positions")} else (
+                _NUMBER | st.sampled_from(["true", "false", "contract", "externally_owned", *_ADDRESSES])
+                | st.text(max_size=6))
+            argv += ["--param", f"{key}={data.draw(value)}"]
+        if data.draw(st.booleans()):
+            argv += ["--param", data.draw(st.text(max_size=6))]
+        out = st.sampled_from([str(tmp / "report.json"), str(tmp)])  # a directory cannot be written
+        return argv + options({"--seed": _NUMBER, "--out": out}) + data.draw(st.sampled_from([[], ["--check"]]))
+    if command == "gas":
+        flags = ["--gas-used-l2", "--calldata-price-l1", "--calldata-size-l1", "--gas-price-l2"]
+        return ["gas", "calc", *options(dict.fromkeys(flags, _NUMBER))]
+    if command == "alias":
+        address = st.sampled_from(_ADDRESSES) | st.text(alphabet="0x123abcdefABCDEF", max_size=44)
+        return ["alias", data.draw(st.sampled_from(["apply", "undo", "sideways"])), data.draw(address),
+                *options({"--offset": address})]
+    if command == "sim":
+        # the table has one row per step up to the horizon, so the horizon stays small
+        return ["sim", *options({"--genesis": _NUMBER, "--block-interval": _NUMBER,
+                                 "--sync-period": _NUMBER, "--horizon": _SMALL, "--step": _NUMBER})]
+    return data.draw(st.sampled_from([["rules"], ["scenario", "list"], ["gas", "table"], ["--version"]])
+                     | st.lists(st.text(max_size=6), max_size=3))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_generated_argv_exits_zero_one_or_two(tmp_path, data):
+    argv = _draw_argv(data, tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: 2 for a usage error, 0 after --version
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)

@@ -33,6 +33,7 @@ from arbmigrate.minisol import (
     RequireStmt,
     ReturnStmt,
     SourceUnit,
+    Span,
     StateVarDecl,
     StringLit,
     TokenKind,
@@ -156,6 +157,14 @@ class TestTokenizer:
             assert _SKIPPED.fullmatch(source, end, tok.offset)
             end = tok.offset + len(tok.text)
         assert _SKIPPED.fullmatch(source, end)
+
+    def test_every_token_prefix_parses_or_raises_a_syntax_error(self):
+        # a cut anywhere, e.g. right after "function f(" or "for (", is a syntax error, not a crash
+        for tok in tokenize(SAMPLE):
+            try:
+                parse_source(SAMPLE[: tok.offset + len(tok.text)])
+            except MiniSolSyntaxError:
+                pass
 
     @settings(max_examples=300, deadline=None)
     @given(st.text() | st.text(alphabet=_MINISOL_CHARS) | _TOKEN_SOUP)
@@ -298,6 +307,89 @@ class TestParser:
         assert bindings["holders"] is BindingKind.STATE_VAR
         assert bindings["cap"] is BindingKind.PARAM
         assert bindings["acc"] is BindingKind.LOCAL
+
+
+GOLDEN_REPR = Path(__file__).parent / "golden" / "nodes_repr.txt"
+REPR_CORPUS = ("dos_loop_clean.sol", "alias_permission_dirty.sol")
+# every node kind the two corpus files lack
+REPR_EXTRA = """contract K {
+    bool flag = true;
+    function f(uint256 x) public {
+        uint256 h = 0xff;
+        if (!flag) { x = -x; } else { flag = false; }
+        while (x > 0) { x--; }
+        emit Done(x, h);
+    }
+}
+"""
+
+
+def _repr_units():
+    corpus = Path(__file__).parent / "corpus"
+    units = [parse_source((corpus / name).read_text(), path=name) for name in REPR_CORPUS]
+    return units + [parse_source(REPR_EXTRA, path="extra.sol")]
+
+
+class TestNodeContract:
+    def test_positional_and_keyword_construction_agree(self):
+        positional = BinaryExpr("+", Ident("a"), NumberLit(1))
+        keyword = BinaryExpr(op="+", left=Ident(name="a"), right=NumberLit(value=1))
+        assert positional == keyword
+        assert (positional.op, positional.left.name, positional.right.value) == ("+", "a", 1)
+        fn = FunctionDef("f", [], "public", modifiers=["onlyOwner"])
+        assert (fn.visibility, fn.mutability, fn.modifiers, fn.body) == ("public", None, ["onlyOwner"], [])
+
+    @pytest.mark.parametrize("build", [
+        lambda: Ident(nme="x"),
+        lambda: BinaryExpr(op="+"),
+        lambda: NumberLit(1, Span(0, 1, 1, 1)),
+        lambda: SourceUnit([], "a.sol", "", Span(0, 1, 1, 1)),
+        lambda: ElementaryType("uint256", name="uint256"),
+    ], ids=["unknown-field", "missing-field", "positional-span", "positional-span-last", "duplicate"])
+    def test_bad_construction_raises_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_default_lists_are_fresh_per_instance(self):
+        a, b = CallExpr(Ident("f")), CallExpr(Ident("f"))
+        a.args.append(NumberLit(1))
+        assert b.args == []
+        f, g = FunctionDef("f"), FunctionDef("g")
+        for name in ("params", "modifiers", "returns", "body"):
+            assert getattr(f, name) is not getattr(g, name)
+        assert SourceUnit().contracts is not SourceUnit().contracts
+        assert IfStmt(BoolLit(True)).else_body is None
+
+    def test_equality_ignores_span_binding_path_and_source(self):
+        from arbmigrate.minisol import BindingKind
+
+        assert NumberLit(1, span=Span(0, 1, 1, 1)) == NumberLit(1, span=Span(5, 6, 2, 3))
+        assert Ident("x", BindingKind.LOCAL) == Ident("x")
+        assert SourceUnit([], "a.sol", "x") == SourceUnit([], "b.sol", "y")
+        assert NumberLit(1) != NumberLit(2)
+        assert NumberLit(1) != HexLit(1)
+        assert NumberLit(1) != 1
+        assert SourceUnit([ContractDef("A")]) != SourceUnit([ContractDef("B")])
+
+    def test_repr_skips_span_binding_and_source(self):
+        from arbmigrate.minisol import BindingKind
+
+        assert repr(Ident("x", BindingKind.LOCAL, span=Span(0, 1, 1, 1))) == "Ident(name='x')"
+        assert repr(SourceUnit([], "a.sol", "text")) == "SourceUnit(contracts=[], path='a.sol')"
+
+    def test_nodes_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(Ident("x"))
+
+    def test_children_follow_field_order(self):
+        loop = ForStmt(None, BoolLit(True), None, [ExprStmt(Ident("a")), ExprStmt(Ident("b"))])
+        assert children(loop) == [loop.condition, *loop.body]
+        assert children(Ident("x")) == []
+
+    def test_repr_of_parsed_units_matches_golden(self):
+        # one repr per line; record again only for an intended change of the repr format
+        expected = GOLDEN_REPR.read_text(encoding="utf-8").splitlines()
+        assert [repr(unit) for unit in _repr_units()] == expected
 
 
 class TestPrinter:

@@ -385,6 +385,48 @@ class TestRuleConfigFile:
             RuleConfig(enabled=frozenset({"ARB-XXX-999"}))
 
 
+class TestRuleConfigContract:
+    @pytest.mark.parametrize("kwargs", [
+        {"timestamp_threshold_s": 0},
+        {"block_number_literal_min": -1},
+        {"alias_patterns": ()},
+        {"loop_call_triggers": ()},
+    ])
+    def test_bad_values_raise_on_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            RuleConfig(**kwargs)
+
+    def test_with_enabled_and_replace_validate(self):
+        config = RuleConfig(enabled=frozenset({"ARB-DOS-002"}), oracle_patterns=())
+        with pytest.raises(ValueError, match="oracle_patterns must be nonempty"):
+            config.with_enabled(["ARB-SEQ-001"])
+        with pytest.raises(ValueError, match="unknown rule id"):
+            config.with_enabled(["ARB-XXX-999"])
+        with pytest.raises(ValueError, match="timestamp_threshold_s must be positive"):
+            config._replace(timestamp_threshold_s=0)
+        narrowed = config.with_enabled(["ARB-TIME-001"])
+        assert narrowed == RuleConfig(enabled=frozenset({"ARB-TIME-001"}), oracle_patterns=())
+
+    def test_config_is_immutable(self):
+        config = RuleConfig()
+        with pytest.raises(AttributeError):
+            config.timestamp_threshold_s = 5
+        with pytest.raises(AttributeError):
+            config.new_setting = 5
+        assert config.timestamp_threshold_s == 60
+
+    def test_equal_configs_compare_and_hash_equal(self):
+        a, b = RuleConfig(timestamp_threshold_s=30), RuleConfig(timestamp_threshold_s=30)
+        assert a == b and hash(a) == hash(b)
+        assert a != RuleConfig()
+        assert RuleConfig().with_enabled(["ARB-SEQ-001"]) == RuleConfig(enabled=frozenset({"ARB-SEQ-001"}))
+
+    def test_positional_construction_follows_field_order(self):
+        config = RuleConfig(frozenset({"ARB-TIME-003"}))
+        assert config.enabled == frozenset({"ARB-TIME-003"})
+        assert config.oracle_patterns == RuleConfig().oracle_patterns
+
+
 class TestChecklist:
     def test_zero_findings_gives_four_base_steps(self):
         steps = migration_checklist([])
