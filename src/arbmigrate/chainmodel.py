@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 DEFAULT_BLOCK_INTERVAL = 15
 DEFAULT_SYNC_PERIOD = 60
 DEFAULT_SEQ_CLOCK_PRECISION = 1
+MAX_TABLE_ROWS = 100_000  # block_number_table builds every row in memory
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,9 @@ def block_number_table(
     """(wall time, true L1 number, L2-observed number) rows through horizon."""
     if step <= 0:
         raise ValueError("step must be positive")
+    count = horizon // step + 1
+    if count > MAX_TABLE_ROWS:
+        raise ValueError(f"a table of {count:,} rows exceeds the {MAX_TABLE_ROWS:,}-row limit")
     rows = []
     for t in range(0, horizon + 1, step):
         clock = WallClock(t)

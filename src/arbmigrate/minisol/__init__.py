@@ -15,7 +15,6 @@ from .nodes import (
     ArrayType,
     AssignStmt,
     BinaryExpr,
-    BindingKind,
     BoolLit,
     CallExpr,
     ContractDef,
@@ -55,14 +54,13 @@ from .printer import print_contract, print_expr, print_source, print_type
 GRAMMAR_VERSION = "1"
 
 __all__ = [
-    "AddressLit", "ArrayType", "AssignStmt", "BinaryExpr", "BindingKind",
-    "BoolLit", "CallExpr", "ContractDef", "Diagnostic", "ElementaryType",
-    "EmitStmt", "Expr", "ExprStmt", "ForStmt", "FunctionDef", "GRAMMAR_VERSION",
-    "HexLit", "Ident", "IfStmt", "IncDecStmt", "IndexAccess", "MappingType",
-    "MemberAccess", "MiniSolSyntaxError", "Node", "NumberLit", "Param",
-    "RequireStmt", "ReturnStmt", "Severity", "SourceUnit", "Span",
-    "StateVarDecl", "Stmt", "StringLit", "Token", "TokenKind", "TypeName",
-    "UnaryExpr", "VarDeclStmt", "WhileStmt", "annotate_bindings", "children",
-    "parse_source", "parse_tokens", "print_contract", "print_expr",
+    "AddressLit", "ArrayType", "AssignStmt", "BinaryExpr", "BoolLit", "CallExpr",
+    "ContractDef", "Diagnostic", "ElementaryType", "EmitStmt", "Expr", "ExprStmt",
+    "ForStmt", "FunctionDef", "GRAMMAR_VERSION", "HexLit", "Ident", "IfStmt",
+    "IncDecStmt", "IndexAccess", "MappingType", "MemberAccess", "MiniSolSyntaxError",
+    "Node", "NumberLit", "Param", "RequireStmt", "ReturnStmt", "Severity",
+    "SourceUnit", "Span", "StateVarDecl", "Stmt", "StringLit", "Token", "TokenKind",
+    "TypeName", "UnaryExpr", "VarDeclStmt", "WhileStmt", "annotate_bindings",
+    "children", "parse_source", "parse_tokens", "print_contract", "print_expr",
     "print_source", "print_type", "tokenize", "walk",
 ]

@@ -1,15 +1,14 @@
 """AST node definitions for the MiniSol contract-language subset.
 
 Every node carries a source span (byte offsets plus the 1-based line/column
-of its first token).  Spans, like name-binding annotations, are excluded from
-equality so two parses of the same text compare structurally equal.  A node
-class declares its fields once, in source order, as the positional parameters
-of its ``__init__``; ``span`` is keyword-only and a list defaults to a new one.
+of its first token).  Spans are excluded from equality so two parses of the
+same text compare structurally equal.  A node class declares its fields once,
+in source order, as the positional parameters of its ``__init__``; ``span`` is
+keyword-only and a list defaults to a new one.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterator, NamedTuple, Union
 
 
@@ -32,8 +31,8 @@ class Node:
         super().__init_subclass__(**kwargs)
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
-        cls._compared = tuple(f for f in cls._fields if f not in ("binding", "path", "source"))
-        cls._shown = tuple(f for f in cls._fields if f not in ("binding", "source"))
+        cls._compared = tuple(f for f in cls._fields if f not in ("path", "source"))
+        cls._shown = tuple(f for f in cls._fields if f != "source")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -43,15 +42,6 @@ class Node:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
         return f"{type(self).__qualname__}({shown})"
-
-
-class BindingKind(Enum):
-    STATE_VAR = "state_var"
-    LOCAL = "local"
-    PARAM = "param"
-    FUNCTION = "function"
-    CONTRACT = "contract"
-    FREE = "free"
 
 
 # --- types ---------------------------------------------------------------
@@ -104,9 +94,10 @@ class BoolLit(Node):
 
 
 class Ident(Node):
-    def __init__(self, name: str, binding: BindingKind = BindingKind.FREE,
-                 *, span: Span = EMPTY_SPAN):
-        self.span, self.name, self.binding = span, name, binding
+    def __init__(self, name: str, *, span: Span = EMPTY_SPAN):
+        self.span, self.name = span, name
+        # the declaration named, set by parser.annotate_bindings; None = free (msg, block)
+        self.decl: VarDeclStmt | Param | StateVarDecl | FunctionDef | ContractDef | None = None
 
 
 class MemberAccess(Node):

@@ -23,7 +23,6 @@ from .nodes import (
     ArrayType,
     AssignStmt,
     BinaryExpr,
-    BindingKind,
     BoolLit,
     CallExpr,
     ContractDef,
@@ -668,62 +667,55 @@ class _Parser:
 
 
 def annotate_bindings(unit: SourceUnit) -> None:
-    """Mark every identifier as state var / local / param / function /
-    contract, or free (builtins like ``block`` and ``msg``)."""
-    contract_names = {c.name for c in unit.contracts}
-    for contract in unit.contracts:
-        state_names = {v.name for v in contract.state_vars}
-        function_names = {f.name for f in contract.functions}
+    """Point every identifier's ``decl`` at the declaration it names.
 
-        def resolve(expr: Expr, scope: set[str], params: set[str]) -> None:
+    A name is looked up in its block scope (parameters, then the locals
+    declared before it in enclosing blocks), then in its contract (state
+    variables over functions over contracts). A free name such as ``msg`` or
+    ``block`` keeps ``decl = None``."""
+    contracts = {c.name: c for c in unit.contracts}
+    for contract in unit.contracts:
+        members = {**contracts, **{f.name: f for f in contract.functions},
+                   **{v.name: v for v in contract.state_vars}}
+
+        def resolve(expr: Expr, scope: dict) -> None:
             for node in walk(expr):
                 if isinstance(node, Ident):
-                    if node.name in scope:
-                        node.binding = BindingKind.LOCAL
-                    elif node.name in params:
-                        node.binding = BindingKind.PARAM
-                    elif node.name in state_names:
-                        node.binding = BindingKind.STATE_VAR
-                    elif node.name in function_names:
-                        node.binding = BindingKind.FUNCTION
-                    elif node.name in contract_names:
-                        node.binding = BindingKind.CONTRACT
-                    else:
-                        node.binding = BindingKind.FREE
+                    node.decl = scope.get(node.name) or members.get(node.name)
 
-        def resolve_stmts(stmts: list[Stmt], scope: set[str], params: set[str]) -> None:
+        def resolve_stmts(stmts: list[Stmt], scope: dict) -> None:
             for stmt in stmts:
-                resolve_stmt(stmt, scope, params)
+                resolve_stmt(stmt, scope)
 
-        def resolve_stmt(stmt: Stmt | None, scope: set[str], params: set[str]) -> None:
+        def resolve_stmt(stmt: Stmt | None, scope: dict) -> None:
             if stmt is None:
                 return
             if isinstance(stmt, IfStmt):
-                resolve(stmt.condition, scope, params)
-                resolve_stmts(stmt.then_body, set(scope), params)
+                resolve(stmt.condition, scope)
+                resolve_stmts(stmt.then_body, dict(scope))
                 if stmt.else_body is not None:
-                    resolve_stmts(stmt.else_body, set(scope), params)
+                    resolve_stmts(stmt.else_body, dict(scope))
             elif isinstance(stmt, ForStmt):
-                inner = set(scope)
-                resolve_stmt(stmt.init, inner, params)
+                inner = dict(scope)
+                resolve_stmt(stmt.init, inner)
                 if stmt.condition is not None:
-                    resolve(stmt.condition, inner, params)
-                resolve_stmt(stmt.post, inner, params)
-                resolve_stmts(stmt.body, set(inner), params)
+                    resolve(stmt.condition, inner)
+                resolve_stmt(stmt.post, inner)
+                resolve_stmts(stmt.body, dict(inner))
             elif isinstance(stmt, WhileStmt):
-                resolve(stmt.condition, scope, params)
-                resolve_stmts(stmt.body, set(scope), params)
+                resolve(stmt.condition, scope)
+                resolve_stmts(stmt.body, dict(scope))
             else:  # a simple statement: resolve its expressions, then declare
                 for expr in children(stmt):
-                    resolve(expr, scope, params)
+                    resolve(expr, scope)
                 if isinstance(stmt, VarDeclStmt):
-                    scope.add(stmt.name)
+                    scope[stmt.name] = stmt
 
         for var in contract.state_vars:
             if var.initializer is not None:
-                resolve(var.initializer, set(), set())
+                resolve(var.initializer, {})
         for fn in contract.functions:
-            resolve_stmts(fn.body, set(), {p.name for p in fn.params})
+            resolve_stmts(fn.body, {p.name: p for p in fn.params})
 
 
 # --- entry points ----------------------------------------------------------

@@ -1,9 +1,9 @@
 """Rule engine over MiniSol ASTs: the four migration risk categories.
 
-Detection is purely syntactic plus light name resolution; helper functions
-are recognized by configurable name patterns, not data flow.  Output is
-deterministic: findings sort by (file, line, column, rule id) and the JSON
-form is canonical (sorted keys, LF, trailing newline).
+Detection is syntactic plus the parser's name resolution (``Ident.decl``);
+helper functions are recognized by configurable name patterns, not data
+flow.  Output is deterministic: findings sort by (file, line, column, rule id)
+and the JSON form is canonical (sorted keys, LF, trailing newline).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .minisol import (
     ArrayType,
     AssignStmt,
     BinaryExpr,
-    BindingKind,
     CallExpr,
     ContractDef,
     ElementaryType,
@@ -139,10 +138,11 @@ RULES: tuple[Rule, ...] = (
         category=Category.ALIAS_PERMISSION,
         severity=Severity.HIGH,
         description=(
-            "msg.sender compared with a stored or literal address in a file "
-            "that never applies the L1-to-L2 address alias: messages from an "
-            "L1 contract arrive under its aliased address, so raw-address "
-            "permission checks fail (or let the wrong caller through)."
+            "msg.sender compared with a stored or literal address in a "
+            "contract that never applies the L1-to-L2 address alias: messages "
+            "from an L1 contract arrive under its aliased address, so "
+            "raw-address permission checks fail (or let the wrong caller "
+            "through)."
         ),
         remediation=(
             "Alias-adjust before comparing: apply the L1-to-L2 alias offset "
@@ -383,41 +383,38 @@ def _detect_time_001(index: _Index, config: RuleConfig, add: _Add) -> None:
             )
 
 
-def _ties(node: Node) -> list[tuple[Node, str]]:
-    """(value, variable name) pairs node ties: a declaration's initializer, an
+def _ties(node: Node) -> list[tuple[Node, Node | None]]:
+    """(value, declaration) pairs node ties: a declaration's initializer, an
     assignment's value, or a comparison's side opposite a bare variable."""
     if isinstance(node, (StateVarDecl, VarDeclStmt)):
-        return [] if node.initializer is None else [(node.initializer, node.name)]
+        return [] if node.initializer is None else [(node.initializer, node)]
     if isinstance(node, AssignStmt):
-        return [(node.value, node.target.name)] if isinstance(node.target, Ident) else []
+        return [(node.value, node.target.decl)] if isinstance(node.target, Ident) else []
     if node.op not in _CMP_OPS:
         return []
     pairs = ((node.left, node.right), (node.right, node.left))
-    return [(side, other.name) for side, other in pairs if isinstance(other, Ident)]
+    return [(side, other.decl) for side, other in pairs if isinstance(other, Ident)]
 
 
 def _detect_time_002(index: _Index, config: RuleConfig, add: _Add) -> None:
     ties = [
-        (id(contract), value, name)
+        (value, decl)
         for cls in (StateVarDecl, VarDeclStmt, AssignStmt, BinaryExpr)
-        for node, contract, _, _ in index[cls]
-        for value, name in _ties(node)
+        for node, *_ in index[cls]
+        for value, decl in _ties(node)
+        if decl is not None  # a free name ties nothing
     ]
-    linked = {
-        (contract, name)
-        for contract, value, name in ties
-        if _contains_member(value, "block", "number")
-    }
-    for contract, value, name in ties:
+    linked = {id(decl) for value, decl in ties if _contains_member(value, "block", "number")}
+    for value, decl in ties:
         if (
-            (contract, name) in linked
+            id(decl) in linked
             and isinstance(value, NumberLit)
             and value.value >= config.block_number_literal_min
         ):
             add(
                 "ARB-TIME-002",
                 value,
-                f"hardcoded block number {value.value} tied to block.number via {name!r}",
+                f"hardcoded block number {value.value} tied to block.number via {decl.name!r}",
             )
 
 
@@ -441,28 +438,26 @@ def _detect_time_003(index: _Index, config: RuleConfig, add: _Add) -> None:
                 break
 
 
-def _state_vars(index: _Index, is_kind: Callable[[Node], bool]) -> set[tuple[int, str]]:
-    """(id(contract), name) of each state variable whose type is_kind accepts."""
-    return {(id(c), v.name) for v, c, _, _ in index[StateVarDecl] if is_kind(v.var_type)}
+def _state_var_type(expr: Node) -> Node | None:
+    """The declared type of the state variable that expr names, else None."""
+    if isinstance(expr, Ident) and isinstance(expr.decl, StateVarDecl):
+        return expr.decl.var_type
+    return None
 
 
 def _detect_alias_001(index: _Index, config: RuleConfig, add: _Add) -> None:
-    if any(_call_matches(call, config.alias_patterns) for call, *_ in index[CallExpr]):
-        return  # file is alias-aware
-    address_vars = _state_vars(
-        index, lambda t: isinstance(t, ElementaryType) and t.name == "address"
-    )
+    alias_aware = {
+        id(contract) for call, contract, *_ in index[CallExpr]
+        if _call_matches(call, config.alias_patterns)
+    }
     for node, contract, _, _ in index[BinaryExpr]:
-        if node.op not in {"==", "!="}:
+        if node.op not in {"==", "!="} or id(contract) in alias_aware:
             continue
         for side, other in ((node.left, node.right), (node.right, node.left)):
             if not _is_member(side, "msg", "sender"):
                 continue
-            is_state_address = (
-                isinstance(other, Ident)
-                and other.binding is BindingKind.STATE_VAR
-                and (id(contract), other.name) in address_vars
-            )
+            var_type = _state_var_type(other)
+            is_state_address = isinstance(var_type, ElementaryType) and var_type.name == "address"
             if is_state_address or isinstance(other, AddressLit):
                 add(
                     "ARB-ALIAS-001",
@@ -476,20 +471,14 @@ def _detect_alias_001(index: _Index, config: RuleConfig, add: _Add) -> None:
 
 def _detect_dos_001(index: _Index, config: RuleConfig, add: _Add) -> None:
     triggers = {t.lower() for t in config.loop_call_triggers}
-    dynamic_arrays = _state_vars(
-        index, lambda t: isinstance(t, ArrayType) and t.length is None
-    )
-    if not dynamic_arrays:
-        return
-    for loop, contract, _, _ in index[ForStmt] + index[WhileStmt]:
+    for loop, *_ in index[ForStmt] + index[WhileStmt]:
         if loop.condition is None:
             continue
         bounded = any(
             isinstance(n, MemberAccess)
             and n.member == "length"
-            and isinstance(n.obj, Ident)
-            and (id(contract), n.obj.name) in dynamic_arrays
-            and n.obj.binding is BindingKind.STATE_VAR
+            and isinstance(var_type := _state_var_type(n.obj), ArrayType)
+            and var_type.length is None
             for n in walk(loop.condition)
         )
         if bounded and any(

@@ -61,6 +61,10 @@ class DifferentialReport:
 
 # --- S1: stale oracle during sequencer downtime ----------------------------
 
+# S1 visits every position at every step, so its cost grows with steps x
+# positions; the largest run in the tests and the bench is 120,001 steps x 8.
+S1_MAX_STEP_POSITIONS = 10_000_000
+
 
 def _run_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
     rng = random.Random(seed)
@@ -76,6 +80,9 @@ def _run_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
         raise ScenarioError("start_price_cents must be at least 10")
     if params["positions"] < 0:
         raise ScenarioError("positions must be non-negative")
+    if (horizon // interval + 1) * max(params["positions"], 1) > S1_MAX_STEP_POSITIONS:
+        raise ScenarioError("(horizon_s // update_interval_s + 1) x positions must be at most "
+                            f"{S1_MAX_STEP_POSITIONS:,}")
     times = list(range(0, horizon + 1, interval))
     prices: list[int] = []
     price = start_price

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import arbmigrate
+from arbmigrate.chainmodel import MAX_TABLE_ROWS
 from arbmigrate.cli import main
 from arbmigrate.rules import RuleConfig, rule_catalog
 from arbmigrate.scenarios import list_scenarios
@@ -215,6 +216,8 @@ class TestScenarioCommands:
         "sid, param",
         [
             ("S1", "positions=-1"),
+            ("S1", "horizon_s=99999999999999999999"),
+            ("S1", "positions=99999999999"),
             ("S2", "horizon_s=0"),
             ("S3", "l1_sender=0x12"),
             ("S3", "sender_kind=robot"),
@@ -420,6 +423,13 @@ class TestSimCommand:
         assert code == 2
         assert "multiple" in err
 
+    def test_table_over_the_row_limit_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sim", "--horizon", str(MAX_TABLE_ROWS), "--step", "1")
+        assert (code, out) == (2, "")
+        assert f"{MAX_TABLE_ROWS + 1:,} rows" in err
+        code, out, _ = run(capsys, "sim", "--horizon", str(MAX_TABLE_ROWS - 1), "--step", "1")
+        assert code == 0 and len(out.splitlines()) == MAX_TABLE_ROWS + 1  # rows plus the header
+
 
 def test_rules_catalog_command(capsys):
     code, out, _ = run(capsys, "rules")
@@ -511,6 +521,9 @@ _NUMBER = st.integers(-5, 5000).map(str) | st.sampled_from(
     ["", "x", "1.5", "1e400", "-inf", "nan", "0x10", "true", str(2**70), str(-(2**70))]
 )
 _SMALL = st.integers(-5, 5000).map(str)
+# sizes far past the S1 and sim limits, which must exit 2; the sizes in between
+# are accepted and take seconds each, so they are left to the unit tests
+_SIZE = _SMALL | st.integers(10**11, 99999999999999999999).map(str)
 _SOURCE = st.one_of(
     st.builds(lambda src, cut: src[:cut], st.sampled_from([p.read_bytes() for p in sorted(CORPUS.glob("*.sol"))]),
               st.integers(0, 2000)),
@@ -577,8 +590,7 @@ def _draw_argv(data, tmp: Path) -> list[str]:
         sid = data.draw(st.sampled_from([*_PARAMS, "S9"]))
         argv = ["scenario", "run", sid]
         for key in data.draw(st.lists(st.sampled_from(_PARAMS.get(sid, ["nope"])), max_size=3)):
-            # S1's sample and position counts drive its loops (see CHANGES.md FOUND on S1 sizes)
-            value = _SMALL if (sid, key) in {("S1", "horizon_s"), ("S1", "positions")} else (
+            value = _SIZE if (sid, key) in {("S1", "horizon_s"), ("S1", "positions")} else (
                 _NUMBER | st.sampled_from(["true", "false", "contract", "externally_owned", *_ADDRESSES])
                 | st.text(max_size=6))
             argv += ["--param", f"{key}={data.draw(value)}"]
@@ -594,9 +606,8 @@ def _draw_argv(data, tmp: Path) -> list[str]:
         return ["alias", data.draw(st.sampled_from(["apply", "undo", "sideways"])), data.draw(address),
                 *options({"--offset": address})]
     if command == "sim":
-        # the table has one row per step up to the horizon, so the horizon stays small
         return ["sim", *options({"--genesis": _NUMBER, "--block-interval": _NUMBER,
-                                 "--sync-period": _NUMBER, "--horizon": _SMALL, "--step": _NUMBER})]
+                                 "--sync-period": _NUMBER, "--horizon": _SIZE, "--step": _NUMBER})]
     return data.draw(st.sampled_from([["rules"], ["scenario", "list"], ["gas", "table"], ["--version"]])
                      | st.lists(st.text(max_size=6), max_size=3))
 

@@ -295,18 +295,41 @@ class TestParser:
         assert [id(n) for n in walk(tree)] == [id(n) for n in expected]
 
     def test_every_identifier_resolves_or_is_free(self):
-        from arbmigrate.minisol import BindingKind
-
         unit = parse_source(SAMPLE)
+        vault = unit.contracts[0]
+        total, holders, balances = vault.state_vars[1:]
+        sweep = vault.functions[1]
+        acc, loop = sweep.body[:2]
+        expected = {"msg": None, "total": total, "holders": holders, "balances": balances,
+                    "cap": sweep.params[0], "acc": acc, "i": loop.init}
         idents = [n for n in walk(unit) if isinstance(n, Ident)]
-        assert idents
+        assert {i.name for i in idents} == set(expected)
         for ident in idents:
-            assert isinstance(ident.binding, BindingKind)
-        bindings = {i.name: i.binding for i in idents}
-        assert bindings["msg"] is BindingKind.FREE
-        assert bindings["holders"] is BindingKind.STATE_VAR
-        assert bindings["cap"] is BindingKind.PARAM
-        assert bindings["acc"] is BindingKind.LOCAL
+            assert ident.decl is expected[ident.name], ident.name
+
+    def test_declarations_follow_block_scope(self):
+        unit = parse_source(
+            "contract C { uint256 n;\n"
+            " function f() public { uint256 x = x; n = 1; uint256 n = x; n = 2; }\n"
+            " function g() public { for (uint256 i = 0; i < 3; i++) { h(i); } i = 1; }\n"
+            " function h(uint256 n) public { if (n > 0) { uint256 n = 1; n = 2; } n = 3; } }"
+        )
+        state_n = unit.contracts[0].state_vars[0]
+        f, g, h = unit.contracts[0].functions
+
+        def assert_decls(node, expected):  # by identity, in source order
+            got = [i.decl for i in walk(node) if isinstance(i, Ident)]
+            assert len(got) == len(expected) and all(a is b for a, b in zip(got, expected)), got
+
+        local_x, _, local_n, _ = f.body
+        # an initializer cannot name its own variable; a local shadows the state variable
+        assert_decls(f, [None, state_n, local_x, local_n])
+        # a for-init variable is visible in the loop, not after it
+        init = g.body[0].init
+        assert_decls(g, [init, init, h, init, None])
+        # a block's local ends with the block, and the parameter shows again
+        param_n, inner_n = h.params[0], h.body[0].then_body[0]
+        assert_decls(h, [param_n, inner_n, param_n])
 
 
 GOLDEN_REPR = Path(__file__).parent / "golden" / "nodes_repr.txt"
@@ -361,10 +384,10 @@ class TestNodeContract:
         assert IfStmt(BoolLit(True)).else_body is None
 
     def test_equality_ignores_span_binding_path_and_source(self):
-        from arbmigrate.minisol import BindingKind
-
+        bound = Ident("x")
+        bound.decl = VarDeclStmt(ElementaryType("uint256"), "x")
         assert NumberLit(1, span=Span(0, 1, 1, 1)) == NumberLit(1, span=Span(5, 6, 2, 3))
-        assert Ident("x", BindingKind.LOCAL) == Ident("x")
+        assert bound == Ident("x")
         assert SourceUnit([], "a.sol", "x") == SourceUnit([], "b.sol", "y")
         assert NumberLit(1) != NumberLit(2)
         assert NumberLit(1) != HexLit(1)
@@ -372,9 +395,10 @@ class TestNodeContract:
         assert SourceUnit([ContractDef("A")]) != SourceUnit([ContractDef("B")])
 
     def test_repr_skips_span_binding_and_source(self):
-        from arbmigrate.minisol import BindingKind
-
-        assert repr(Ident("x", BindingKind.LOCAL, span=Span(0, 1, 1, 1))) == "Ident(name='x')"
+        bound = Ident("x", span=Span(0, 1, 1, 1))
+        bound.decl = VarDeclStmt(ElementaryType("uint256"), "x")
+        assert repr(bound) == "Ident(name='x')"
+        assert children(bound) == []
         assert repr(SourceUnit([], "a.sol", "text")) == "SourceUnit(contracts=[], path='a.sol')"
 
     def test_nodes_are_unhashable(self):

@@ -3,9 +3,22 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from arbmigrate.minisol import parse_source, print_source
+from arbmigrate.minisol import (
+    Param,
+    StateVarDecl,
+    TokenKind,
+    VarDeclStmt,
+    parse_source,
+    print_source,
+    tokenize,
+    walk,
+)
 from arbmigrate.rules import (
+    DEFAULT_CONFIG,
+    RULES,
     Category,
     Finding,
     RuleConfig,
@@ -20,6 +33,7 @@ from arbmigrate.rules import (
 )
 
 CORPUS = Path(__file__).parent / "corpus"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def analyze_text(source, config=None, path="snippet.sol"):
@@ -59,6 +73,16 @@ class TestCatalog:
         assert severities["ARB-TIME-002"] is Severity.MEDIUM
         assert severities["ARB-TIME-003"] is Severity.MEDIUM
         assert severities["ARB-DOS-002"] is Severity.INFO
+
+    def test_readme_rule_table_matches_catalog(self):
+        lines = README.read_text(encoding="utf-8").splitlines()
+        header = next(i for i, line in enumerate(lines) if "| severity |" in line)
+        rows = []
+        for line in lines[header + 2:]:  # past the header and its rule
+            if not line.startswith("|"):
+                break
+            rows.append([cell.strip() for cell in line.strip("|").split("|")][:3])
+        assert rows == [[r.id, r.severity.value, r.category.value] for r in RULES]
 
 
 class TestSeqRule:
@@ -143,6 +167,16 @@ class TestTimeRules:
         )
         assert analyze_text(source) == []
 
+    def test_same_local_name_in_another_function_not_tied(self):
+        source = (
+            "contract C { function f() public { uint256 mark = block.number; }"
+            " function g() public { uint256 mark = 5000000; } }"
+        )
+        assert analyze_text(source) == []
+
+    def test_undeclared_name_ties_nothing(self):
+        assert analyze_text(wrap("if (block.number > start) { start = 5000000; }")) == []
+
     def test_timestamp_short_interval_fires(self):
         findings = analyze_text(wrap("require(block.timestamp - last >= 30);"))
         assert [f.rule_id for f in findings] == ["ARB-TIME-003"]
@@ -180,6 +214,12 @@ class TestAliasRule:
             " function f() public { require(msg.sender == owner); } }"
         )
         assert analyze_text(source) == []
+
+    def test_alias_helper_in_another_contract_does_not_mask(self):
+        dirty = (CORPUS / "alias_permission_dirty.sol").read_text()
+        clean = (CORPUS / "alias_permission_clean.sol").read_text()
+        findings = [(f.rule_id, f.line) for f in analyze_text(dirty + clean)]
+        assert findings == [("ARB-ALIAS-001", 5), ("ARB-ALIAS-001", 10)]
 
     def test_sender_vs_non_address_variable_silent(self):
         source = (
@@ -286,6 +326,82 @@ class TestAnalyzeContract:
         after = analyze_text(edited)
         assert [f.rule_id for f in before] == [f.rule_id for f in after]
         assert [f.line for f in before] == [f.line for f in after]
+
+
+CORPUS_NAMES = sorted(p.name for p in CORPUS.glob("*.sol"))
+# names a rule reads: config patterns, builtins and the members it matches
+# on them, and the "deposit" that ARB-DOS-002 looks for in function names
+_RULE_NAMES = {
+    name.lower()
+    for names in (DEFAULT_CONFIG.oracle_patterns, DEFAULT_CONFIG.uptime_patterns,
+                  DEFAULT_CONFIG.alias_patterns, DEFAULT_CONFIG.loop_call_triggers)
+    for name in names
+} | {"msg", "block", "sender", "value", "number", "timestamp", "length"}
+
+
+def _corpus_text(names):
+    return "".join((CORPUS / name).read_text() for name in names)
+
+
+def _rename(source, mapping):
+    """source with each identifier token in mapping replaced by its new name."""
+    out, pos = [], 0
+    for tok in tokenize(source):
+        if tok.kind is TokenKind.IDENTIFIER and tok.text in mapping:
+            out += [source[pos:tok.offset], mapping[tok.text]]
+            pos = tok.offset + len(tok.text)
+    return "".join(out) + source[pos:]
+
+
+def _suffix_contracts(source, suffix):
+    names = {c.name for c in parse_source(source).contracts}
+    return _rename(source, {name: f"{name}{suffix}" for name in names})
+
+
+class TestMetamorphic:
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.lists(st.sampled_from(CORPUS_NAMES), min_size=1, max_size=3),
+           b=st.lists(st.sampled_from(CORPUS_NAMES), min_size=1, max_size=3))
+    @example(a=["alias_permission_dirty.sol"], b=["alias_permission_clean.sol"])
+    def test_concatenation_adds_findings(self, a, b):
+        # with distinct contract names, a + b finds what a and b find apart
+        text_a = _suffix_contracts(_corpus_text(a), "A")
+        text_b = _suffix_contracts(_corpus_text(b), "B")
+        shift = text_a.count("\n")
+        shifted_b = [f._replace(line=f.line + shift) for f in analyze_text(text_b)]
+        assert analyze_text(text_a + text_b) == analyze_text(text_a) + shifted_b
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(CORPUS_NAMES), pick=st.integers(0, 99),
+           literal=st.integers(DEFAULT_CONFIG.block_number_literal_min, 2**256 - 1))
+    @example(name="time_hardcode_dirty.sol", pick=0, literal=5_000_000)  # local endBlock
+    def test_local_with_a_variable_name_in_a_new_function_adds_nothing(self, name, pick, literal):
+        source = (CORPUS / name).read_text()
+        variables = sorted({
+            node.name for node in walk(parse_source(source))
+            if isinstance(node, (StateVarDecl, VarDeclStmt, Param))
+        })
+        var = variables[pick % len(variables)]
+        end = source.rstrip().rindex("}")  # the closing brace of the last contract
+        probe = f"    function scopeProbe() public {{ uint256 {var} = {literal}; }}\n"
+        assert analyze_text(source[:end] + probe + source[end:]) == analyze_text(source)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(CORPUS_NAMES), data=st.data())
+    def test_renaming_names_no_rule_reads_keeps_rule_ids(self, name, data):
+        source = (CORPUS / name).read_text()
+        names = sorted({
+            tok.text for tok in tokenize(source)
+            if tok.kind is TokenKind.IDENTIFIER
+            and tok.text.lower() not in _RULE_NAMES and "deposit" not in tok.text.lower()
+        })
+        chosen = data.draw(st.lists(st.sampled_from(names), unique=True, min_size=1))
+        renamed = _rename(source, {old: f"renamed{i}" for i, old in enumerate(chosen)})
+
+        def summary(text):
+            return [(f.rule_id, f.line) for f in analyze_text(text)]
+
+        assert summary(renamed) == summary(source)
 
 
 class TestCorpus:
