@@ -10,10 +10,10 @@ address therefore fail on L2 unless they are alias-aware.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from ._keccak import keccak256
+from ._record import FrozenRecord
 
 ADDRESS_SPACE = 1 << 160
 
@@ -23,15 +23,13 @@ ALIAS_OFFSET_INT = 0x1111000000000000000000000000000000001111
 _HEX_ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
 
 
-@dataclass(frozen=True)
-class Address:
+class Address(FrozenRecord):
     """A 160-bit account address."""
 
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < ADDRESS_SPACE:
-            raise ValueError(f"address out of range: {self.value:#x}")
+    def __init__(self, value: int):
+        if not 0 <= value < ADDRESS_SPACE:
+            raise ValueError(f"address out of range: {value:#x}")
+        vars(self)["value"] = value
 
     @classmethod
     def from_hex(cls, text: str) -> "Address":
@@ -65,12 +63,11 @@ class SenderKind(Enum):
     CONTRACT = "contract"
 
 
-@dataclass(frozen=True)
-class SenderContext:
+class SenderContext(FrozenRecord):
     """Who sent the L1-to-L2 message, and whether the sender is a contract."""
 
-    l1_sender: Address
-    l1_sender_kind: SenderKind
+    def __init__(self, l1_sender: Address, l1_sender_kind: SenderKind):
+        vars(self).update(l1_sender=l1_sender, l1_sender_kind=l1_sender_kind)
 
 
 def apply_alias(a: Address, offset: Address = ALIAS_OFFSET) -> Address:

@@ -13,7 +13,8 @@ All functions here are pure; there is no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+
+from ._record import FrozenRecord
 
 DEFAULT_BLOCK_INTERVAL = 15
 DEFAULT_SYNC_PERIOD = 60
@@ -21,8 +22,7 @@ DEFAULT_SEQ_CLOCK_PRECISION = 1
 MAX_TABLE_ROWS = 100_000  # block_number_table builds every row in memory
 
 
-@dataclass(frozen=True)
-class WallClock:
+class WallClock(FrozenRecord):
     """Seconds since the simulation epoch.
 
     Integer seconds everywhere in normal use; fractional readings are
@@ -30,52 +30,47 @@ class WallClock:
     inputs.
     """
 
-    t: float = 0
+    def __init__(self, t: float = 0):
+        if t < 0:
+            raise ValueError(f"wall clock cannot be negative, got {t}")
+        vars(self)["t"] = t
 
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError(f"wall clock cannot be negative, got {self.t}")
 
-
-@dataclass(frozen=True)
-class L1Chain:
+class L1Chain(FrozenRecord):
     """L1 block production: consecutive numbers, one block per interval."""
 
-    genesis_number: int
-    block_interval: int = DEFAULT_BLOCK_INTERVAL
-
-    def __post_init__(self) -> None:
-        if self.genesis_number < 0:
+    def __init__(self, genesis_number: int, block_interval: int = DEFAULT_BLOCK_INTERVAL):
+        if genesis_number < 0:
             raise ValueError("genesis_number must be non-negative")
-        if self.block_interval <= 0:
+        if block_interval <= 0:
             raise ValueError("block_interval must be positive")
+        vars(self).update(genesis_number=genesis_number, block_interval=block_interval)
 
 
-@dataclass(frozen=True)
-class L2View:
+class L2View(FrozenRecord):
     """The sequencer's view of L1: periodic block-number syncs, coarse clock.
 
     ``last_synced_l1_number`` / ``last_sync_time`` are None until the view is
     pinned to a moment via :func:`sync_state_at`.
     """
 
-    sync_period: int = DEFAULT_SYNC_PERIOD
-    seq_clock_precision: int = DEFAULT_SEQ_CLOCK_PRECISION
-    last_synced_l1_number: int | None = None
-    last_sync_time: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.sync_period <= 0:
+    def __init__(self, sync_period: int = DEFAULT_SYNC_PERIOD,
+                 seq_clock_precision: int = DEFAULT_SEQ_CLOCK_PRECISION,
+                 last_synced_l1_number: int | None = None, last_sync_time: int | None = None):
+        if sync_period <= 0:
             raise ValueError("sync_period must be positive")
-        if self.seq_clock_precision <= 0:
+        if seq_clock_precision <= 0:
             raise ValueError("seq_clock_precision must be positive")
+        vars(self).update(sync_period=sync_period, seq_clock_precision=seq_clock_precision,
+                          last_synced_l1_number=last_synced_l1_number,
+                          last_sync_time=last_sync_time)
 
 
-@dataclass(frozen=True)
-class L2Timestamp:
+class L2Timestamp(FrozenRecord):
     """A sequencer clock reading. Nondecreasing; duplicates permitted."""
 
-    value: int
+    def __init__(self, value: int):
+        vars(self)["value"] = value
 
 
 def l1_block_number_at(clock: WallClock, chain: L1Chain) -> int:
@@ -107,8 +102,9 @@ def sync_state_at(clock: WallClock, chain: L1Chain, view: L2View) -> L2View:
     """Pin the view's last-sync fields to the most recent refresh instant."""
     _check_sync_period(chain, view)
     sync_instant = (int(clock.t) // view.sync_period) * view.sync_period
-    return replace(
-        view,
+    return L2View(
+        view.sync_period,
+        view.seq_clock_precision,
         last_synced_l1_number=l1_block_number_at(WallClock(sync_instant), chain),
         last_sync_time=sync_instant,
     )

@@ -18,28 +18,25 @@ the nearest integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import FrozenRecord
 
-@dataclass(frozen=True)
-class GasParams:
-    gas_used_l2: int
-    calldata_price_l1: int
-    calldata_size_l1: int
-    gas_price_l2: int
 
-    def __post_init__(self) -> None:
-        if min(self.gas_used_l2, self.calldata_price_l1, self.calldata_size_l1) < 0:
+class GasParams(FrozenRecord):
+    def __init__(self, gas_used_l2: int, calldata_price_l1: int, calldata_size_l1: int,
+                 gas_price_l2: int):
+        if min(gas_used_l2, calldata_price_l1, calldata_size_l1) < 0:
             raise ValueError("gas parameters must be non-negative")
-        if self.gas_price_l2 < 0:
+        if gas_price_l2 < 0:
             raise ValueError("gas_price_l2 must be non-negative")
+        vars(self).update(gas_used_l2=gas_used_l2, calldata_price_l1=calldata_price_l1,
+                          calldata_size_l1=calldata_size_l1, gas_price_l2=gas_price_l2)
 
 
-@dataclass(frozen=True)
-class GasQuote:
-    gas_limit: int
-    gas_fees: int
+class GasQuote(FrozenRecord):
+    def __init__(self, gas_limit: int, gas_fees: int):
+        vars(self).update(gas_limit=gas_limit, gas_fees=gas_fees)
 
 
 def gas_limit(p: GasParams) -> int:
@@ -58,19 +55,16 @@ def quote(p: GasParams) -> GasQuote:
     return GasQuote(gas_limit=limit, gas_fees=limit * p.gas_price_l2)
 
 
-@dataclass(frozen=True)
-class CostRow:
-    label: str
-    arb_cost: int  # cents
-    eth_cost: int  # cents
-    pct_saved: int
-    amount_saved: int  # cents
+class CostRow(FrozenRecord):
+    def __init__(self, label: str, arb_cost: int, eth_cost: int, pct_saved: int,
+                 amount_saved: int):  # costs and amount in cents
+        vars(self).update(label=label, arb_cost=arb_cost, eth_cost=eth_cost,
+                          pct_saved=pct_saved, amount_saved=amount_saved)
 
 
-@dataclass(frozen=True)
-class SavingsTable:
-    rows: tuple[CostRow, ...]
-    mean_pct: float
+class SavingsTable(FrozenRecord):
+    def __init__(self, rows: tuple[CostRow, ...], mean_pct: float):
+        vars(self).update(rows=rows, mean_pct=mean_pct)
 
 
 def _pct_saved(arb: int, eth: int) -> int:

@@ -21,9 +21,10 @@ expiry, or loss that settles them happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
+
+from ._record import Record
 
 
 BUFFER_LIFETIME = 7 * 86_400  # one week
@@ -63,13 +64,11 @@ class RedeemWindowClosed(TicketStateError):
     """Manual redeem attempted after the buffer lifetime elapsed."""
 
 
-@dataclass
-class FeeLedger:
-    paid_in: int = 0
-    refunded: int = 0
-    consumed_as_fees: int = 0
-    delivered_callvalue: int = 0
-    lost: int = 0
+class FeeLedger(Record):
+    def __init__(self, paid_in: int = 0, refunded: int = 0, consumed_as_fees: int = 0,
+                 delivered_callvalue: int = 0, lost: int = 0):
+        self.paid_in, self.refunded, self.consumed_as_fees = paid_in, refunded, consumed_as_fees
+        self.delivered_callvalue, self.lost = delivered_callvalue, lost
 
     def balanced(self) -> bool:
         return self.paid_in == (
@@ -81,17 +80,14 @@ class FeeLedger:
             raise AssertionError(f"ledger identity violated: {self}")
 
 
-@dataclass
-class Ticket:
-    id: str
-    created_at: int
-    submission_fee: int
-    l2_gas_provided: int
-    callvalue: int
-    refund_address: int
-    excess: int = 0
-    escrow_callvalue: bool = True
-    state: TicketState = TicketState.CREATED
+class Ticket(Record):
+    def __init__(self, id: str, created_at: int, submission_fee: int, l2_gas_provided: int,
+                 callvalue: int, refund_address: int, excess: int = 0,
+                 escrow_callvalue: bool = True, state: TicketState = TicketState.CREATED):
+        self.id, self.created_at, self.submission_fee = id, created_at, submission_fee
+        self.l2_gas_provided, self.callvalue = l2_gas_provided, callvalue
+        self.refund_address, self.excess = refund_address, excess
+        self.escrow_callvalue, self.state = escrow_callvalue, state
 
     def deadline(self) -> int:
         return self.created_at + BUFFER_LIFETIME

@@ -13,10 +13,10 @@ from __future__ import annotations
 import heapq
 import json
 import random
-from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Mapping
 
 from . import retryable
+from ._record import FrozenRecord, Record
 from .aliasing import Address, SenderContext, SenderKind, l2_msg_sender
 from .chainmodel import L1Chain, L2View, WallClock, l2_view_l1_number_at
 from .gasmodel import GasParams, gas_fees
@@ -32,27 +32,22 @@ class ScenarioError(ValueError):
 Outcome = tuple[dict[str, Any], dict[str, Any], dict[str, float]]
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    id: str
-    title: str
-    risk: str
-    params: Mapping[str, Any]
-    linked_rules: tuple[str, ...]
-    narrative: str
-    run: Callable[[dict[str, Any], int], Outcome] = field(compare=False, repr=False)
+class ScenarioSpec(FrozenRecord):
+    # run is keyword-only, so not a field: == and repr leave it out
+    def __init__(self, id: str, title: str, risk: str, params: Mapping[str, Any],
+                 linked_rules: tuple[str, ...], narrative: str, *,
+                 run: Callable[[dict[str, Any], int], Outcome]):
+        vars(self).update(id=id, title=title, risk=risk, params=params,
+                          linked_rules=linked_rules, narrative=narrative, run=run)
 
 
-@dataclass
-class DifferentialReport:
-    scenario_id: str
-    seed: int
-    params: dict[str, Any]
-    l1_outcome: dict[str, Any]
-    l2_outcome: dict[str, Any]
-    divergence: dict[str, float]
-    narrative: str
-    linked_rules: list[str]
+class DifferentialReport(Record):
+    def __init__(self, scenario_id: str, seed: int, params: dict[str, Any],
+                 l1_outcome: dict[str, Any], l2_outcome: dict[str, Any],
+                 divergence: dict[str, float], narrative: str, linked_rules: list[str]):
+        self.scenario_id, self.seed, self.params = scenario_id, seed, params
+        self.l1_outcome, self.l2_outcome, self.divergence = l1_outcome, l2_outcome, divergence
+        self.narrative, self.linked_rules = narrative, linked_rules
 
     @property
     def divergent(self) -> bool:
@@ -370,9 +365,9 @@ def _run_retryable_fee_paths(params: dict[str, Any], seed: int) -> Outcome:
 
     l1 = {"fees": params["l1_direct_fee"], "delivered": params["callvalue"], "lost": 0}
     l2 = {
-        "auto_success": asdict(ledger_a),
-        "auto_fail_manual": asdict(ledger_b),
-        "auto_fail_expiry": asdict(ledger_c),
+        "auto_success": ledger_a._asdict(),
+        "auto_fail_manual": ledger_b._asdict(),
+        "auto_fail_expiry": ledger_c._asdict(),
     }
     return l1, l2, {
         "extra_fees_auto_vs_l1": ledger_a.consumed_as_fees - params["l1_direct_fee"],
@@ -635,5 +630,5 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
         "max_staleness_s": seq.staleness(),
         "tickets": {tid: t.state.value for tid, t in sorted(tickets.items())},
         "reverted_tickets": sorted(reverted),
-        "ledger": asdict(ledger),
+        "ledger": ledger._asdict(),
     }

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
+
+from ._record import Record
 
 
 DEFAULT_FORCE_INCLUSION_DELAY = 86_400
@@ -45,8 +46,7 @@ class TimeRegression(ValueError):
     """A tick was asked to run earlier than a previous tick."""
 
 
-@dataclass
-class L2Tx:
+class L2Tx(Record):
     """One L2 transaction.
 
     ``underpriced`` marks a delayed-inbox submission whose manually chosen
@@ -54,36 +54,38 @@ class L2Tx:
     delayed inbox until the sequencer is active again.
     """
 
-    id: str
-    submit_time: int
-    origin: TxOrigin = TxOrigin.DIRECT_TO_SEQUENCER
-    gas_price: int = 0
-    gas_limit: int = 0
-    payload: Any = None
-    underpriced: bool = False
-
-    def __post_init__(self) -> None:
-        if self.submit_time < 0:
+    def __init__(self, id: str, submit_time: int,
+                 origin: TxOrigin = TxOrigin.DIRECT_TO_SEQUENCER, gas_price: int = 0,
+                 gas_limit: int = 0, payload: Any = None, underpriced: bool = False):
+        if submit_time < 0:
             raise ValueError("submit_time must be non-negative")
+        self.id, self.submit_time, self.origin = id, submit_time, origin
+        self.gas_price, self.gas_limit, self.payload = gas_price, gas_limit, payload
+        self.underpriced = underpriced
 
 
-@dataclass
-class Sequencer:
+class Sequencer(Record):
     """Single-owner sequencer state; callers serialize mutations."""
 
-    status: SequencerStatus = SequencerStatus.ACTIVE
-    force_inclusion_delay: int = DEFAULT_FORCE_INCLUSION_DELAY
-    pending: deque[L2Tx] = field(default_factory=deque)
-    delayed_inbox: dict[str, L2Tx] = field(default_factory=dict)  # id -> tx, arrival order
-    executed_log: list[tuple[L2Tx, int]] = field(default_factory=list)
-    _seen_ids: set[str] = field(default_factory=set)
-    _last_tick: int | None = field(default=None)
-    # (submit_time, arrival order, id) of every delayed-inbox tx that is not
-    # underpriced; arrival orders grow with each tx the inbox takes in.
-    _due: list[tuple[int, int, str]] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        status: SequencerStatus = SequencerStatus.ACTIVE,
+        force_inclusion_delay: int = DEFAULT_FORCE_INCLUSION_DELAY,
+        pending: deque[L2Tx] | None = None,
+        delayed_inbox: dict[str, L2Tx] | None = None,  # id -> tx, arrival order
+        executed_log: list[tuple[L2Tx, int]] | None = None,
+        _seen_ids: set[str] | None = None,
+        _last_tick: int | None = None,
+    ):
+        self.status, self.force_inclusion_delay = status, force_inclusion_delay
+        self.pending = deque() if pending is None else pending
+        self.delayed_inbox = {} if delayed_inbox is None else delayed_inbox
+        self.executed_log = [] if executed_log is None else executed_log
+        self._seen_ids = set() if _seen_ids is None else _seen_ids
+        self._last_tick = _last_tick
         self._seen_ids.update(self.delayed_inbox, (tx.id for tx in self.pending))
+        # (submit_time, arrival order, id) of every delayed-inbox tx that is not
+        # underpriced; arrival orders grow with each tx the inbox takes in. Not a field.
         self._due = [
             (tx.submit_time, order, tx.id)
             for order, tx in enumerate(self.delayed_inbox.values())

@@ -495,6 +495,32 @@ def test_analyzer_side_defines_its_classes_without_code_generation(tmp_path, com
     assert not modules & {"dataclasses", "inspect"}
 
 
+_REPLAY_SCRIPT = Path(__file__).parent / "golden" / "replay_script.json"
+_GAS_CALC = ["gas", "calc", "--gas-used-l2", "100000", "--calldata-price-l1", "16",
+             "--calldata-size-l1", "200", "--gas-price-l2", "10"]
+_SIMULATOR_ENTRY_POINTS = {  # id -> (code run in a fresh interpreter, module it must load)
+    **{f"scenario-run-{sid}": (["scenario", "run", sid], "scenarios")
+       for sid in ("S1", "S2", "S3", "S4", "S5")},
+    "replay": (f"import json, pathlib; from arbmigrate import scenarios\n"
+               f"scenarios.replay_events(json.loads(pathlib.Path({str(_REPLAY_SCRIPT)!r}).read_text()))",
+               "scenarios"),
+    "gas-calc": (_GAS_CALC, "gasmodel"),
+    "alias": (["alias", "apply", "0x" + "de" * 20], "aliasing"),
+    "sim": (["sim"], "chainmodel"),
+}
+
+
+@pytest.mark.parametrize("entry", _SIMULATOR_ENTRY_POINTS)
+def test_simulator_side_defines_its_classes_without_code_generation(entry):
+    # scenario and replay jobs are fresh processes too, and they build the simulator records
+    code, layer = _SIMULATOR_ENTRY_POINTS[entry]
+    if isinstance(code, list):
+        code = f"from arbmigrate import cli; cli.main({code!r})"
+    modules = _modules_after(code)
+    assert f"arbmigrate.{layer}" in modules
+    assert not modules & {"dataclasses", "inspect"}
+
+
 def test_readme_library_imports_run():
     block = README.read_text().split("## Library use", 1)[1].split("```", 2)[1]
     imports = [line for line in block.splitlines() if line.startswith(("from ", "import "))]

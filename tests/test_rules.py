@@ -403,6 +403,28 @@ class TestMetamorphic:
 
         assert summary(renamed) == summary(source)
 
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(CORPUS_NAMES), data=st.data())
+    def test_whitespace_and_comments_between_tokens_keep_rule_counts(self, name, data):
+        # a comment filler starts with a space so that it cannot glue onto a '/' or '*' token
+        source = (CORPUS / name).read_text()
+        tokens = tokenize(source)
+        fillers = st.sampled_from([" ", "\t", "\n", "\r\n  ", " // note\n", " /* c */", " /* a\nb */"])
+        inserts = dict(data.draw(st.lists(
+            st.tuples(st.integers(0, len(tokens)), st.lists(fillers, min_size=1, max_size=3)),
+            min_size=1, max_size=40,
+        )))
+        out, pos = [], 0
+        for index, tok in enumerate(tokens):
+            if index in inserts:  # before the token, after the text that already separates it
+                out += [source[pos:tok.offset], *inserts[index]]
+                pos = tok.offset
+        padded = "".join(out) + source[pos:] + "".join(inserts.get(len(tokens), ()))
+        assert [t.text for t in tokenize(padded)] == [t.text for t in tokens]
+        assert Counter(f.rule_id for f in analyze_text(padded)) == Counter(
+            f.rule_id for f in analyze_text(source)
+        )
+
 
 class TestCorpus:
     def _load_labels(self):

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +17,24 @@ from arbmigrate.scenarios import (
     serialize_report,
 )
 
+README = Path(__file__).parents[1] / "README.md"
+
 
 class TestCatalog:
     def test_exactly_the_five_builtins_in_stable_order(self):
         specs = list_scenarios()
         assert [s.id for s in specs] == ["S1", "S2", "S3", "S4", "S5"]
         assert list_scenarios() == specs
+
+    def test_readme_scenario_table_matches_catalog(self):
+        lines = README.read_text(encoding="utf-8").splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("| id | name "))
+        rows = []
+        for line in lines[header + 2:]:  # past the header and its rule
+            if not line.startswith("|"):
+                break
+            rows.append([cell.strip() for cell in line.strip("|").split("|")][:2])
+        assert rows == [[spec.id, spec.title] for spec in list_scenarios()]
 
     def test_each_entry_documents_its_risk_and_params(self):
         for spec in list_scenarios():
@@ -434,7 +446,7 @@ def _replay_with_full_scan_expiry(events):
         "executed": [], "pending": [], "delayed_inbox": [], "max_staleness_s": 0,
         "tickets": {tid: t.state.value for tid, t in sorted(tickets.items())},
         "reverted_tickets": sorted(reverted),
-        "ledger": asdict(ledger),
+        "ledger": ledger._asdict(),
     }
 
 
