@@ -1,10 +1,10 @@
 """Table-driven tokenizer for MiniSol.
 
 One master regex is built from the token table of docs/minisol-grammar.md;
-at each position the first row that matches wins.  Whitespace and comments
-are skipped but positions are tracked, so every token knows its byte offset
-and 1-based line/column (tabs count as one column).  A token's ``text`` is
-the exact source slice, i.e.
+each match skips the whitespace and comments before one token, and then the
+first row that matches wins.  Positions are tracked through the skipped
+text, so every token knows its byte offset and 1-based line/column (tabs
+count as one column).  A token's ``text`` is the exact source slice, i.e.
 ``source[tok.offset : tok.offset + len(tok.text)] == tok.text``.
 """
 
@@ -76,11 +76,15 @@ OPERATORS = (
 
 PUNCTUATION = "(){}[];,."
 
+# What lies between tokens: whitespace and comments.  Each match of the
+# master regex takes the gap in front of its token, so a gap costs no match
+# of its own.
+_GAP = r"[ \t\r\n]+|//[^\n]*|/\*.*?\*/"
+
 # The grammar's token table in match order.  Each error row comes right
 # after the row whose malformed form it catches, before a shorter row ('/'
 # or '0') can claim the prefix; ILLEGAL takes any character left over.
 _ROWS = (
-    ("SKIP", r"[ \t\r\n]+|//[^\n]*|/\*.*?\*/"),
     ("OPEN_COMMENT", r"/\*"),
     ("STRING", r'"(?:\\.|[^"\\\n])*"'),
     ("LONE_QUOTE", r'"'),
@@ -92,8 +96,15 @@ _ROWS = (
     ("PUNCT", f"[{re.escape(PUNCTUATION)}]"),
     ("ILLEGAL", r"."),
 )
-_MASTER = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _ROWS), re.DOTALL)
-_KINDS = {name: TokenKind[name] for name in ("STRING", "HEX", "NUMBER", "IDENTIFIER", "OPERATOR", "PUNCT")}
+# Row i is group i + 1.  The gap always stops where some row or the end of
+# input (\Z) matches, so the engine never backtracks into it; without the \Z
+# arm, a trailing comment would be rescanned as tokens.
+_MASTER = re.compile(
+    f"(?:{_GAP})*(?:" + "|".join(f"({pattern})" for _, pattern in _ROWS) + r"|\Z)", re.DOTALL
+)
+_ROW_NAMES = (None, *(name for name, _ in _ROWS))
+# The token kind of each group number; None for an error row.
+_ROW_KINDS = tuple(TokenKind[name] if name in TokenKind.__members__ else None for name in _ROW_NAMES)
 _ERRORS = {
     "OPEN_COMMENT": "unterminated block comment",
     "LONE_QUOTE": "unterminated string literal",
@@ -105,24 +116,37 @@ def tokenize(source: str) -> list[Token]:
     """Tokenize; raises MiniSolSyntaxError listing every lexical error."""
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    line, line_start = 1, 0
+    append, new, kinds = tokens.append, tuple.__new__, _ROW_KINDS
+    identifier, keyword, hex_kind = TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.HEX
+    line, line_start, last = 1, 0, 0
     for m in _MASTER.finditer(source):
-        row, text, offset = m.lastgroup, m.group(), m.start()
-        kind = _KINDS.get(row)
-        if kind is TokenKind.IDENTIFIER and text in KEYWORDS:
-            kind = TokenKind.KEYWORD
-        elif kind is TokenKind.HEX and len(text) == 42:
-            kind = TokenKind.ADDRESS
-        if kind is not None:
-            tokens.append(Token(kind, text, line, offset - line_start + 1, offset))
-        elif row != "SKIP":
-            message = _ERRORS.get(row) or f"illegal character {text!r}"
+        row = m.lastindex
+        if row is None:  # only a gap was left before the end of input
+            break
+        offset = m.start(row)
+        # newlines since the last token's start: in its text (a string may
+        # hold an escaped one) or in the gap
+        newlines = source.count("\n", last, offset)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", last, offset) + 1
+        last = offset
+        text = m.group(row)
+        kind = kinds[row]
+        if kind is identifier:
+            if text in KEYWORDS:
+                kind = keyword
+        elif kind is hex_kind:
+            if len(text) == 42:
+                kind = TokenKind.ADDRESS
+        elif kind is None:
+            name = _ROW_NAMES[row]
+            message = _ERRORS.get(name) or f"illegal character {text!r}"
             diagnostics.append(Diagnostic(message, line, offset - line_start + 1))
-            if row == "OPEN_COMMENT":
+            if name == "OPEN_COMMENT":
                 break
-        if "\n" in text:
-            line += text.count("\n")
-            line_start = offset + text.rindex("\n") + 1
+            continue
+        append(new(Token, (kind, text, line, offset - line_start + 1, offset)))
 
     if diagnostics:
         raise MiniSolSyntaxError(diagnostics)

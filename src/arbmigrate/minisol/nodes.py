@@ -21,16 +21,26 @@ class Span(NamedTuple):
 
 EMPTY_SPAN = Span(0, 0, 0, 0)
 
+# __init__ annotations of the fields that never hold a node
+_SCALAR_ANNOTATIONS = frozenset(
+    {"str", "int", "bool", "str | None", "int | None", "bool | None", "list[str] | None"}
+)
+
 
 class Node:
     """Base class of all AST nodes: field-wise ``==`` and repr; unhashable."""
 
     _fields: tuple[str, ...] = ()
+    _child_fields: tuple[str, ...] = ()  # the fields that may hold nodes, in field order
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
+        annotations = cls.__init__.__annotations__
+        cls._child_fields = tuple(
+            f for f in cls._fields if annotations.get(f) not in _SCALAR_ANNOTATIONS
+        )
         cls._compared = tuple(f for f in cls._fields if f not in ("path", "source"))
         cls._shown = tuple(f for f in cls._fields if f != "source")
 
@@ -254,7 +264,7 @@ class SourceUnit(Node):
 def children(node: Node) -> list[Node]:
     """Direct child nodes, in source order (field declaration order)."""
     out: list[Node] = []
-    for name in node._fields:
+    for name in node._child_fields:
         value = getattr(node, name)
         if isinstance(value, Node):
             out.append(value)

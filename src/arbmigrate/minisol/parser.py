@@ -1,11 +1,12 @@
 """Recursive-descent parser for MiniSol.
 
 Anything outside the declared grammar is rejected with an "unsupported
-construct" diagnostic rather than silently misparsed.  Inside function bodies
-the parser recovers at statement boundaries so one bad statement does not
-hide later errors; in strict mode (the default and only mode) no partial AST
-escapes — if any diagnostic was recorded, :class:`MiniSolSyntaxError` is
-raised carrying all of them.
+construct" diagnostic rather than silently misparsed, and a name declared
+twice in one scope gets a "duplicate declaration" diagnostic.  Inside
+function bodies the parser recovers at statement boundaries so one bad
+statement does not hide later errors; in strict mode (the default and only
+mode) no partial AST escapes — if any diagnostic was recorded,
+:class:`MiniSolSyntaxError` is raised carrying all of them.
 """
 
 from __future__ import annotations
@@ -103,7 +104,11 @@ def _nested(parse):
 
 class _Parser:
     def __init__(self, tokens: list[Token], source: str):
-        self.tokens = tokens
+        # An end-of-input sentinel (kind None, text "") where the last token
+        # ends, so the helpers below index self.tokens[self.pos] unchecked.
+        last = tokens[-1] if tokens else Token(None, "", 1, 1, 0)
+        end = len(last.text)
+        self.tokens = [*tokens, Token(None, "", last.line, last.column + end, last.offset + end)]
         self.source = source
         self.pos = 0
         self.depth = 0
@@ -111,45 +116,36 @@ class _Parser:
 
     # -- token helpers ---------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token | None:
-        idx = self.pos + ahead
-        return self.tokens[idx] if idx < len(self.tokens) else None
+    def _peek(self, ahead: int = 0) -> Token:
+        return self.tokens[self.pos + ahead]
 
     def _at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.tokens[self.pos].kind is None
 
     def _here(self) -> tuple[int, int]:
-        tok = self._peek()
-        if tok is not None:
-            return tok.line, tok.column
-        if self.tokens:
-            last = self.tokens[-1]
-            return last.line, last.column + len(last.text)
-        return 1, 1
+        tok = self.tokens[self.pos]
+        return tok.line, tok.column
 
     def _fail(self, message: str) -> _ParseFailure:
         line, col = self._here()
         return _ParseFailure(Diagnostic(message, line, col))
 
     def _check(self, text: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.text == text
+        return self.tokens[self.pos].text == text
 
     def _check_kind(self, kind: TokenKind) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == kind
+        return self.tokens[self.pos].kind is kind
 
     def _current(self) -> Token:
         """The next token, not consumed; a syntax error at the end of input."""
-        tok = self._peek()
-        if tok is None:
+        tok = self.tokens[self.pos]
+        if tok.kind is None:
             raise self._fail("unexpected end of input")
         return tok
 
     def _advance(self) -> Token:
-        tok = self._peek()  # _current inlined: this is the parser's hottest helper
-        if tok is None:
-            raise self._fail("unexpected end of input")
+        # every caller has matched the token's text or kind, so it is not the sentinel
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
@@ -159,26 +155,30 @@ class _Parser:
         return None
 
     def _expect(self, text: str) -> Token:
-        tok = self._peek()
-        if tok is None or tok.text != text:
-            got = tok.text if tok is not None else "end of input"
-            raise self._fail(f"expected {text!r}, found {got!r}")
-        return self._advance()
+        tok = self.tokens[self.pos]
+        if tok.text != text:
+            raise self._fail(f"expected {text!r}, found {tok.text or 'end of input'!r}")
+        self.pos += 1
+        return tok
 
     def _expect_identifier(self, what: str) -> Token:
-        tok = self._peek()
-        if tok is None or tok.kind != TokenKind.IDENTIFIER:
-            got = tok.text if tok is not None else "end of input"
-            raise self._fail(f"expected {what}, found {got!r}")
-        return self._advance()
+        tok = self.tokens[self.pos]
+        if tok.kind is not TokenKind.IDENTIFIER:
+            raise self._fail(f"expected {what}, found {tok.text or 'end of input'!r}")
+        self.pos += 1
+        return tok
 
     def _span_from(self, start_tok: Token, end_tok: Token) -> Span:
-        return Span(
-            start=start_tok.offset,
-            end=end_tok.offset + len(end_tok.text),
-            line=start_tok.line,
-            column=start_tok.column,
-        )
+        end = end_tok.offset + len(end_tok.text)
+        return Span(start_tok.offset, end, start_tok.line, start_tok.column)
+
+    def _declare(self, names: set[str], decl):
+        """Note decl's name in a scope; a second declaration there is a diagnostic."""
+        if decl.name in names:
+            message = f"duplicate declaration of {decl.name!r}"
+            self.diagnostics.append(Diagnostic(message, decl.span.line, decl.span.column))
+        names.add(decl.name)
+        return decl
 
     def _prev(self) -> Token:
         return self.tokens[self.pos - 1]
@@ -192,18 +192,17 @@ class _Parser:
         """Skip to just past the next ';' (or stop before '}' / end)."""
         depth = 0
         while not self._at_end():
-            tok = self._peek()
-            assert tok is not None
-            if tok.text == "{":
+            text = self.tokens[self.pos].text
+            if text == "{":
                 depth += 1
-            elif tok.text == "}":
+            elif text == "}":
                 if depth == 0:
                     return
                 depth -= 1
-            elif tok.text == ";" and depth == 0:
-                self._advance()
+            elif text == ";" and depth == 0:
+                self.pos += 1
                 return
-            self._advance()
+            self.pos += 1
 
     # -- grammar ---------------------------------------------------------
 
@@ -218,11 +217,7 @@ class _Parser:
                 self._sync_statement()
                 # the sync stops before a stray '}', which no contract can start
                 self._accept("}")
-        span = (
-            self._span_from(first, self._prev())
-            if first is not None and self.pos > 0
-            else Span(0, 0, 1, 1)
-        )
+        span = self._span_from(first, self._prev()) if self.pos > 0 else Span(0, 0, 1, 1)
         return SourceUnit(contracts=contracts, path=path, source=self.source, span=span)
 
     def parse_contract(self) -> ContractDef:
@@ -230,11 +225,12 @@ class _Parser:
         name = self._expect_identifier("contract name")
         self._expect("{")
         members: list[StateVarDecl | FunctionDef] = []
+        names: set[str] = set()  # state variables and functions share one scope
         while not self._check("}"):
             if self._at_end():
                 raise self._fail("expected '}'")
             try:
-                members.append(self.parse_member())
+                members.append(self._declare(names, self.parse_member()))
             except _ParseFailure as failure:
                 self.diagnostics.append(failure.diagnostic)
                 self._sync_statement()
@@ -243,7 +239,6 @@ class _Parser:
 
     def parse_member(self) -> StateVarDecl | FunctionDef:
         tok = self._peek()
-        assert tok is not None
         if tok.text == "function":
             return self.parse_function()
         if tok.text in _TYPE_START:
@@ -257,8 +252,7 @@ class _Parser:
         start = self._current()
         var_type = self.parse_typename()
         visibility = None
-        tok = self._peek()
-        if tok is not None and tok.text in _VISIBILITY:
+        if self._peek().text in _VISIBILITY:
             visibility = self._advance().text
         name = self._expect_identifier("state variable name")
         initializer = None
@@ -278,10 +272,11 @@ class _Parser:
         name = self._expect_identifier("function name")
         self._expect("(")
         params: list[Param] = []
+        names: set[str] = set()
         if not self._check(")"):
-            params.append(self.parse_param())
+            params.append(self._declare(names, self.parse_param()))
             while self._accept(","):
-                params.append(self.parse_param())
+                params.append(self._declare(names, self.parse_param()))
         self._expect(")")
 
         visibility: str | None = None
@@ -290,8 +285,6 @@ class _Parser:
         returns: list[TypeName] = []
         while True:
             tok = self._peek()
-            if tok is None:
-                raise self._fail("expected function body")
             if tok.text in _VISIBILITY:
                 if visibility is not None:
                     raise self._fail(f"duplicate visibility {tok.text!r}")
@@ -307,10 +300,12 @@ class _Parser:
                 while self._accept(","):
                     returns.append(self.parse_typename())
                 self._expect(")")
-            elif tok.kind == TokenKind.IDENTIFIER:
+            elif tok.kind is TokenKind.IDENTIFIER:
                 modifiers.append(self._advance().text)
             elif tok.text == "{":
                 break
+            elif tok.kind is None:
+                raise self._fail("expected function body")
             else:
                 raise self._fail(
                     f"unsupported construct in function header: {tok.text!r}"
@@ -331,8 +326,7 @@ class _Parser:
         start = self._current()
         var_type = self.parse_typename()
         location = None
-        tok = self._peek()
-        if tok is not None and tok.text in _LOCATIONS:
+        if self._peek().text in _LOCATIONS:
             location = self._advance().text
         name = self._expect_identifier("parameter name")
         return Param(
@@ -344,8 +338,6 @@ class _Parser:
 
     def parse_typename(self, allow_mapping: bool = True) -> TypeName:
         tok = self._peek()
-        if tok is None:
-            raise self._fail("expected type")
         if tok.text == "mapping":
             if not allow_mapping:
                 raise self._fail("unsupported construct: nested mappings (single level only)")
@@ -356,6 +348,8 @@ class _Parser:
             value = self.parse_typename(allow_mapping=False)
             self._expect(")")
             return MappingType(key=key, value=value, span=self._node_span(start))
+        if tok.kind is None:
+            raise self._fail("expected type")
         base: TypeName = self.parse_elementary()
         if self._check("["):
             start_tok = self._advance()
@@ -379,9 +373,8 @@ class _Parser:
 
     def parse_elementary(self) -> ElementaryType:
         tok = self._peek()
-        if tok is None or tok.text not in ELEMENTARY_TYPES:
-            got = tok.text if tok is not None else "end of input"
-            raise self._fail(f"expected elementary type, found {got!r}")
+        if tok.text not in ELEMENTARY_TYPES:
+            raise self._fail(f"expected elementary type, found {tok.text or 'end of input'!r}")
         self._advance()
         name = "uint256" if tok.text == "uint" else tok.text
         return ElementaryType(name=name, span=self._span_from(tok, tok))
@@ -391,11 +384,13 @@ class _Parser:
     def parse_block(self) -> list[Stmt]:
         self._expect("{")
         stmts: list[Stmt] = []
+        names: set[str] = set()  # this block's locals
         while not self._check("}"):
             if self._at_end():
                 raise self._fail("expected '}'")
             try:
-                stmts.append(self.parse_statement())
+                stmt = self.parse_statement()
+                stmts.append(self._declare(names, stmt) if isinstance(stmt, VarDeclStmt) else stmt)
             except _ParseFailure as failure:
                 self.diagnostics.append(failure.diagnostic)
                 self._sync_statement()
@@ -410,8 +405,6 @@ class _Parser:
     @_nested
     def parse_statement(self) -> Stmt:
         tok = self._peek()
-        if tok is None:
-            raise self._fail("expected statement")
         text = tok.text
         if text in _TYPE_START:
             return self.parse_var_decl()
@@ -432,6 +425,8 @@ class _Parser:
             return ReturnStmt(value=value, span=self._node_span(start))
         if text in {"contract", "function"}:
             raise self._fail(f"unsupported construct: {text!r} inside a function body")
+        if tok.kind is None:
+            raise self._fail("expected statement")
         stmt = self.parse_simple_statement()
         self._expect(";")
         start_offset = stmt.span.start
@@ -444,8 +439,7 @@ class _Parser:
             raise self._fail("unsupported construct: mapping variables must be state variables")
         var_type = self.parse_typename(allow_mapping=False)
         location = None
-        tok = self._peek()
-        if tok is not None and tok.text in _LOCATIONS:
+        if self._peek().text in _LOCATIONS:
             location = self._advance().text
         name = self._expect_identifier("variable name")
         initializer = None
@@ -467,7 +461,7 @@ class _Parser:
         message = None
         if self._accept(","):
             tok = self._peek()
-            if tok is None or tok.kind != TokenKind.STRING:
+            if tok.kind is not TokenKind.STRING:
                 raise self._fail("require message must be a string literal")
             self._advance()
             message = StringLit(value=unescape_string(tok.text), span=self._span_from(tok, tok))
@@ -497,7 +491,7 @@ class _Parser:
         init: Stmt | None = None
         if self._accept(";"):
             pass
-        elif self._peek() is not None and self._peek().text in _TYPE_START:  # type: ignore[union-attr]
+        elif self._peek().text in _TYPE_START:
             init = self.parse_var_decl()  # consumes its ';'
         else:
             init = self.parse_simple_statement()
@@ -534,7 +528,7 @@ class _Parser:
         start = self._current()
         expr = self.parse_expression()
         tok = self._peek()
-        if tok is not None and tok.text in _ASSIGN_OPS:
+        if tok.text in _ASSIGN_OPS:
             if not isinstance(expr, (Ident, MemberAccess, IndexAccess)):
                 raise self._fail(f"cannot assign to this expression with {tok.text!r}")
             op = self._advance().text
@@ -542,7 +536,7 @@ class _Parser:
             return AssignStmt(
                 target=expr, op=op, value=value, span=self._node_span(start)
             )
-        if tok is not None and tok.text in {"++", "--"}:
+        if tok.text in {"++", "--"}:
             if not isinstance(expr, (Ident, MemberAccess, IndexAccess)):
                 raise self._fail(f"cannot apply {tok.text!r} to this expression")
             op = self._advance().text
@@ -557,10 +551,7 @@ class _Parser:
     def parse_binary(self, min_prec: int) -> Expr:
         left = self.parse_unary()
         while True:
-            tok = self._peek()
-            if tok is None:
-                return left
-            prec = BINARY_PRECEDENCE.get(tok.text)
+            prec = BINARY_PRECEDENCE.get(self._peek().text)
             if prec is None or prec < min_prec:
                 return left
             op = self._advance().text
@@ -575,7 +566,7 @@ class _Parser:
     @_nested
     def parse_unary(self) -> Expr:
         tok = self._peek()
-        if tok is not None and tok.text in {"!", "-"}:
+        if tok.text in {"!", "-"}:
             start = self._advance()
             operand = self.parse_unary()
             return UnaryExpr(
@@ -588,8 +579,9 @@ class _Parser:
     def parse_postfix(self) -> Expr:
         expr = self.parse_primary()
         while True:
-            if self._check("."):
-                self._advance()
+            text = self.tokens[self.pos].text
+            if text == ".":
+                self.pos += 1
                 member = self._expect_identifier("member name")
                 expr = MemberAccess(
                     obj=expr,
@@ -601,8 +593,8 @@ class _Parser:
                         expr.span.column,
                     ),
                 )
-            elif self._check("("):
-                self._advance()
+            elif text == "(":
+                self.pos += 1
                 args: list[Expr] = []
                 if not self._check(")"):
                     args.append(self.parse_expression())
@@ -616,8 +608,8 @@ class _Parser:
                         expr.span.start, close.offset + 1, expr.span.line, expr.span.column
                     ),
                 )
-            elif self._check("["):
-                self._advance()
+            elif text == "[":
+                self.pos += 1
                 index = self.parse_expression()
                 close = self._expect("]")
                 expr = IndexAccess(
@@ -632,27 +624,26 @@ class _Parser:
 
     def parse_primary(self) -> Expr:
         tok = self._peek()
-        if tok is None:
-            raise self._fail("expected expression")
-        if tok.kind == TokenKind.NUMBER:
-            self._advance()
+        kind = tok.kind
+        if kind is TokenKind.IDENTIFIER:
+            self.pos += 1
+            return Ident(name=tok.text, span=self._span_from(tok, tok))
+        if kind is TokenKind.NUMBER:
+            self.pos += 1
             return NumberLit(value=int(tok.text), span=self._span_from(tok, tok))
-        if tok.kind == TokenKind.HEX:
-            self._advance()
+        if kind is TokenKind.HEX:
+            self.pos += 1
             return HexLit(value=int(tok.text, 16), span=self._span_from(tok, tok))
-        if tok.kind == TokenKind.ADDRESS:
-            self._advance()
+        if kind is TokenKind.ADDRESS:
+            self.pos += 1
             return AddressLit(value=int(tok.text, 16), span=self._span_from(tok, tok))
-        if tok.kind == TokenKind.STRING:
-            self._advance()
+        if kind is TokenKind.STRING:
+            self.pos += 1
             return StringLit(value=unescape_string(tok.text), span=self._span_from(tok, tok))
         if tok.text in {"true", "false"}:
-            self._advance()
+            self.pos += 1
             return BoolLit(value=tok.text == "true", span=self._span_from(tok, tok))
-        if tok.kind == TokenKind.IDENTIFIER:
-            self._advance()
-            return Ident(name=tok.text, span=self._span_from(tok, tok))
-        if tok.text in _CAST_KEYWORDS and self._peek(1) is not None and self._peek(1).text == "(":  # type: ignore[union-attr]
+        if tok.text in _CAST_KEYWORDS and self._peek(1).text == "(":
             self._advance()
             return Ident(name=tok.text, span=self._span_from(tok, tok))
         if self._check("("):
@@ -660,6 +651,8 @@ class _Parser:
             expr = self.parse_expression()
             self._expect(")")
             return expr
+        if tok.kind is None:
+            raise self._fail("expected expression")
         raise self._fail(f"expected expression, found {tok.text!r}")
 
 

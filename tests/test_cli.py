@@ -104,6 +104,16 @@ class TestAnalyze:
         assert code == 2
         assert "bad.sol:1:" in err
 
+    @pytest.mark.parametrize("first, second", [("address", "uint256"), ("uint256", "address")])
+    def test_duplicate_declaration_exits_two(self, tmp_path, capsys, first, second):
+        dup = tmp_path / "dup.sol"
+        dup.write_text(f"contract C {{ {first} owner; {second} owner; function f() public {{"
+                       " require(msg.sender == owner); } }")
+        code, out, err = run(capsys, "analyze", str(dup))
+        assert code == 2
+        assert out == ""
+        assert "dup.sol:1:29: error: duplicate declaration of 'owner'" in err
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "analyze", "no_such_file.sol")
         assert code == 2

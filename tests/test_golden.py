@@ -3,8 +3,9 @@
 Each case below renders one command or API call to text and compares it with
 a file under ``tests/golden/``. The files hold the findings JSON of the
 corpus, the scenario catalog, every scenario report at its defaults and at
-one non-default setting, and the summary of a fixed event script that uses
-every replay action. A change that keeps behaviour keeps these bytes.
+one non-default setting, the summary of a fixed event script that uses
+every replay action, and the diagnostics of every corpus file cut short at
+each token's end and one character into each token. A change that keeps behaviour keeps these bytes.
 
 To record the files again after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root and
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from arbmigrate.cli import main
+from arbmigrate.minisol import MiniSolSyntaxError, parse_source, tokenize
 from arbmigrate.scenarios import replay_events
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +50,7 @@ CLI_CASES = [
 
 REPLAY_SCRIPT = "replay_script.json"
 REPLAY_SUMMARY = "replay_summary.json"
+TRUNCATION = "truncation_diagnostics.txt"
 
 
 def _cli_output(argv: list[str]) -> str:
@@ -68,6 +71,23 @@ def _replay_output() -> str:
     return json.dumps(replay_events(events), indent=2, sort_keys=True) + "\n"
 
 
+def _truncation_output() -> str:
+    """Every diagnostic of each corpus file cut at a token's end or one character into it."""
+    lines = []
+    for name in CORPUS_FILES:
+        source = (ROOT / name).read_text(encoding="utf-8")
+        tokens = tokenize(source)
+        cuts = {t.offset + len(t.text) for t in tokens} | {t.offset + 1 for t in tokens}
+        for cut in sorted(cuts):
+            lines.append(f"{Path(name).name}:{cut}")
+            try:
+                parse_source(source[:cut])
+                lines.append("  ok")
+            except MiniSolSyntaxError as err:
+                lines.extend(f"  {d}" for d in err.diagnostics)
+    return "\n".join(lines) + "\n"
+
+
 def _read(name: str) -> str:
     return (GOLDEN / name).read_bytes().decode("utf-8")
 
@@ -79,6 +99,10 @@ def test_cli_output_matches_golden(name, argv):
 
 def test_replay_summary_matches_golden():
     assert _replay_output() == _read(REPLAY_SUMMARY)
+
+
+def test_truncated_corpus_diagnostics_match_golden():
+    assert _truncation_output() == _read(TRUNCATION)
 
 
 def test_replay_script_uses_every_action():
@@ -93,3 +117,4 @@ if __name__ == "__main__":
     for name, argv in CLI_CASES:
         (GOLDEN / name).write_bytes(_cli_output(argv).encode("utf-8"))
     (GOLDEN / REPLAY_SUMMARY).write_bytes(_replay_output().encode("utf-8"))
+    (GOLDEN / TRUNCATION).write_bytes(_truncation_output().encode("utf-8"))

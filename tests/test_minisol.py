@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arbmigrate.minisol import (
@@ -15,6 +15,7 @@ from arbmigrate.minisol import (
     BoolLit,
     CallExpr,
     ContractDef,
+    Diagnostic,
     ElementaryType,
     EmitStmt,
     ExprStmt,
@@ -28,6 +29,7 @@ from arbmigrate.minisol import (
     MappingType,
     MemberAccess,
     MiniSolSyntaxError,
+    Node,
     NumberLit,
     Param,
     RequireStmt,
@@ -36,16 +38,19 @@ from arbmigrate.minisol import (
     Span,
     StateVarDecl,
     StringLit,
+    Token,
     TokenKind,
     UnaryExpr,
     VarDeclStmt,
     WhileStmt,
     children,
     parse_source,
+    parse_tokens,
     print_source,
     tokenize,
     walk,
 )
+from arbmigrate.minisol import lexer
 from arbmigrate.minisol.lexer import KEYWORDS, OPERATORS, PUNCTUATION
 
 SAMPLE = """
@@ -85,6 +90,68 @@ _TOKEN_SOUP = st.lists(
     st.sampled_from(sorted(KEYWORDS) + list(OPERATORS) + list(PUNCTUATION) + ["x", "1", "0x1f"]),
     max_size=40,
 ).map(lambda toks: "contract C { function f(uint256 x) public { " + " ".join(toks) + " } }")
+
+
+# --- reference tokenizer: one regex match per token or gap ------------------
+# The tokenizer as it was before each match took the gap in front of its
+# token.  The differential test below holds the current one to it.
+
+_REFERENCE_ROWS = (
+    ("SKIP", r"[ \t\r\n]+|//[^\n]*|/\*.*?\*/"),
+    ("OPEN_COMMENT", r"/\*"),
+    ("STRING", r'"(?:\\.|[^"\\\n])*"'),
+    ("LONE_QUOTE", r'"'),
+    ("HEX", r"0[xX][0-9a-fA-F]+"),
+    ("BARE_HEX", r"0[xX]"),
+    ("NUMBER", r"[0-9]+"),
+    ("IDENTIFIER", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("OPERATOR", "|".join(map(re.escape, OPERATORS))),
+    ("PUNCT", f"[{re.escape(PUNCTUATION)}]"),
+    ("ILLEGAL", r"."),
+)
+_REFERENCE_MASTER = re.compile(
+    "|".join(f"(?P<{name}>{pattern})" for name, pattern in _REFERENCE_ROWS), re.DOTALL
+)
+_REFERENCE_KINDS = {
+    name: TokenKind[name] for name in ("STRING", "HEX", "NUMBER", "IDENTIFIER", "OPERATOR", "PUNCT")
+}
+_REFERENCE_ERRORS = {
+    "OPEN_COMMENT": "unterminated block comment",
+    "LONE_QUOTE": "unterminated string literal",
+    "BARE_HEX": "hex literal needs at least one digit",
+}
+
+
+def _reference_tokenize(source):
+    tokens, diagnostics = [], []
+    line, line_start = 1, 0
+    for m in _REFERENCE_MASTER.finditer(source):
+        row, text, offset = m.lastgroup, m.group(), m.start()
+        kind = _REFERENCE_KINDS.get(row)
+        if kind is TokenKind.IDENTIFIER and text in KEYWORDS:
+            kind = TokenKind.KEYWORD
+        elif kind is TokenKind.HEX and len(text) == 42:
+            kind = TokenKind.ADDRESS
+        if kind is not None:
+            tokens.append(Token(kind, text, line, offset - line_start + 1, offset))
+        elif row != "SKIP":
+            message = _REFERENCE_ERRORS.get(row) or f"illegal character {text!r}"
+            diagnostics.append(Diagnostic(message, line, offset - line_start + 1))
+            if row == "OPEN_COMMENT":
+                break
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = offset + text.rindex("\n") + 1
+    if diagnostics:
+        raise MiniSolSyntaxError(diagnostics)
+    return tokens
+
+
+def _lex_outcome(tokenizer, source):
+    try:
+        return "tokens", tokenizer(source)
+    except MiniSolSyntaxError as err:
+        return "diagnostics", err.diagnostics
 
 
 class TestTokenizer:
@@ -157,6 +224,27 @@ class TestTokenizer:
             assert _SKIPPED.fullmatch(source, end, tok.offset)
             end = tok.offset + len(tok.text)
         assert _SKIPPED.fullmatch(source, end)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | st.text(alphabet=_MINISOL_CHARS) | _TOKEN_SOUP)
+    @example("")
+    @example("  ")
+    @example("x // c")
+    @example("x // c\n")
+    @example("x /* c */")
+    @example("x /*")
+    @example('x = "a\\\nb";\n  y')  # an escaped newline inside a string literal
+    @example("0x")
+    @example("\t@")
+    def test_tokenize_matches_the_reference_tokenizer(self, source):
+        # equal token lists, or equal diagnostic lists
+        assert _lex_outcome(tokenize, source) == _lex_outcome(_reference_tokenize, source)
+
+    def test_master_regex_needs_nothing_newer_than_python_3_10(self):
+        # possessive quantifiers and atomic groups arrived in Python 3.11
+        unescaped = re.sub(r"\\.", "", lexer._MASTER.pattern)
+        for syntax in ("*+", "++", "?+", "}+", "(?>"):
+            assert syntax not in unescaped, syntax
 
     def test_every_token_prefix_parses_or_raises_a_syntax_error(self):
         # a cut anywhere, e.g. right after "function f(" or "for (", is a syntax error, not a crash
@@ -294,6 +382,56 @@ class TestParser:
         assert len(expected) == 10001
         assert [id(n) for n in walk(tree)] == [id(n) for n in expected]
 
+    @pytest.mark.parametrize("first, second", [("address", "uint256"), ("uint256", "address")])
+    def test_duplicate_state_variable_is_a_diagnostic_in_either_order(self, first, second):
+        source = (f"contract C {{ {first} owner; {second} owner; function f() public {{"
+                  " require(msg.sender == owner); } }")
+        with pytest.raises(MiniSolSyntaxError) as err:
+            parse_source(source)
+        [diag] = err.value.diagnostics
+        assert diag.message == "duplicate declaration of 'owner'"
+        assert (diag.line, diag.column) == (1, source.index(f"{second} owner") + 1)
+
+    @pytest.mark.parametrize("source, name, at", [
+        ("contract C { uint256 f; function f() public {} }", "f", "function"),
+        ("contract C { function f() public {} function f(uint256 x) public {} }", "f", "function f(uint"),
+        ("contract C { function f(uint256 a, bool a) public {} }", "a", "bool"),
+        ("contract C { function f() public { uint256 a; a = 1; bool a; } }", "a", "bool"),
+        ("contract C { function f(bool b) public { if (b) { uint256 a; address a; } } }", "a", "address"),
+    ], ids=["function-and-state-var", "functions", "params", "locals", "nested-block-locals"])
+    def test_second_declaration_in_one_scope_is_a_diagnostic_at_its_first_token(self, source, name, at):
+        with pytest.raises(MiniSolSyntaxError) as err:
+            parse_source(source)
+        [diag] = err.value.diagnostics
+        assert diag.message == f"duplicate declaration of {name!r}"
+        assert (diag.line, diag.column) == (1, source.rindex(at) + 1)
+
+    def test_same_name_in_different_scopes_is_not_a_duplicate(self):
+        parse_source(
+            "contract C { uint256 n; function f(uint256 a) public { uint256 n = a;"
+            " if (a > 0) { uint256 n = 1; } for (uint256 i = 0; i < n; i++) { uint256 i = 2; }"
+            " for (uint256 i = 0; i < n; i++) {} } function g(uint256 a) public { uint256 n; } }"
+            " contract D { uint256 n; }"
+        )
+
+    def test_duplicate_declaration_does_not_hide_later_errors(self):
+        with pytest.raises(MiniSolSyntaxError) as err:
+            parse_source("contract C { uint256 a;\n uint256 a;\n function f() public { x = ; } }")
+        assert [str(d) for d in err.value.diagnostics] == [
+            "2:2: error: duplicate declaration of 'a'",
+            "3:28: error: expected expression, found ';'",
+        ]
+
+    def test_parse_tokens_leaves_the_token_list_alone(self):
+        for source in (SAMPLE, "contract C {", ""):
+            tokens = tokenize(source)
+            before = list(tokens)
+            try:
+                parse_tokens(tokens, source)
+            except MiniSolSyntaxError:
+                pass
+            assert tokens == before
+
     def test_every_identifier_resolves_or_is_free(self):
         unit = parse_source(SAMPLE)
         vault = unit.contracts[0]
@@ -345,6 +483,18 @@ REPR_EXTRA = """contract K {
     }
 }
 """
+
+
+def _reference_children(node):
+    """children() as it was before each class listed its child fields: every field is read."""
+    out = []
+    for name in node._fields:
+        value = getattr(node, name)
+        if isinstance(value, Node):
+            out.append(value)
+        elif isinstance(value, list):
+            out.extend(item for item in value if isinstance(item, Node))
+    return out
 
 
 def _repr_units():
@@ -409,6 +559,15 @@ class TestNodeContract:
         loop = ForStmt(None, BoolLit(True), None, [ExprStmt(Ident("a")), ExprStmt(Ident("b"))])
         assert children(loop) == [loop.condition, *loop.body]
         assert children(Ident("x")) == []
+
+    def test_children_match_the_generic_reference_on_corpus_and_generated_units(self):
+        corpus = Path(__file__).parent / "corpus"
+        units = [parse_source(path.read_text()) for path in sorted(corpus.glob("*.sol"))]
+        units += [_Gen(seed).unit() for seed in range(40)]
+        assert len(units) == 54
+        for unit in units:
+            for node in walk(unit):
+                assert [id(n) for n in children(node)] == [id(n) for n in _reference_children(node)]
 
     def test_repr_of_parsed_units_matches_golden(self):
         # one repr per line; record again only for an intended change of the repr format
@@ -540,13 +699,16 @@ class _Gen:
             return MemberAccess(obj=Ident(self.name()), member=self.name())
         return IndexAccess(obj=Ident(self.name()), index=self.expr(2))
 
-    def stmt(self, depth=0):
+    def stmt(self, depth, declared):
         roll = self.rng.random()
         if depth >= 2 or roll < 0.45:
             simple = self.rng.random()
             if simple < 0.3:
                 init = self.expr(1) if self.rng.random() < 0.7 else None
-                return VarDeclStmt(var_type=self.elementary(), name=self.name(), initializer=init)
+                # a block declares a name once; a name of an enclosing scope may be reused
+                name = self.rng.choice([n for n in _NAMES if n not in declared])
+                declared.add(name)
+                return VarDeclStmt(var_type=self.elementary(), name=name, initializer=init)
             if simple < 0.55:
                 op = self.rng.choice(["=", "+=", "-=", "*=", "/=", "%="])
                 return AssignStmt(target=self.assignable(), op=op, value=self.expr(1))
@@ -573,7 +735,8 @@ class _Gen:
         return EmitStmt(call=CallExpr(callee=Ident(self.name().capitalize()), args=[self.expr(2)]))
 
     def body(self, depth):
-        return [self.stmt(depth) for _ in range(self.rng.randint(0, 3))]
+        declared = set()
+        return [self.stmt(depth, declared) for _ in range(self.rng.randint(0, 3))]
 
     def function(self, index):
         params = [
