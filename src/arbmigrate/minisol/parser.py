@@ -208,10 +208,11 @@ class _Parser:
 
     def parse_unit(self, path: str) -> SourceUnit:
         contracts: list[ContractDef] = []
+        names: set[str] = set()  # contract names are one unit-level scope
         first = self._peek()
         while not self._at_end():
             try:
-                contracts.append(self.parse_contract())
+                contracts.append(self._declare(names, self.parse_contract()))
             except _ParseFailure as failure:
                 self.diagnostics.append(failure.diagnostic)
                 self._sync_statement()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
+from bisect import bisect_left
 from typing import Any, Callable, Mapping
 
 from . import retryable
@@ -56,8 +57,9 @@ class DifferentialReport(Record):
 
 # --- S1: stale oracle during sequencer downtime ----------------------------
 
-# S1 visits every position at every step, so its cost grows with steps x
-# positions; the largest run in the tests and the bench is 120,001 steps x 8.
+# The product caps both the steps and the positions of a run: each step keeps
+# its transaction id in the sequencer (about 110 bytes) and each position one
+# int, so an accepted run needs at most about 1.1 GB and a minute.
 S1_MAX_STEP_POSITIONS = 10_000_000
 
 
@@ -78,13 +80,13 @@ def _run_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
     if (horizon // interval + 1) * max(params["positions"], 1) > S1_MAX_STEP_POSITIONS:
         raise ScenarioError("(horizon_s // update_interval_s + 1) x positions must be at most "
                             f"{S1_MAX_STEP_POSITIONS:,}")
-    times = list(range(0, horizon + 1, interval))
-    prices: list[int] = []
-    price = start_price
+    volatility = params["volatility_bp"]
+    times = range(0, horizon + 1, interval)
+    # The price path is drawn before the liquidation prices: skip its draws
+    # here, then replay them from the saved state, one price per step.
+    path_state = rng.getstate()
     for _ in times:
-        prices.append(price)
-        move = rng.uniform(-params["volatility_bp"], params["volatility_bp"]) / 10_000
-        price = max(1, round(price * (1 + move)))
+        rng.uniform(-volatility, volatility)
 
     # every position starts healthy: liquidation prices sit up to 10% below
     # the opening price and trigger when the market falls onto them
@@ -92,13 +94,15 @@ def _run_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
         rng.randint(start_price - start_price // 10, start_price - 1)
         for _ in range(params["positions"])
     )
+    rng.setstate(path_state)
 
     seq = Sequencer()
-    observed_price = prices[0]
+    true_price = observed_price = start_price
     observed_at = 0
     max_staleness = 0
-    l1_liquidated: set[int] = set()
-    l2_liquidated: set[int] = set()
+    # a position is liquidated once a chain's running minimum price reaches
+    # it, so each chain's liquidated positions are the suffix from its start
+    l1_start = l2_start = len(liq_prices)
     wrongful = 0
     monetary_delta = 0
 
@@ -110,7 +114,7 @@ def _run_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
                 id=f"price-update-{step}",
                 submit_time=t,
                 origin=TxOrigin.DIRECT_TO_SEQUENCER,
-                payload=(t, prices[step]),
+                payload=(t, true_price),
             )
         )
         for tx in seq.tick(t):
@@ -119,20 +123,21 @@ def _run_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
                 observed_at, observed_price = produced_at, px
 
         max_staleness = max(max_staleness, t - observed_at)
-        true_price = prices[step]
-        for i, liq in enumerate(liq_prices):
-            l1_hit = i not in l1_liquidated and true_price <= liq
-            l2_hit = i not in l2_liquidated and observed_price <= liq
-            if l1_hit:
-                l1_liquidated.add(i)
-            if l2_hit:
-                l2_liquidated.add(i)
-            if l1_hit != l2_hit and true_price != observed_price:
-                wrongful += 1
-                monetary_delta += abs(true_price - observed_price)
+        l1_hit = min(l1_start, bisect_left(liq_prices, true_price))
+        l2_hit = min(l2_start, bisect_left(liq_prices, observed_price))
+        if true_price != observed_price:
+            # Positions hit on one chain only: the symmetric difference of the
+            # new hits [l1_hit, l1_start) and [l2_hit, l2_start). They are
+            # disjoint, as L2 observes an earlier true price, whose hits L1 took then.
+            one_sided = l1_start - l1_hit + l2_start - l2_hit
+            wrongful += one_sided
+            monetary_delta += one_sided * abs(true_price - observed_price)
+        l1_start, l2_start = l1_hit, l2_hit
+        move = rng.uniform(-volatility, volatility) / 10_000
+        true_price = max(1, round(true_price * (1 + move)))
 
-    l1 = {"liquidated_positions": len(l1_liquidated), "price_staleness_s": 0}
-    l2 = {"liquidated_positions": len(l2_liquidated), "price_staleness_s": max_staleness}
+    l1 = {"liquidated_positions": len(liq_prices) - l1_start, "price_staleness_s": 0}
+    l2 = {"liquidated_positions": len(liq_prices) - l2_start, "price_staleness_s": max_staleness}
     return l1, l2, {
         "max_price_staleness_s": max_staleness,
         "wrongful_liquidation_events": wrongful,
@@ -424,10 +429,12 @@ def _coerce(value: Any, default: Any, key: str) -> Any:
             return value.lower() == "true"
         raise ScenarioError(f"parameter {key!r} expects true/false, got {value!r}")
     if isinstance(default, int):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ScenarioError(f"parameter {key!r} expects an integer, got {value!r}") from None
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+        raise ScenarioError(f"parameter {key!r} expects an integer, got {value!r}")
     return str(value)
 
 
@@ -511,6 +518,7 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
     naming its index.
     """
     seq = Sequencer()
+    executed: list[tuple[L2Tx, int]] = []  # (tx, execution time)
     ledger = retryable.FeeLedger()
     tickets: dict[str, retryable.Ticket] = {}
     created: dict[str, int] = {}  # ticket id -> creation order, reverted ones too
@@ -563,7 +571,7 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                     )
                 )
             elif action == "tick":
-                seq.tick(at)
+                executed += [(tx, at) for tx in seq.tick(at)]
             elif action == "create_ticket":
                 ticket_id = str(event["id"])
                 if ticket_id in tickets or ticket_id in reverted:
@@ -623,11 +631,11 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                 "gas_price": tx.gas_price,
                 "underpriced": tx.underpriced,
             }
-            for tx, at in seq.executed_log
+            for tx, at in executed
         ],
         "pending": [tx.id for tx in seq.pending],
         "delayed_inbox": list(seq.delayed_inbox),
-        "max_staleness_s": seq.staleness(),
+        "max_staleness_s": max((at - tx.submit_time for tx, at in executed), default=0),
         "tickets": {tid: t.state.value for tid, t in sorted(tickets.items())},
         "reverted_tickets": sorted(reverted),
         "ledger": ledger._asdict(),

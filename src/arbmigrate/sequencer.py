@@ -73,14 +73,14 @@ class Sequencer(Record):
         force_inclusion_delay: int = DEFAULT_FORCE_INCLUSION_DELAY,
         pending: deque[L2Tx] | None = None,
         delayed_inbox: dict[str, L2Tx] | None = None,  # id -> tx, arrival order
-        executed_log: list[tuple[L2Tx, int]] | None = None,
+        executed_count: int = 0,
         _seen_ids: set[str] | None = None,
         _last_tick: int | None = None,
     ):
         self.status, self.force_inclusion_delay = status, force_inclusion_delay
         self.pending = deque() if pending is None else pending
         self.delayed_inbox = {} if delayed_inbox is None else delayed_inbox
-        self.executed_log = [] if executed_log is None else executed_log
+        self.executed_count = executed_count
         self._seen_ids = set() if _seen_ids is None else _seen_ids
         self._last_tick = _last_tick
         self._seen_ids.update(self.delayed_inbox, (tx.id for tx in self.pending))
@@ -136,21 +136,9 @@ class Sequencer(Record):
             due.sort(key=lambda entry: entry[1])
             executed = [self.delayed_inbox.pop(tx_id) for _, _, tx_id in due]
 
-        for tx in executed:
-            self.executed_log.append((tx, now))
+        self.executed_count += len(executed)
         return executed
-
-    def staleness(self) -> int:
-        """Largest (execution time - submit time) over the executed log; 0 if empty."""
-        if not self.executed_log:
-            return 0
-        return max(at - tx.submit_time for tx, at in self.executed_log)
 
     def counts(self) -> tuple[int, int, int, int]:
         """(submitted, pending, delayed, executed) for conservation checks."""
-        return (
-            len(self._seen_ids),
-            len(self.pending),
-            len(self.delayed_inbox),
-            len(self.executed_log),
-        )
+        return len(self._seen_ids), len(self.pending), len(self.delayed_inbox), self.executed_count

@@ -114,6 +114,14 @@ class TestAnalyze:
         assert out == ""
         assert "dup.sol:1:29: error: duplicate declaration of 'owner'" in err
 
+    def test_duplicate_contract_exits_two(self, tmp_path, capsys):
+        dup = tmp_path / "dup.sol"
+        dup.write_text("contract A { uint256 x; }\ncontract A { function f() public {} }\n")
+        code, out, err = run(capsys, "analyze", str(dup))
+        assert code == 2
+        assert out == ""
+        assert "dup.sol:2:1: error: duplicate declaration of 'A'" in err
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "analyze", "no_such_file.sol")
         assert code == 2

@@ -406,6 +406,15 @@ class TestParser:
         assert diag.message == f"duplicate declaration of {name!r}"
         assert (diag.line, diag.column) == (1, source.rindex(at) + 1)
 
+    @pytest.mark.parametrize("first, second", [
+        ("contract A { uint256 x; }", "contract A { function f() public {} }"),
+        ("contract A { function f() public {} }", "contract A { uint256 x; }"),
+    ], ids=["state-var-first", "function-first"])
+    def test_duplicate_contract_is_a_diagnostic_in_either_order(self, first, second):
+        with pytest.raises(MiniSolSyntaxError) as err:
+            parse_source(f"{first}\n{second}\n")
+        assert [str(d) for d in err.value.diagnostics] == ["2:1: error: duplicate declaration of 'A'"]
+
     def test_same_name_in_different_scopes_is_not_a_duplicate(self):
         parse_source(
             "contract C { uint256 n; function f(uint256 a) public { uint256 n = a;"

@@ -149,7 +149,7 @@ def test_mutable_defaults_are_fresh_per_instance():
     a, b = Sequencer(), Sequencer()
     a.submit(L2Tx("a", 0))
     a.tick(0)
-    assert (list(b.pending), b.delayed_inbox, b.executed_log, b._seen_ids) == ([], {}, [], set())
+    assert (list(b.pending), b.delayed_inbox, b.executed_count, b._seen_ids) == ([], {}, 0, set())
 
 
 @pytest.mark.parametrize("build, error", [

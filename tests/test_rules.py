@@ -360,8 +360,8 @@ def _suffix_contracts(source, suffix):
 
 class TestMetamorphic:
     @settings(max_examples=60, deadline=None)
-    @given(a=st.lists(st.sampled_from(CORPUS_NAMES), min_size=1, max_size=3),
-           b=st.lists(st.sampled_from(CORPUS_NAMES), min_size=1, max_size=3))
+    @given(a=st.lists(st.sampled_from(CORPUS_NAMES), min_size=1, max_size=3, unique=True),
+           b=st.lists(st.sampled_from(CORPUS_NAMES), min_size=1, max_size=3, unique=True))
     @example(a=["alias_permission_dirty.sol"], b=["alias_permission_clean.sol"])
     def test_concatenation_adds_findings(self, a, b):
         # with distinct contract names, a + b finds what a and b find apart

@@ -1,21 +1,28 @@
 import json
+import random
 import re
+import tracemalloc
 from pathlib import Path
+from typing import Any
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arbmigrate import retryable
 from arbmigrate.chainmodel import L1Chain, L2View, WallClock, l1_block_number_at, l2_view_l1_number_at
 from arbmigrate.scenarios import (
+    S1_MAX_STEP_POSITIONS,
     DifferentialReport,
     EventScriptError,
+    Outcome,
     ScenarioError,
+    _run_stale_oracle,
     list_scenarios,
     run_scenario,
     serialize_report,
 )
+from arbmigrate.sequencer import L2Tx, Sequencer, SequencerStatus, TxOrigin
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -52,6 +59,19 @@ class TestCatalog:
     def test_bad_param_value_rejected(self):
         with pytest.raises(ScenarioError):
             run_scenario("S1", {"downtime_s": "soon"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("horizon_s", float("inf")), ("positions", True), ("positions", 1.9),
+        ("positions", "1.9"),
+    ], ids=["infinity", "bool", "float", "float-string"])
+    def test_integer_parameter_takes_no_other_type(self, key, value):
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario("S1", {key: value})
+        assert str(exc.value) == f"parameter {key!r} expects an integer, got {value!r}"
+
+    def test_integer_parameter_takes_ints_and_integer_strings(self):
+        params = run_scenario("S1", {"positions": 3, "downtime_s": "1800", "horizon_s": " 7200 "}).params
+        assert (params["positions"], params["downtime_s"], params["horizon_s"]) == (3, 1800, 7200)
 
 
 class TestSerialization:
@@ -104,6 +124,136 @@ class TestStaleOracle:
 
     def test_links_the_staleness_rule(self):
         assert run_scenario("S1").linked_rules == ["ARB-SEQ-001"]
+
+    def test_memory_grows_by_less_than_250_bytes_per_step(self):
+        # Keeping each step's time, price and executed transaction costs about
+        # 440 bytes a step; what must remain is each transaction id in the
+        # sequencer's duplicate check. No outage, so no delayed-inbox backlog
+        # sits in either peak.
+        def peak(horizon):
+            tracemalloc.start()
+            try:
+                run_scenario("S1", {"horizon_s": horizon, "update_interval_s": 1,
+                                    "positions": 1, "downtime_s": 0})
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(9_000) - peak(1_000)) / 8_000 < 250
+
+
+# The S1 runner before it streamed its prices and kept each chain's
+# liquidations as the start of a sorted suffix: a list of every price, and
+# every position checked at every step.
+def _reference_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
+    rng = random.Random(seed)
+    interval = params["update_interval_s"]
+    horizon = params["horizon_s"]
+    down_start = params["down_start_s"]
+    down_end = down_start + params["downtime_s"]
+    if interval <= 0 or horizon <= 0:
+        raise ScenarioError("update_interval_s and horizon_s must be positive")
+
+    start_price = params["start_price_cents"]
+    if start_price < 10:
+        raise ScenarioError("start_price_cents must be at least 10")
+    if params["positions"] < 0:
+        raise ScenarioError("positions must be non-negative")
+    if (horizon // interval + 1) * max(params["positions"], 1) > S1_MAX_STEP_POSITIONS:
+        raise ScenarioError("(horizon_s // update_interval_s + 1) x positions must be at most "
+                            f"{S1_MAX_STEP_POSITIONS:,}")
+    times = list(range(0, horizon + 1, interval))
+    prices: list[int] = []
+    price = start_price
+    for _ in times:
+        prices.append(price)
+        move = rng.uniform(-params["volatility_bp"], params["volatility_bp"]) / 10_000
+        price = max(1, round(price * (1 + move)))
+
+    # every position starts healthy: liquidation prices sit up to 10% below
+    # the opening price and trigger when the market falls onto them
+    liq_prices = sorted(
+        rng.randint(start_price - start_price // 10, start_price - 1)
+        for _ in range(params["positions"])
+    )
+
+    seq = Sequencer()
+    observed_price = prices[0]
+    observed_at = 0
+    max_staleness = 0
+    l1_liquidated: set[int] = set()
+    l2_liquidated: set[int] = set()
+    wrongful = 0
+    monetary_delta = 0
+
+    for step, t in enumerate(times):
+        in_downtime = down_start <= t < down_end
+        seq.set_status(SequencerStatus.DOWN if in_downtime else SequencerStatus.ACTIVE)
+        seq.submit(
+            L2Tx(
+                id=f"price-update-{step}",
+                submit_time=t,
+                origin=TxOrigin.DIRECT_TO_SEQUENCER,
+                payload=(t, prices[step]),
+            )
+        )
+        for tx in seq.tick(t):
+            produced_at, px = tx.payload
+            if produced_at >= observed_at:
+                observed_at, observed_price = produced_at, px
+
+        max_staleness = max(max_staleness, t - observed_at)
+        true_price = prices[step]
+        for i, liq in enumerate(liq_prices):
+            l1_hit = i not in l1_liquidated and true_price <= liq
+            l2_hit = i not in l2_liquidated and observed_price <= liq
+            if l1_hit:
+                l1_liquidated.add(i)
+            if l2_hit:
+                l2_liquidated.add(i)
+            if l1_hit != l2_hit and true_price != observed_price:
+                wrongful += 1
+                monetary_delta += abs(true_price - observed_price)
+
+    l1 = {"liquidated_positions": len(l1_liquidated), "price_staleness_s": 0}
+    l2 = {"liquidated_positions": len(l2_liquidated), "price_staleness_s": max_staleness}
+    return l1, l2, {
+        "max_price_staleness_s": max_staleness,
+        "wrongful_liquidation_events": wrongful,
+        "monetary_delta_cents": monetary_delta,
+    }
+
+
+@st.composite
+def _s1_params(draw):
+    """S1 parameters of up to 401 steps; intervals of 300 s and more reach past 86,400 s."""
+    interval = draw(st.sampled_from([60, 1, 300, 7, 900, 2]))
+    steps = draw(st.sampled_from([200, 60, 400, 10, 2, 1, 0]))
+    horizon = max(1, steps * interval + draw(st.integers(0, interval - 1)))
+    return {
+        "downtime_s": draw(st.one_of(st.integers(0, horizon), st.integers(86_401, 400_000))),
+        "down_start_s": draw(st.integers(0, horizon)),
+        "horizon_s": horizon,
+        "update_interval_s": interval,
+        "positions": draw(st.sampled_from([13, 30, 5, 2, 1, 0])),
+        "start_price_cents": draw(st.integers(10, 20_000)),
+        "volatility_bp": draw(st.sampled_from([500, 200, 1_500, 10_000, 50, 1, 0])),
+    }
+
+
+def _s1(**changes):
+    return {**list_scenarios()[0].params, **changes}
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=_s1_params(), seed=st.integers(0, 2**64))
+@example(params=_s1(positions=0), seed=0)
+@example(params=_s1(volatility_bp=0), seed=1)
+@example(params=_s1(update_interval_s=1, volatility_bp=300, positions=20), seed=1)
+@example(params=_s1(horizon_s=200_000, update_interval_s=300, down_start_s=0, downtime_s=150_000,
+                    positions=20, volatility_bp=500), seed=3)
+def test_stale_oracle_matches_the_per_position_reference(params, seed):
+    assert _run_stale_oracle(params, seed) == _reference_stale_oracle(params, seed)
 
 
 class TestBlockNumberEquality:

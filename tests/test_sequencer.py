@@ -22,12 +22,22 @@ def delayed(tx_id, t, **kw):
     return L2Tx(id=tx_id, submit_time=t, origin=TxOrigin.DELAYED_INBOX, **kw)
 
 
+def ticked(seq, now):
+    """The (tx, execution time) pairs of one tick."""
+    return [(tx, now) for tx in seq.tick(now)]
+
+
+def max_wait(pairs):
+    """Largest (execution time - submit time) over (tx, at) pairs; 0 if there are none."""
+    return max((at - tx.submit_time for tx, at in pairs), default=0)
+
+
 def test_active_direct_tx_executes_at_next_tick():
     seq = Sequencer()
     seq.submit(direct("a", 10))
-    executed = seq.tick(10)
-    assert [tx.id for tx in executed] == ["a"]
-    assert seq.staleness() == 0
+    pairs = ticked(seq, 10)
+    assert [tx.id for tx, _ in pairs] == ["a"]
+    assert max_wait(pairs) == 0
 
 
 def test_down_sequencer_accumulates_in_delayed_inbox():
@@ -36,7 +46,7 @@ def test_down_sequencer_accumulates_in_delayed_inbox():
     seq.submit(direct("b", 20))
     assert seq.tick(30) == []
     assert list(seq.delayed_inbox) == ["a", "b"]
-    assert seq.executed_log == []
+    assert seq.counts() == (2, 0, 2, 0)
 
 
 def test_duplicate_id_rejected_and_state_unchanged():
@@ -68,12 +78,12 @@ def test_recovery_drains_old_delayed_txs_before_new_direct_ones():
     seq.set_status(SequencerStatus.DOWN)
     seq.submit(direct("a", 10))
     seq.submit(direct("b", 20))
-    seq.tick(3599)
+    assert seq.tick(3599) == []
     seq.set_status(SequencerStatus.ACTIVE)
     seq.submit(direct("c", 3601))
     executed = seq.tick(3602)
     assert [tx.id for tx in executed] == ["a", "b", "c"]
-    assert all(at == 3602 for _, at in seq.executed_log)
+    assert seq.counts() == (3, 0, 0, 3)
 
 
 def test_force_inclusion_after_configured_delay():
@@ -137,22 +147,26 @@ def test_staleness_covers_downtime_window():
     seq.set_status(SequencerStatus.DOWN)
     seq.submit(direct("a", 0))
     seq.set_status(SequencerStatus.ACTIVE)
-    seq.tick(3600)
-    assert seq.staleness() >= 3600
+    assert max_wait(ticked(seq, 3600)) >= 3600
 
 
 def test_staleness_empty_log_is_zero():
-    assert Sequencer().staleness() == 0
+    assert max_wait(ticked(Sequencer(), 0)) == 0
+    seq = Sequencer(status=SequencerStatus.DOWN)
+    seq.submit(direct("a", 0))
+    assert max_wait(ticked(seq, 86_399)) == 0
 
 
 def test_zero_downtime_staleness_bounded_by_tick_interval():
     seq = Sequencer()
     interval = 10
+    pairs = []
     for now in range(0, 200, interval):
         if now % 30 == 0:
             seq.submit(direct(f"t{now}", max(0, now - 7)))
-        seq.tick(now)
-    assert seq.staleness() <= interval
+        pairs += ticked(seq, now)
+    assert len(pairs) == 7
+    assert max_wait(pairs) <= interval
 
 
 def test_conservation_simple():
@@ -184,6 +198,7 @@ _EVENTS = st.lists(
 def test_conservation_and_no_duplicates_under_random_schedules(events):
     seq = Sequencer()
     now = 0
+    pairs = []
     for i, (kind, arg) in enumerate(events):
         now += 7
         if kind == "submit":
@@ -192,12 +207,13 @@ def test_conservation_and_no_duplicates_under_random_schedules(events):
         elif kind == "status":
             seq.set_status(SequencerStatus(arg))
         else:
-            seq.tick(now)
+            pairs += ticked(seq, now)
         submitted, pending, inboxed, executed = seq.counts()
         assert submitted == pending + inboxed + executed
-    executed_ids = [tx.id for tx, _ in seq.executed_log]
+        assert executed == len(pairs)
+    executed_ids = [tx.id for tx, _ in pairs]
     assert len(executed_ids) == len(set(executed_ids))
-    times = [at for _, at in seq.executed_log]
+    times = [at for _, at in pairs]
     assert times == sorted(times)
 
 
@@ -221,7 +237,7 @@ class FullScanSequencer(Sequencer):
                 else:
                     remaining[tx.id] = tx
             self.delayed_inbox = remaining
-        self.executed_log += [(tx, now) for tx in executed]
+        self.executed_count += len(executed)
         return executed
 
 
@@ -269,6 +285,6 @@ def test_watermark_ticks_match_a_full_scan(delay, status, inbox, schedule):
         else:
             now += args[0]
             assert [tx.id for tx in fast.tick(now)] == [tx.id for tx in slow.tick(now)]
-    assert [(tx.id, at) for tx, at in fast.executed_log] == [(tx.id, at) for tx, at in slow.executed_log]
+    assert fast.counts() == slow.counts()
     assert list(fast.delayed_inbox) == list(slow.delayed_inbox)
     assert [tx.id for tx in fast.pending] == [tx.id for tx in slow.pending]
