@@ -11,6 +11,8 @@ mode) no partial AST escapes — if any diagnostic was recorded,
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .lexer import (
     Diagnostic,
     MiniSolSyntaxError,
@@ -40,6 +42,7 @@ from .nodes import (
     IndexAccess,
     MappingType,
     MemberAccess,
+    Node,
     NumberLit,
     Param,
     RequireStmt,
@@ -54,7 +57,6 @@ from .nodes import (
     VarDeclStmt,
     WhileStmt,
     children,
-    walk,
 )
 
 ELEMENTARY_TYPES = ("uint256", "uint", "address", "bool", "string")
@@ -657,59 +659,85 @@ class _Parser:
         raise self._fail(f"expected expression, found {tok.text!r}")
 
 
-# --- name resolution -------------------------------------------------------
+# --- name resolution and the rule index -------------------------------------
+
+# Each node is filed as a site (node, contract, function, top): the contract
+# and function that enclose it (None outside one) and the position among the
+# function's children (params, returns, then body statements) of the one
+# that holds it, so positions order a function's top-level statements.
+_Index = dict[type, list[tuple[Node, "ContractDef | None", "FunctionDef | None", int]]]
 
 
 def annotate_bindings(unit: SourceUnit) -> None:
-    """Point every identifier's ``decl`` at the declaration it names.
+    """Point every identifier's ``decl`` at the declaration it names, and set
+    ``unit.index`` to every node of unit filed under its exact type, each
+    bucket in pre-order.
 
     A name is looked up in its block scope (parameters, then the locals
     declared before it in enclosing blocks), then in its contract (state
     variables over functions over contracts). A free name such as ``msg`` or
     ``block`` keeps ``decl = None``."""
+    index: _Index = defaultdict(list)
+    index[SourceUnit].append((unit, None, None, -1))
     contracts = {c.name: c for c in unit.contracts}
+    function, top = None, -1  # with contract and members, set by the loop at the end
+
+    def bind(root: Node, scope: dict) -> None:  # root's subtree holds no statement
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            cls = node.__class__
+            index[cls].append((node, contract, function, top))
+            if cls is Ident:
+                node.decl = scope.get(node.name) or members.get(node.name)
+            elif cls._child_fields:
+                stack.extend(reversed(children(node)))
+
+    def bind_stmts(stmts: list[Stmt], scope: dict) -> None:
+        for stmt in stmts:
+            bind_stmt(stmt, scope)
+
+    def bind_stmt(stmt: Stmt, scope: dict) -> None:
+        cls = stmt.__class__
+        if cls is IfStmt:
+            index[cls].append((stmt, contract, function, top))
+            bind(stmt.condition, scope)
+            bind_stmts(stmt.then_body, dict(scope))
+            if stmt.else_body is not None:
+                bind_stmts(stmt.else_body, dict(scope))
+        elif cls is ForStmt:
+            index[cls].append((stmt, contract, function, top))
+            inner = dict(scope)
+            if stmt.init is not None:
+                bind_stmt(stmt.init, inner)
+            if stmt.condition is not None:
+                bind(stmt.condition, inner)
+            if stmt.post is not None:
+                bind_stmt(stmt.post, inner)
+            bind_stmts(stmt.body, dict(inner))
+        elif cls is WhileStmt:
+            index[cls].append((stmt, contract, function, top))
+            bind(stmt.condition, scope)
+            bind_stmts(stmt.body, dict(scope))
+        else:  # a simple statement, parameter or type: resolve its names, then declare
+            bind(stmt, scope)
+            if cls is VarDeclStmt:
+                scope[stmt.name] = stmt
+
     for contract in unit.contracts:
+        index[ContractDef].append((contract, None, None, -1))
         members = {**contracts, **{f.name: f for f in contract.functions},
                    **{v.name: v for v in contract.state_vars}}
-
-        def resolve(expr: Expr, scope: dict) -> None:
-            for node in walk(expr):
-                if isinstance(node, Ident):
-                    node.decl = scope.get(node.name) or members.get(node.name)
-
-        def resolve_stmts(stmts: list[Stmt], scope: dict) -> None:
-            for stmt in stmts:
-                resolve_stmt(stmt, scope)
-
-        def resolve_stmt(stmt: Stmt | None, scope: dict) -> None:
-            if stmt is None:
-                return
-            if isinstance(stmt, IfStmt):
-                resolve(stmt.condition, scope)
-                resolve_stmts(stmt.then_body, dict(scope))
-                if stmt.else_body is not None:
-                    resolve_stmts(stmt.else_body, dict(scope))
-            elif isinstance(stmt, ForStmt):
-                inner = dict(scope)
-                resolve_stmt(stmt.init, inner)
-                if stmt.condition is not None:
-                    resolve(stmt.condition, inner)
-                resolve_stmt(stmt.post, inner)
-                resolve_stmts(stmt.body, dict(inner))
-            elif isinstance(stmt, WhileStmt):
-                resolve(stmt.condition, scope)
-                resolve_stmts(stmt.body, dict(scope))
-            else:  # a simple statement: resolve its expressions, then declare
-                for expr in children(stmt):
-                    resolve(expr, scope)
-                if isinstance(stmt, VarDeclStmt):
-                    scope[stmt.name] = stmt
-
-        for var in contract.state_vars:
-            if var.initializer is not None:
-                resolve(var.initializer, {})
-        for fn in contract.functions:
-            resolve_stmts(fn.body, {p.name: p for p in fn.params})
+        for member in contract.members:
+            if not isinstance(member, FunctionDef):
+                bind(member, {})
+                continue
+            index[FunctionDef].append((member, contract, None, -1))
+            function, scope = member, {p.name: p for p in member.params}
+            for top, kid in enumerate(children(member)):
+                bind_stmt(kid, scope)
+            function, top = None, -1
+    unit.index = index
 
 
 # --- entry points ----------------------------------------------------------

@@ -9,7 +9,6 @@ and the JSON form is canonical (sorted keys, LF, trailing newline).
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -35,9 +34,10 @@ from .minisol import (
     StateVarDecl,
     VarDeclStmt,
     WhileStmt,
-    children,
+    annotate_bindings,
     walk,
 )
+from .minisol.parser import _Index
 
 FINDINGS_SCHEMA_VERSION = "1"
 
@@ -305,8 +305,8 @@ def _name_parts(expr: Expr) -> list[str]:
     return parts[::-1]
 
 
-def _call_matches(call: CallExpr, patterns: Sequence[str]) -> bool:
-    lowered = {p.lower() for p in patterns}
+def _call_matches(call: CallExpr, lowered: set[str]) -> bool:
+    """Whether a name on call's callee chain is in lowered (lower-case patterns)."""
     return any(part.lower() in lowered for part in _name_parts(call.callee))
 
 
@@ -318,32 +318,6 @@ def _excerpt(unit: SourceUnit, node: Node, limit: int = 120) -> str:
     return first_line
 
 
-# --- the index: one full-tree pass per unit ---------------------------------
-
-# Each node is filed as a site (node, contract, function, top): the contract
-# and function that enclose it (None outside one) and the position among the
-# function's children (params, returns, then body statements) of the one
-# that holds it, so positions order a function's top-level statements.
-_Index = dict[type, list[tuple[Node, "ContractDef | None", "FunctionDef | None", int]]]
-
-
-def _index(unit: SourceUnit) -> _Index:
-    """Every node of unit filed under its exact type, each bucket in pre-order."""
-    index: _Index = defaultdict(list)
-    stack: list = [(unit, None, None, -1)]
-    while stack:
-        node, contract, function, top = site = stack.pop()
-        index[type(node)].append(site)
-        kids = children(node)
-        if isinstance(node, FunctionDef):
-            stack.extend((kid, contract, node, i) for i, kid in reversed(list(enumerate(kids))))
-            continue
-        if isinstance(node, ContractDef):
-            contract = node
-        stack.extend((kid, contract, function, top) for kid in reversed(kids))
-    return index
-
-
 # --- detectors --------------------------------------------------------------
 
 _Add = Callable[[str, Node, str], None]
@@ -351,14 +325,16 @@ _CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 
 
 def _detect_seq_001(index: _Index, config: RuleConfig, add: _Add) -> None:
+    uptime = {p.lower() for p in config.uptime_patterns}
+    oracle = {p.lower() for p in config.oracle_patterns}
     first_uptime: dict[int, int] = {}  # id(function) -> top of its first uptime check
     oracle_reads = []
     for call, contract, fn, top in index[CallExpr]:
         if fn is None:
             continue
-        if _call_matches(call, config.uptime_patterns):
+        if _call_matches(call, uptime):
             first_uptime.setdefault(id(fn), top)
-        elif _call_matches(call, config.oracle_patterns):
+        elif _call_matches(call, oracle):
             oracle_reads.append((call, contract, fn, top))
     for call, contract, fn, top in oracle_reads:
         if top <= first_uptime.get(id(fn), top):
@@ -446,9 +422,9 @@ def _state_var_type(expr: Node) -> Node | None:
 
 
 def _detect_alias_001(index: _Index, config: RuleConfig, add: _Add) -> None:
+    aliases = {p.lower() for p in config.alias_patterns}
     alias_aware = {
-        id(contract) for call, contract, *_ in index[CallExpr]
-        if _call_matches(call, config.alias_patterns)
+        id(contract) for call, contract, *_ in index[CallExpr] if _call_matches(call, aliases)
     }
     for node, contract, _, _ in index[BinaryExpr]:
         if node.op not in {"==", "!="} or id(contract) in alias_aware:
@@ -545,9 +521,10 @@ def analyze(unit: SourceUnit, config: RuleConfig | None = None) -> list[Finding]
             )
         )
 
-    index = _index(unit)
+    if unit.index is None:  # built by hand, never bound
+        annotate_bindings(unit)
     for rule_id in sorted(cfg.enabled):
-        _DETECTORS[rule_id](index, cfg, add)
+        _DETECTORS[rule_id](unit.index, cfg, add)
     findings.sort(key=Finding.sort_key)
     return findings
 

@@ -236,6 +236,8 @@ class TestScenarioCommands:
             ("S1", "positions=-1"),
             ("S1", "horizon_s=99999999999999999999"),
             ("S1", "positions=99999999999"),
+            ("S1", "positions=1000001"),
+            ("S1", "horizon_s=600000000"),
             ("S2", "horizon_s=0"),
             ("S3", "l1_sender=0x12"),
             ("S3", "sender_kind=robot"),

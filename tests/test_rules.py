@@ -3,14 +3,29 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_minisol import _Gen
 
 from arbmigrate.minisol import (
+    BinaryExpr,
+    ContractDef,
+    ElementaryType,
+    ForStmt,
+    FunctionDef,
+    Ident,
+    IfStmt,
+    MemberAccess,
+    MiniSolSyntaxError,
+    Node,
     Param,
+    RequireStmt,
+    SourceUnit,
     StateVarDecl,
     TokenKind,
     VarDeclStmt,
+    WhileStmt,
+    children,
     parse_source,
     print_source,
     tokenize,
@@ -358,6 +373,20 @@ def _suffix_contracts(source, suffix):
     return _rename(source, {name: f"{name}{suffix}" for name in names})
 
 
+def _variables(source):
+    return sorted({
+        node.name for node in walk(parse_source(source))
+        if isinstance(node, (StateVarDecl, VarDeclStmt, Param))
+    })
+
+
+def _with_scope_probe(source, var, literal):
+    """source with a new last function that declares a local named var."""
+    end = source.rstrip().rindex("}")  # the closing brace of the last contract
+    probe = f"    function scopeProbe() public {{ uint256 {var} = {literal}; }}\n"
+    return source[:end] + probe + source[end:]
+
+
 class TestMetamorphic:
     @settings(max_examples=60, deadline=None)
     @given(a=st.lists(st.sampled_from(CORPUS_NAMES), min_size=1, max_size=3, unique=True),
@@ -377,14 +406,9 @@ class TestMetamorphic:
     @example(name="time_hardcode_dirty.sol", pick=0, literal=5_000_000)  # local endBlock
     def test_local_with_a_variable_name_in_a_new_function_adds_nothing(self, name, pick, literal):
         source = (CORPUS / name).read_text()
-        variables = sorted({
-            node.name for node in walk(parse_source(source))
-            if isinstance(node, (StateVarDecl, VarDeclStmt, Param))
-        })
+        variables = _variables(source)
         var = variables[pick % len(variables)]
-        end = source.rstrip().rindex("}")  # the closing brace of the last contract
-        probe = f"    function scopeProbe() public {{ uint256 {var} = {literal}; }}\n"
-        assert analyze_text(source[:end] + probe + source[end:]) == analyze_text(source)
+        assert analyze_text(_with_scope_probe(source, var, literal)) == analyze_text(source)
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(CORPUS_NAMES), data=st.data())
@@ -424,6 +448,148 @@ class TestMetamorphic:
         assert Counter(f.rule_id for f in analyze_text(padded)) == Counter(
             f.rule_id for f in analyze_text(source)
         )
+
+
+# --- the binder and the rule index as two passes --------------------------------
+
+# parser.annotate_bindings as it was before it filed the rule index: a
+# recursive binder that only sets Ident.decl.
+def _reference_annotate_bindings(unit):
+    contracts = {c.name: c for c in unit.contracts}
+    for contract in unit.contracts:
+        members = {**contracts, **{f.name: f for f in contract.functions},
+                   **{v.name: v for v in contract.state_vars}}
+
+        def resolve(expr, scope):
+            for node in walk(expr):
+                if isinstance(node, Ident):
+                    node.decl = scope.get(node.name) or members.get(node.name)
+
+        def resolve_stmts(stmts, scope):
+            for stmt in stmts:
+                resolve_stmt(stmt, scope)
+
+        def resolve_stmt(stmt, scope):
+            if stmt is None:
+                return
+            if isinstance(stmt, IfStmt):
+                resolve(stmt.condition, scope)
+                resolve_stmts(stmt.then_body, dict(scope))
+                if stmt.else_body is not None:
+                    resolve_stmts(stmt.else_body, dict(scope))
+            elif isinstance(stmt, ForStmt):
+                inner = dict(scope)
+                resolve_stmt(stmt.init, inner)
+                if stmt.condition is not None:
+                    resolve(stmt.condition, inner)
+                resolve_stmt(stmt.post, inner)
+                resolve_stmts(stmt.body, dict(inner))
+            elif isinstance(stmt, WhileStmt):
+                resolve(stmt.condition, scope)
+                resolve_stmts(stmt.body, dict(scope))
+            else:  # a simple statement: resolve its expressions, then declare
+                for expr in children(stmt):
+                    resolve(expr, scope)
+                if isinstance(stmt, VarDeclStmt):
+                    scope[stmt.name] = stmt
+
+        for var in contract.state_vars:
+            if var.initializer is not None:
+                resolve(var.initializer, {})
+        for fn in contract.functions:
+            resolve_stmts(fn.body, {p.name: p for p in fn.params})
+
+
+# rules._index, the second full-tree pass that filed every node by type.
+def _reference_index(unit):
+    index = {}
+    stack = [(unit, None, None, -1)]
+    while stack:
+        node, contract, function, top = site = stack.pop()
+        index.setdefault(type(node), []).append(site)
+        kids = children(node)
+        if isinstance(node, FunctionDef):
+            stack.extend((kid, contract, node, i) for i, kid in reversed(list(enumerate(kids))))
+            continue
+        if isinstance(node, ContractDef):
+            contract = node
+        stack.extend((kid, contract, function, top) for kid in reversed(kids))
+    return index
+
+
+def _site_ids(index):
+    """Each nonempty bucket, with every node of a site as its id."""
+    return {
+        cls: [(id(node), id(contract), id(function), top) for node, contract, function, top in sites]
+        for cls, sites in index.items() if sites
+    }
+
+
+@st.composite
+def _binder_sources(draw):
+    """A generated program, or a corpus file as is or under a metamorphic mutation."""
+    kind = draw(st.sampled_from(["generated", "corpus", "concatenated", "probed", "renamed"]))
+    if kind == "generated":
+        return print_source(_Gen(draw(st.integers(0, 10**6))).unit())
+    source = (CORPUS / draw(st.sampled_from(CORPUS_NAMES))).read_text()
+    if kind == "concatenated":
+        other = (CORPUS / draw(st.sampled_from(CORPUS_NAMES))).read_text()
+        return _suffix_contracts(source, "A") + _suffix_contracts(other, "B")
+    if kind == "probed":
+        return _with_scope_probe(source, draw(st.sampled_from(_variables(source))), 5_000_000)
+    if kind == "renamed":  # may rename one declaration onto another, which can shadow it
+        names = sorted({t.text for t in tokenize(source) if t.kind is TokenKind.IDENTIFIER})
+        chosen = draw(st.lists(st.sampled_from(names), unique=True, min_size=1, max_size=4))
+        return _rename(source, {old: draw(st.sampled_from(names)) for old in chosen})
+    return source
+
+
+def _rebuild(value):
+    """A copy of value made with the node constructors: same fields and spans, never bound."""
+    if isinstance(value, list):
+        return [_rebuild(item) for item in value]
+    if not isinstance(value, Node):
+        return value
+    return type(value)(*(_rebuild(getattr(value, f)) for f in value._fields), span=value.span)
+
+
+class TestOnePassIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(source=_binder_sources())
+    @example(source=(CORPUS / "time_hardcode_dirty.sol").read_text())
+    def test_one_pass_matches_the_binder_then_the_index(self, source):
+        try:
+            unit = parse_source(source)
+        except MiniSolSyntaxError:  # a renaming that declares a name twice in one scope
+            assume(False)
+        idents = [node for node in walk(unit) if isinstance(node, Ident)]
+        decls = [ident.decl for ident in idents]
+        sites = _site_ids(unit.index)
+        _reference_annotate_bindings(unit)
+        assert [id(ident.decl) for ident in idents] == [id(decl) for decl in decls]
+        assert _site_ids(_reference_index(unit)) == sites
+
+    def test_analyze_binds_a_unit_built_by_hand_like_its_parsed_twin(self):
+        for name in CORPUS_NAMES:
+            parsed = parse_source((CORPUS / name).read_text(), path=name)
+            built = _rebuild(parsed)
+            assert built.index is None
+            assert analyze(built) == analyze(parsed), name
+            assert _site_ids(built.index).keys() == _site_ids(parsed.index).keys()
+        # spans and source text only place a finding; an all-default unit is found too
+        owner = StateVarDecl(ElementaryType("address"), None, "owner")
+        check = RequireStmt(BinaryExpr("==", MemberAccess(Ident("msg"), "sender"), Ident("owner")))
+        unit = SourceUnit([ContractDef("C", [owner, FunctionDef("f", body=[check])])])
+        assert [f.rule_id for f in analyze(unit)] == ["ARB-ALIAS-001"]
+        assert check.condition.right.decl is owner
+
+    def test_index_is_not_a_field(self):
+        parsed = parse_source((CORPUS / "alias_permission_dirty.sol").read_text(), path="a.sol")
+        built = _rebuild(parsed)
+        assert parsed.index and built.index is None
+        assert parsed == built and repr(parsed) == repr(built)
+        assert "index" not in SourceUnit._fields and "index" not in repr(parsed)
+        assert children(parsed) == parsed.contracts
 
 
 class TestCorpus:

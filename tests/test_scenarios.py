@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from arbmigrate import retryable
 from arbmigrate.chainmodel import L1Chain, L2View, WallClock, l1_block_number_at, l2_view_l1_number_at
 from arbmigrate.scenarios import (
-    S1_MAX_STEP_POSITIONS,
+    S1_MAX_POSITIONS,
+    S1_MAX_STEPS,
     DifferentialReport,
     EventScriptError,
     Outcome,
@@ -141,10 +142,30 @@ class TestStaleOracle:
 
         assert (peak(9_000) - peak(1_000)) / 8_000 < 250
 
+    def test_many_steps_with_many_positions_run(self):
+        # 12,001 steps x 1,000 positions, above the old bound on their product
+        report = run_scenario("S1", {"horizon_s": 12_000, "update_interval_s": 1, "positions": 1_000})
+        assert report.l1_outcome["liquidated_positions"] <= 1_000
+
+    def test_steps_are_capped(self):
+        # each one step past the cap; the check runs before any draw
+        with pytest.raises(ScenarioError, match="update_interval_s \\+ 1 must be at most 10,000,000"):
+            run_scenario("S1", {"horizon_s": S1_MAX_STEPS * 60})
+        with pytest.raises(ScenarioError, match="must be at most 10,000,000"):
+            run_scenario("S1", {"horizon_s": S1_MAX_STEPS, "update_interval_s": 1, "positions": 1})
+
+    def test_positions_are_capped_on_their_own(self):
+        with pytest.raises(ScenarioError, match="positions must be at most 1,000,000"):
+            run_scenario("S1", {"positions": S1_MAX_POSITIONS + 1, "horizon_s": 60})
+
 
 # The S1 runner before it streamed its prices and kept each chain's
 # liquidations as the start of a sorted suffix: a list of every price, and
-# every position checked at every step.
+# every position checked at every step. It keeps the single bound on steps x
+# positions of that time; the draws below stay far inside it.
+_REFERENCE_MAX_STEP_POSITIONS = 10_000_000
+
+
 def _reference_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
     rng = random.Random(seed)
     interval = params["update_interval_s"]
@@ -159,9 +180,9 @@ def _reference_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
         raise ScenarioError("start_price_cents must be at least 10")
     if params["positions"] < 0:
         raise ScenarioError("positions must be non-negative")
-    if (horizon // interval + 1) * max(params["positions"], 1) > S1_MAX_STEP_POSITIONS:
+    if (horizon // interval + 1) * max(params["positions"], 1) > _REFERENCE_MAX_STEP_POSITIONS:
         raise ScenarioError("(horizon_s // update_interval_s + 1) x positions must be at most "
-                            f"{S1_MAX_STEP_POSITIONS:,}")
+                            f"{_REFERENCE_MAX_STEP_POSITIONS:,}")
     times = list(range(0, horizon + 1, interval))
     prices: list[int] = []
     price = start_price
