@@ -5,7 +5,6 @@ docs/minisol-grammar.md (MiniSol grammar v1)."""
 from .lexer import (
     Diagnostic,
     MiniSolSyntaxError,
-    Severity,
     Token,
     TokenKind,
     tokenize,
@@ -58,8 +57,8 @@ __all__ = [
     "ContractDef", "Diagnostic", "ElementaryType", "EmitStmt", "Expr", "ExprStmt",
     "ForStmt", "FunctionDef", "GRAMMAR_VERSION", "HexLit", "Ident", "IfStmt",
     "IncDecStmt", "IndexAccess", "MappingType", "MemberAccess", "MiniSolSyntaxError",
-    "Node", "NumberLit", "Param", "RequireStmt", "ReturnStmt", "Severity",
-    "SourceUnit", "Span", "StateVarDecl", "Stmt", "StringLit", "Token", "TokenKind",
+    "Node", "NumberLit", "Param", "RequireStmt", "ReturnStmt", "SourceUnit",
+    "Span", "StateVarDecl", "Stmt", "StringLit", "Token", "TokenKind",
     "TypeName", "UnaryExpr", "VarDeclStmt", "WhileStmt", "annotate_bindings",
     "children", "parse_source", "parse_tokens", "print_contract", "print_expr",
     "print_source", "print_type", "tokenize", "walk",

@@ -26,18 +26,15 @@ class TokenKind(Enum):
     OPERATOR = "operator"
 
 
-class Severity(Enum):
-    ERROR = "error"
-
-
 class Diagnostic(NamedTuple):
+    """A syntax error at a 1-based line and column."""
+
     message: str
     line: int
     column: int
-    severity: Severity = Severity.ERROR
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity.value}: {self.message}"
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 class MiniSolSyntaxError(Exception):

@@ -1,15 +1,19 @@
 """AST node definitions for the MiniSol contract-language subset.
 
+Every node is a record (``arbmigrate._record``, the base of the simulator
+records too): a node class declares its fields once, in source order, as the
+positional parameters of its ``__init__``, and ``==`` and repr read them.
 Every node carries a source span (byte offsets plus the 1-based line/column
-of its first token).  Spans are excluded from equality so two parses of the
-same text compare structurally equal.  A node class declares its fields once,
-in source order, as the positional parameters of its ``__init__``; ``span`` is
-keyword-only and a list defaults to a new one.
+of its first token); ``span`` is keyword-only, so it is no field and two
+parses of the same text compare structurally equal.  A list defaults to a
+new one.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Union
+
+from .._record import Record
 
 
 class Span(NamedTuple):
@@ -27,31 +31,17 @@ _SCALAR_ANNOTATIONS = frozenset(
 )
 
 
-class Node:
-    """Base class of all AST nodes: field-wise ``==`` and repr; unhashable."""
+class Node(Record):
+    """Base class of all AST nodes: a record that knows which fields may hold nodes."""
 
-    _fields: tuple[str, ...] = ()
-    _child_fields: tuple[str, ...] = ()  # the fields that may hold nodes, in field order
+    _child_fields: tuple[str, ...] = ()  # in field order
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1 : code.co_argcount]
         annotations = cls.__init__.__annotations__
         cls._child_fields = tuple(
             f for f in cls._fields if annotations.get(f) not in _SCALAR_ANNOTATIONS
         )
-        cls._compared = tuple(f for f in cls._fields if f not in ("path", "source"))
-        cls._shown = tuple(f for f in cls._fields if f != "source")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self._compared)
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
-        return f"{type(self).__qualname__}({shown})"
 
 
 # --- types ---------------------------------------------------------------
@@ -255,6 +245,9 @@ class ContractDef(Node):
 
 
 class SourceUnit(Node):
+    _compared = ("contracts",)  # units of equal contracts are equal, whatever path and text
+    _shown = ("contracts", "path")
+
     def __init__(self, contracts: list[ContractDef] | None = None, path: str = "<source>",
                  source: str = "", *, span: Span = EMPTY_SPAN):
         self.span, self.path, self.source = span, path, source

@@ -3,8 +3,8 @@
 Anything outside the declared grammar is rejected with an "unsupported
 construct" diagnostic rather than silently misparsed, and a name declared
 twice in one scope gets a "duplicate declaration" diagnostic.  Inside
-function bodies the parser recovers at statement boundaries so one bad
-statement does not hide later errors; in strict mode (the default and only
+contracts and function bodies the parser recovers at member and statement
+boundaries so one bad item does not hide later errors; in strict mode (the default and only
 mode) no partial AST escapes — if any diagnostic was recorded,
 :class:`MiniSolSyntaxError` is raised carrying all of them.
 """
@@ -64,6 +64,8 @@ _TYPE_START = frozenset(ELEMENTARY_TYPES) | {"mapping"}
 _VISIBILITY = ("public", "private", "internal", "external")
 _MUTABILITY = ("payable", "view", "pure")
 _LOCATIONS = ("memory", "calldata", "storage")
+# The items of a braced list that declare a name in the list's scope.
+_DECLARED = (StateVarDecl, FunctionDef, VarDeclStmt)
 # Type keywords usable as conversion callees, e.g. payable(x) or address(0).
 _CAST_KEYWORDS = frozenset({"address", "payable", "uint256", "uint", "bool", "string"})
 
@@ -75,7 +77,14 @@ BINARY_PRECEDENCE = {
     "+": 5, "-": 5,
     "*": 6, "/": 6, "%": 6,
 }
-_ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%="})
+# The operators a simple statement applies to an assignable target (a name,
+# member or element), each with the diagnostic for any other target.
+_ASSIGNMENT = "cannot assign to this expression with {!r}"
+_TARGET_OPS = {
+    **dict.fromkeys(("=", "+=", "-=", "*=", "/=", "%="), _ASSIGNMENT),
+    "++": "cannot apply {!r} to this expression",
+    "--": "cannot apply {!r} to this expression",
+}
 
 # Deepest nesting of statements and operands the parser accepts.  Each level
 # costs at most twelve Python frames, so any input stays inside the default
@@ -104,6 +113,12 @@ def _nested(parse):
     return method
 
 
+def _through(node: Node, end: int) -> Span:
+    """node's span extended to the byte offset end."""
+    span = node.span
+    return Span(span.start, end, span.line, span.column)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], source: str):
         # An end-of-input sentinel (kind None, text "") where the last token
@@ -124,19 +139,12 @@ class _Parser:
     def _at_end(self) -> bool:
         return self.tokens[self.pos].kind is None
 
-    def _here(self) -> tuple[int, int]:
-        tok = self.tokens[self.pos]
-        return tok.line, tok.column
-
     def _fail(self, message: str) -> _ParseFailure:
-        line, col = self._here()
-        return _ParseFailure(Diagnostic(message, line, col))
+        tok = self.tokens[self.pos]
+        return _ParseFailure(Diagnostic(message, tok.line, tok.column))
 
     def _check(self, text: str) -> bool:
         return self.tokens[self.pos].text == text
-
-    def _check_kind(self, kind: TokenKind) -> bool:
-        return self.tokens[self.pos].kind is kind
 
     def _current(self) -> Token:
         """The next token, not consumed; a syntax error at the end of input."""
@@ -174,6 +182,10 @@ class _Parser:
         end = end_tok.offset + len(end_tok.text)
         return Span(start_tok.offset, end, start_tok.line, start_tok.column)
 
+    def _node_span(self, start_tok: Token) -> Span:
+        """From start_tok through the last token consumed."""
+        return self._span_from(start_tok, self.tokens[self.pos - 1])
+
     def _declare(self, names: set[str], decl):
         """Note decl's name in a scope; a second declaration there is a diagnostic."""
         if decl.name in names:
@@ -182,11 +194,12 @@ class _Parser:
         names.add(decl.name)
         return decl
 
-    def _prev(self) -> Token:
-        return self.tokens[self.pos - 1]
-
-    def _node_span(self, start_tok: Token) -> Span:
-        return self._span_from(start_tok, self._prev())
+    def _separated(self, parse_item) -> list:
+        """One or more items, separated by ','."""
+        items = [parse_item()]
+        while self._accept(","):
+            items.append(parse_item())
+        return items
 
     # -- recovery --------------------------------------------------------
 
@@ -206,6 +219,24 @@ class _Parser:
                 return
             self.pos += 1
 
+    def _braced(self, parse_item) -> list:
+        """'{' items '}', each a declaration in one scope or another item.  A bad
+        item's diagnostic is recorded and the parse goes on after it."""
+        self._expect("{")
+        items: list = []
+        names: set[str] = set()
+        while not self._check("}"):
+            if self._at_end():
+                raise self._fail("expected '}'")
+            try:
+                item = parse_item()
+                items.append(self._declare(names, item) if isinstance(item, _DECLARED) else item)
+            except _ParseFailure as failure:
+                self.diagnostics.append(failure.diagnostic)
+                self._sync_statement()
+        self._expect("}")
+        return items
+
     # -- grammar ---------------------------------------------------------
 
     def parse_unit(self, path: str) -> SourceUnit:
@@ -220,25 +251,14 @@ class _Parser:
                 self._sync_statement()
                 # the sync stops before a stray '}', which no contract can start
                 self._accept("}")
-        span = self._span_from(first, self._prev()) if self.pos > 0 else Span(0, 0, 1, 1)
+        span = self._node_span(first) if self.pos > 0 else Span(0, 0, 1, 1)
         return SourceUnit(contracts=contracts, path=path, source=self.source, span=span)
 
     def parse_contract(self) -> ContractDef:
         start = self._expect("contract")
-        name = self._expect_identifier("contract name")
-        self._expect("{")
-        members: list[StateVarDecl | FunctionDef] = []
-        names: set[str] = set()  # state variables and functions share one scope
-        while not self._check("}"):
-            if self._at_end():
-                raise self._fail("expected '}'")
-            try:
-                members.append(self._declare(names, self.parse_member()))
-            except _ParseFailure as failure:
-                self.diagnostics.append(failure.diagnostic)
-                self._sync_statement()
-        self._expect("}")
-        return ContractDef(name=name.text, members=members, span=self._node_span(start))
+        name = self._expect_identifier("contract name").text
+        # state variables and functions share one scope
+        return ContractDef(name, self._braced(self.parse_member), span=self._node_span(start))
 
     def parse_member(self) -> StateVarDecl | FunctionDef:
         tok = self._peek()
@@ -251,35 +271,32 @@ class _Parser:
             "state variables and functions"
         )
 
-    def parse_state_var(self) -> StateVarDecl:
+    def _declaration(self, qualifiers: tuple[str, ...], what: str):
+        """Type, an optional qualifier, name: (first token, type, qualifier, name)."""
         start = self._current()
         var_type = self.parse_typename()
-        visibility = None
-        if self._peek().text in _VISIBILITY:
-            visibility = self._advance().text
-        name = self._expect_identifier("state variable name")
-        initializer = None
-        if self._accept("="):
-            initializer = self.parse_expression()
+        qualifier = self._advance().text if self._peek().text in qualifiers else None
+        return start, var_type, qualifier, self._expect_identifier(what).text
+
+    def _initializer(self) -> Expr | None:
+        """An optional '= expression', then the ';' that ends a variable declaration."""
+        initializer = self.parse_expression() if self._accept("=") else None
         self._expect(";")
-        return StateVarDecl(
-            var_type=var_type,
-            visibility=visibility,
-            name=name.text,
-            initializer=initializer,
-            span=self._node_span(start),
-        )
+        return initializer
+
+    def parse_state_var(self) -> StateVarDecl:
+        start, var_type, visibility, name = self._declaration(_VISIBILITY, "state variable name")
+        initializer = self._initializer()
+        return StateVarDecl(var_type, visibility, name, initializer, span=self._node_span(start))
 
     def parse_function(self) -> FunctionDef:
         start = self._expect("function")
         name = self._expect_identifier("function name")
         self._expect("(")
-        params: list[Param] = []
         names: set[str] = set()
-        if not self._check(")"):
-            params.append(self._declare(names, self.parse_param()))
-            while self._accept(","):
-                params.append(self._declare(names, self.parse_param()))
+        params: list[Param] = [] if self._check(")") else self._separated(
+            lambda: self._declare(names, self.parse_param())
+        )
         self._expect(")")
 
         visibility: str | None = None
@@ -299,9 +316,7 @@ class _Parser:
             elif tok.text == "returns":
                 self._advance()
                 self._expect("(")
-                returns.append(self.parse_typename())
-                while self._accept(","):
-                    returns.append(self.parse_typename())
+                returns.extend(self._separated(self.parse_typename))
                 self._expect(")")
             elif tok.kind is TokenKind.IDENTIFIER:
                 modifiers.append(self._advance().text)
@@ -315,29 +330,13 @@ class _Parser:
                 )
         body = self.parse_block()
         return FunctionDef(
-            name=name.text,
-            params=params,
-            visibility=visibility,
-            mutability=mutability,
-            modifiers=modifiers,
-            returns=returns,
-            body=body,
+            name.text, params, visibility, mutability, modifiers, returns, body,
             span=self._node_span(start),
         )
 
     def parse_param(self) -> Param:
-        start = self._current()
-        var_type = self.parse_typename()
-        location = None
-        if self._peek().text in _LOCATIONS:
-            location = self._advance().text
-        name = self._expect_identifier("parameter name")
-        return Param(
-            var_type=var_type,
-            name=name.text,
-            location=location,
-            span=self._node_span(start),
-        )
+        start, var_type, location, name = self._declaration(_LOCATIONS, "parameter name")
+        return Param(var_type, name, location, span=self._node_span(start))
 
     def parse_typename(self, allow_mapping: bool = True) -> TypeName:
         tok = self._peek()
@@ -354,22 +353,12 @@ class _Parser:
         if tok.kind is None:
             raise self._fail("expected type")
         base: TypeName = self.parse_elementary()
-        if self._check("["):
-            start_tok = self._advance()
-            length: int | None = None
-            if self._check_kind(TokenKind.NUMBER):
+        if self._accept("["):
+            length = None
+            if self._peek().kind is TokenKind.NUMBER:
                 length = int(self._advance().text)
-            self._expect("]")
-            base = ArrayType(
-                base=base,
-                length=length,
-                span=Span(
-                    base.span.start,
-                    self._prev().offset + 1,
-                    base.span.line,
-                    base.span.column,
-                ),
-            )
+            close = self._expect("]")
+            base = ArrayType(base, length, span=_through(base, close.offset + 1))
             if self._check("["):
                 raise self._fail("unsupported construct: nested arrays")
         return base
@@ -385,20 +374,7 @@ class _Parser:
     # -- statements -------------------------------------------------------
 
     def parse_block(self) -> list[Stmt]:
-        self._expect("{")
-        stmts: list[Stmt] = []
-        names: set[str] = set()  # this block's locals
-        while not self._check("}"):
-            if self._at_end():
-                raise self._fail("expected '}'")
-            try:
-                stmt = self.parse_statement()
-                stmts.append(self._declare(names, stmt) if isinstance(stmt, VarDeclStmt) else stmt)
-            except _ParseFailure as failure:
-                self.diagnostics.append(failure.diagnostic)
-                self._sync_statement()
-        self._expect("}")
-        return stmts
+        return self._braced(self.parse_statement)  # its locals are one scope
 
     def _body_or_single(self) -> list[Stmt]:
         if self._check("{"):
@@ -431,31 +407,15 @@ class _Parser:
         if tok.kind is None:
             raise self._fail("expected statement")
         stmt = self.parse_simple_statement()
-        self._expect(";")
-        start_offset = stmt.span.start
-        stmt.span = Span(start_offset, self._prev().offset + 1, stmt.span.line, stmt.span.column)
+        stmt.span = _through(stmt, self._expect(";").offset + 1)
         return stmt
 
     def parse_var_decl(self) -> VarDeclStmt:
-        start = self._current()
-        if start.text == "mapping":
+        if self._check("mapping"):
             raise self._fail("unsupported construct: mapping variables must be state variables")
-        var_type = self.parse_typename(allow_mapping=False)
-        location = None
-        if self._peek().text in _LOCATIONS:
-            location = self._advance().text
-        name = self._expect_identifier("variable name")
-        initializer = None
-        if self._accept("="):
-            initializer = self.parse_expression()
-        self._expect(";")
-        return VarDeclStmt(
-            var_type=var_type,
-            name=name.text,
-            location=location,
-            initializer=initializer,
-            span=self._node_span(start),
-        )
+        start, var_type, location, name = self._declaration(_LOCATIONS, "variable name")
+        initializer = self._initializer()
+        return VarDeclStmt(var_type, name, location, initializer, span=self._node_span(start))
 
     def parse_require(self) -> RequireStmt:
         start = self._expect("require")
@@ -481,12 +441,7 @@ class _Parser:
         else_body: list[Stmt] | None = None
         if self._accept("else"):
             else_body = self._body_or_single()
-        return IfStmt(
-            condition=condition,
-            then_body=then_body,
-            else_body=else_body,
-            span=self._node_span(start),
-        )
+        return IfStmt(condition, then_body, else_body, span=self._node_span(start))
 
     def parse_for(self) -> ForStmt:
         start = self._expect("for")
@@ -506,9 +461,7 @@ class _Parser:
             post = self.parse_simple_statement()
         self._expect(")")
         body = self._body_or_single()
-        return ForStmt(
-            init=init, condition=condition, post=post, body=body, span=self._node_span(start)
-        )
+        return ForStmt(init, condition, post, body, span=self._node_span(start))
 
     def parse_while(self) -> WhileStmt:
         start = self._expect("while")
@@ -530,21 +483,16 @@ class _Parser:
         """Assignment, increment/decrement, or bare expression (no ';')."""
         start = self._current()
         expr = self.parse_expression()
-        tok = self._peek()
-        if tok.text in _ASSIGN_OPS:
-            if not isinstance(expr, (Ident, MemberAccess, IndexAccess)):
-                raise self._fail(f"cannot assign to this expression with {tok.text!r}")
-            op = self._advance().text
-            value = self.parse_expression()
-            return AssignStmt(
-                target=expr, op=op, value=value, span=self._node_span(start)
-            )
-        if tok.text in {"++", "--"}:
-            if not isinstance(expr, (Ident, MemberAccess, IndexAccess)):
-                raise self._fail(f"cannot apply {tok.text!r} to this expression")
-            op = self._advance().text
-            return IncDecStmt(target=expr, op=op, span=self._node_span(start))
-        return ExprStmt(expression=expr, span=self._node_span(start))
+        op = self._peek().text
+        if op not in _TARGET_OPS:
+            return ExprStmt(expr, span=self._node_span(start))
+        if not isinstance(expr, (Ident, MemberAccess, IndexAccess)):
+            raise self._fail(_TARGET_OPS[op].format(op))
+        self._advance()
+        if op in ("++", "--"):
+            return IncDecStmt(expr, op, span=self._node_span(start))
+        value = self.parse_expression()
+        return AssignStmt(expr, op, value, span=self._node_span(start))
 
     # -- expressions ------------------------------------------------------
 
@@ -559,12 +507,7 @@ class _Parser:
                 return left
             op = self._advance().text
             right = self.parse_binary(prec + 1)
-            left = BinaryExpr(
-                op=op,
-                left=left,
-                right=right,
-                span=Span(left.span.start, right.span.end, left.span.line, left.span.column),
-            )
+            left = BinaryExpr(op, left, right, span=_through(left, right.span.end))
 
     @_nested
     def parse_unary(self) -> Expr:
@@ -586,42 +529,18 @@ class _Parser:
             if text == ".":
                 self.pos += 1
                 member = self._expect_identifier("member name")
-                expr = MemberAccess(
-                    obj=expr,
-                    member=member.text,
-                    span=Span(
-                        expr.span.start,
-                        member.offset + len(member.text),
-                        expr.span.line,
-                        expr.span.column,
-                    ),
-                )
+                end = member.offset + len(member.text)
+                expr = MemberAccess(expr, member.text, span=_through(expr, end))
             elif text == "(":
                 self.pos += 1
-                args: list[Expr] = []
-                if not self._check(")"):
-                    args.append(self.parse_expression())
-                    while self._accept(","):
-                        args.append(self.parse_expression())
+                args = [] if self._check(")") else self._separated(self.parse_expression)
                 close = self._expect(")")
-                expr = CallExpr(
-                    callee=expr,
-                    args=args,
-                    span=Span(
-                        expr.span.start, close.offset + 1, expr.span.line, expr.span.column
-                    ),
-                )
+                expr = CallExpr(expr, args, span=_through(expr, close.offset + 1))
             elif text == "[":
                 self.pos += 1
                 index = self.parse_expression()
                 close = self._expect("]")
-                expr = IndexAccess(
-                    obj=expr,
-                    index=index,
-                    span=Span(
-                        expr.span.start, close.offset + 1, expr.span.line, expr.span.column
-                    ),
-                )
+                expr = IndexAccess(expr, index, span=_through(expr, close.offset + 1))
             else:
                 return expr
 

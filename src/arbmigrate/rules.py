@@ -19,9 +19,7 @@ from .minisol import (
     AssignStmt,
     BinaryExpr,
     CallExpr,
-    ContractDef,
     ElementaryType,
-    Expr,
     ForStmt,
     FunctionDef,
     Ident,
@@ -35,6 +33,7 @@ from .minisol import (
     VarDeclStmt,
     WhileStmt,
     annotate_bindings,
+    children,
     walk,
 )
 from .minisol.parser import _Index
@@ -289,25 +288,56 @@ def _is_member(expr: Node, obj_name: str, member: str) -> bool:
     )
 
 
-def _contains_member(expr: Node, obj_name: str, member: str) -> bool:
-    return any(_is_member(n, obj_name, member) for n in walk(expr))
+def _contains_member(node: Node, obj_name: str, member: str, seen: dict[int, bool]) -> bool:
+    """Whether node's subtree holds obj_name.member; depth first, stopping at the first one.
+
+    seen keeps every answer by node id, and a hit answers the whole path to
+    it, so on a chain whose every link is asked about each node is tested
+    once.  Each obj_name.member needs its own seen, kept no longer than its nodes."""
+    path = []  # (node, iterator over its children) for each open node
+    while True:
+        if not node._child_fields:  # a leaf, so no member access: not worth keeping
+            hit = False
+        elif (hit := seen.get(id(node))) is None:
+            hit = _is_member(node, obj_name, member)
+            if not hit:
+                path.append((node, iter(children(node))))
+        if hit:
+            seen[id(node)] = True
+            seen.update((id(opened), True) for opened, _ in path)
+            return True
+        while path:
+            node = next(path[-1][1], None)
+            if node is not None:
+                break
+            seen[id(path.pop()[0])] = False
+        else:
+            return False
 
 
-def _name_parts(expr: Expr) -> list[str]:
-    """Identifier components along a callee chain, e.g. feed.getPrice -> [feed, getPrice]."""
-    parts: list[str] = []
-    while isinstance(expr, (MemberAccess, CallExpr, IndexAccess)):
-        if isinstance(expr, MemberAccess):
-            parts.append(expr.member)
-        expr = expr.callee if isinstance(expr, CallExpr) else expr.obj
-    if isinstance(expr, Ident):
-        parts.append(expr.name)
-    return parts[::-1]
-
-
-def _call_matches(call: CallExpr, lowered: set[str]) -> bool:
-    """Whether a name on call's callee chain is in lowered (lower-case patterns)."""
-    return any(part.lower() in lowered for part in _name_parts(call.callee))
+def _call_matches(call: CallExpr, lowered: set[str], seen: dict[int, bool]) -> bool:
+    """Whether a name on call's callee chain (feed.getPrice: feed, getPrice) is
+    in lowered (lower-case patterns); seen keeps each link's answer, as in _contains_member."""
+    path = []  # the links read, each answered by the first answer below it
+    node = call.callee
+    while (hit := seen.get(id(node))) is None:
+        path.append(id(node))
+        cls = node.__class__
+        if cls is MemberAccess:
+            if node.member.lower() in lowered:
+                hit = True
+                break
+            node = node.obj
+        elif cls is IndexAccess:
+            node = node.obj
+        elif cls is CallExpr:
+            node = node.callee
+        else:
+            hit = cls is Ident and node.name.lower() in lowered
+            break
+    for key in path:
+        seen[key] = hit
+    return hit
 
 
 def _excerpt(unit: SourceUnit, node: Node, limit: int = 120) -> str:
@@ -327,14 +357,16 @@ _CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 def _detect_seq_001(index: _Index, config: RuleConfig, add: _Add) -> None:
     uptime = {p.lower() for p in config.uptime_patterns}
     oracle = {p.lower() for p in config.oracle_patterns}
+    uptime_seen: dict[int, bool] = {}
+    oracle_seen: dict[int, bool] = {}
     first_uptime: dict[int, int] = {}  # id(function) -> top of its first uptime check
     oracle_reads = []
     for call, contract, fn, top in index[CallExpr]:
         if fn is None:
             continue
-        if _call_matches(call, uptime):
+        if _call_matches(call, uptime, uptime_seen):
             first_uptime.setdefault(id(fn), top)
-        elif _call_matches(call, oracle):
+        elif _call_matches(call, oracle, oracle_seen):
             oracle_reads.append((call, contract, fn, top))
     for call, contract, fn, top in oracle_reads:
         if top <= first_uptime.get(id(fn), top):
@@ -380,7 +412,8 @@ def _detect_time_002(index: _Index, config: RuleConfig, add: _Add) -> None:
         for value, decl in _ties(node)
         if decl is not None  # a free name ties nothing
     ]
-    linked = {id(decl) for value, decl in ties if _contains_member(value, "block", "number")}
+    seen: dict[int, bool] = {}
+    linked = {id(decl) for value, decl in ties if _contains_member(value, "block", "number", seen)}
     for value, decl in ties:
         if (
             id(decl) in linked
@@ -396,6 +429,7 @@ def _detect_time_002(index: _Index, config: RuleConfig, add: _Add) -> None:
 
 def _detect_time_003(index: _Index, config: RuleConfig, add: _Add) -> None:
     ops = {"+", "-", "%"} | _CMP_OPS
+    seen: dict[int, bool] = {}
     for node, *_ in index[BinaryExpr]:
         if node.op not in ops:
             continue
@@ -403,7 +437,7 @@ def _detect_time_003(index: _Index, config: RuleConfig, add: _Add) -> None:
             if (
                 isinstance(other, NumberLit)
                 and 0 < other.value < config.timestamp_threshold_s
-                and _contains_member(side, "block", "timestamp")
+                and _contains_member(side, "block", "timestamp", seen)
             ):
                 add(
                     "ARB-TIME-003",
@@ -423,8 +457,9 @@ def _state_var_type(expr: Node) -> Node | None:
 
 def _detect_alias_001(index: _Index, config: RuleConfig, add: _Add) -> None:
     aliases = {p.lower() for p in config.alias_patterns}
+    seen: dict[int, bool] = {}
     alias_aware = {
-        id(contract) for call, contract, *_ in index[CallExpr] if _call_matches(call, aliases)
+        id(contract) for call, contract, *_ in index[CallExpr] if _call_matches(call, aliases, seen)
     }
     for node, contract, _, _ in index[BinaryExpr]:
         if node.op not in {"==", "!="} or id(contract) in alias_aware:
@@ -473,13 +508,14 @@ def _detect_dos_001(index: _Index, config: RuleConfig, add: _Add) -> None:
 
 
 def _detect_dos_002(index: _Index, config: RuleConfig, add: _Add) -> None:
+    seen: dict[int, bool] = {}
     protected = {
         id(fn)
         for require, _, fn, _ in index[RequireStmt]
         if any(
             isinstance(sub, BinaryExpr)
             and sub.op in {"<", "<=", ">", ">="}
-            and _contains_member(sub, "msg", "value")
+            and _contains_member(sub, "msg", "value", seen)
             for sub in walk(require.condition)
         )
     }

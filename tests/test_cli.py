@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,6 +21,7 @@ from arbmigrate.scenarios import list_scenarios
 
 CORPUS = Path(__file__).parent / "corpus"
 README = Path(__file__).parents[1] / "README.md"
+PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 
 
 def run(capsys, *argv):
@@ -668,3 +671,13 @@ def test_generated_argv_exits_zero_one_or_two(tmp_path, data):
         except SystemExit as exc:  # argparse: 2 for a usage error, 0 after --version
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
+
+
+def test_source_parses_at_the_oldest_supported_python():
+    # the interpreter running the tests may be newer than the declared floor;
+    # feature_version rejects the syntax the floor's grammar lacks
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', PYPROJECT.read_text())
+    assert floor, "pyproject.toml declares no requires-python floor"
+    version = (3, int(floor[1]))
+    for path in sorted(Path(arbmigrate.__file__).parent.rglob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)

@@ -4,8 +4,10 @@ Each case below renders one command or API call to text and compares it with
 a file under ``tests/golden/``. The files hold the findings JSON of the
 corpus, the scenario catalog, every scenario report at its defaults and at
 one non-default setting, the summary of a fixed event script that uses
-every replay action, and the diagnostics of every corpus file cut short at
-each token's end and one character into each token. A change that keeps behaviour keeps these bytes.
+every replay action, the diagnostics of every corpus file cut short at each
+token's end and one character into each token, and the diagnostics (or the
+fired rule ids) of every corpus file with one token deleted. A change that
+keeps behaviour keeps these bytes.
 
 To record the files again after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root and
@@ -22,6 +24,7 @@ import pytest
 
 from arbmigrate.cli import main
 from arbmigrate.minisol import MiniSolSyntaxError, parse_source, tokenize
+from arbmigrate.rules import analyze
 from arbmigrate.scenarios import replay_events
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +54,7 @@ CLI_CASES = [
 REPLAY_SCRIPT = "replay_script.json"
 REPLAY_SUMMARY = "replay_summary.json"
 TRUNCATION = "truncation_diagnostics.txt"
+DELETION = "deletion_diagnostics.txt"
 
 
 def _cli_output(argv: list[str]) -> str:
@@ -88,6 +92,28 @@ def _truncation_output() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _deletion_output() -> str:
+    """Each corpus file with one token deleted: every diagnostic, or ok and the fired rule ids.
+
+    A deletion mostly breaks the middle of a file, so this pins the parser's
+    re-sync after a bad member or statement, where truncation mostly pins the
+    end of input."""
+    lines = []
+    for name in CORPUS_FILES:
+        source = (ROOT / name).read_text(encoding="utf-8")
+        for tok in tokenize(source):
+            head = f"{Path(name).name}:{tok.offset}: "
+            try:
+                unit = parse_source(source[: tok.offset] + source[tok.offset + len(tok.text) :])
+            except MiniSolSyntaxError as err:
+                first, *rest = err.diagnostics
+                lines.append(f"{head}{first}")
+                lines.extend(f"  {d}" for d in rest)
+                continue
+            lines.append(" ".join([f"{head}ok", *sorted({f.rule_id for f in analyze(unit)})]))
+    return "\n".join(lines) + "\n"
+
+
 def _read(name: str) -> str:
     return (GOLDEN / name).read_bytes().decode("utf-8")
 
@@ -105,6 +131,10 @@ def test_truncated_corpus_diagnostics_match_golden():
     assert _truncation_output() == _read(TRUNCATION)
 
 
+def test_token_deletion_diagnostics_match_golden():
+    assert _deletion_output() == _read(DELETION)
+
+
 def test_replay_script_uses_every_action():
     events = json.loads(_read(REPLAY_SCRIPT))
     assert {e["action"] for e in events} == {
@@ -118,3 +148,4 @@ if __name__ == "__main__":
         (GOLDEN / name).write_bytes(_cli_output(argv).encode("utf-8"))
     (GOLDEN / REPLAY_SUMMARY).write_bytes(_replay_output().encode("utf-8"))
     (GOLDEN / TRUNCATION).write_bytes(_truncation_output().encode("utf-8"))
+    (GOLDEN / DELETION).write_bytes(_deletion_output().encode("utf-8"))

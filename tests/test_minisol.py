@@ -50,6 +50,7 @@ from arbmigrate.minisol import (
     tokenize,
     walk,
 )
+from arbmigrate._record import Record
 from arbmigrate.minisol import lexer
 from arbmigrate.minisol.lexer import KEYWORDS, OPERATORS, PUNCTUATION
 
@@ -559,6 +560,15 @@ class TestNodeContract:
         assert repr(bound) == "Ident(name='x')"
         assert children(bound) == []
         assert repr(SourceUnit([], "a.sol", "text")) == "SourceUnit(contracts=[], path='a.sol')"
+
+    def test_nodes_are_records_reading_every_field_but_a_units_text(self):
+        classes = Node.__subclasses__()
+        assert issubclass(Node, Record) and len(classes) == 29
+        for cls in classes:
+            if cls is SourceUnit:
+                assert (cls._compared, cls._shown) == (("contracts",), ("contracts", "path"))
+            else:
+                assert cls._compared == cls._shown == cls._fields
 
     def test_nodes_are_unhashable(self):
         with pytest.raises(TypeError):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from arbmigrate._record import Record
 from arbmigrate.aliasing import ADDRESS_SPACE, Address, SenderContext, SenderKind
 from arbmigrate.chainmodel import L1Chain, L2View, WallClock, l2_timestamp_read, sync_state_at
 from arbmigrate.gasmodel import GasParams, cost_comparison_table, quote, savings_table
@@ -69,6 +70,13 @@ def test_repr_matches_golden():
 
 def test_every_class_is_covered_once():
     assert sorted(_instances()) == sorted(FROZEN + MUTABLE)
+
+
+def test_eq_and_repr_read_every_field():
+    # the record base lets a class narrow both (the AST's SourceUnit does); no simulator class does
+    for obj in _instances().values():
+        assert isinstance(obj, Record)
+        assert obj._compared == obj._shown == obj._fields
 
 
 @pytest.mark.parametrize("name", FROZEN + MUTABLE)

@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -341,6 +342,45 @@ class TestAnalyzeContract:
         after = analyze_text(edited)
         assert [f.rule_id for f in before] == [f.rule_id for f in after]
         assert [f.line for f in before] == [f.line for f in after]
+
+
+# Left-nested 4,000-term chains, in a payable deposit function of a contract
+# with a state variable x, and the findings each gave before the detectors
+# kept their subtree answers, as Counter((rule_id, line, column)).
+_CHAIN_TERMS = 4000
+_LONG_CHAINS = {
+    "timestamp": (
+        "uint256 y = block.timestamp" + " + 1" * (_CHAIN_TERMS - 1) + ";",
+        {("ARB-DOS-002", 3, 5): 1, ("ARB-TIME-003", 4, 21): _CHAIN_TERMS - 1},
+    ),
+    "number": (
+        "require(block.number" + " == x" * (_CHAIN_TERMS - 1) + "); x = 20000000;",
+        {("ARB-DOS-002", 3, 5): 1, ("ARB-TIME-001", 4, 17): 1, ("ARB-TIME-002", 4, 20031): 1},
+    ),
+    "value": ("require(msg.value" + " < 1" * (_CHAIN_TERMS - 1) + ");", {}),
+    "callee": (
+        "x" + ".g()" * (_CHAIN_TERMS - 2) + ".getPrice();",
+        {("ARB-DOS-002", 3, 5): 1, ("ARB-SEQ-001", 4, 9): 1},
+    ),
+}
+
+
+class TestLongChains:
+    """Each detector query over a subtree runs once per node, so a chain whose
+    every link asks about the links below it stays linear."""
+
+    @pytest.mark.parametrize("name", sorted(_LONG_CHAINS))
+    def test_chain_analyzes_fast_with_unchanged_findings(self, name):
+        body, expected = _LONG_CHAINS[name]
+        unit = parse_source(
+            "contract C {\n    uint256 x;\n    function deposit() public payable {\n"
+            f"        {body}\n    }}\n}}\n"
+        )
+        start = time.perf_counter()
+        findings = analyze(unit)
+        elapsed = time.perf_counter() - start
+        assert Counter((f.rule_id, f.line, f.column) for f in findings) == expected
+        assert elapsed < 1.0, f"{name}: analyze took {elapsed:.2f} s"
 
 
 CORPUS_NAMES = sorted(p.name for p in CORPUS.glob("*.sol"))
