@@ -129,6 +129,8 @@ def block_number_table(
     """(wall time, true L1 number, L2-observed number) rows through horizon."""
     if step <= 0:
         raise ValueError("step must be positive")
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
     count = horizon // step + 1
     if count > MAX_TABLE_ROWS:
         raise ValueError(f"a table of {count:,} rows exceeds the {MAX_TABLE_ROWS:,}-row limit")

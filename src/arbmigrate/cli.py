@@ -56,10 +56,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if status:
         return status
 
-    findings.sort(key=lambda f: f.sort_key())
     if args.format == "json":
-        sys.stdout.write(findings_to_json(findings, files))
+        sys.stdout.write(findings_to_json(findings, files))  # which sorts them itself
     else:
+        findings.sort(key=lambda f: f.sort_key())
         for f in findings:
             rule = get_rule(f.rule_id)
             print(

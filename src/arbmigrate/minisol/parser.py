@@ -568,10 +568,10 @@ class _Parser:
         if tok.text in _CAST_KEYWORDS and self._peek(1).text == "(":
             self._advance()
             return Ident(name=tok.text, span=self._span_from(tok, tok))
-        if self._check("("):
+        if self._check("("):  # the operand's span takes in its parentheses
             self._advance()
             expr = self.parse_expression()
-            self._expect(")")
+            expr.span = self._span_from(tok, self._expect(")"))
             return expr
         if tok.kind is None:
             raise self._fail("expected expression")

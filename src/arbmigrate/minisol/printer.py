@@ -1,5 +1,7 @@
-"""Canonical MiniSol rendering: 4-space indents, one statement per line,
-minimal parentheses. Reparsing the output yields a structurally equal AST."""
+"""Canonical MiniSol rendering: 4-space indents, one member or statement per
+line, `} else if` chains, minimal parentheses and the lexer's string escapes
+(docs/minisol-grammar.md, "Canonical form"). Reparsing the output yields a
+structurally equal AST."""
 
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from .nodes import (
     MappingType,
     MemberAccess,
     NumberLit,
-    Param,
     RequireStmt,
     ReturnStmt,
     SourceUnit,
@@ -37,16 +38,12 @@ from .nodes import (
     VarDeclStmt,
     WhileStmt,
 )
+from .lexer import escape_string
 from .parser import BINARY_PRECEDENCE
 
 _UNARY_PREC = 7
 _POSTFIX_PREC = 8
 _ATOM_PREC = 9
-
-
-def _escape(value: str) -> str:
-    out = value.replace("\\", "\\\\").replace('"', '\\"')
-    return out.replace("\n", "\\n").replace("\t", "\\t")
 
 
 def _prec(expr: Expr) -> int:
@@ -104,7 +101,7 @@ def _print_operand(expr: Expr) -> str:
     if isinstance(expr, AddressLit):
         return f"0x{expr.value:040x}"
     if isinstance(expr, StringLit):
-        return f'"{_escape(expr.value)}"'
+        return escape_string(expr.value)
     if isinstance(expr, BoolLit):
         return "true" if expr.value else "false"
     if isinstance(expr, Ident):
@@ -132,19 +129,27 @@ def print_type(t: TypeName) -> str:
     raise TypeError(f"not a type node: {t!r}")
 
 
-def _print_param(p: Param) -> str:
-    loc = f" {p.location}" if p.location else ""
-    return f"{print_type(p.var_type)}{loc} {p.name}"
+def _declaration(
+    var_type: TypeName, qualifier: str | None, name: str, initializer: Expr | None = None
+) -> str:
+    """`type [qualifier] name [= initializer]`: a state variable, local or parameter."""
+    text = print_type(var_type) + (f" {qualifier}" if qualifier else "") + f" {name}"
+    return text if initializer is None else f"{text} = {print_expr(initializer)}"
+
+
+def _braced(pad: str, head: str, body: list[Stmt], indent: int) -> list[str]:
+    """`head {`, each statement of body one level deeper, then `}`."""
+    lines = [f"{pad}{head} {{"]
+    for stmt in body:
+        lines.extend(_print_stmt(stmt, indent + 1))
+    lines.append(f"{pad}}}")
+    return lines
 
 
 def _print_simple(stmt: Stmt) -> str:
     """Statement body without trailing ';' (used in for-loop headers)."""
     if isinstance(stmt, VarDeclStmt):
-        loc = f" {stmt.location}" if stmt.location else ""
-        text = f"{print_type(stmt.var_type)}{loc} {stmt.name}"
-        if stmt.initializer is not None:
-            text += f" = {print_expr(stmt.initializer)}"
-        return text
+        return _declaration(stmt.var_type, stmt.location, stmt.name, stmt.initializer)
     if isinstance(stmt, AssignStmt):
         return f"{print_expr(stmt.target)} {stmt.op} {print_expr(stmt.value)}"
     if isinstance(stmt, IncDecStmt):
@@ -159,85 +164,50 @@ def _print_stmt(stmt: Stmt, indent: int) -> list[str]:
     if isinstance(stmt, (VarDeclStmt, AssignStmt, IncDecStmt, ExprStmt)):
         return [f"{pad}{_print_simple(stmt)};"]
     if isinstance(stmt, RequireStmt):
-        if stmt.message is not None:
-            return [f"{pad}require({print_expr(stmt.condition)}, {print_expr(stmt.message)});"]
-        return [f"{pad}require({print_expr(stmt.condition)});"]
+        args = (print_expr(e) for e in (stmt.condition, stmt.message) if e is not None)
+        return [f"{pad}require({', '.join(args)});"]
     if isinstance(stmt, ReturnStmt):
-        if stmt.value is None:
-            return [f"{pad}return;"]
-        return [f"{pad}return {print_expr(stmt.value)};"]
+        value = "" if stmt.value is None else f" {print_expr(stmt.value)}"
+        return [f"{pad}return{value};"]
     if isinstance(stmt, EmitStmt):
         return [f"{pad}emit {print_expr(stmt.call)};"]
     if isinstance(stmt, IfStmt):
-        lines = [f"{pad}if ({print_expr(stmt.condition)}) {{"]
-        for inner in stmt.then_body:
-            lines.extend(_print_stmt(inner, indent + 1))
-        if stmt.else_body is None:
-            lines.append(f"{pad}}}")
-        elif len(stmt.else_body) == 1 and isinstance(stmt.else_body[0], IfStmt):
-            chained = _print_stmt(stmt.else_body[0], indent)
-            lines.append(f"{pad}}} else {chained[0].lstrip()}")
+        lines = _braced(pad, f"if ({print_expr(stmt.condition)})", stmt.then_body, indent)
+        rest = stmt.else_body
+        if rest is not None and len(rest) == 1 and isinstance(rest[0], IfStmt):
+            chained = _print_stmt(rest[0], indent)
+            lines[-1] = f"{pad}}} else {chained[0].lstrip()}"
             lines.extend(chained[1:])
-        else:
-            lines.append(f"{pad}}} else {{")
-            for inner in stmt.else_body:
-                lines.extend(_print_stmt(inner, indent + 1))
-            lines.append(f"{pad}}}")
+        elif rest is not None:
+            lines[-1:] = _braced(pad, "} else", rest, indent)
         return lines
     if isinstance(stmt, ForStmt):
         init = _print_simple(stmt.init) if stmt.init is not None else ""
         cond = print_expr(stmt.condition) if stmt.condition is not None else ""
         post = _print_simple(stmt.post) if stmt.post is not None else ""
-        lines = [f"{pad}for ({init}; {cond}; {post}) {{"]
-        for inner in stmt.body:
-            lines.extend(_print_stmt(inner, indent + 1))
-        lines.append(f"{pad}}}")
-        return lines
+        return _braced(pad, f"for ({init}; {cond}; {post})", stmt.body, indent)
     if isinstance(stmt, WhileStmt):
-        lines = [f"{pad}while ({print_expr(stmt.condition)}) {{"]
-        for inner in stmt.body:
-            lines.extend(_print_stmt(inner, indent + 1))
-        lines.append(f"{pad}}}")
-        return lines
+        return _braced(pad, f"while ({print_expr(stmt.condition)})", stmt.body, indent)
     raise TypeError(f"not a statement node: {stmt!r}")
 
 
-def _print_function(fn: FunctionDef, indent: int) -> list[str]:
-    pad = "    " * indent
-    header = f"{pad}function {fn.name}({', '.join(_print_param(p) for p in fn.params)})"
-    if fn.visibility:
-        header += f" {fn.visibility}"
-    if fn.mutability:
-        header += f" {fn.mutability}"
-    for mod in fn.modifiers:
-        header += f" {mod}"
+def _print_function(fn: FunctionDef) -> list[str]:
+    params = ", ".join(_declaration(p.var_type, p.location, p.name) for p in fn.params)
+    parts = [f"function {fn.name}({params})", *filter(None, (fn.visibility, fn.mutability))]
+    parts += fn.modifiers
     if fn.returns:
-        header += f" returns ({', '.join(print_type(t) for t in fn.returns)})"
-    lines = [header + " {"]
-    for stmt in fn.body:
-        lines.extend(_print_stmt(stmt, indent + 1))
-    lines.append(f"{pad}}}")
-    return lines
-
-
-def _print_state_var(var: StateVarDecl, indent: int) -> str:
-    pad = "    " * indent
-    text = f"{pad}{print_type(var.var_type)}"
-    if var.visibility:
-        text += f" {var.visibility}"
-    text += f" {var.name}"
-    if var.initializer is not None:
-        text += f" = {print_expr(var.initializer)}"
-    return text + ";"
+        parts.append(f"returns ({', '.join(map(print_type, fn.returns))})")
+    return _braced("    ", " ".join(parts), fn.body, 1)
 
 
 def print_contract(contract: ContractDef) -> str:
     lines = [f"contract {contract.name} {{"]
     for member in contract.members:
         if isinstance(member, StateVarDecl):
-            lines.append(_print_state_var(member, 1))
+            decl = _declaration(member.var_type, member.visibility, member.name, member.initializer)
+            lines.append(f"    {decl};")
         else:
-            lines.extend(_print_function(member, 1))
+            lines.extend(_print_function(member))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

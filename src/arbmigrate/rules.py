@@ -573,17 +573,9 @@ def findings_to_doc(findings: Sequence[Finding], files: Sequence[str]) -> dict:
         "version": FINDINGS_SCHEMA_VERSION,
         "files": sorted(set(files)),
         "findings": [
-            {
-                "rule_id": f.rule_id,
-                "file": f.file,
-                "line": f.line,
-                "column": f.column,
-                "excerpt": f.excerpt,
-                "message": f.message,
-                "severity": get_rule(f.rule_id).severity.value,
-                "category": get_rule(f.rule_id).category.value,
-            }
+            {**f._asdict(), "severity": rule.severity.value, "category": rule.category.value}
             for f in sorted(findings, key=Finding.sort_key)
+            for rule in (get_rule(f.rule_id),)
         ],
     }
 

@@ -77,8 +77,9 @@ def _run_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
     start_price = params["start_price_cents"]
     if start_price < 10:
         raise ScenarioError("start_price_cents must be at least 10")
-    if params["positions"] < 0:
-        raise ScenarioError("positions must be non-negative")
+    for name in ("positions", "downtime_s", "down_start_s", "volatility_bp"):
+        if params[name] < 0:
+            raise ScenarioError(f"{name} must be non-negative")
     if horizon // interval + 1 > S1_MAX_STEPS:
         raise ScenarioError(f"horizon_s // update_interval_s + 1 must be at most {S1_MAX_STEPS:,}")
     if params["positions"] > S1_MAX_POSITIONS:

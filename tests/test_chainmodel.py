@@ -65,6 +65,11 @@ class TestL2View:
             (75, 1005, 1004),
         ]
 
+    def test_negative_horizon_is_rejected(self):
+        with pytest.raises(ValueError, match="^horizon must be non-negative$"):
+            block_number_table(CHAIN, VIEW, horizon=-5, step=15)
+        assert block_number_table(CHAIN, VIEW, horizon=0, step=15) == [(0, 1000, 1000)]
+
     def test_sync_period_must_be_multiple_of_interval(self):
         with pytest.raises(ValueError):
             l2_view_l1_number_at(WallClock(0), CHAIN, L2View(sync_period=50))

@@ -55,6 +55,29 @@ class TestAnalyze:
         assert doc["version"] == "1"
         assert [f["rule_id"] for f in doc["findings"]] == ["ARB-SEQ-001", "ARB-SEQ-001"]
 
+    def test_json_output_adds_no_sort_to_the_documents_own(self, capsys, monkeypatch):
+        from arbmigrate.minisol import parse_source
+        from arbmigrate.rules import Finding, analyze, findings_to_json
+
+        paths = [str(CORPUS / "time_equality_dirty.sol"), str(CORPUS / "dos_loop_dirty.sol")]
+        keyed = []
+        sort_key = Finding.sort_key
+        monkeypatch.setattr(Finding, "sort_key", lambda f: keyed.append(f) or sort_key(f))
+        code, out, _ = run(capsys, "analyze", "--format", "json", *paths)
+        by_command = len(keyed)
+        keyed.clear()
+        findings = [f for p in paths for f in analyze(parse_source(Path(p).read_text(), path=p))]
+        assert findings_to_json(findings, paths) == out
+        assert (code, by_command) == (0, len(keyed))
+
+    def test_text_output_is_sorted_across_files(self, capsys):
+        paths = [str(CORPUS / "time_equality_dirty.sol"), str(CORPUS / "dos_loop_dirty.sol")]
+        code, out, _ = run(capsys, "analyze", *paths)
+        heads = [line.split(": ")[0] for line in out.splitlines()[:-1] if not line.startswith(" ")]
+        keys = [(file, int(line), int(column)) for file, line, column in (h.rsplit(":", 2) for h in heads)]
+        assert code == 0 and keys == sorted(keys)
+        assert {file for file, _, _ in keys} == set(paths)
+
     def test_rules_filter(self, capsys):
         path = str(CORPUS / "time_equality_dirty.sol")
         code, out, _ = run(capsys, "analyze", "--rules", "ARB-DOS-001", path)
@@ -237,6 +260,9 @@ class TestScenarioCommands:
         "sid, param",
         [
             ("S1", "positions=-1"),
+            ("S1", "downtime_s=-1"),
+            ("S1", "down_start_s=-600"),
+            ("S1", "volatility_bp=-200"),
             ("S1", "horizon_s=99999999999999999999"),
             ("S1", "positions=99999999999"),
             ("S1", "positions=1000001"),
@@ -445,6 +471,10 @@ class TestSimCommand:
         code, _, err = run(capsys, "sim", "--sync-period", "50")
         assert code == 2
         assert "multiple" in err
+
+    def test_negative_horizon_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sim", "--horizon", "-5")
+        assert (code, out, err) == (2, "", "error: horizon must be non-negative\n")
 
     def test_table_over_the_row_limit_is_usage_error(self, capsys):
         code, out, err = run(capsys, "sim", "--horizon", str(MAX_TABLE_ROWS), "--step", "1")

@@ -5,9 +5,10 @@ a file under ``tests/golden/``. The files hold the findings JSON of the
 corpus, the scenario catalog, every scenario report at its defaults and at
 one non-default setting, the summary of a fixed event script that uses
 every replay action, the diagnostics of every corpus file cut short at each
-token's end and one character into each token, and the diagnostics (or the
-fired rule ids) of every corpus file with one token deleted. A change that
-keeps behaviour keeps these bytes.
+token's end and one character into each token, the diagnostics (or the
+fired rule ids) of every corpus file with one token deleted, and the
+canonical printer's text of the corpus, of generated programs and of a
+hand-written source. A change that keeps behaviour keeps these bytes.
 
 To record the files again after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root and
@@ -21,9 +22,10 @@ import os
 from pathlib import Path
 
 import pytest
+from test_minisol import _Gen
 
 from arbmigrate.cli import main
-from arbmigrate.minisol import MiniSolSyntaxError, parse_source, tokenize
+from arbmigrate.minisol import MiniSolSyntaxError, parse_source, print_source, tokenize
 from arbmigrate.rules import analyze
 from arbmigrate.scenarios import replay_events
 
@@ -55,6 +57,11 @@ REPLAY_SCRIPT = "replay_script.json"
 REPLAY_SUMMARY = "replay_summary.json"
 TRUNCATION = "truncation_diagnostics.txt"
 DELETION = "deletion_diagnostics.txt"
+PRINTER = "printer.txt"
+# Strings with a backslash, a quote, a newline and a tab, an else-if chain, a
+# for with empty parts, modifiers and returns lists: what _Gen never draws.
+PRINTER_INPUT = "printer_input.sol"
+PRINTER_SEEDS = range(200)
 
 
 def _cli_output(argv: list[str]) -> str:
@@ -114,6 +121,15 @@ def _deletion_output() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _printer_output() -> str:
+    """print_source of each corpus file, of _Gen programs and of PRINTER_INPUT."""
+    sources = [(name, (ROOT / name).read_text(encoding="utf-8")) for name in CORPUS_FILES]
+    sources.append((PRINTER_INPUT, _read(PRINTER_INPUT)))
+    cases = [(name, parse_source(source)) for name, source in sources]
+    cases += [(f"_Gen({seed})", _Gen(seed).unit()) for seed in PRINTER_SEEDS]
+    return "".join(f"== {name}\n{print_source(unit)}" for name, unit in cases)
+
+
 def _read(name: str) -> str:
     return (GOLDEN / name).read_bytes().decode("utf-8")
 
@@ -135,6 +151,10 @@ def test_token_deletion_diagnostics_match_golden():
     assert _deletion_output() == _read(DELETION)
 
 
+def test_printer_output_matches_golden():
+    assert _printer_output() == _read(PRINTER)
+
+
 def test_replay_script_uses_every_action():
     events = json.loads(_read(REPLAY_SCRIPT))
     assert {e["action"] for e in events} == {
@@ -149,3 +169,4 @@ if __name__ == "__main__":
     (GOLDEN / REPLAY_SUMMARY).write_bytes(_replay_output().encode("utf-8"))
     (GOLDEN / TRUNCATION).write_bytes(_truncation_output().encode("utf-8"))
     (GOLDEN / DELETION).write_bytes(_deletion_output().encode("utf-8"))
+    (GOLDEN / PRINTER).write_bytes(_printer_output().encode("utf-8"))

@@ -247,6 +247,16 @@ class TestTokenizer:
         for syntax in ("*+", "++", "?+", "}+", "(?>"):
             assert syntax not in unescaped, syntax
 
+    def test_escape_string_writes_the_four_escapes(self):
+        assert lexer.escape_string('a\\b"c\nd\te\r') == '"a\\\\b\\"c\\nd\\te\r"'
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | st.text(alphabet='\\"nt\n\t x'))
+    def test_escape_string_is_one_string_token_that_unescapes_to_its_value(self, value):
+        literal = lexer.escape_string(value)
+        assert [(t.kind, t.text) for t in tokenize(literal)] == [(TokenKind.STRING, literal)]
+        assert lexer.unescape_string(literal) == value
+
     def test_every_token_prefix_parses_or_raises_a_syntax_error(self):
         # a cut anywhere, e.g. right after "function f(" or "for (", is a syntax error, not a crash
         for tok in tokenize(SAMPLE):
@@ -352,6 +362,20 @@ class TestParser:
         assert isinstance(top, IfStmt)
         assert isinstance(top.else_body[0], IfStmt)
         assert top.else_body[0].else_body is not None
+
+    def test_parenthesized_operand_span_takes_in_its_parentheses(self):
+        source = "contract C { uint256 x = ((1) + 2) * (a).b; }"
+        init = parse_source(source).contracts[0].members[0].initializer
+
+        def text(node):
+            return source[node.span.start : node.span.end]
+
+        assert text(init) == "((1) + 2) * (a).b"
+        assert text(init.left) == "((1) + 2)"
+        assert init.left.span.column == source.index("((") + 1
+        assert text(init.left.left) == "(1)"
+        assert text(init.right) == "(a).b"
+        assert text(init.right.obj) == "(a)"
 
     def test_spans_nest_and_siblings_are_ordered(self):
         unit = parse_source(SAMPLE, path="sample.sol")

@@ -149,6 +149,16 @@ class TestTimeRules:
         assert [f.rule_id for f in findings] == ["ARB-TIME-001"]
         assert get_rule(findings[0].rule_id).severity is Severity.HIGH
 
+    @pytest.mark.parametrize("condition", ["(block.number) == 17000000", "block.number == (17000000)"])
+    def test_parenthesized_operand_is_reported_with_its_parentheses(self, condition):
+        source = (
+            "contract C {\n    function f() public {\n"
+            f"        if ({condition}) {{\n            pause();\n        }}\n    }}\n}}\n"
+        )
+        [finding] = analyze_text(source)
+        assert (finding.rule_id, finding.line, finding.column) == ("ARB-TIME-001", 3, 13)
+        assert finding.excerpt == condition  # the whole comparison, parentheses balanced
+
     def test_inequality_also_fires(self):
         assert [f.rule_id for f in analyze_text(wrap("bool b = block.number != 5;"))] == [
             "ARB-TIME-001"
@@ -697,6 +707,20 @@ class TestFindingsDocument:
         }
         assert entry["severity"] == "high"
         assert entry["category"] == "alias_permission"
+
+    def test_document_looks_up_each_finding_rule_once(self, monkeypatch):
+        from arbmigrate import rules
+
+        findings = self._sample()
+        looked_up = Counter()
+
+        def counting_get_rule(rule_id):
+            looked_up[rule_id] += 1
+            return get_rule(rule_id)
+
+        monkeypatch.setattr(rules, "get_rule", counting_get_rule)
+        rules.findings_to_doc(findings, ["alias_permission_dirty.sol"])
+        assert looked_up == Counter(f.rule_id for f in findings)
 
     def test_rejects_unknown_rule_ids(self):
         with pytest.raises(ValueError):

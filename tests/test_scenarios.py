@@ -154,6 +154,11 @@ class TestStaleOracle:
         with pytest.raises(ScenarioError, match="must be at most 10,000,000"):
             run_scenario("S1", {"horizon_s": S1_MAX_STEPS, "update_interval_s": 1, "positions": 1})
 
+    @pytest.mark.parametrize("name", ["positions", "downtime_s", "down_start_s", "volatility_bp"])
+    def test_negative_values_are_rejected(self, name):
+        with pytest.raises(ScenarioError, match=f"^scenario S1: {name} must be non-negative$"):
+            run_scenario("S1", {name: -1})
+
     def test_positions_are_capped_on_their_own(self):
         with pytest.raises(ScenarioError, match="positions must be at most 1,000,000"):
             run_scenario("S1", {"positions": S1_MAX_POSITIONS + 1, "horizon_s": 60})
