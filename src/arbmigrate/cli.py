@@ -81,8 +81,8 @@ def _cmd_scenario_list(args: argparse.Namespace) -> int:
         print(f"    risk: {spec.risk}")
         if spec.linked_rules:
             print(f"    rules: {', '.join(spec.linked_rules)}")
-        defaults = ", ".join(f"{k}={v}" for k, v in spec.params.items())
-        print(f"    params: {defaults}")
+        for key, declared in spec.params.items():
+            print(f"    param: {key}={declared.default}  ({declared.describe()})")
     return 0
 
 

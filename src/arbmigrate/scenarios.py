@@ -18,7 +18,7 @@ from typing import Any, Callable, Mapping
 
 from . import retryable
 from ._record import FrozenRecord, Record
-from .aliasing import Address, SenderContext, SenderKind, l2_msg_sender
+from .aliasing import _HEX_ADDRESS_RE, Address, SenderContext, SenderKind, apply_alias, l2_msg_sender
 from .chainmodel import L1Chain, L2View, WallClock, l2_view_l1_number_at
 from .gasmodel import GasParams, gas_fees
 from .sequencer import L2Tx, Sequencer, SequencerStatus, TxOrigin
@@ -31,11 +31,52 @@ class ScenarioError(ValueError):
 # What a runner returns: the L1 outcome, the L2 outcome and the divergence
 # metrics; run_scenario adds the rest of the report from the spec.
 Outcome = tuple[dict[str, Any], dict[str, Any], dict[str, float]]
+# EVM words: times, block numbers and gas are 64-bit, wei amounts 256-bit. As
+# the (exclusive) tops of integer domains they keep every report integer printable.
+_U64, _U256 = 2**64, 2**256
+
+
+class Param(FrozenRecord):
+    """A scenario parameter's default and its domain: a range of ints, bool, Address
+    (an address string) or a tuple of the allowed strings."""
+
+    def __init__(self, default: Any, domain: Any):
+        vars(self).update(default=default, domain=domain)
+
+    def describe(self) -> str:
+        """The domain in words, as `scenario list` and a rejection print it."""
+        domain = self.domain
+        if not isinstance(domain, range):
+            words = {bool: "true or false", Address: "a 0x-prefixed 40-hex-digit address"}
+            return words.get(domain) or "one of " + ", ".join(domain)
+        top = f"2**{domain.stop.bit_length() - 1} - 1" if domain.stop in (_U64, _U256) else f"{domain.stop - 1:,}"
+        return f"an integer from {domain.start:,} to {top}"
+
+    def parse(self, key: str, value: Any) -> Any:
+        """The value as the declared type; ValueError naming key if it lies outside the domain."""
+        domain = self.domain
+        if isinstance(domain, range):
+            try:
+                value = int(value) if isinstance(value, str) else value
+            except ValueError:
+                pass
+            inside = type(value) is int and value in domain
+        elif domain is bool:
+            if isinstance(value, str):
+                value = {"true": True, "false": False}.get(value.lower(), value)
+            inside = isinstance(value, bool)
+        elif domain is Address:
+            inside = isinstance(value, str) and _HEX_ADDRESS_RE.match(value) is not None
+        else:
+            inside = isinstance(value, str) and value in domain
+        if not inside:
+            raise ValueError(f"parameter {key!r} must be {self.describe()}, got {value!r}")
+        return value
 
 
 class ScenarioSpec(FrozenRecord):
     # run is keyword-only, so not a field: == and repr leave it out
-    def __init__(self, id: str, title: str, risk: str, params: Mapping[str, Any],
+    def __init__(self, id: str, title: str, risk: str, params: Mapping[str, Param],
                  linked_rules: tuple[str, ...], narrative: str, *,
                  run: Callable[[dict[str, Any], int], Outcome]):
         vars(self).update(id=id, title=title, risk=risk, params=params,
@@ -57,12 +98,11 @@ class DifferentialReport(Record):
 
 # --- S1: stale oracle during sequencer downtime ----------------------------
 
-# Steps and positions are capped apart: a step keeps its transaction id in the
-# sequencer (about 110 bytes), a position one int in a sorted list. Measured
-# in-process (2 CPUs, CPython 3.11.7): both caps at once took 78 s and 1.08 GB
-# peak RSS; 1,000,000 positions over the default 121 steps 1.2 s and 58 MB.
+# Steps are capped here, positions (1,000,000) in S1's declaration: a step keeps
+# its transaction id in the sequencer (about 110 bytes), a position one int in a
+# sorted list. In-process (2 CPUs, CPython 3.11.7), both caps at once took 78 s and
+# 1.08 GB peak RSS; 1,000,000 positions over the default 121 steps 1.2 s and 58 MB.
 S1_MAX_STEPS = 10_000_000
-S1_MAX_POSITIONS = 1_000_000
 
 
 def _run_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
@@ -71,19 +111,9 @@ def _run_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
     horizon = params["horizon_s"]
     down_start = params["down_start_s"]
     down_end = down_start + params["downtime_s"]
-    if interval <= 0 or horizon <= 0:
-        raise ScenarioError("update_interval_s and horizon_s must be positive")
-
-    start_price = params["start_price_cents"]
-    if start_price < 10:
-        raise ScenarioError("start_price_cents must be at least 10")
-    for name in ("positions", "downtime_s", "down_start_s", "volatility_bp"):
-        if params[name] < 0:
-            raise ScenarioError(f"{name} must be non-negative")
     if horizon // interval + 1 > S1_MAX_STEPS:
         raise ScenarioError(f"horizon_s // update_interval_s + 1 must be at most {S1_MAX_STEPS:,}")
-    if params["positions"] > S1_MAX_POSITIONS:
-        raise ScenarioError(f"positions must be at most {S1_MAX_POSITIONS:,}")
+    start_price = params["start_price_cents"]
     volatility = params["volatility_bp"]
     times = range(0, horizon + 1, interval)
     # The price path is drawn before the liquidation prices: skip its draws
@@ -154,13 +184,14 @@ _S1 = ScenarioSpec(
     title="stale-oracle",
     risk="outdated off-chain data while the sequencer is down",
     params={
-        "downtime_s": 3600,
-        "down_start_s": 600,
-        "horizon_s": 7200,
-        "update_interval_s": 60,
-        "positions": 8,
-        "start_price_cents": 10_000,
-        "volatility_bp": 200,
+        "downtime_s": Param(3600, range(0, _U64)),
+        "down_start_s": Param(600, range(0, _U64)),
+        "horizon_s": Param(7200, range(1, _U64)),
+        "update_interval_s": Param(60, range(1, _U64)),
+        "positions": Param(8, range(0, 1_000_001)),
+        # a step moves the price at most 100%, with no drift: odds it passes 1.8e308 <= start / 1.8e308
+        "start_price_cents": Param(10_000, range(10, 10**12 + 1)),
+        "volatility_bp": Param(200, range(0, 10_001)),
     },
     linked_rules=("ARB-SEQ-001",),
     narrative=(
@@ -184,8 +215,6 @@ def _run_block_number_equality(params: dict[str, Any], seed: int) -> Outcome:
     )
     view = L2View(sync_period=params["sync_period_s"])
     horizon = params["horizon_s"]
-    if horizon <= 0:
-        raise ScenarioError("horizon_s must be positive")
 
     # Counted over the seconds [0, horizon) without visiting them. L1 mints
     # one number per block interval started in that range. The L2 view
@@ -208,10 +237,10 @@ _S2 = ScenarioSpec(
     title="block-number-equality",
     risk="block-number equality checks that can never fire on L2",
     params={
-        "block_interval_s": 15,
-        "sync_period_s": 60,
-        "horizon_s": 3600,
-        "genesis_number": 1000,
+        "block_interval_s": Param(15, range(1, _U64)),
+        "sync_period_s": Param(60, range(1, _U64)),
+        "horizon_s": Param(3600, range(1, _U64)),
+        "genesis_number": Param(1000, range(0, _U64)),
     },
     linked_rules=("ARB-TIME-001", "ARB-TIME-002"),
     narrative=(
@@ -230,12 +259,11 @@ _S2 = ScenarioSpec(
 def _run_alias_permission(params: dict[str, Any], seed: int) -> Outcome:
     owner = Address.from_hex(params["l1_sender"])
     offset = Address.from_hex(params["offset"])
-    kind = SenderKind(params["sender_kind"])
-    ctx = SenderContext(l1_sender=owner, l1_sender_kind=kind)
+    ctx = SenderContext(l1_sender=owner, l1_sender_kind=SenderKind(params["sender_kind"]))
 
     l2_sender = l2_msg_sender(ctx, offset)
     raw_check_l2 = "allow" if l2_sender == owner else "deny"
-    alias_aware_l2 = "allow" if l2_sender == l2_msg_sender(ctx, offset) else "deny"
+    alias_aware_l2 = "allow" if l2_sender == apply_alias(owner, offset) else "deny"
     raw_check_l1 = "allow"  # on L1 the caller is its own address
 
     l1 = {"raw_check": raw_check_l1, "observed_sender": owner.hex()}
@@ -252,9 +280,9 @@ _S3 = ScenarioSpec(
     title="alias-permission",
     risk="permission checks that ignore L1-to-L2 address aliasing",
     params={
-        "l1_sender": "0x00000000000000000000000000000000deadbeef",
-        "sender_kind": "contract",
-        "offset": "0x1111000000000000000000000000000000001111",
+        "l1_sender": Param("0x00000000000000000000000000000000deadbeef", Address),
+        "sender_kind": Param("contract", tuple(kind.value for kind in SenderKind)),
+        "offset": Param("0x1111000000000000000000000000000000001111", Address),
     },
     linked_rules=("ARB-ALIAS-001",),
     narrative=(
@@ -274,8 +302,6 @@ def _run_dos_refund_loop(params: dict[str, Any], seed: int) -> Outcome:
     limit = params["block_gas_limit"]
     base = params["base_gas"]
     per = params["per_iteration_gas"]
-    if per <= 0:
-        raise ScenarioError("per_iteration_gas must be positive")
     if base > limit:
         raise ScenarioError("base_gas already exceeds block_gas_limit")
 
@@ -306,14 +332,14 @@ _S4 = ScenarioSpec(
     title="dos-refund-loop",
     risk="unbounded loops that cheap L2 fees make attackable",
     params={
-        "block_gas_limit": 30_000_000,
-        "base_gas": 50_000,
-        "per_iteration_gas": 40_000,
-        "push_gas": 50_000,
-        "push_calldata_bytes": 68,
-        "l1_gas_price_wei": 20_000_000_000,
-        "l2_gas_price_wei": 100_000_000,
-        "calldata_price_l1_wei": 320_000_000_000,
+        "block_gas_limit": Param(30_000_000, range(0, _U64)),
+        "base_gas": Param(50_000, range(0, _U64)),
+        "per_iteration_gas": Param(40_000, range(1, _U64)),
+        "push_gas": Param(50_000, range(0, _U64)),
+        "push_calldata_bytes": Param(68, range(0, _U64)),
+        "l1_gas_price_wei": Param(20_000_000_000, range(0, _U256)),
+        "l2_gas_price_wei": Param(100_000_000, range(1, _U256)),
+        "calldata_price_l1_wei": Param(320_000_000_000, range(0, _U256)),
     },
     linked_rules=("ARB-DOS-001", "ARB-DOS-002"),
     narrative=(
@@ -390,15 +416,15 @@ _S5 = ScenarioSpec(
     title="retryable-fee-paths",
     risk="repeated submission fees and expiry losses on L1-to-L2 tickets",
     params={
-        "submission_fee": 1_000,
-        "l2_gas_provided": 5_000,
-        "auto_gas_required": 3_000,
-        "auto_fail_gas_required": 6_000,
-        "callvalue": 100_000,
-        "manual_submission_fee": 1_000,
-        "manual_l2_gas": 3_000,
-        "l1_direct_fee": 3_000,
-        "escrow_callvalue": False,
+        "submission_fee": Param(1_000, range(0, _U256)),
+        "l2_gas_provided": Param(5_000, range(0, _U64)),
+        "auto_gas_required": Param(3_000, range(0, _U64)),
+        "auto_fail_gas_required": Param(6_000, range(1, _U64)),
+        "callvalue": Param(100_000, range(0, _U256)),
+        "manual_submission_fee": Param(1_000, range(0, _U256)),
+        "manual_l2_gas": Param(3_000, range(0, _U64)),
+        "l1_direct_fee": Param(3_000, range(0, _U256)),
+        "escrow_callvalue": Param(False, bool),
     },
     linked_rules=(),
     narrative=(
@@ -425,23 +451,6 @@ def list_scenarios() -> list[ScenarioSpec]:
     return list(_SCENARIOS)
 
 
-def _coerce(value: Any, default: Any, key: str) -> Any:
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str) and value.lower() in {"true", "false"}:
-            return value.lower() == "true"
-        raise ScenarioError(f"parameter {key!r} expects true/false, got {value!r}")
-    if isinstance(default, int):
-        if isinstance(value, (int, str)) and not isinstance(value, bool):
-            try:
-                return int(value)
-            except ValueError:
-                pass
-        raise ScenarioError(f"parameter {key!r} expects an integer, got {value!r}")
-    return str(value)
-
-
 def run_scenario(
     scenario_id: str,
     params: Mapping[str, Any] | None = None,
@@ -449,46 +458,23 @@ def run_scenario(
 ) -> DifferentialReport:
     """Run one built-in scenario with overridden parameters."""
     if scenario_id not in _SCENARIOS_BY_ID:
-        valid = ", ".join(spec.id for spec in _SCENARIOS)
-        raise ScenarioError(f"unknown scenario {scenario_id!r}; valid ids: {valid}")
+        raise ScenarioError(f"unknown scenario {scenario_id!r}; valid ids: {', '.join(_SCENARIOS_BY_ID)}")
     spec = _SCENARIOS_BY_ID[scenario_id]
-    merged = dict(spec.params)
-    for key, value in (params or {}).items():
-        if key not in merged:
-            valid = ", ".join(sorted(merged))
-            raise ScenarioError(
-                f"unknown parameter {key!r} for scenario {scenario_id}; valid: {valid}"
-            )
-        merged[key] = _coerce(value, merged[key], key)
+    merged = {key: declared.default for key, declared in spec.params.items()}
     try:
-        l1_outcome, l2_outcome, divergence = spec.run(merged, seed)
-    except ValueError as exc:  # a simulator rejected a parameter value
+        for key, value in (params or {}).items():
+            if key not in merged:
+                raise ValueError(f"unknown parameter {key!r}; valid: {', '.join(sorted(merged))}")
+            merged[key] = spec.params[key].parse(key, value)
+        outcome = spec.run(merged, seed)
+    except ValueError as exc:  # a declared domain, a runner or a simulator rejected a value
         raise ScenarioError(f"scenario {scenario_id}: {exc}") from exc
-    return DifferentialReport(
-        scenario_id=spec.id,
-        seed=seed,
-        params=merged,
-        l1_outcome=l1_outcome,
-        l2_outcome=l2_outcome,
-        divergence=divergence,
-        narrative=spec.narrative,
-        linked_rules=list(spec.linked_rules),
-    )
+    return DifferentialReport(spec.id, seed, merged, *outcome, spec.narrative, list(spec.linked_rules))
 
 
 def serialize_report(report: DifferentialReport) -> str:
     """Canonical JSON: sorted keys, LF line endings, trailing newline."""
-    doc = {
-        "scenario_id": report.scenario_id,
-        "seed": report.seed,
-        "params": report.params,
-        "l1_outcome": report.l1_outcome,
-        "l2_outcome": report.l2_outcome,
-        "divergence": report.divergence,
-        "divergent": report.divergent,
-        "narrative": report.narrative,
-        "linked_rules": report.linked_rules,
-    }
+    doc = {**report._asdict(), "divergent": report.divergent}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

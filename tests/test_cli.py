@@ -8,12 +8,14 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import arbmigrate
+from arbmigrate.aliasing import Address
 from arbmigrate.chainmodel import MAX_TABLE_ROWS
 from arbmigrate.cli import main
 from arbmigrate.rules import RuleConfig, rule_catalog
@@ -22,6 +24,24 @@ from arbmigrate.scenarios import list_scenarios
 CORPUS = Path(__file__).parent / "corpus"
 README = Path(__file__).parents[1] / "README.md"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
+DECLARED = {spec.id: spec.params for spec in list_scenarios()}
+
+
+def _just_outside(declared) -> list[str]:
+    """--param values just outside a declared domain."""
+    domain = declared.domain
+    if domain is bool:
+        return ["yes", "1"]
+    if domain is Address:
+        return ["0x12", "0x" + "g" * 40, declared.default + "0"]
+    if isinstance(domain, tuple):
+        return ["eoa", domain[0].upper()]
+    return [str(domain.start - 1), str(domain.stop), "1.5"]
+
+
+# every declared parameter of every scenario, one step outside its domain
+_DOMAIN_CASES = [(sid, f"{key}={value}") for sid, params in DECLARED.items()
+                 for key, declared in params.items() for value in _just_outside(declared)]
 
 
 def run(capsys, *argv):
@@ -215,6 +235,39 @@ class TestAnalyze:
         assert files == sorted(files)
 
 
+_OUT_OF_RANGE = [
+    ("S1", "positions=-1"),
+    ("S1", "downtime_s=-1"),
+    ("S1", "down_start_s=-600"),
+    ("S1", "volatility_bp=-200"),
+    ("S1", "horizon_s=99999999999999999999"),
+    ("S1", "positions=99999999999"),
+    ("S1", "positions=1000001"),
+    ("S1", "horizon_s=600000000"),
+    ("S2", "horizon_s=0"),
+    ("S3", "l1_sender=0x12"),
+    ("S3", "sender_kind=robot"),
+    ("S4", "l2_gas_price_wei=0"),
+    ("S5", "submission_fee=-5"),
+    ("S5", "auto_fail_gas_required=1"),
+    # before the domains were declared, the first two overflowed a float (a
+    # traceback, exit 1), the next four ran, and eoa exited 2 with the enum's text
+    ("S1", "start_price_cents=1" + "0" * 309),
+    ("S1", "volatility_bp=1" + "0" * 35 + " horizon_s=60000"),
+    ("S4", "l1_gas_price_wei=-5"),
+    ("S4", "base_gas=-5000"),
+    ("S4", "block_gas_limit=-1"),
+    ("S5", "l1_direct_fee=-1"),
+    ("S3", "sender_kind=eoa"),
+    # products and sums of 4,000-digit inputs passed the 4,300-digit
+    # limit of int-to-text conversion in the report (exit 1)
+    ("S4", f"block_gas_limit={'9' * 4000} l1_gas_price_wei={'9' * 4000}"),
+    ("S5", f"callvalue={'9' * 4300} submission_fee={'9' * 4300}"),
+]
+# the cases rejected by a rule that relates two parameters
+_CROSS_RULE_CASES = {("S1", "horizon_s=600000000"), ("S5", "auto_fail_gas_required=1")}
+
+
 class TestScenarioCommands:
     def test_list_shows_all_five(self, capsys):
         code, out, _ = run(capsys, "scenario", "list")
@@ -257,29 +310,21 @@ class TestScenarioCommands:
         assert "key=value" in err
 
     @pytest.mark.parametrize(
-        "sid, param",
-        [
-            ("S1", "positions=-1"),
-            ("S1", "downtime_s=-1"),
-            ("S1", "down_start_s=-600"),
-            ("S1", "volatility_bp=-200"),
-            ("S1", "horizon_s=99999999999999999999"),
-            ("S1", "positions=99999999999"),
-            ("S1", "positions=1000001"),
-            ("S1", "horizon_s=600000000"),
-            ("S2", "horizon_s=0"),
-            ("S3", "l1_sender=0x12"),
-            ("S3", "sender_kind=robot"),
-            ("S4", "l2_gas_price_wei=0"),
-            ("S5", "submission_fee=-5"),
-            ("S5", "auto_fail_gas_required=1"),
-        ],
+        "sid, param", [*_OUT_OF_RANGE, *[case for case in _DOMAIN_CASES if case not in _OUT_OF_RANGE]],
+        ids=lambda value: value if len(value) <= 60 else f"{value.split('=')[0]}=({len(value)} chars)",
     )
     def test_out_of_range_param_is_usage_error(self, capsys, sid, param):
-        code, out, err = run(capsys, "scenario", "run", sid, "--param", param)
+        argv = ["scenario", "run", sid]
+        for item in param.split():
+            argv += ["--param", item]
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: scenario {sid}: ")
+        if (sid, param) not in _CROSS_RULE_CASES:  # the first value given is outside its domain
+            key = param.split("=")[0]
+            domain = re.escape(DECLARED[sid][key].describe())
+            assert re.fullmatch(f"error: scenario {sid}: parameter '{key}' must be {domain}, got .+\n", err)
 
     @pytest.mark.parametrize(
         "sid, params, budget_s",
@@ -691,16 +736,83 @@ def _draw_argv(data, tmp: Path) -> list[str]:
                      | st.lists(st.text(max_size=6), max_size=3))
 
 
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def _just_inside(declared, with_maximum: bool) -> st.SearchStrategy[str]:
+    """--param values inside a declared domain: its edges and values near its minimum."""
+    domain = declared.domain
+    if domain is bool:
+        return st.sampled_from(["true", "false", "TRUE", "False"])
+    if domain is Address:
+        return st.sampled_from(_ADDRESSES)
+    if isinstance(domain, tuple):
+        return st.sampled_from(domain)
+    low, high = domain.start, domain.stop - 1
+    near = st.integers(low, min(high, low + 5000))
+    return (near | st.sampled_from([low, high] if with_maximum else [low])).map(str)
+
+
+# The rules that relate two parameters, stated apart from the code.
+_CROSS_RULES = {
+    "S1": lambda p: p["horizon_s"] // p["update_interval_s"] + 1 > 10_000_000,
+    "S2": lambda p: p["sync_period_s"] % p["block_interval_s"] != 0,
+    "S3": lambda p: False,
+    "S4": lambda p: p["base_gas"] > p["block_gas_limit"],
+    "S5": lambda p: p["auto_fail_gas_required"] <= p["l2_gas_provided"],
+}
+
+
+def _draw_declared(data) -> tuple[list[str], Callable[[int, str, str], None]]:
+    """`scenario run` with values drawn from the declarations, each inside or just outside its
+    domain, and the check of what the run printed."""
+    sid = data.draw(st.sampled_from(sorted(DECLARED)))
+    params = DECLARED[sid]
+    argv, given, outside = ["scenario", "run", sid], {}, None
+    for key in data.draw(st.lists(st.sampled_from(list(params)), unique=True, max_size=3)):
+        declared = params[key]
+        if data.draw(st.integers(0, 3)) == 0:
+            text = data.draw(st.sampled_from(_just_outside(declared)))
+            outside = outside or key
+        else:
+            # 1,000,000 S1 positions take about a second; a unit test runs that edge
+            text = data.draw(_just_inside(declared, with_maximum=(sid, key) != ("S1", "positions")))
+            domain = declared.domain
+            given[key] = int(text) if isinstance(domain, range) else text.lower() == "true" if domain is bool else text
+        argv += ["--param", f"{key}={text}"]
+    argv += data.draw(st.sampled_from([[], ["--check"]]))
+
+    def expect(code: int, out: str, err: str) -> None:
+        if outside:
+            domain = re.escape(params[outside].describe())
+            assert (code, out) == (2, ""), argv
+            assert re.fullmatch(f"error: scenario {sid}: parameter '{outside}' must be {domain}, got .+\n", err)
+        elif _CROSS_RULES[sid]({**{k: d.default for k, d in params.items()}, **given}):
+            assert (code, out) == (2, "") and err.startswith(f"error: scenario {sid}: "), (argv, err)
+        else:
+            report = json.loads(out)
+            assert code == (1 if "--check" in argv and report["divergent"] else 0), (argv, err)
+            assert report["scenario_id"] == sid
+            assert {k: report["params"][k] for k in given} == given
+            assert all(type(report["params"][k]) is type(v) for k, v in given.items())
+
+    return argv, expect
+
+
+@settings(max_examples=160, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_generated_argv_exits_zero_one_or_two(tmp_path, data):
-    argv = _draw_argv(data, tmp_path)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    # a quarter of the runs take their --param values from the declared domains
+    if data.draw(st.integers(0, 3)) == 0:
+        argv, expect = _draw_declared(data)
+    else:
+        argv, expect = _draw_argv(data, tmp_path), None
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse: 2 for a usage error, 0 after --version
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
+    if expect:
+        expect(code, out.getvalue(), err.getvalue())
 
 
 def test_source_parses_at_the_oldest_supported_python():

@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 from arbmigrate import retryable
 from arbmigrate.chainmodel import L1Chain, L2View, WallClock, l1_block_number_at, l2_view_l1_number_at
 from arbmigrate.scenarios import (
-    S1_MAX_POSITIONS,
     S1_MAX_STEPS,
     DifferentialReport,
     EventScriptError,
     Outcome,
     ScenarioError,
-    _run_stale_oracle,
     list_scenarios,
     run_scenario,
     serialize_report,
@@ -61,14 +59,40 @@ class TestCatalog:
         with pytest.raises(ScenarioError):
             run_scenario("S1", {"downtime_s": "soon"})
 
-    @pytest.mark.parametrize("key, value", [
-        ("horizon_s", float("inf")), ("positions", True), ("positions", 1.9),
-        ("positions", "1.9"),
+    @pytest.mark.parametrize("key, value, domain", [
+        ("horizon_s", float("inf"), "an integer from 1 to 2**64 - 1"),
+        ("positions", True, "an integer from 0 to 1,000,000"),
+        ("positions", 1.9, "an integer from 0 to 1,000,000"),
+        ("positions", "1.9", "an integer from 0 to 1,000,000"),
     ], ids=["infinity", "bool", "float", "float-string"])
-    def test_integer_parameter_takes_no_other_type(self, key, value):
+    def test_integer_parameter_takes_no_other_type(self, key, value, domain):
         with pytest.raises(ScenarioError) as exc:
             run_scenario("S1", {key: value})
-        assert str(exc.value) == f"parameter {key!r} expects an integer, got {value!r}"
+        assert str(exc.value) == f"scenario S1: parameter {key!r} must be {domain}, got {value!r}"
+
+    @pytest.mark.parametrize("sid, key, value, domain", [
+        ("S3", "sender_kind", "eoa", "one of externally_owned, contract"),
+        ("S3", "sender_kind", "CONTRACT", "one of externally_owned, contract"),
+        ("S3", "l1_sender", 5, "a 0x-prefixed 40-hex-digit address"),
+        ("S3", "offset", "0x12", "a 0x-prefixed 40-hex-digit address"),
+        ("S5", "escrow_callvalue", "yes", "true or false"),
+        ("S5", "escrow_callvalue", 1, "true or false"),
+    ])
+    def test_other_parameter_kinds_take_only_their_domain(self, sid, key, value, domain):
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(sid, {key: value})
+        assert str(exc.value) == f"scenario {sid}: parameter {key!r} must be {domain}, got {value!r}"
+
+    def test_values_are_reported_as_given_with_their_declared_type(self):
+        sender = "0x00000000000000000000000000000000DEADBEEF"
+        params = run_scenario("S3", {"l1_sender": sender, "sender_kind": "externally_owned"}).params
+        assert (params["l1_sender"], params["sender_kind"]) == (sender, "externally_owned")
+        assert run_scenario("S5", {"escrow_callvalue": "TRUE"}).params["escrow_callvalue"] is True
+
+    def test_every_parameter_declares_a_default_inside_its_domain(self):
+        for spec in list_scenarios():
+            for key, declared in spec.params.items():
+                assert declared.parse(key, declared.default) == declared.default
 
     def test_integer_parameter_takes_ints_and_integer_strings(self):
         params = run_scenario("S1", {"positions": 3, "downtime_s": "1800", "horizon_s": " 7200 "}).params
@@ -154,14 +178,44 @@ class TestStaleOracle:
         with pytest.raises(ScenarioError, match="must be at most 10,000,000"):
             run_scenario("S1", {"horizon_s": S1_MAX_STEPS, "update_interval_s": 1, "positions": 1})
 
-    @pytest.mark.parametrize("name", ["positions", "downtime_s", "down_start_s", "volatility_bp"])
-    def test_negative_values_are_rejected(self, name):
-        with pytest.raises(ScenarioError, match=f"^scenario S1: {name} must be non-negative$"):
+    @pytest.mark.parametrize("name, domain", [
+        ("positions", "an integer from 0 to 1,000,000"), ("downtime_s", "an integer from 0 to 2**64 - 1"),
+        ("down_start_s", "an integer from 0 to 2**64 - 1"), ("volatility_bp", "an integer from 0 to 10,000"),
+    ], ids=["positions", "downtime_s", "down_start_s", "volatility_bp"])
+    def test_negative_values_are_rejected(self, name, domain):
+        message = f"scenario S1: parameter '{name}' must be {domain}, got -1"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             run_scenario("S1", {name: -1})
 
     def test_positions_are_capped_on_their_own(self):
-        with pytest.raises(ScenarioError, match="positions must be at most 1,000,000"):
-            run_scenario("S1", {"positions": S1_MAX_POSITIONS + 1, "horizon_s": 60})
+        message = "parameter 'positions' must be an integer from 0 to 1,000,000, got 1000001"
+        with pytest.raises(ScenarioError, match=message):
+            run_scenario("S1", {"positions": 1_000_001, "horizon_s": 60})
+
+    @pytest.mark.parametrize("params, key", [
+        ({"start_price_cents": 10**309}, "start_price_cents"),
+        ({"volatility_bp": 10**35, "horizon_s": 60_000}, "volatility_bp"),
+    ], ids=["price-1e309", "volatility-1e35"])
+    def test_values_that_overflowed_a_float_are_out_of_domain(self, params, key):
+        with pytest.raises(ScenarioError, match=f"^scenario S1: parameter '{key}' must be an integer from "):
+            run_scenario("S1", params)
+
+    def test_largest_price_and_volatility_run(self):
+        report = run_scenario("S1", {"start_price_cents": 10**12, "volatility_bp": 10_000, "horizon_s": 60_000})
+        assert report.params["start_price_cents"] == 10**12
+
+
+_U64, _U256 = 2**64 - 1, 2**256 - 1
+_TOP_TEXT = {_U64: "2**64 - 1", _U256: "2**256 - 1"}
+
+
+def _check_ranges(params: dict[str, Any], ranges: dict[str, tuple[int, int]]) -> None:
+    """The references' own domain check: the first of params, in order, outside its range."""
+    for key, value in params.items():
+        low, high = ranges[key]
+        if not low <= value <= high:
+            top = _TOP_TEXT.get(high) or f"{high:,}"
+            raise ValueError(f"parameter {key!r} must be an integer from {low:,} to {top}, got {value}")
 
 
 # The S1 runner before it streamed its prices and kept each chain's
@@ -169,22 +223,19 @@ class TestStaleOracle:
 # every position checked at every step. It keeps the single bound on steps x
 # positions of that time; the draws below stay far inside it.
 _REFERENCE_MAX_STEP_POSITIONS = 10_000_000
+_S1_RANGES = {"downtime_s": (0, _U64), "down_start_s": (0, _U64), "horizon_s": (1, _U64),
+              "update_interval_s": (1, _U64), "positions": (0, 10**6),
+              "start_price_cents": (10, 10**12), "volatility_bp": (0, 10_000)}
 
 
 def _reference_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
+    _check_ranges(params, _S1_RANGES)
     rng = random.Random(seed)
     interval = params["update_interval_s"]
     horizon = params["horizon_s"]
     down_start = params["down_start_s"]
     down_end = down_start + params["downtime_s"]
-    if interval <= 0 or horizon <= 0:
-        raise ScenarioError("update_interval_s and horizon_s must be positive")
-
     start_price = params["start_price_cents"]
-    if start_price < 10:
-        raise ScenarioError("start_price_cents must be at least 10")
-    if params["positions"] < 0:
-        raise ScenarioError("positions must be non-negative")
     if (horizon // interval + 1) * max(params["positions"], 1) > _REFERENCE_MAX_STEP_POSITIONS:
         raise ScenarioError("(horizon_s // update_interval_s + 1) x positions must be at most "
                             f"{_REFERENCE_MAX_STEP_POSITIONS:,}")
@@ -268,7 +319,7 @@ def _s1_params(draw):
 
 
 def _s1(**changes):
-    return {**list_scenarios()[0].params, **changes}
+    return {**{key: declared.default for key, declared in list_scenarios()[0].params.items()}, **changes}
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,8 +329,16 @@ def _s1(**changes):
 @example(params=_s1(update_interval_s=1, volatility_bp=300, positions=20), seed=1)
 @example(params=_s1(horizon_s=200_000, update_interval_s=300, down_start_s=0, downtime_s=150_000,
                     positions=20, volatility_bp=500), seed=3)
+@example(params=_s1(update_interval_s=0), seed=0)
+@example(params=_s1(horizon_s=0, positions=-1), seed=0)
+@example(params=_s1(start_price_cents=9), seed=0)
+@example(params=_s1(start_price_cents=10**12 + 1), seed=0)
+@example(params=_s1(volatility_bp=10_001, downtime_s=-1), seed=0)
 def test_stale_oracle_matches_the_per_position_reference(params, seed):
-    assert _run_stale_oracle(params, seed) == _reference_stale_oracle(params, seed)
+    outcome = _same_outcome("S1", params, lambda p: _reference_stale_oracle(p, seed), seed)
+    if outcome is not None:
+        expected, report = outcome
+        assert (report.l1_outcome, report.l2_outcome, report.divergence) == expected
 
 
 class TestBlockNumberEquality:
@@ -314,10 +373,10 @@ class TestBlockNumberEquality:
 
 def _s2_by_enumeration(params):
     """S2 as it was first written: one set entry per second of the horizon."""
+    _check_ranges(params, {"block_interval_s": (1, _U64), "sync_period_s": (1, _U64),
+                           "horizon_s": (1, _U64), "genesis_number": (0, _U64)})
     chain = L1Chain(genesis_number=params["genesis_number"], block_interval=params["block_interval_s"])
     view = L2View(sync_period=params["sync_period_s"])
-    if params["horizon_s"] <= 0:
-        raise ScenarioError("horizon_s must be positive")
     produced, observable = set(), set()
     for t in range(params["horizon_s"]):
         produced.add(l1_block_number_at(WallClock(t), chain))
@@ -328,9 +387,9 @@ def _s2_by_enumeration(params):
 
 def _s4_by_counting(params):
     """S4's failure point as it was first written: count n up one at a time."""
+    _check_ranges(params, {"block_gas_limit": (0, _U64), "base_gas": (0, _U64),
+                           "per_iteration_gas": (1, _U64), "l1_gas_price_wei": (0, _U256)})
     limit, base, per = params["block_gas_limit"], params["base_gas"], params["per_iteration_gas"]
-    if per <= 0:
-        raise ScenarioError("per_iteration_gas must be positive")
     if base > limit:
         raise ScenarioError("base_gas already exceeds block_gas_limit")
     n = 1
@@ -339,15 +398,15 @@ def _s4_by_counting(params):
     return n
 
 
-def _same_outcome(sid, params, reference):
+def _same_outcome(sid, params, reference, seed=0):
     """run_scenario agrees with reference(params): the same values, or the same error."""
     try:
         expected = reference(params)
     except ValueError as exc:
         with pytest.raises(ScenarioError, match=re.escape(f"scenario {sid}: {exc}") + "$"):
-            run_scenario(sid, params)
+            run_scenario(sid, params, seed)
         return None
-    return expected, run_scenario(sid, params)
+    return expected, run_scenario(sid, params, seed)
 
 
 class TestClosedFormsMatchTheLoops:
@@ -378,17 +437,22 @@ class TestClosedFormsMatchTheLoops:
         limit=st.integers(-5, 3000),
         base=st.one_of(st.none(), st.integers(-5, 3000)),
         per=st.integers(-2, 60),
+        l1_price=st.integers(-3, 30) | st.sampled_from([20_000_000_000, 2**256 - 1, 2**256]),
     )
-    def test_s4_first_failing_n_equals_counting(self, limit, base, per):
+    @example(limit=2**64 - 1, base=None, per=2**64 - 1, l1_price=2**256 - 1)
+    @example(limit=2**64, base=0, per=1, l1_price=1)
+    @example(limit=700, base=-5000, per=9, l1_price=1)
+    @example(limit=700, base=701, per=9, l1_price=1)
+    def test_s4_first_failing_n_equals_counting(self, limit, base, per, l1_price):
         params = {"block_gas_limit": limit, "base_gas": limit if base is None else base,
-                  "per_iteration_gas": per}
+                  "per_iteration_gas": per, "l1_gas_price_wei": l1_price}
         outcome = _same_outcome("S4", params, _s4_by_counting)
         if outcome is not None:
             n, report = outcome
             for side in (report.l1_outcome, report.l2_outcome):
                 assert side["first_failing_n"] == n
                 assert side["max_safe_n"] == n - 1
-            assert report.l1_outcome["attack_cost_wei"] == n * 50_000 * 20_000_000_000
+            assert report.l1_outcome["attack_cost_wei"] == n * 50_000 * l1_price
 
     def test_s4_base_equal_to_limit_fails_at_one(self):
         params = {"block_gas_limit": 700, "base_gas": 700, "per_iteration_gas": 9}
@@ -408,6 +472,13 @@ class TestAliasPermission:
         report = run_scenario("S3", {"sender_kind": "externally_owned"})
         assert report.l2_outcome["raw_check"] == "allow"
         assert not report.divergent
+
+    @pytest.mark.parametrize("kind, alias_aware", [("contract", "allow"), ("externally_owned", "deny")])
+    def test_alias_aware_check_allows_only_the_aliased_owner(self, kind, alias_aware):
+        # the alias-aware check compares the L2 sender with the owner's alias:
+        # a contract owner arrives aliased, an externally owned one does not
+        report = run_scenario("S3", {"sender_kind": kind})
+        assert report.l2_outcome["alias_aware_check"] == alias_aware
 
     def test_observed_sender_is_the_alias(self):
         report = run_scenario("S3")
@@ -439,6 +510,22 @@ class TestDosRefundLoop:
         with pytest.raises(ScenarioError):
             run_scenario("S4", {"base_gas": 40_000_000})
 
+    @pytest.mark.parametrize("name, domain", [
+        ("l1_gas_price_wei", "an integer from 0 to 2**256 - 1"),
+        ("base_gas", "an integer from 0 to 2**64 - 1"),
+        ("block_gas_limit", "an integer from 0 to 2**64 - 1"),
+    ])
+    def test_negative_gas_and_prices_are_rejected(self, name, domain):
+        message = f"scenario S4: parameter '{name}' must be {domain}, got -5"
+        with pytest.raises(ScenarioError, match=re.escape(message) + "$"):
+            run_scenario("S4", {name: -5})
+
+    def test_largest_amounts_give_a_printable_report(self):
+        # products of 4,000-digit inputs passed the 4,300-digit limit of int-to-text conversion
+        report = run_scenario("S4", {"block_gas_limit": 2**64 - 1, "base_gas": 0, "per_iteration_gas": 1,
+                                     "push_gas": 2**64 - 1, "l1_gas_price_wei": 2**256 - 1})
+        assert json.loads(serialize_report(report))["l1_outcome"]["first_failing_n"] == 2**64
+
 
 class TestRetryableFeePaths:
     def test_ledgers_balance_on_every_path(self):
@@ -468,6 +555,16 @@ class TestRetryableFeePaths:
         report = run_scenario("S5", {"escrow_callvalue": "true"})
         assert report.divergence["value_lost_on_expiry"] == 0
         assert report.l2_outcome["auto_fail_expiry"]["refunded"] >= 100_000
+
+    def test_fail_gas_equal_to_the_gas_provided_is_rejected(self):
+        message = "^scenario S5: auto_fail_gas_required must exceed l2_gas_provided$"
+        with pytest.raises(ScenarioError, match=message):
+            run_scenario("S5", {"auto_fail_gas_required": 5_000})
+
+    def test_negative_direct_fee_is_rejected(self):
+        message = "scenario S5: parameter 'l1_direct_fee' must be an integer from 0 to 2**256 - 1, got -1"
+        with pytest.raises(ScenarioError, match=re.escape(message) + "$"):
+            run_scenario("S5", {"l1_direct_fee": -1})
 
     def test_callvalue_delivered_on_both_redeem_paths(self):
         report = run_scenario("S5")
