@@ -4,9 +4,10 @@ docs/minisol-grammar.md (MiniSol grammar v1)."""
 
 from .lexer import (
     Diagnostic,
+    LineIndex,
     MiniSolSyntaxError,
-    Token,
     TokenKind,
+    Tokens,
     tokenize,
 )
 from .nodes import (
@@ -56,9 +57,9 @@ __all__ = [
     "AddressLit", "ArrayType", "AssignStmt", "BinaryExpr", "BoolLit", "CallExpr",
     "ContractDef", "Diagnostic", "ElementaryType", "EmitStmt", "Expr", "ExprStmt",
     "ForStmt", "FunctionDef", "GRAMMAR_VERSION", "HexLit", "Ident", "IfStmt",
-    "IncDecStmt", "IndexAccess", "MappingType", "MemberAccess", "MiniSolSyntaxError",
+    "IncDecStmt", "IndexAccess", "LineIndex", "MappingType", "MemberAccess", "MiniSolSyntaxError",
     "Node", "NumberLit", "Param", "RequireStmt", "ReturnStmt", "SourceUnit",
-    "Span", "StateVarDecl", "Stmt", "StringLit", "Token", "TokenKind",
+    "Span", "StateVarDecl", "Stmt", "StringLit", "TokenKind", "Tokens",
     "TypeName", "UnaryExpr", "VarDeclStmt", "WhileStmt", "annotate_bindings",
     "children", "parse_source", "parse_tokens", "print_contract", "print_expr",
     "print_source", "print_type", "tokenize", "walk",

@@ -3,10 +3,10 @@
 Every node is a record (``arbmigrate._record``, the base of the simulator
 records too): a node class declares its fields once, in source order, as the
 positional parameters of its ``__init__``, and ``==`` and repr read them.
-Every node carries a source span (byte offsets plus the 1-based line/column
-of its first token); ``span`` is keyword-only, so it is no field and two
-parses of the same text compare structurally equal.  A list defaults to a
-new one.
+Every node carries a source span, the byte offsets where its first token
+starts and its last token ends (``LineIndex`` finds their line and column);
+``span`` is keyword-only, so it is no field and two parses of the same text
+compare structurally equal.  A list defaults to a new one.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from .._record import Record
 class Span(NamedTuple):
     start: int
     end: int
-    line: int
-    column: int
 
 
-EMPTY_SPAN = Span(0, 0, 0, 0)
+EMPTY_SPAN = Span(0, 0)  # a node built by hand, with no place in any source
 
 # __init__ annotations of the fields that never hold a node
 _SCALAR_ANNOTATIONS = frozenset(

@@ -15,9 +15,10 @@ from collections import defaultdict
 
 from .lexer import (
     Diagnostic,
+    LineIndex,
     MiniSolSyntaxError,
-    Token,
     TokenKind,
+    Tokens,
     tokenize,
     unescape_string,
 )
@@ -113,84 +114,69 @@ def _nested(parse):
     return method
 
 
-def _through(node: Node, end: int) -> Span:
-    """node's span extended to the byte offset end."""
-    span = node.span
-    return Span(span.start, end, span.line, span.column)
-
-
 class _Parser:
-    def __init__(self, tokens: list[Token], source: str):
+    def __init__(self, tokens: Tokens, source: str):
         # An end-of-input sentinel (kind None, text "") where the last token
-        # ends, so the helpers below index self.tokens[self.pos] unchecked.
-        last = tokens[-1] if tokens else Token(None, "", 1, 1, 0)
-        end = len(last.text)
-        self.tokens = [*tokens, Token(None, "", last.line, last.column + end, last.offset + end)]
-        self.source = source
+        # ends, so the helpers below index the lists at self.pos unchecked.
+        end = tokens.ends[-1] if tokens.ends else 0
+        self.kinds, self.texts = [*tokens.kinds, None], [*tokens.texts, ""]
+        self.starts, self.ends = [*tokens.starts, end], [*tokens.ends, end]
+        self.lines = LineIndex(source)
         self.pos = 0
         self.depth = 0
         self.diagnostics: list[Diagnostic] = []
 
     # -- token helpers ---------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
-
     def _at_end(self) -> bool:
-        return self.tokens[self.pos].kind is None
+        return self.kinds[self.pos] is None
 
     def _fail(self, message: str) -> _ParseFailure:
-        tok = self.tokens[self.pos]
-        return _ParseFailure(Diagnostic(message, tok.line, tok.column))
+        return _ParseFailure(Diagnostic(message, *self.lines.position(self.starts[self.pos])))
 
     def _check(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
+        return self.texts[self.pos] == text
 
-    def _current(self) -> Token:
-        """The next token, not consumed; a syntax error at the end of input."""
-        tok = self.tokens[self.pos]
-        if tok.kind is None:
+    def _current(self) -> int:
+        """The start of the next token, not consumed; a syntax error at the end of input."""
+        if self.kinds[self.pos] is None:
             raise self._fail("unexpected end of input")
-        return tok
+        return self.starts[self.pos]
 
-    def _advance(self) -> Token:
+    def _advance(self) -> str:
         # every caller has matched the token's text or kind, so it is not the sentinel
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.texts[self.pos - 1]
 
-    def _accept(self, text: str) -> Token | None:
-        if self._check(text):
-            return self._advance()
-        return None
+    def _accept(self, text: str) -> bool:
+        if self.texts[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
 
-    def _expect(self, text: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.text != text:
-            raise self._fail(f"expected {text!r}, found {tok.text or 'end of input'!r}")
+    def _expect(self, text: str) -> int:
+        """Consume a token of this text; its start."""
+        found = self.texts[self.pos]
+        if found != text:
+            raise self._fail(f"expected {text!r}, found {found or 'end of input'!r}")
         self.pos += 1
-        return tok
+        return self.starts[self.pos - 1]
 
-    def _expect_identifier(self, what: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.IDENTIFIER:
-            raise self._fail(f"expected {what}, found {tok.text or 'end of input'!r}")
+    def _expect_identifier(self, what: str) -> str:
+        if self.kinds[self.pos] is not TokenKind.IDENTIFIER:
+            raise self._fail(f"expected {what}, found {self.texts[self.pos] or 'end of input'!r}")
         self.pos += 1
-        return tok
+        return self.texts[self.pos - 1]
 
-    def _span_from(self, start_tok: Token, end_tok: Token) -> Span:
-        end = end_tok.offset + len(end_tok.text)
-        return Span(start_tok.offset, end, start_tok.line, start_tok.column)
-
-    def _node_span(self, start_tok: Token) -> Span:
-        """From start_tok through the last token consumed."""
-        return self._span_from(start_tok, self.tokens[self.pos - 1])
+    def _node_span(self, start: int) -> Span:
+        """From the offset start through the last token consumed."""
+        return Span(start, self.ends[self.pos - 1])
 
     def _declare(self, names: set[str], decl):
         """Note decl's name in a scope; a second declaration there is a diagnostic."""
         if decl.name in names:
             message = f"duplicate declaration of {decl.name!r}"
-            self.diagnostics.append(Diagnostic(message, decl.span.line, decl.span.column))
+            self.diagnostics.append(Diagnostic(message, *self.lines.position(decl.span.start)))
         names.add(decl.name)
         return decl
 
@@ -207,7 +193,7 @@ class _Parser:
         """Skip to just past the next ';' (or stop before '}' / end)."""
         depth = 0
         while not self._at_end():
-            text = self.tokens[self.pos].text
+            text = self.texts[self.pos]
             if text == "{":
                 depth += 1
             elif text == "}":
@@ -242,7 +228,6 @@ class _Parser:
     def parse_unit(self, path: str) -> SourceUnit:
         contracts: list[ContractDef] = []
         names: set[str] = set()  # contract names are one unit-level scope
-        first = self._peek()
         while not self._at_end():
             try:
                 contracts.append(self._declare(names, self.parse_contract()))
@@ -251,32 +236,32 @@ class _Parser:
                 self._sync_statement()
                 # the sync stops before a stray '}', which no contract can start
                 self._accept("}")
-        span = self._node_span(first) if self.pos > 0 else Span(0, 0, 1, 1)
-        return SourceUnit(contracts=contracts, path=path, source=self.source, span=span)
+        span = self._node_span(self.starts[0]) if self.pos > 0 else Span(0, 0)
+        return SourceUnit(contracts=contracts, path=path, source=self.lines.source, span=span)
 
     def parse_contract(self) -> ContractDef:
         start = self._expect("contract")
-        name = self._expect_identifier("contract name").text
+        name = self._expect_identifier("contract name")
         # state variables and functions share one scope
         return ContractDef(name, self._braced(self.parse_member), span=self._node_span(start))
 
     def parse_member(self) -> StateVarDecl | FunctionDef:
-        tok = self._peek()
-        if tok.text == "function":
+        text = self.texts[self.pos]
+        if text == "function":
             return self.parse_function()
-        if tok.text in _TYPE_START:
+        if text in _TYPE_START:
             return self.parse_state_var()
         raise self._fail(
-            f"unsupported construct at {tok.text!r}: contracts may only contain "
+            f"unsupported construct at {text!r}: contracts may only contain "
             "state variables and functions"
         )
 
     def _declaration(self, qualifiers: tuple[str, ...], what: str):
-        """Type, an optional qualifier, name: (first token, type, qualifier, name)."""
+        """Type, an optional qualifier, name: (start offset, type, qualifier, name)."""
         start = self._current()
         var_type = self.parse_typename()
-        qualifier = self._advance().text if self._peek().text in qualifiers else None
-        return start, var_type, qualifier, self._expect_identifier(what).text
+        qualifier = self._advance() if self.texts[self.pos] in qualifiers else None
+        return start, var_type, qualifier, self._expect_identifier(what)
 
     def _initializer(self) -> Expr | None:
         """An optional '= expression', then the ';' that ends a variable declaration."""
@@ -304,33 +289,33 @@ class _Parser:
         modifiers: list[str] = []
         returns: list[TypeName] = []
         while True:
-            tok = self._peek()
-            if tok.text in _VISIBILITY:
+            kind, text = self.kinds[self.pos], self.texts[self.pos]
+            if text in _VISIBILITY:
                 if visibility is not None:
-                    raise self._fail(f"duplicate visibility {tok.text!r}")
-                visibility = self._advance().text
-            elif tok.text in _MUTABILITY:
+                    raise self._fail(f"duplicate visibility {text!r}")
+                visibility = self._advance()
+            elif text in _MUTABILITY:
                 if mutability is not None:
-                    raise self._fail(f"duplicate mutability {tok.text!r}")
-                mutability = self._advance().text
-            elif tok.text == "returns":
+                    raise self._fail(f"duplicate mutability {text!r}")
+                mutability = self._advance()
+            elif text == "returns":
                 self._advance()
                 self._expect("(")
                 returns.extend(self._separated(self.parse_typename))
                 self._expect(")")
-            elif tok.kind is TokenKind.IDENTIFIER:
-                modifiers.append(self._advance().text)
-            elif tok.text == "{":
+            elif kind is TokenKind.IDENTIFIER:
+                modifiers.append(self._advance())
+            elif text == "{":
                 break
-            elif tok.kind is None:
+            elif kind is None:
                 raise self._fail("expected function body")
             else:
                 raise self._fail(
-                    f"unsupported construct in function header: {tok.text!r}"
+                    f"unsupported construct in function header: {text!r}"
                 )
         body = self.parse_block()
         return FunctionDef(
-            name.text, params, visibility, mutability, modifiers, returns, body,
+            name, params, visibility, mutability, modifiers, returns, body,
             span=self._node_span(start),
         )
 
@@ -339,37 +324,36 @@ class _Parser:
         return Param(var_type, name, location, span=self._node_span(start))
 
     def parse_typename(self, allow_mapping: bool = True) -> TypeName:
-        tok = self._peek()
-        if tok.text == "mapping":
+        if self._check("mapping"):
             if not allow_mapping:
                 raise self._fail("unsupported construct: nested mappings (single level only)")
-            start = self._advance()
+            start = self._expect("mapping")
             self._expect("(")
             key = self.parse_elementary()
             self._expect("=>")
             value = self.parse_typename(allow_mapping=False)
             self._expect(")")
             return MappingType(key=key, value=value, span=self._node_span(start))
-        if tok.kind is None:
+        if self._at_end():
             raise self._fail("expected type")
         base: TypeName = self.parse_elementary()
         if self._accept("["):
             length = None
-            if self._peek().kind is TokenKind.NUMBER:
-                length = int(self._advance().text)
-            close = self._expect("]")
-            base = ArrayType(base, length, span=_through(base, close.offset + 1))
+            if self.kinds[self.pos] is TokenKind.NUMBER:
+                length = int(self._advance())
+            self._expect("]")
+            base = ArrayType(base, length, span=self._node_span(base.span.start))
             if self._check("["):
                 raise self._fail("unsupported construct: nested arrays")
         return base
 
     def parse_elementary(self) -> ElementaryType:
-        tok = self._peek()
-        if tok.text not in ELEMENTARY_TYPES:
-            raise self._fail(f"expected elementary type, found {tok.text or 'end of input'!r}")
-        self._advance()
-        name = "uint256" if tok.text == "uint" else tok.text
-        return ElementaryType(name=name, span=self._span_from(tok, tok))
+        text = self.texts[self.pos]
+        if text not in ELEMENTARY_TYPES:
+            raise self._fail(f"expected elementary type, found {text or 'end of input'!r}")
+        start = self._expect(text)
+        name = "uint256" if text == "uint" else text
+        return ElementaryType(name=name, span=self._node_span(start))
 
     # -- statements -------------------------------------------------------
 
@@ -383,8 +367,7 @@ class _Parser:
 
     @_nested
     def parse_statement(self) -> Stmt:
-        tok = self._peek()
-        text = tok.text
+        text = self.texts[self.pos]
         if text in _TYPE_START:
             return self.parse_var_decl()
         if text == "require":
@@ -398,16 +381,17 @@ class _Parser:
         if text == "emit":
             return self.parse_emit()
         if text == "return":
-            start = self._advance()
+            start = self._expect("return")
             value = None if self._check(";") else self.parse_expression()
             self._expect(";")
             return ReturnStmt(value=value, span=self._node_span(start))
         if text in {"contract", "function"}:
             raise self._fail(f"unsupported construct: {text!r} inside a function body")
-        if tok.kind is None:
+        if self._at_end():
             raise self._fail("expected statement")
         stmt = self.parse_simple_statement()
-        stmt.span = _through(stmt, self._expect(";").offset + 1)
+        self._expect(";")
+        stmt.span = self._node_span(stmt.span.start)
         return stmt
 
     def parse_var_decl(self) -> VarDeclStmt:
@@ -423,11 +407,11 @@ class _Parser:
         condition = self.parse_expression()
         message = None
         if self._accept(","):
-            tok = self._peek()
-            if tok.kind is not TokenKind.STRING:
+            if self.kinds[self.pos] is not TokenKind.STRING:
                 raise self._fail("require message must be a string literal")
-            self._advance()
-            message = StringLit(value=unescape_string(tok.text), span=self._span_from(tok, tok))
+            at = self.starts[self.pos]
+            value = unescape_string(self._advance())
+            message = StringLit(value=value, span=self._node_span(at))
         self._expect(")")
         self._expect(";")
         return RequireStmt(condition=condition, message=message, span=self._node_span(start))
@@ -449,7 +433,7 @@ class _Parser:
         init: Stmt | None = None
         if self._accept(";"):
             pass
-        elif self._peek().text in _TYPE_START:
+        elif self.texts[self.pos] in _TYPE_START:
             init = self.parse_var_decl()  # consumes its ';'
         else:
             init = self.parse_simple_statement()
@@ -483,7 +467,7 @@ class _Parser:
         """Assignment, increment/decrement, or bare expression (no ';')."""
         start = self._current()
         expr = self.parse_expression()
-        op = self._peek().text
+        op = self.texts[self.pos]
         if op not in _TARGET_OPS:
             return ExprStmt(expr, span=self._node_span(start))
         if not isinstance(expr, (Ident, MemberAccess, IndexAccess)):
@@ -502,80 +486,77 @@ class _Parser:
     def parse_binary(self, min_prec: int) -> Expr:
         left = self.parse_unary()
         while True:
-            prec = BINARY_PRECEDENCE.get(self._peek().text)
+            prec = BINARY_PRECEDENCE.get(self.texts[self.pos])
             if prec is None or prec < min_prec:
                 return left
-            op = self._advance().text
+            op = self._advance()
             right = self.parse_binary(prec + 1)
-            left = BinaryExpr(op, left, right, span=_through(left, right.span.end))
+            left = BinaryExpr(op, left, right, span=Span(left.span.start, right.span.end))
 
     @_nested
     def parse_unary(self) -> Expr:
-        tok = self._peek()
-        if tok.text in {"!", "-"}:
-            start = self._advance()
+        op = self.texts[self.pos]
+        if op in {"!", "-"}:
+            start = self._expect(op)
             operand = self.parse_unary()
-            return UnaryExpr(
-                op=start.text,
-                operand=operand,
-                span=Span(start.offset, operand.span.end, start.line, start.column),
-            )
+            return UnaryExpr(op=op, operand=operand, span=Span(start, operand.span.end))
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
         expr = self.parse_primary()
         while True:
-            text = self.tokens[self.pos].text
+            text = self.texts[self.pos]
             if text == ".":
                 self.pos += 1
                 member = self._expect_identifier("member name")
-                end = member.offset + len(member.text)
-                expr = MemberAccess(expr, member.text, span=_through(expr, end))
+                expr = MemberAccess(expr, member, span=self._node_span(expr.span.start))
             elif text == "(":
                 self.pos += 1
                 args = [] if self._check(")") else self._separated(self.parse_expression)
-                close = self._expect(")")
-                expr = CallExpr(expr, args, span=_through(expr, close.offset + 1))
+                self._expect(")")
+                expr = CallExpr(expr, args, span=self._node_span(expr.span.start))
             elif text == "[":
                 self.pos += 1
                 index = self.parse_expression()
-                close = self._expect("]")
-                expr = IndexAccess(expr, index, span=_through(expr, close.offset + 1))
+                self._expect("]")
+                expr = IndexAccess(expr, index, span=self._node_span(expr.span.start))
             else:
                 return expr
 
     def parse_primary(self) -> Expr:
-        tok = self._peek()
-        kind = tok.kind
+        pos = self.pos
+        kind, text = self.kinds[pos], self.texts[pos]
+        span = Span(self.starts[pos], self.ends[pos])
         if kind is TokenKind.IDENTIFIER:
             self.pos += 1
-            return Ident(name=tok.text, span=self._span_from(tok, tok))
+            return Ident(name=text, span=span)
         if kind is TokenKind.NUMBER:
             self.pos += 1
-            return NumberLit(value=int(tok.text), span=self._span_from(tok, tok))
+            return NumberLit(value=int(text), span=span)
         if kind is TokenKind.HEX:
             self.pos += 1
-            return HexLit(value=int(tok.text, 16), span=self._span_from(tok, tok))
+            return HexLit(value=int(text, 16), span=span)
         if kind is TokenKind.ADDRESS:
             self.pos += 1
-            return AddressLit(value=int(tok.text, 16), span=self._span_from(tok, tok))
+            return AddressLit(value=int(text, 16), span=span)
         if kind is TokenKind.STRING:
             self.pos += 1
-            return StringLit(value=unescape_string(tok.text), span=self._span_from(tok, tok))
-        if tok.text in {"true", "false"}:
+            return StringLit(value=unescape_string(text), span=span)
+        if text in {"true", "false"}:
             self.pos += 1
-            return BoolLit(value=tok.text == "true", span=self._span_from(tok, tok))
-        if tok.text in _CAST_KEYWORDS and self._peek(1).text == "(":
-            self._advance()
-            return Ident(name=tok.text, span=self._span_from(tok, tok))
-        if self._check("("):  # the operand's span takes in its parentheses
-            self._advance()
+            return BoolLit(value=text == "true", span=span)
+        if text in _CAST_KEYWORDS and self.texts[pos + 1] == "(":
+            self.pos += 1
+            return Ident(name=text, span=span)
+        if text == "(":  # the operand's span takes in its parentheses
+            self.pos += 1
             expr = self.parse_expression()
-            expr.span = self._span_from(tok, self._expect(")"))
+            self._expect(")")
+            expr.span = self._node_span(span.start)
             return expr
-        if tok.kind is None:
+        if kind is None:
             raise self._fail("expected expression")
-        raise self._fail(f"expected expression, found {tok.text!r}")
+        raise self._fail(f"expected expression, found {text!r}")
 
 
 # --- name resolution and the rule index -------------------------------------
@@ -662,7 +643,9 @@ def annotate_bindings(unit: SourceUnit) -> None:
 # --- entry points ----------------------------------------------------------
 
 
-def parse_tokens(tokens: list[Token], source: str = "", path: str = "<source>") -> SourceUnit:
+def parse_tokens(tokens: Tokens, source: str, path: str = "<source>") -> SourceUnit:
+    """Parse what tokenize(source) returned; diagnostics and findings take
+    their lines and columns, and excerpts their text, from source."""
     parser = _Parser(tokens, source)
     unit = parser.parse_unit(path)
     if parser.diagnostics:

@@ -24,6 +24,7 @@ from .minisol import (
     FunctionDef,
     Ident,
     IndexAccess,
+    LineIndex,
     MemberAccess,
     Node,
     NumberLit,
@@ -36,6 +37,7 @@ from .minisol import (
     children,
     walk,
 )
+from .minisol.nodes import EMPTY_SPAN
 from .minisol.parser import _Index
 
 FINDINGS_SCHEMA_VERSION = "1"
@@ -544,14 +546,18 @@ def analyze(unit: SourceUnit, config: RuleConfig | None = None) -> list[Finding]
     """Run every enabled rule over one parsed source unit."""
     cfg = config or DEFAULT_CONFIG
     findings: list[Finding] = []
+    lines = LineIndex(unit.source)
 
     def add(rule_id: str, node: Node, message: str) -> None:
+        # a node built by hand has no place in the source and reads 0:0
+        span = node.span
+        line, column = (0, 0) if span == EMPTY_SPAN else lines.position(span.start)
         findings.append(
             Finding(
                 rule_id=rule_id,
                 file=unit.path,
-                line=node.span.line,
-                column=node.span.column,
+                line=line,
+                column=column,
                 excerpt=_excerpt(unit, node),
                 message=message,
             )
@@ -580,8 +586,29 @@ def findings_to_doc(findings: Sequence[Finding], files: Sequence[str]) -> dict:
     }
 
 
+# One flat finding object, its members on lines of their own: with no indent
+# set, json encodes with its C encoder, which indent=2 would turn off.
+_FINDING_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _member_array(items: list[str]) -> str:
+    """Encoded items as indent=2 lays out an array member of the top-level object."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
 def findings_to_json(findings: Sequence[Finding], files: Sequence[str]) -> str:
-    return json.dumps(findings_to_doc(findings, files), indent=2, sort_keys=True) + "\n"
+    """The findings document, byte for byte as json.dumps(doc, indent=2,
+    sort_keys=True) writes it.  The document's shape is fixed and each finding
+    is a flat object, so the layout is written here and json's C encoder
+    encodes each file name and finding."""
+    doc = findings_to_doc(findings, files)
+    encode = _FINDING_ENCODER.encode
+    objects = ["{\n      " + encode(f)[1:-1] + "\n    }" for f in doc["findings"]]
+    return (
+        f'{{\n  "files": {_member_array(list(map(json.dumps, doc["files"])))},'
+        f'\n  "findings": {_member_array(objects)},'
+        f'\n  "version": {json.dumps(doc["version"])}\n}}\n'
+    )
 
 
 def findings_from_json(text: str) -> list[Finding]:

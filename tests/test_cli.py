@@ -593,6 +593,27 @@ def test_analyzer_side_defines_its_classes_without_code_generation(tmp_path, com
     assert not modules & {"dataclasses", "inspect"}
 
 
+def test_bench_tracer_sees_the_untraced_output_and_every_token(capsys):
+    # the benchmark's per-layer view wraps lexer.tokenize through parse_source's
+    # module global and counts tokens as len() of what tokenize returns
+    from arbmigrate.minisol import tokenize
+
+    files = [str(CORPUS / name) for name in
+             ("dos_loop_dirty.sol", "alias_permission_clean.sol", "time_hardcode_dirty.sol")]
+    argv = ["analyze", "--format", "json", *files]
+    env = {**os.environ, "PYTHONPATH": str(Path(arbmigrate.__file__).parents[1])}
+    tracer = Path(__file__).parents[1] / "bench" / "tracer.py"
+    traced = subprocess.run([sys.executable, str(tracer), "cli", *argv],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert traced.returncode == 0, traced.stderr
+    doc = json.loads(traced.stdout)
+    code, out, _ = run(capsys, *argv)
+    assert doc["exit"] == code == 0
+    assert doc["stdout"] == out
+    tokens = sum(len(tokenize(Path(path).read_text(encoding="utf-8"))) for path in files)
+    assert doc["counters"]["lexer.tokens"] == tokens > 0
+
+
 _REPLAY_SCRIPT = Path(__file__).parent / "golden" / "replay_script.json"
 _GAS_CALC = ["gas", "calc", "--gas-used-l2", "100000", "--calldata-price-l1", "16",
              "--calldata-size-l1", "200", "--gas-price-l2", "10"]

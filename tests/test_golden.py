@@ -88,7 +88,7 @@ def _truncation_output() -> str:
     for name in CORPUS_FILES:
         source = (ROOT / name).read_text(encoding="utf-8")
         tokens = tokenize(source)
-        cuts = {t.offset + len(t.text) for t in tokens} | {t.offset + 1 for t in tokens}
+        cuts = set(tokens.ends) | {start + 1 for start in tokens.starts}
         for cut in sorted(cuts):
             lines.append(f"{Path(name).name}:{cut}")
             try:
@@ -108,10 +108,11 @@ def _deletion_output() -> str:
     lines = []
     for name in CORPUS_FILES:
         source = (ROOT / name).read_text(encoding="utf-8")
-        for tok in tokenize(source):
-            head = f"{Path(name).name}:{tok.offset}: "
+        tokens = tokenize(source)
+        for start, end in zip(tokens.starts, tokens.ends):
+            head = f"{Path(name).name}:{start}: "
             try:
-                unit = parse_source(source[: tok.offset] + source[tok.offset + len(tok.text) :])
+                unit = parse_source(source[:start] + source[end:])
             except MiniSolSyntaxError as err:
                 first, *rest = err.diagnostics
                 lines.append(f"{head}{first}")

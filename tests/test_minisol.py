@@ -26,6 +26,7 @@ from arbmigrate.minisol import (
     IfStmt,
     IncDecStmt,
     IndexAccess,
+    LineIndex,
     MappingType,
     MemberAccess,
     MiniSolSyntaxError,
@@ -38,8 +39,8 @@ from arbmigrate.minisol import (
     Span,
     StateVarDecl,
     StringLit,
-    Token,
     TokenKind,
+    Tokens,
     UnaryExpr,
     VarDeclStmt,
     WhileStmt,
@@ -124,6 +125,7 @@ _REFERENCE_ERRORS = {
 
 
 def _reference_tokenize(source):
+    """Rows (kind, text, start, end, line, column), one per token."""
     tokens, diagnostics = [], []
     line, line_start = 1, 0
     for m in _REFERENCE_MASTER.finditer(source):
@@ -134,7 +136,7 @@ def _reference_tokenize(source):
         elif kind is TokenKind.HEX and len(text) == 42:
             kind = TokenKind.ADDRESS
         if kind is not None:
-            tokens.append(Token(kind, text, line, offset - line_start + 1, offset))
+            tokens.append((kind, text, offset, m.end(), line, offset - line_start + 1))
         elif row != "SKIP":
             message = _REFERENCE_ERRORS.get(row) or f"illegal character {text!r}"
             diagnostics.append(Diagnostic(message, line, offset - line_start + 1))
@@ -148,6 +150,13 @@ def _reference_tokenize(source):
     return tokens
 
 
+def _token_rows(source):
+    """tokenize's tokens as the reference's rows, each position looked up on demand."""
+    tokens, lines = tokenize(source), LineIndex(source)
+    columns = (tokens.kinds, tokens.texts, tokens.starts, tokens.ends)
+    return [(*row, *lines.position(row[2])) for row in zip(*columns)]
+
+
 def _lex_outcome(tokenizer, source):
     try:
         return "tokens", tokenizer(source)
@@ -157,8 +166,8 @@ def _lex_outcome(tokenizer, source):
 
 class TestTokenizer:
     def test_member_access_token_sequence(self):
-        kinds = [(t.kind, t.text) for t in tokenize("block.number == 100")]
-        assert kinds == [
+        tokens = tokenize("block.number == 100")
+        assert list(zip(tokens.kinds, tokens.texts)) == [
             (TokenKind.IDENTIFIER, "block"),
             (TokenKind.PUNCT, "."),
             (TokenKind.IDENTIFIER, "number"),
@@ -169,10 +178,10 @@ class TestTokenizer:
     def test_40_hex_digits_is_one_address_token(self):
         toks = tokenize("0x1111000000000000000000000000000000001111")
         assert len(toks) == 1
-        assert toks[0].kind is TokenKind.ADDRESS
+        assert toks.kinds == [TokenKind.ADDRESS]
 
     def test_short_hex_is_hex_token(self):
-        assert tokenize("0xff")[0].kind is TokenKind.HEX
+        assert tokenize("0xff").kinds == [TokenKind.HEX]
 
     def test_unterminated_string_reports_opening_quote(self):
         with pytest.raises(MiniSolSyntaxError) as err:
@@ -189,13 +198,16 @@ class TestTokenizer:
         assert (diag.line, diag.column) == (1, 9)
 
     def test_comments_skipped_but_positions_kept(self):
-        toks = tokenize("// header\n/* block\ncomment */ contract")
-        assert toks[0].text == "contract"
-        assert toks[0].line == 3
+        source = "// header\n/* block\ncomment */ contract"
+        toks = tokenize(source)
+        assert toks.texts == ["contract"]
+        assert toks.starts == [source.index("contract")]
+        assert LineIndex(source).position(toks.starts[0]) == (3, 12)
 
     def test_token_text_matches_source_slice(self):
-        for tok in tokenize(SAMPLE):
-            assert SAMPLE[tok.offset : tok.offset + len(tok.text)] == tok.text
+        tokens = tokenize(SAMPLE)
+        for text, start, end in zip(tokens.texts, tokens.starts, tokens.ends):
+            assert SAMPLE[start:end] == text
 
     @pytest.mark.parametrize("char", ["\u00b2", "\u00e9", "\u0661"])
     def test_non_ascii_letter_or_digit_is_illegal(self, char):
@@ -217,13 +229,16 @@ class TestTokenizer:
             tokens = tokenize(source)
         except MiniSolSyntaxError:
             return
+        lines = LineIndex(source)
+        assert len(tokens) == len(tokens.kinds) == len(tokens.starts) == len(tokens.ends)
         end = 0
-        for tok in tokens:
-            assert source[tok.offset : tok.offset + len(tok.text)] == tok.text
-            assert tok.line == source.count("\n", 0, tok.offset) + 1
-            assert tok.column == tok.offset - source.rfind("\n", 0, tok.offset)
-            assert _SKIPPED.fullmatch(source, end, tok.offset)
-            end = tok.offset + len(tok.text)
+        for text, start, stop in zip(tokens.texts, tokens.starts, tokens.ends):
+            assert source[start:stop] == text
+            line, column = lines.position(start)
+            assert line == source.count("\n", 0, start) + 1
+            assert column == start - source.rfind("\n", 0, start)
+            assert _SKIPPED.fullmatch(source, end, start)
+            end = stop
         assert _SKIPPED.fullmatch(source, end)
 
     @settings(max_examples=300, deadline=None)
@@ -239,7 +254,7 @@ class TestTokenizer:
     @example("\t@")
     def test_tokenize_matches_the_reference_tokenizer(self, source):
         # equal token lists, or equal diagnostic lists
-        assert _lex_outcome(tokenize, source) == _lex_outcome(_reference_tokenize, source)
+        assert _lex_outcome(_token_rows, source) == _lex_outcome(_reference_tokenize, source)
 
     def test_master_regex_needs_nothing_newer_than_python_3_10(self):
         # possessive quantifiers and atomic groups arrived in Python 3.11
@@ -254,14 +269,15 @@ class TestTokenizer:
     @given(st.text() | st.text(alphabet='\\"nt\n\t x'))
     def test_escape_string_is_one_string_token_that_unescapes_to_its_value(self, value):
         literal = lexer.escape_string(value)
-        assert [(t.kind, t.text) for t in tokenize(literal)] == [(TokenKind.STRING, literal)]
+        tokens = tokenize(literal)
+        assert (tokens.kinds, tokens.texts) == ([TokenKind.STRING], [literal])
         assert lexer.unescape_string(literal) == value
 
     def test_every_token_prefix_parses_or_raises_a_syntax_error(self):
         # a cut anywhere, e.g. right after "function f(" or "for (", is a syntax error, not a crash
-        for tok in tokenize(SAMPLE):
+        for end in tokenize(SAMPLE).ends:
             try:
-                parse_source(SAMPLE[: tok.offset + len(tok.text)])
+                parse_source(SAMPLE[:end])
             except MiniSolSyntaxError:
                 pass
 
@@ -372,7 +388,7 @@ class TestParser:
 
         assert text(init) == "((1) + 2) * (a).b"
         assert text(init.left) == "((1) + 2)"
-        assert init.left.span.column == source.index("((") + 1
+        assert LineIndex(source).position(init.left.span.start) == (1, source.index("((") + 1)
         assert text(init.left.left) == "(1)"
         assert text(init.right) == "(a).b"
         assert text(init.right.obj) == "(a)"
@@ -456,10 +472,19 @@ class TestParser:
             "3:28: error: expected expression, found ';'",
         ]
 
+    def test_end_of_input_is_where_the_last_token_ends(self):
+        # after a string holding an escaped newline, the end is on the string's last line
+        for source, at in [('contract C { string s = "a\\\nb"', "2:3"),
+                           ('contract C { string s = "a\\\nb"\n\n  ', "2:3"),
+                           ("contract C {", "1:13")]:
+            with pytest.raises(MiniSolSyntaxError) as err:
+                parse_source(source)
+            assert str(err.value.diagnostics[-1]) == f"{at}: error: expected '}}'", source
+
     def test_parse_tokens_leaves_the_token_list_alone(self):
         for source in (SAMPLE, "contract C {", ""):
             tokens = tokenize(source)
-            before = list(tokens)
+            before = Tokens(*(list(column) for column in tokens._asdict().values()))
             try:
                 parse_tokens(tokens, source)
             except MiniSolSyntaxError:
@@ -549,8 +574,8 @@ class TestNodeContract:
     @pytest.mark.parametrize("build", [
         lambda: Ident(nme="x"),
         lambda: BinaryExpr(op="+"),
-        lambda: NumberLit(1, Span(0, 1, 1, 1)),
-        lambda: SourceUnit([], "a.sol", "", Span(0, 1, 1, 1)),
+        lambda: NumberLit(1, Span(0, 1)),
+        lambda: SourceUnit([], "a.sol", "", Span(0, 1)),
         lambda: ElementaryType("uint256", name="uint256"),
     ], ids=["unknown-field", "missing-field", "positional-span", "positional-span-last", "duplicate"])
     def test_bad_construction_raises_type_error(self, build):
@@ -570,7 +595,7 @@ class TestNodeContract:
     def test_equality_ignores_span_binding_path_and_source(self):
         bound = Ident("x")
         bound.decl = VarDeclStmt(ElementaryType("uint256"), "x")
-        assert NumberLit(1, span=Span(0, 1, 1, 1)) == NumberLit(1, span=Span(5, 6, 2, 3))
+        assert NumberLit(1, span=Span(0, 1)) == NumberLit(1, span=Span(5, 6))
         assert bound == Ident("x")
         assert SourceUnit([], "a.sol", "x") == SourceUnit([], "b.sol", "y")
         assert NumberLit(1) != NumberLit(2)
@@ -579,7 +604,7 @@ class TestNodeContract:
         assert SourceUnit([ContractDef("A")]) != SourceUnit([ContractDef("B")])
 
     def test_repr_skips_span_binding_and_source(self):
-        bound = Ident("x", span=Span(0, 1, 1, 1))
+        bound = Ident("x", span=Span(0, 1))
         bound.decl = VarDeclStmt(ElementaryType("uint256"), "x")
         assert repr(bound) == "Ident(name='x')"
         assert children(bound) == []

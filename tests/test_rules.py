@@ -41,6 +41,7 @@ from arbmigrate.rules import (
     Severity,
     analyze,
     findings_from_json,
+    findings_to_doc,
     findings_to_json,
     get_rule,
     migration_checklist,
@@ -410,12 +411,17 @@ def _corpus_text(names):
 
 def _rename(source, mapping):
     """source with each identifier token in mapping replaced by its new name."""
-    out, pos = [], 0
-    for tok in tokenize(source):
-        if tok.kind is TokenKind.IDENTIFIER and tok.text in mapping:
-            out += [source[pos:tok.offset], mapping[tok.text]]
-            pos = tok.offset + len(tok.text)
+    out, pos, tokens = [], 0, tokenize(source)
+    for kind, text, start, end in zip(tokens.kinds, tokens.texts, tokens.starts, tokens.ends):
+        if kind is TokenKind.IDENTIFIER and text in mapping:
+            out += [source[pos:start], mapping[text]]
+            pos = end
     return "".join(out) + source[pos:]
+
+
+def _identifiers(source):
+    tokens = tokenize(source)
+    return [text for kind, text in zip(tokens.kinds, tokens.texts) if kind is TokenKind.IDENTIFIER]
 
 
 def _suffix_contracts(source, suffix):
@@ -465,9 +471,8 @@ class TestMetamorphic:
     def test_renaming_names_no_rule_reads_keeps_rule_ids(self, name, data):
         source = (CORPUS / name).read_text()
         names = sorted({
-            tok.text for tok in tokenize(source)
-            if tok.kind is TokenKind.IDENTIFIER
-            and tok.text.lower() not in _RULE_NAMES and "deposit" not in tok.text.lower()
+            text for text in _identifiers(source)
+            if text.lower() not in _RULE_NAMES and "deposit" not in text.lower()
         })
         chosen = data.draw(st.lists(st.sampled_from(names), unique=True, min_size=1))
         renamed = _rename(source, {old: f"renamed{i}" for i, old in enumerate(chosen)})
@@ -489,12 +494,12 @@ class TestMetamorphic:
             min_size=1, max_size=40,
         )))
         out, pos = [], 0
-        for index, tok in enumerate(tokens):
+        for index, start in enumerate(tokens.starts):
             if index in inserts:  # before the token, after the text that already separates it
-                out += [source[pos:tok.offset], *inserts[index]]
-                pos = tok.offset
+                out += [source[pos:start], *inserts[index]]
+                pos = start
         padded = "".join(out) + source[pos:] + "".join(inserts.get(len(tokens), ()))
-        assert [t.text for t in tokenize(padded)] == [t.text for t in tokens]
+        assert tokenize(padded).texts == tokens.texts
         assert Counter(f.rule_id for f in analyze_text(padded)) == Counter(
             f.rule_id for f in analyze_text(source)
         )
@@ -588,7 +593,7 @@ def _binder_sources(draw):
     if kind == "probed":
         return _with_scope_probe(source, draw(st.sampled_from(_variables(source))), 5_000_000)
     if kind == "renamed":  # may rename one declaration onto another, which can shadow it
-        names = sorted({t.text for t in tokenize(source) if t.kind is TokenKind.IDENTIFIER})
+        names = sorted(set(_identifiers(source)))
         chosen = draw(st.lists(st.sampled_from(names), unique=True, min_size=1, max_size=4))
         return _rename(source, {old: draw(st.sampled_from(names)) for old in chosen})
     return source
@@ -630,7 +635,10 @@ class TestOnePassIndex:
         owner = StateVarDecl(ElementaryType("address"), None, "owner")
         check = RequireStmt(BinaryExpr("==", MemberAccess(Ident("msg"), "sender"), Ident("owner")))
         unit = SourceUnit([ContractDef("C", [owner, FunctionDef("f", body=[check])])])
-        assert [f.rule_id for f in analyze(unit)] == ["ARB-ALIAS-001"]
+        [finding] = analyze(unit)
+        # a node built by hand keeps EMPTY_SPAN: no place in the source, so 0:0
+        assert (finding.rule_id, finding.line, finding.column, finding.excerpt) == (
+            "ARB-ALIAS-001", 0, 0, "")
         assert check.condition.right.decl is owner
 
     def test_index_is_not_a_field(self):
@@ -721,6 +729,24 @@ class TestFindingsDocument:
         monkeypatch.setattr(rules, "get_rule", counting_get_rule)
         rules.findings_to_doc(findings, ["alias_permission_dirty.sol"])
         assert looked_up == Counter(f.rule_id for f in findings)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        findings=st.lists(st.builds(
+            Finding,
+            rule_id=st.sampled_from([rule.id for rule in rule_catalog()]),
+            file=st.text(),
+            line=st.integers(min_value=-(2**70), max_value=2**70),
+            column=st.integers(min_value=-(2**70), max_value=2**70),
+            excerpt=st.text() | st.text(alphabet='"\\\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600{},: '),
+            message=st.text(),
+        ), max_size=6),
+        files=st.lists(st.text(), max_size=4),
+    )
+    @example(findings=[], files=[])
+    def test_json_is_what_json_dumps_with_indent_2_writes(self, findings, files):
+        expected = json.dumps(findings_to_doc(findings, files), indent=2, sort_keys=True) + "\n"
+        assert findings_to_json(findings, files) == expected
 
     def test_rejects_unknown_rule_ids(self):
         with pytest.raises(ValueError):
