@@ -2,11 +2,10 @@
 
 Anything outside the declared grammar is rejected with an "unsupported
 construct" diagnostic rather than silently misparsed, and a name declared
-twice in one scope gets a "duplicate declaration" diagnostic.  Inside
-contracts and function bodies the parser recovers at member and statement
-boundaries so one bad item does not hide later errors; in strict mode (the default and only
-mode) no partial AST escapes — if any diagnostic was recorded,
-:class:`MiniSolSyntaxError` is raised carrying all of them.
+twice in one scope gets a "duplicate declaration" diagnostic.  The unit, each
+contract and each block recover after a bad item at their own level, so one
+bad item does not hide later errors.  No partial AST escapes: if any
+diagnostic was recorded, :class:`MiniSolSyntaxError` carries all of them.
 """
 
 from __future__ import annotations
@@ -66,7 +65,13 @@ _VISIBILITY = ("public", "private", "internal", "external")
 _MUTABILITY = ("payable", "view", "pure")
 _LOCATIONS = ("memory", "calldata", "storage")
 # The items of a braced list that declare a name in the list's scope.
-_DECLARED = (StateVarDecl, FunctionDef, VarDeclStmt)
+_DECLARED = (ContractDef, StateVarDecl, FunctionDef, VarDeclStmt)
+# Where each braced list resumes after a bad item (_Parser._resync): the unit at
+# the next 'contract'; a contract at a member start right after a ';' or '}'; a
+# block past the next ';' or before its '}'.  Brackets count from the failure.
+_UNIT = frozenset({"contract"})
+_MEMBERS = _TYPE_START | {"function"}
+_BLOCK: frozenset[str] = frozenset()
 # Type keywords usable as conversion callees, e.g. payable(x) or address(0).
 _CAST_KEYWORDS = frozenset({"address", "payable", "uint256", "uint", "bool", "string"})
 
@@ -189,29 +194,35 @@ class _Parser:
 
     # -- recovery --------------------------------------------------------
 
-    def _sync_statement(self) -> None:
-        """Skip to just past the next ';' (or stop before '}' / end)."""
-        depth = 0
-        while not self._at_end():
-            text = self.texts[self.pos]
-            if text == "{":
-                depth += 1
-            elif text == "}":
-                if depth == 0:
-                    return
-                depth -= 1
-            elif text == ";" and depth == 0:
-                self.pos += 1
+    def _resync(self, follow: frozenset[str]) -> None:
+        """Skip the rest of a bad item to where its list resumes (see _UNIT).  An
+        item that fails at its first token loses at least that token."""
+        texts, depth = self.texts, 0
+        while text := texts[self.pos]:
+            if depth == 0 and text == ("contract" if follow is _UNIT else "}"):
+                # a '}' that a member start or another '}' follows ends the bad member
+                if follow is _MEMBERS and texts[self.pos + 1] in _MEMBERS | {"}"}:
+                    self.pos += 1
                 return
+            if text in ("(", "[", "{"):
+                depth += 1
+            elif depth and text in (")", "]", "}"):
+                depth -= 1
             self.pos += 1
+            if depth == 0 and (text == ";" and not follow
+                               or text in (";", "}") and texts[self.pos] in follow):
+                return
 
-    def _braced(self, parse_item) -> list:
-        """'{' items '}', each a declaration in one scope or another item.  A bad
-        item's diagnostic is recorded and the parse goes on after it."""
-        self._expect("{")
+    def _braced(self, parse_item, follow: frozenset[str]) -> list:
+        """'{' items '}', each a declaration in one scope or another item; the
+        unit's contracts have no braces and the end of input closes them.  A
+        bad item's diagnostic is recorded and the parse resyncs after it."""
+        close = "" if follow is _UNIT else "}"  # the end-of-input sentinel's text is ""
+        if close:
+            self._expect("{")
         items: list = []
         names: set[str] = set()
-        while not self._check("}"):
+        while not self._check(close):
             if self._at_end():
                 raise self._fail("expected '}'")
             try:
@@ -219,31 +230,23 @@ class _Parser:
                 items.append(self._declare(names, item) if isinstance(item, _DECLARED) else item)
             except _ParseFailure as failure:
                 self.diagnostics.append(failure.diagnostic)
-                self._sync_statement()
-        self._expect("}")
+                self._resync(follow)
+        self._expect(close)
         return items
 
     # -- grammar ---------------------------------------------------------
 
     def parse_unit(self, path: str) -> SourceUnit:
-        contracts: list[ContractDef] = []
-        names: set[str] = set()  # contract names are one unit-level scope
-        while not self._at_end():
-            try:
-                contracts.append(self._declare(names, self.parse_contract()))
-            except _ParseFailure as failure:
-                self.diagnostics.append(failure.diagnostic)
-                self._sync_statement()
-                # the sync stops before a stray '}', which no contract can start
-                self._accept("}")
-        span = self._node_span(self.starts[0]) if self.pos > 0 else Span(0, 0)
+        contracts = self._braced(self.parse_contract, _UNIT)  # consumes the sentinel
+        span = self._node_span(self.starts[0])
         return SourceUnit(contracts=contracts, path=path, source=self.lines.source, span=span)
 
     def parse_contract(self) -> ContractDef:
         start = self._expect("contract")
         name = self._expect_identifier("contract name")
         # state variables and functions share one scope
-        return ContractDef(name, self._braced(self.parse_member), span=self._node_span(start))
+        members = self._braced(self.parse_member, _MEMBERS)
+        return ContractDef(name, members, span=self._node_span(start))
 
     def parse_member(self) -> StateVarDecl | FunctionDef:
         text = self.texts[self.pos]
@@ -358,7 +361,7 @@ class _Parser:
     # -- statements -------------------------------------------------------
 
     def parse_block(self) -> list[Stmt]:
-        return self._braced(self.parse_statement)  # its locals are one scope
+        return self._braced(self.parse_statement, _BLOCK)  # its locals are one scope
 
     def _body_or_single(self) -> list[Stmt]:
         if self._check("{"):
@@ -430,13 +433,10 @@ class _Parser:
     def parse_for(self) -> ForStmt:
         start = self._expect("for")
         self._expect("(")
-        init: Stmt | None = None
-        if self._accept(";"):
-            pass
-        elif self.texts[self.pos] in _TYPE_START:
-            init = self.parse_var_decl()  # consumes its ';'
+        if self.texts[self.pos] in _TYPE_START:
+            init: Stmt | None = self.parse_var_decl()  # consumes its ';'
         else:
-            init = self.parse_simple_statement()
+            init = None if self._check(";") else self.parse_simple_statement()
             self._expect(";")
         condition = None if self._check(";") else self.parse_expression()
         self._expect(";")

@@ -38,7 +38,7 @@ class TicketState(Enum):
     EXPIRED = "expired"
 
 
-# (state, operation) -> allowed; used by tests to enumerate the machine.
+# state -> the operations it allows; every operation below consults it.
 TRANSITIONS = {
     TicketState.CREATED: {"auto_redeem"},
     TicketState.BUFFERED: {"manual_redeem", "expire"},
@@ -92,6 +92,10 @@ class Ticket(Record):
     def deadline(self) -> int:
         return self.created_at + BUFFER_LIFETIME
 
+    def _check(self, op: str) -> None:
+        if op not in TRANSITIONS[self.state]:
+            raise TicketStateError(f"{op} on ticket in state {self.state.value}")
+
 
 def create_ticket(
     ledger: FeeLedger,
@@ -144,8 +148,7 @@ def auto_redeem(ticket: Ticket, ledger: FeeLedger, l2_gas_required: int, now: in
     callvalue.  Failure charges the submission fee, returns the unspent gas
     allowance, and parks the ticket in the buffer for a later manual redeem.
     """
-    if ticket.state is not TicketState.CREATED:
-        raise TicketStateError(f"auto_redeem on ticket in state {ticket.state.value}")
+    ticket._check("auto_redeem")
     if l2_gas_required < 0:
         raise ValueError("l2_gas_required must be non-negative")
     if ticket.l2_gas_provided >= l2_gas_required:
@@ -174,8 +177,7 @@ def manual_redeem(
     now: int,
 ) -> None:
     """Redeem a buffered ticket by hand, paying the submission fee again."""
-    if ticket.state is not TicketState.BUFFERED:
-        raise TicketStateError(f"manual_redeem on ticket in state {ticket.state.value}")
+    ticket._check("manual_redeem")
     if min(new_submission_fee, l2_gas) < 0:
         raise ValueError("fee amounts must be non-negative")
     if now >= ticket.deadline():
@@ -194,9 +196,7 @@ def expire_tickets(tickets: Iterable[Ticket], ledger: FeeLedger, now: int) -> li
     """
     expired = []
     for ticket in tickets:
-        if ticket.state is not TicketState.BUFFERED:
-            continue
-        if now < ticket.deadline():
+        if "expire" not in TRANSITIONS[ticket.state] or now < ticket.deadline():
             continue
         ticket.state = TicketState.EXPIRED
         ledger.paid_in += ticket.callvalue

@@ -98,10 +98,10 @@ class DifferentialReport(Record):
 
 # --- S1: stale oracle during sequencer downtime ----------------------------
 
-# Steps are capped here, positions (1,000,000) in S1's declaration: a step keeps
-# its transaction id in the sequencer (about 110 bytes), a position one int in a
-# sorted list. In-process (2 CPUs, CPython 3.11.7), both caps at once took 78 s and
-# 1.08 GB peak RSS; 1,000,000 positions over the default 121 steps 1.2 s and 58 MB.
+# Steps are capped here, positions (1,000,000) in S1's declaration. A step keeps
+# nothing once it has run, so this cap bounds time: in-process (2 CPUs, CPython
+# 3.11.7) 1,000,001 steps took 4.4 s at 14 MB peak RSS. A position is one int in a
+# sorted list; 1,000,000 positions over the default 121 steps took 1.2 s and 58 MB.
 S1_MAX_STEPS = 10_000_000
 
 
@@ -508,13 +508,13 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
     naming its index.
     """
     seq = Sequencer()
+    submitted: set[str] = set()  # the sequencer takes unique ids only
     executed: list[tuple[L2Tx, int]] = []  # (tx, execution time)
     ledger = retryable.FeeLedger()
     tickets: dict[str, retryable.Ticket] = {}
     created: dict[str, int] = {}  # ticket id -> creation order, reverted ones too
     # (deadline, creation order, ticket) of every ticket auto_redeem buffered
     buffered: list[tuple[int, int, retryable.Ticket]] = []
-    reverted: list[str] = []
     last_at = 0
 
     def ticket(event: Mapping[str, Any]) -> retryable.Ticket:
@@ -550,9 +550,12 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
             elif action == "sequencer_up":
                 seq.set_status(SequencerStatus.ACTIVE)
             elif action == "submit_tx":
+                tx_id = str(event["id"])
+                if tx_id in submitted:
+                    raise EventScriptError(f"transaction id {tx_id!r} already submitted")
                 seq.submit(
                     L2Tx(
-                        id=str(event["id"]),
+                        id=tx_id,
                         submit_time=at,
                         origin=TxOrigin(event.get("origin", "direct_to_sequencer")),
                         gas_price=integer(event, "gas_price", 0),
@@ -560,11 +563,12 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                         underpriced=boolean(event, "underpriced", False),
                     )
                 )
+                submitted.add(tx_id)
             elif action == "tick":
                 executed += [(tx, at) for tx in seq.tick(at)]
             elif action == "create_ticket":
                 ticket_id = str(event["id"])
-                if ticket_id in tickets or ticket_id in reverted:
+                if ticket_id in created:
                     raise EventScriptError(f"duplicate ticket id {ticket_id!r}")
                 created[ticket_id] = len(created)
                 try:
@@ -582,7 +586,7 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                         escrow_callvalue=boolean(event, "escrow_callvalue", True),
                     )
                 except retryable.TicketRevert:
-                    reverted.append(ticket_id)
+                    pass  # a reverted ticket is in created but not in tickets
             elif action == "auto_redeem":
                 t = ticket(event)
                 if not retryable.auto_redeem(t, ledger, integer(event, "l2_gas_required"), now=at):
@@ -627,6 +631,6 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
         "delayed_inbox": list(seq.delayed_inbox),
         "max_staleness_s": max((at - tx.submit_time for tx, at in executed), default=0),
         "tickets": {tid: t.state.value for tid, t in sorted(tickets.items())},
-        "reverted_tickets": sorted(reverted),
+        "reverted_tickets": sorted(created.keys() - tickets.keys()),
         "ledger": ledger._asdict(),
     }

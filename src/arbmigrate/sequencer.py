@@ -12,7 +12,8 @@ transactions that are not underpriced also sit in a min-heap ordered by
 the entries that have waited out ``force_inclusion_delay``, runs them in
 arrival order and removes them from the inbox, a dict keyed by transaction id.
 Queue transactions through ``submit`` only; editing a queued one in place
-leaves the heap out of date.
+leaves the heap out of date.  Transaction ids must be unique, and the sequencer
+keeps none to check: ``scenarios.replay_events`` checks the ids it reads.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class TxOrigin(Enum):
 class SequencerStatus(Enum):
     ACTIVE = "active"
     DOWN = "down"
-
-
-class DuplicateTransaction(ValueError):
-    """A transaction id was submitted twice."""
 
 
 class TimeRegression(ValueError):
@@ -74,18 +71,18 @@ class Sequencer(Record):
         pending: deque[L2Tx] | None = None,
         delayed_inbox: dict[str, L2Tx] | None = None,  # id -> tx, arrival order
         executed_count: int = 0,
-        _seen_ids: set[str] | None = None,
+        _arrivals: int = 0,
         _last_tick: int | None = None,
     ):
         self.status, self.force_inclusion_delay = status, force_inclusion_delay
         self.pending = deque() if pending is None else pending
         self.delayed_inbox = {} if delayed_inbox is None else delayed_inbox
         self.executed_count = executed_count
-        self._seen_ids = set() if _seen_ids is None else _seen_ids
+        # txs taken in, the given queues included; a submit's count is its arrival order
+        self._arrivals = max(_arrivals, len(self.pending) + len(self.delayed_inbox))
         self._last_tick = _last_tick
-        self._seen_ids.update(self.delayed_inbox, (tx.id for tx in self.pending))
         # (submit_time, arrival order, id) of every delayed-inbox tx that is not
-        # underpriced; arrival orders grow with each tx the inbox takes in. Not a field.
+        # underpriced. Not a field.
         self._due = [
             (tx.submit_time, order, tx.id)
             for order, tx in enumerate(self.delayed_inbox.values())
@@ -99,9 +96,7 @@ class Sequencer(Record):
         Direct submissions reach the pending queue only while the sequencer
         is active; everything else lands in the delayed inbox.
         """
-        if tx.id in self._seen_ids:
-            raise DuplicateTransaction(f"transaction id {tx.id!r} already submitted")
-        self._seen_ids.add(tx.id)
+        self._arrivals += 1
         if (
             tx.origin is TxOrigin.DIRECT_TO_SEQUENCER
             and self.status is SequencerStatus.ACTIVE
@@ -110,7 +105,7 @@ class Sequencer(Record):
         else:
             self.delayed_inbox[tx.id] = tx
             if not tx.underpriced:
-                heapq.heappush(self._due, (tx.submit_time, len(self._seen_ids), tx.id))
+                heapq.heappush(self._due, (tx.submit_time, self._arrivals, tx.id))
 
     def set_status(self, status: SequencerStatus) -> None:
         self.status = status
@@ -141,4 +136,4 @@ class Sequencer(Record):
 
     def counts(self) -> tuple[int, int, int, int]:
         """(submitted, pending, delayed, executed) for conservation checks."""
-        return len(self._seen_ids), len(self.pending), len(self.delayed_inbox), self.executed_count
+        return self._arrivals, len(self.pending), len(self.delayed_inbox), self.executed_count

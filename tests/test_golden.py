@@ -103,7 +103,7 @@ def _deletion_output() -> str:
     """Each corpus file with one token deleted: every diagnostic, or ok and the fired rule ids.
 
     A deletion mostly breaks the middle of a file, so this pins the parser's
-    re-sync after a bad member or statement, where truncation mostly pins the
+    re-sync after a bad contract, member or statement, where truncation mostly pins the
     end of input."""
     lines = []
     for name in CORPUS_FILES:

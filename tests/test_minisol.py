@@ -87,6 +87,8 @@ contract Vault {
 _MINISOL_CHARS = ' \t\r\n/*"\\0123456789xXabcfAF_zZ+-=<>!&|%(){}[];,.\f\v\u00e9\u00b2'
 # What may lie between two tokens: whitespace and comments only.
 _SKIPPED = re.compile(r"(?:[ \t\r\n]|//[^\n]*|/\*.*?\*/)*", re.S)
+CORPUS = Path(__file__).parent / "corpus"
+CORPUS_SOURCES = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.sol"))]
 # Token sequences in a function body, which reach deeper into the parser than random characters.
 _TOKEN_SOUP = st.lists(
     st.sampled_from(sorted(KEYWORDS) + list(OPERATORS) + list(PUNCTUATION) + ["x", "1", "0x1f"]),
@@ -350,6 +352,58 @@ class TestParser:
         with pytest.raises(MiniSolSyntaxError) as err:
             parse_source(source)
         assert len(err.value.diagnostics) == 2
+
+    @pytest.mark.parametrize("source, diagnostics", [
+        # a bad member: the rest of the contract's members are not reported again
+        ("contract C {\n    function f() public\n        x = 1;\n    }\n"
+         "    function g() public {}\n    uint256 y;\n}\n",
+         ["3:11: error: unsupported construct in function header: '='"]),
+        # a bad contract header: the next contract's own error is still reported
+        ("contract A\n    uint256 x;\n    function f() public { x = 1; }\n}\n"
+         "contract B { uint256 y = ; }\n",
+         ["2:5: error: expected '{', found 'uint256'", "5:26: error: expected expression, found ';'"]),
+        ("contract {\n}\ncontract D { uint256 x = ; }\n",
+         ["1:10: error: expected contract name, found '{'", "3:26: error: expected expression, found ';'"]),
+        ("}}} contract C { uint256 x = ; }",
+         ["1:1: error: expected 'contract', found '}'", "1:30: error: expected expression, found ';'"]),
+        # a bad statement: the block's '}' still closes it
+        ("contract C { function f() public { x = (1; y = 2; } function g() public { z = ; } }",
+         ["1:42: error: expected ')', found ';'", "1:79: error: expected expression, found ';'"]),
+    ], ids=["member", "contract-header", "contract-name", "stray-braces", "statement"])
+    def test_recovery_resumes_at_the_bad_items_own_level(self, source, diagnostics):
+        with pytest.raises(MiniSolSyntaxError) as err:
+            parse_source(source)
+        assert [str(d) for d in err.value.diagnostics] == diagnostics
+
+    def test_bad_function_header_is_reported_once(self):
+        # the '{' of syncAlias() deleted: the intact setOwner is not reported
+        source = (CORPUS / "alias_permission_clean.sol").read_text(encoding="utf-8")
+        with pytest.raises(MiniSolSyntaxError) as err:
+            parse_source(source.replace("syncAlias() public {", "syncAlias() public"))
+        assert [str(d) for d in err.value.diagnostics] == [
+            "6:22: error: unsupported construct in function header: '='"
+        ]
+
+    @settings(max_examples=150, deadline=1000)
+    @given(st.data())
+    def test_recovery_after_several_token_edits_ends_inside_the_source(self, data):
+        # single deletions are pinned by tests/golden/deletion_diagnostics.txt
+        source = data.draw(st.sampled_from(CORPUS_SOURCES))
+        tokens = tokenize(source)
+        edits = data.draw(st.lists(
+            st.tuples(st.integers(0, len(tokens) - 1), st.booleans()),
+            min_size=2, max_size=3, unique_by=lambda edit: edit[0],
+        ))
+        for i, duplicate in sorted(edits, reverse=True):  # later tokens first keeps offsets valid
+            start, end = tokens.starts[i], tokens.ends[i]
+            tail = source[start:end] + " " + source[start:] if duplicate else source[end:]
+            source = source[:start] + tail
+        try:
+            parse_source(source)
+        except MiniSolSyntaxError as err:
+            lines = source.split("\n")
+            for d in err.diagnostics:
+                assert 1 <= d.line <= len(lines) and 1 <= d.column <= len(lines[d.line - 1]) + 1, d
 
     @pytest.mark.parametrize(
         "source", ["}", "contract C {\n    function} f() public {\n    }\n}\n"]
@@ -850,3 +904,20 @@ def test_parse_print_identity_on_random_asts(seed):
     printed = print_source(unit)
     reparsed = parse_source(printed)
     assert reparsed == unit, printed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_one_deleted_brace_sets_off_at_most_one_expected_contract(seed, data):
+    # A bad item resyncs inside its own list, so only a lost '{' can let a '}'
+    # close its contract early, and then the next member alone reads "expected
+    # 'contract'". In these programs a deletion of any other token sets off none.
+    source = print_source(_Gen(seed).unit())
+    tokens = tokenize(source)
+    braces = [i for i, text in enumerate(tokens.texts) if text in ("{", "}")]
+    i = data.draw(st.sampled_from(braces))
+    try:
+        parse_source(source[:tokens.starts[i]] + source[tokens.ends[i]:])
+    except MiniSolSyntaxError as err:
+        follow_ons = [d for d in err.diagnostics[1:] if d.message.startswith("expected 'contract'")]
+        assert len(follow_ons) <= (tokens.texts[i] == "{"), [str(d) for d in err.diagnostics]

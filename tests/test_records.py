@@ -157,7 +157,7 @@ def test_mutable_defaults_are_fresh_per_instance():
     a, b = Sequencer(), Sequencer()
     a.submit(L2Tx("a", 0))
     a.tick(0)
-    assert (list(b.pending), b.delayed_inbox, b.executed_count, b._seen_ids) == ([], {}, 0, set())
+    assert (list(b.pending), b.delayed_inbox, b.executed_count, b._arrivals) == ([], {}, 0, 0)
 
 
 @pytest.mark.parametrize("build, error", [

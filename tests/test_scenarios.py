@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from arbmigrate import retryable
 from arbmigrate.chainmodel import L1Chain, L2View, WallClock, l1_block_number_at, l2_view_l1_number_at
+from arbmigrate.minisol import parse_source
+from arbmigrate.rules import RULES, analyze
 from arbmigrate.scenarios import (
     S1_MAX_STEPS,
     DifferentialReport,
@@ -24,6 +26,37 @@ from arbmigrate.scenarios import (
 from arbmigrate.sequencer import L2Tx, Sequencer, SequencerStatus, TxOrigin
 
 README = Path(__file__).parents[1] / "README.md"
+CORPUS = Path(__file__).parent / "corpus"
+
+# One setting per linked scenario at which it does not diverge.
+_CONVERGENT = {
+    "S1": {"downtime_s": 0},
+    "S2": {"block_interval_s": 60},
+    "S3": {"sender_kind": "externally_owned"},
+    "S4": {"push_calldata_bytes": 0, "l2_gas_price_wei": 20_000_000_000},
+}
+
+
+def test_every_rule_is_tied_to_its_corpus_twins_and_to_scenarios_that_can_go_either_way():
+    labels = json.loads((CORPUS / "labels.json").read_text(encoding="utf-8"))
+    dirty_twin = {item["rule_id"]: name for name, items in labels.items() for item in items}
+    linked: dict[str, list[str]] = {}
+    for spec in list_scenarios():
+        for rule_id in spec.linked_rules:
+            linked.setdefault(rule_id, []).append(spec.id)
+
+    def fired(name):
+        return {f.rule_id for f in analyze(parse_source((CORPUS / name).read_text(encoding="utf-8")))}
+
+    for rule in RULES:
+        dirty = dirty_twin[rule.id]
+        assert rule.id in fired(dirty), dirty
+        assert rule.id not in fired(dirty.replace("_dirty", "_clean")), dirty
+        for sid in linked.get(rule.id, ()):
+            assert run_scenario(sid).divergent, sid
+            assert not run_scenario(sid, _CONVERGENT[sid]).divergent, sid
+    # a rule with no scenario to show its risk; adding S6 for it changes this
+    assert {rule.id for rule in RULES} - linked.keys() == {"ARB-TIME-003"}
 
 
 class TestCatalog:
@@ -150,11 +183,10 @@ class TestStaleOracle:
     def test_links_the_staleness_rule(self):
         assert run_scenario("S1").linked_rules == ["ARB-SEQ-001"]
 
-    def test_memory_grows_by_less_than_250_bytes_per_step(self):
-        # Keeping each step's time, price and executed transaction costs about
-        # 440 bytes a step; what must remain is each transaction id in the
-        # sequencer's duplicate check. No outage, so no delayed-inbox backlog
-        # sits in either peak.
+    def test_memory_grows_by_less_than_16_bytes_per_step(self):
+        # A step keeps nothing once it has run, not even its transaction id,
+        # so memory stays flat. No outage, so no delayed-inbox backlog sits in
+        # either peak.
         def peak(horizon):
             tracemalloc.start()
             try:
@@ -164,7 +196,7 @@ class TestStaleOracle:
             finally:
                 tracemalloc.stop()
 
-        assert (peak(9_000) - peak(1_000)) / 8_000 < 250
+        assert (peak(9_000) - peak(1_000)) / 8_000 < 16
 
     def test_many_steps_with_many_positions_run(self):
         # 12,001 steps x 1,000 positions, above the old bound on their product
@@ -591,6 +623,26 @@ class TestEventReplay:
         assert [e["id"] for e in summary["executed"]] == ["a", "b", "c"]
         assert summary["max_staleness_s"] == 3592
         assert summary["pending"] == [] and summary["delayed_inbox"] == []
+
+    def test_duplicate_id_rejected_and_state_unchanged(self, monkeypatch):
+        # the sequencer keeps no ids, so replay rejects a repeated one before
+        # the sequencer takes it in, also after the first one has executed
+        from arbmigrate.scenarios import replay_events
+
+        taken, submit = [], Sequencer.submit
+
+        def spy(seq, tx):
+            taken.append(tx.id)
+            submit(seq, tx)
+
+        monkeypatch.setattr(Sequencer, "submit", spy)
+        with pytest.raises(EventScriptError, match="^event 2: transaction id 'a' already submitted$"):
+            replay_events([
+                {"at": 10, "action": "submit_tx", "id": "a"},
+                {"at": 10, "action": "tick"},
+                {"at": 20, "action": "submit_tx", "id": "a"},
+            ])
+        assert taken == ["a"]
 
     def test_ticket_lifecycle_script(self):
         from arbmigrate.scenarios import replay_events

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbmigrate.sequencer import (
-    DuplicateTransaction,
     L2Tx,
     Sequencer,
     SequencerStatus,
@@ -47,15 +46,6 @@ def test_down_sequencer_accumulates_in_delayed_inbox():
     assert seq.tick(30) == []
     assert list(seq.delayed_inbox) == ["a", "b"]
     assert seq.counts() == (2, 0, 2, 0)
-
-
-def test_duplicate_id_rejected_and_state_unchanged():
-    seq = Sequencer()
-    seq.submit(direct("a", 10))
-    before = seq.counts()
-    with pytest.raises(DuplicateTransaction):
-        seq.submit(direct("a", 20))
-    assert seq.counts() == before
 
 
 def test_delayed_origin_always_enters_delayed_inbox():
@@ -129,10 +119,11 @@ def test_inbox_given_to_the_constructor_is_force_included():
     )
     assert seq.tick(12) == []
     assert [tx.id for tx in seq.tick(13)] == ["a"]
-    for tx in (delayed("b", 20), direct("p", 20)):
-        with pytest.raises(DuplicateTransaction):
-            seq.submit(tx)
-    assert seq.counts() == (3, 1, 1, 1)
+    assert seq.counts() == (3, 1, 1, 1)  # the given queues count as submitted
+    seq.submit(delayed("c", 4))  # arrives after "b", so it runs after it
+    seq.set_status(SequencerStatus.ACTIVE)
+    assert [tx.id for tx in seq.tick(20)] == ["b", "c", "p"]
+    assert seq.counts() == (4, 0, 0, 4)
 
 
 def test_tick_time_regression_rejected():
