@@ -33,6 +33,7 @@ class Node(Record):
     """Base class of all AST nodes: a record that knows which fields may hold nodes."""
 
     _child_fields: tuple[str, ...] = ()  # in field order
+    parent: Node | None = None  # the node that holds this one, set by parser.annotate_bindings
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)

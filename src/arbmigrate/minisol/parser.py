@@ -129,6 +129,7 @@ class _Parser:
         self.lines = LineIndex(source)
         self.pos = 0
         self.depth = 0
+        self.lost_brace_at = -1  # the 'function' token where the last block ended early
         self.diagnostics: list[Diagnostic] = []
 
     # -- token helpers ---------------------------------------------------
@@ -216,7 +217,8 @@ class _Parser:
     def _braced(self, parse_item, follow: frozenset[str]) -> list:
         """'{' items '}', each a declaration in one scope or another item; the
         unit's contracts have no braces and the end of input closes them.  A
-        bad item's diagnostic is recorded and the parse resyncs after it."""
+        bad item's diagnostic is recorded and the parse resyncs after it, but a
+        block item that fails at 'function' has lost the block's '}'."""
         close = "" if follow is _UNIT else "}"  # the end-of-input sentinel's text is ""
         if close:
             self._expect("{")
@@ -229,7 +231,12 @@ class _Parser:
                 item = parse_item()
                 items.append(self._declare(names, item) if isinstance(item, _DECLARED) else item)
             except _ParseFailure as failure:
-                self.diagnostics.append(failure.diagnostic)
+                lost_brace = follow is _BLOCK and self._check("function")
+                if not (lost_brace and self.pos == self.lost_brace_at):  # an inner block's report
+                    self.diagnostics.append(failure.diagnostic)
+                if lost_brace:  # the next member ends the block, as if its '}' had come
+                    self.lost_brace_at = self.pos
+                    return items
                 self._resync(follow)
         self._expect(close)
         return items
@@ -569,7 +576,8 @@ _Index = dict[type, list[tuple[Node, "ContractDef | None", "FunctionDef | None",
 
 
 def annotate_bindings(unit: SourceUnit) -> None:
-    """Point every identifier's ``decl`` at the declaration it names, and set
+    """Point every identifier's ``decl`` at the declaration it names, every
+    node's ``parent`` at the node that holds it (the unit's at None), and set
     ``unit.index`` to every node of unit filed under its exact type, each
     bucket in pre-order.
 
@@ -579,10 +587,12 @@ def annotate_bindings(unit: SourceUnit) -> None:
     ``block`` keeps ``decl = None``."""
     index: _Index = defaultdict(list)
     index[SourceUnit].append((unit, None, None, -1))
+    unit.parent = None
     contracts = {c.name: c for c in unit.contracts}
     function, top = None, -1  # with contract and members, set by the loop at the end
 
-    def bind(root: Node, scope: dict) -> None:  # root's subtree holds no statement
+    def bind(root: Node, scope: dict, parent: Node) -> None:  # root's subtree holds no statement
+        root.parent = parent
         stack = [root]
         while stack:
             node = stack.pop()
@@ -591,51 +601,56 @@ def annotate_bindings(unit: SourceUnit) -> None:
             if cls is Ident:
                 node.decl = scope.get(node.name) or members.get(node.name)
             elif cls._child_fields:
-                stack.extend(reversed(children(node)))
+                kids = children(node)
+                for kid in kids:
+                    kid.parent = node
+                stack.extend(reversed(kids))
 
-    def bind_stmts(stmts: list[Stmt], scope: dict) -> None:
+    def bind_stmts(stmts: list[Stmt], scope: dict, parent: Node) -> None:
         for stmt in stmts:
-            bind_stmt(stmt, scope)
+            bind_stmt(stmt, scope, parent)
 
-    def bind_stmt(stmt: Stmt, scope: dict) -> None:
+    def bind_stmt(stmt: Stmt, scope: dict, parent: Node) -> None:
         cls = stmt.__class__
-        if cls is IfStmt:
-            index[cls].append((stmt, contract, function, top))
-            bind(stmt.condition, scope)
-            bind_stmts(stmt.then_body, dict(scope))
-            if stmt.else_body is not None:
-                bind_stmts(stmt.else_body, dict(scope))
-        elif cls is ForStmt:
-            index[cls].append((stmt, contract, function, top))
-            inner = dict(scope)
-            if stmt.init is not None:
-                bind_stmt(stmt.init, inner)
-            if stmt.condition is not None:
-                bind(stmt.condition, inner)
-            if stmt.post is not None:
-                bind_stmt(stmt.post, inner)
-            bind_stmts(stmt.body, dict(inner))
-        elif cls is WhileStmt:
-            index[cls].append((stmt, contract, function, top))
-            bind(stmt.condition, scope)
-            bind_stmts(stmt.body, dict(scope))
-        else:  # a simple statement, parameter or type: resolve its names, then declare
-            bind(stmt, scope)
+        if cls not in (IfStmt, ForStmt, WhileStmt):  # a simple statement, parameter or type
+            bind(stmt, scope, parent)  # resolve its names, then declare
             if cls is VarDeclStmt:
                 scope[stmt.name] = stmt
+            return
+        stmt.parent = parent
+        index[cls].append((stmt, contract, function, top))
+        if cls is IfStmt:
+            bind(stmt.condition, scope, stmt)
+            bind_stmts(stmt.then_body, dict(scope), stmt)
+            if stmt.else_body is not None:
+                bind_stmts(stmt.else_body, dict(scope), stmt)
+        elif cls is ForStmt:
+            inner = dict(scope)
+            if stmt.init is not None:
+                bind_stmt(stmt.init, inner, stmt)
+            if stmt.condition is not None:
+                bind(stmt.condition, inner, stmt)
+            if stmt.post is not None:
+                bind_stmt(stmt.post, inner, stmt)
+            bind_stmts(stmt.body, dict(inner), stmt)
+        else:
+            bind(stmt.condition, scope, stmt)
+            bind_stmts(stmt.body, dict(scope), stmt)
 
     for contract in unit.contracts:
+        contract.parent = unit
         index[ContractDef].append((contract, None, None, -1))
         members = {**contracts, **{f.name: f for f in contract.functions},
                    **{v.name: v for v in contract.state_vars}}
         for member in contract.members:
             if not isinstance(member, FunctionDef):
-                bind(member, {})
+                bind(member, {}, contract)
                 continue
+            member.parent = contract
             index[FunctionDef].append((member, contract, None, -1))
             function, scope = member, {p.name: p for p in member.params}
             for top, kid in enumerate(children(member)):
-                bind_stmt(kid, scope)
+                bind_stmt(kid, scope, member)
             function, top = None, -1
     unit.index = index
 

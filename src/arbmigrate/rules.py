@@ -1,9 +1,10 @@
 """Rule engine over MiniSol ASTs: the four migration risk categories.
 
-Detection is syntactic plus the parser's name resolution (``Ident.decl``);
-helper functions are recognized by configurable name patterns, not data
-flow.  Output is deterministic: findings sort by (file, line, column, rule id)
-and the JSON form is canonical (sorted keys, LF, trailing newline).
+Detection is syntactic plus what the binder's one pass sets: name resolution
+(``Ident.decl``), parent links (``Node.parent``) and the node index; helper
+functions are recognized by configurable name patterns, not data flow.
+Output is deterministic: findings sort by (file, line, column, rule id) and
+the JSON form is canonical (sorted keys, LF, trailing newline).
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .minisol import (
     VarDeclStmt,
     WhileStmt,
     annotate_bindings,
-    children,
-    walk,
 )
 from .minisol.nodes import EMPTY_SPAN
 from .minisol.parser import _Index
@@ -290,56 +289,37 @@ def _is_member(expr: Node, obj_name: str, member: str) -> bool:
     )
 
 
-def _contains_member(node: Node, obj_name: str, member: str, seen: dict[int, bool]) -> bool:
-    """Whether node's subtree holds obj_name.member; depth first, stopping at the first one.
-
-    seen keeps every answer by node id, and a hit answers the whole path to
-    it, so on a chain whose every link is asked about each node is tested
-    once.  Each obj_name.member needs its own seen, kept no longer than its nodes."""
-    path = []  # (node, iterator over its children) for each open node
-    while True:
-        if not node._child_fields:  # a leaf, so no member access: not worth keeping
-            hit = False
-        elif (hit := seen.get(id(node))) is None:
-            hit = _is_member(node, obj_name, member)
-            if not hit:
-                path.append((node, iter(children(node))))
-        if hit:
-            seen[id(node)] = True
-            seen.update((id(opened), True) for opened, _ in path)
-            return True
-        while path:
-            node = next(path[-1][1], None)
-            if node is not None:
-                break
-            seen[id(path.pop()[0])] = False
-        else:
-            return False
+def _holders(starts: Iterable[Node]) -> set[int]:
+    """The ids of each start node and of every node above it, along the parent
+    links the binder set.  A climb stops at a node already marked, so each node
+    is marked once."""
+    marked: set[int] = set()
+    for node in starts:
+        while node is not None and id(node) not in marked:
+            marked.add(id(node))
+            node = node.parent
+    return marked
 
 
-def _call_matches(call: CallExpr, lowered: set[str], seen: dict[int, bool]) -> bool:
-    """Whether a name on call's callee chain (feed.getPrice: feed, getPrice) is
-    in lowered (lower-case patterns); seen keeps each link's answer, as in _contains_member."""
-    path = []  # the links read, each answered by the first answer below it
-    node = call.callee
-    while (hit := seen.get(id(node))) is None:
-        path.append(id(node))
-        cls = node.__class__
-        if cls is MemberAccess:
-            if node.member.lower() in lowered:
-                hit = True
+def _calls_named(index: _Index, patterns: Iterable[str]) -> set[int]:
+    """The ids of the calls whose callee chain (feed.getPrice: feed, getPrice;
+    never an argument or index) names one of patterns, ignoring case.  Buckets
+    are in pre-order, so in reverse an inner call on a chain is answered first."""
+    lowered = {p.lower() for p in patterns}
+    named: set[int] = set()
+    for call, *_ in reversed(index[CallExpr]):
+        node = call.callee
+        while (cls := node.__class__) is MemberAccess or cls is IndexAccess:
+            if cls is MemberAccess and node.member.lower() in lowered:
                 break
             node = node.obj
-        elif cls is IndexAccess:
-            node = node.obj
-        elif cls is CallExpr:
-            node = node.callee
-        else:
-            hit = cls is Ident and node.name.lower() in lowered
-            break
-    for key in path:
-        seen[key] = hit
-    return hit
+        if (
+            cls is MemberAccess  # a named member ended the chain
+            or cls is Ident and node.name.lower() in lowered
+            or cls is CallExpr and id(node) in named
+        ):
+            named.add(id(call))
+    return named
 
 
 def _excerpt(unit: SourceUnit, node: Node, limit: int = 120) -> str:
@@ -357,18 +337,16 @@ _CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 
 
 def _detect_seq_001(index: _Index, config: RuleConfig, add: _Add) -> None:
-    uptime = {p.lower() for p in config.uptime_patterns}
-    oracle = {p.lower() for p in config.oracle_patterns}
-    uptime_seen: dict[int, bool] = {}
-    oracle_seen: dict[int, bool] = {}
+    uptime = _calls_named(index, config.uptime_patterns)
+    oracle = _calls_named(index, config.oracle_patterns)
     first_uptime: dict[int, int] = {}  # id(function) -> top of its first uptime check
     oracle_reads = []
     for call, contract, fn, top in index[CallExpr]:
         if fn is None:
             continue
-        if _call_matches(call, uptime, uptime_seen):
+        if id(call) in uptime:
             first_uptime.setdefault(id(fn), top)
-        elif _call_matches(call, oracle, oracle_seen):
+        elif id(call) in oracle:
             oracle_reads.append((call, contract, fn, top))
     for call, contract, fn, top in oracle_reads:
         if top <= first_uptime.get(id(fn), top):
@@ -414,8 +392,8 @@ def _detect_time_002(index: _Index, config: RuleConfig, add: _Add) -> None:
         for value, decl in _ties(node)
         if decl is not None  # a free name ties nothing
     ]
-    seen: dict[int, bool] = {}
-    linked = {id(decl) for value, decl in ties if _contains_member(value, "block", "number", seen)}
+    numbers = _holders(n for n, *_ in index[MemberAccess] if _is_member(n, "block", "number"))
+    linked = {id(decl) for value, decl in ties if id(value) in numbers}
     for value, decl in ties:
         if (
             id(decl) in linked
@@ -431,7 +409,7 @@ def _detect_time_002(index: _Index, config: RuleConfig, add: _Add) -> None:
 
 def _detect_time_003(index: _Index, config: RuleConfig, add: _Add) -> None:
     ops = {"+", "-", "%"} | _CMP_OPS
-    seen: dict[int, bool] = {}
+    stamps = _holders(n for n, *_ in index[MemberAccess] if _is_member(n, "block", "timestamp"))
     for node, *_ in index[BinaryExpr]:
         if node.op not in ops:
             continue
@@ -439,7 +417,7 @@ def _detect_time_003(index: _Index, config: RuleConfig, add: _Add) -> None:
             if (
                 isinstance(other, NumberLit)
                 and 0 < other.value < config.timestamp_threshold_s
-                and _contains_member(side, "block", "timestamp", seen)
+                and id(side) in stamps
             ):
                 add(
                     "ARB-TIME-003",
@@ -458,11 +436,8 @@ def _state_var_type(expr: Node) -> Node | None:
 
 
 def _detect_alias_001(index: _Index, config: RuleConfig, add: _Add) -> None:
-    aliases = {p.lower() for p in config.alias_patterns}
-    seen: dict[int, bool] = {}
-    alias_aware = {
-        id(contract) for call, contract, *_ in index[CallExpr] if _call_matches(call, aliases, seen)
-    }
+    aliases = _calls_named(index, config.alias_patterns)
+    alias_aware = {id(contract) for call, contract, *_ in index[CallExpr] if id(call) in aliases}
     for node, contract, _, _ in index[BinaryExpr]:
         if node.op not in {"==", "!="} or id(contract) in alias_aware:
             continue
@@ -484,23 +459,18 @@ def _detect_alias_001(index: _Index, config: RuleConfig, add: _Add) -> None:
 
 def _detect_dos_001(index: _Index, config: RuleConfig, add: _Add) -> None:
     triggers = {t.lower() for t in config.loop_call_triggers}
-    for loop, *_ in index[ForStmt] + index[WhileStmt]:
-        if loop.condition is None:
-            continue
-        bounded = any(
-            isinstance(n, MemberAccess)
-            and n.member == "length"
-            and isinstance(var_type := _state_var_type(n.obj), ArrayType)
-            and var_type.length is None
-            for n in walk(loop.condition)
-        )
-        if bounded and any(
-            isinstance(n, CallExpr)
-            and isinstance(n.callee, MemberAccess)
-            and n.callee.member.lower() in triggers
-            for stmt in loop.body
-            for n in walk(stmt)
-        ):
+    bounds = _holders(
+        n for n, *_ in index[MemberAccess]
+        if n.member == "length"
+        and isinstance(var_type := _state_var_type(n.obj), ArrayType)
+        and var_type.length is None
+    )
+    calls = _holders(
+        call for call, *_ in index[CallExpr]
+        if isinstance(call.callee, MemberAccess) and call.callee.member.lower() in triggers
+    )
+    for loop, *_ in index[ForStmt] + index[WhileStmt]:  # no climb marks a for (;;)'s None
+        if id(loop.condition) in bounds and any(id(stmt) in calls for stmt in loop.body):
             add(
                 "ARB-DOS-001",
                 loop,
@@ -510,17 +480,12 @@ def _detect_dos_001(index: _Index, config: RuleConfig, add: _Add) -> None:
 
 
 def _detect_dos_002(index: _Index, config: RuleConfig, add: _Add) -> None:
-    seen: dict[int, bool] = {}
-    protected = {
-        id(fn)
-        for require, _, fn, _ in index[RequireStmt]
-        if any(
-            isinstance(sub, BinaryExpr)
-            and sub.op in {"<", "<=", ">", ">="}
-            and _contains_member(sub, "msg", "value", seen)
-            for sub in walk(require.condition)
-        )
-    }
+    values = _holders(n for n, *_ in index[MemberAccess] if _is_member(n, "msg", "value"))
+    checks = _holders(
+        node for node, *_ in index[BinaryExpr]
+        if node.op in {"<", "<=", ">", ">="} and id(node) in values
+    )
+    protected = {id(fn) for req, _, fn, _ in index[RequireStmt] if id(req.condition) in checks}
     for fn, *_ in index[FunctionDef]:
         if fn.mutability == "payable" and "deposit" in fn.name.lower() and id(fn) not in protected:
             add(

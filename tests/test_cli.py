@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Callable
 
@@ -598,8 +599,8 @@ def test_bench_tracer_sees_the_untraced_output_and_every_token(capsys):
     # module global and counts tokens as len() of what tokenize returns
     from arbmigrate.minisol import tokenize
 
-    files = [str(CORPUS / name) for name in
-             ("dos_loop_dirty.sol", "alias_permission_clean.sol", "time_hardcode_dirty.sol")]
+    files = [str(path) for path in sorted(CORPUS.glob("*_dirty.sol"))]
+    files.append(str(CORPUS / "alias_permission_clean.sol"))
     argv = ["analyze", "--format", "json", *files]
     env = {**os.environ, "PYTHONPATH": str(Path(arbmigrate.__file__).parents[1])}
     tracer = Path(__file__).parents[1] / "bench" / "tracer.py"
@@ -612,6 +613,10 @@ def test_bench_tracer_sees_the_untraced_output_and_every_token(capsys):
     assert doc["stdout"] == out
     tokens = sum(len(tokenize(Path(path).read_text(encoding="utf-8"))) for path in files)
     assert doc["counters"]["lexer.tokens"] == tokens > 0
+    # its per-rule view runs analyze with one rule enabled: each counts what analyze reports
+    counted = {rule.id: doc["counters"][f"rules.{rule.id}.findings"] for rule in rule_catalog()}
+    found = Counter(finding["rule_id"] for finding in json.loads(out)["findings"])
+    assert counted == dict(found) and all(counted.values())
 
 
 _REPLAY_SCRIPT = Path(__file__).parent / "golden" / "replay_script.json"

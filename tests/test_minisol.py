@@ -369,7 +369,18 @@ class TestParser:
         # a bad statement: the block's '}' still closes it
         ("contract C { function f() public { x = (1; y = 2; } function g() public { z = ; } }",
          ["1:42: error: expected ')', found ';'", "1:79: error: expected expression, found ';'"]),
-    ], ids=["member", "contract-header", "contract-name", "stray-braces", "statement"])
+        # a lost '}': the next member ends the block, and each enclosing one, reported once
+        ("contract C {\n    function f() public {\n        x = 1;\n\n    function g() public {}\n}\n",
+         ["5:5: error: unsupported construct: 'function' inside a function body"]),
+        ("contract C {\n    function f(bool c) public {\n        if (c) {\n            x = 1;\n\n"
+         "    function g() public {}\n}\n",
+         ["6:5: error: unsupported construct: 'function' inside a function body"]),
+        # the price: a whole function inside a body leaves its holder's '}' over
+        ("contract C { function f() public { function g() public {} } }",
+         ["1:36: error: unsupported construct: 'function' inside a function body",
+          "1:61: error: expected 'contract', found '}'"]),
+    ], ids=["member", "contract-header", "contract-name", "stray-braces", "statement",
+            "lost-brace", "lost-braces", "function-in-body"])
     def test_recovery_resumes_at_the_bad_items_own_level(self, source, diagnostics):
         with pytest.raises(MiniSolSyntaxError) as err:
             parse_source(source)

@@ -1,24 +1,33 @@
 import json
+import random
 import time
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_minisol import _Gen
 
+from arbmigrate import rules
 from arbmigrate.minisol import (
+    AddressLit,
+    ArrayType,
+    AssignStmt,
     BinaryExpr,
+    CallExpr,
     ContractDef,
     ElementaryType,
     ForStmt,
     FunctionDef,
     Ident,
     IfStmt,
+    IndexAccess,
     MemberAccess,
     MiniSolSyntaxError,
     Node,
+    NumberLit,
     Param,
     RequireStmt,
     SourceUnit,
@@ -26,6 +35,7 @@ from arbmigrate.minisol import (
     TokenKind,
     VarDeclStmt,
     WhileStmt,
+    annotate_bindings,
     children,
     parse_source,
     print_source,
@@ -33,12 +43,16 @@ from arbmigrate.minisol import (
     walk,
 )
 from arbmigrate.rules import (
+    _CMP_OPS,
     DEFAULT_CONFIG,
     RULES,
     Category,
     Finding,
     RuleConfig,
     Severity,
+    _is_member,
+    _state_var_type,
+    _ties,
     analyze,
     findings_from_json,
     findings_to_doc,
@@ -142,6 +156,20 @@ class TestSeqRule:
             wrap("heartbeat(); uint256 p = amm.readSpot();"), config
         )
         assert findings == []
+
+    @pytest.mark.parametrize("body, reads", [
+        # a callee chain holds no index expression nor argument: only the inner call reads
+        ("feeds[getPrice()].latest();", [(43, "getPrice()")]),
+        ("wrap(getPrice()).latest();", [(42, "getPrice()")]),
+        # a chain does run through a called callee: a call on a read's result reads too
+        ("feed.getPrice().latest();", [(37, "feed.getPrice().latest()"), (37, "feed.getPrice()")]),
+        ("feed.getPrice;", []),  # names the oracle but makes no call
+    ])
+    def test_only_the_calls_whose_callee_chain_names_the_oracle_read(self, body, reads):
+        findings = analyze_text(wrap(body))
+        assert [(f.rule_id, f.column, f.excerpt) for f in findings] == [
+            ("ARB-SEQ-001", column, excerpt) for column, excerpt in reads
+        ]
 
 
 class TestTimeRules:
@@ -310,6 +338,30 @@ class TestDosRules:
         source = "contract C { function deposit() public { credit(msg.sender); } }"
         assert analyze_text(source) == []
 
+    @pytest.mark.parametrize("body, fires", [
+        # the call at any depth of any body statement, the length at any depth of the condition
+        ("for (uint256 i = 0; i < xs.length; i++) { acc += 1; if (ok) { xs[i].call(1); } }", True),
+        ("uint256 i = 0; while (ok && i < xs.length) { i++; xs[i].send(1); }", True),
+        ("for (;;) { xs[0].transfer(1); }", False),  # no condition bounds the loop
+        ("for (uint256 i = 0; i < xs.length; xs[i].transfer(1)) { acc += 1; }", False),  # not body
+    ])
+    def test_loop_reads_its_condition_and_body_at_any_depth(self, body, fires):
+        source = (
+            "contract C { address[] public xs; uint256 public acc;"
+            f" function f(bool ok) public {{ {body} }} }}"
+        )
+        assert [f.rule_id for f in analyze_text(source)] == ["ARB-DOS-001"] * fires
+
+    @pytest.mark.parametrize("condition, protects", [
+        ("ok && msg.value > 0", True),  # an order comparison at any depth of the condition
+        ("msg.value + 1 >= 100", True),
+        ("msg.value == 100", False),  # not an order comparison
+        ("ok", False),
+    ])
+    def test_minimum_amount_check_at_any_depth_of_a_require(self, condition, protects):
+        source = f"contract C {{ function deposit(bool ok) public payable {{ require({condition}); }} }}"
+        assert [f.rule_id for f in analyze_text(source)] == ["ARB-DOS-002"] * (not protects)
+
 
 class TestAnalyzeContract:
     def test_empty_contract_no_findings(self):
@@ -356,41 +408,42 @@ class TestAnalyzeContract:
 
 
 # Left-nested 4,000-term chains, in a payable deposit function of a contract
-# with a state variable x, and the findings each gave before the detectors
-# kept their subtree answers, as Counter((rule_id, line, column)).
+# with a state variable x, and the findings each gives, as
+# Counter((rule_id, line, column)).
 _CHAIN_TERMS = 4000
 _LONG_CHAINS = {
-    "timestamp": (
-        "uint256 y = block.timestamp" + " + 1" * (_CHAIN_TERMS - 1) + ";",
-        {("ARB-DOS-002", 3, 5): 1, ("ARB-TIME-003", 4, 21): _CHAIN_TERMS - 1},
-    ),
-    "number": (
-        "require(block.number" + " == x" * (_CHAIN_TERMS - 1) + "); x = 20000000;",
-        {("ARB-DOS-002", 3, 5): 1, ("ARB-TIME-001", 4, 17): 1, ("ARB-TIME-002", 4, 20031): 1},
-    ),
-    "value": ("require(msg.value" + " < 1" * (_CHAIN_TERMS - 1) + ");", {}),
-    "callee": (
-        "x" + ".g()" * (_CHAIN_TERMS - 2) + ".getPrice();",
-        {("ARB-DOS-002", 3, 5): 1, ("ARB-SEQ-001", 4, 9): 1},
-    ),
+    "timestamp": {("ARB-DOS-002", 3, 5): 1, ("ARB-TIME-003", 4, 21): _CHAIN_TERMS - 1},
+    "number": {("ARB-DOS-002", 3, 5): 1, ("ARB-TIME-001", 4, 17): 1, ("ARB-TIME-002", 4, 20031): 1},
+    "value": {},
+    "callee": {("ARB-DOS-002", 3, 5): 1, ("ARB-SEQ-001", 4, 9): 1},
+    "index": {("ARB-DOS-002", 3, 5): 1, ("ARB-SEQ-001", 4, 9): 1},
 }
 
 
+def _chain_source(name, terms):
+    """The _LONG_CHAINS shape name, terms terms long, in its contract."""
+    body = {
+        "timestamp": "uint256 y = block.timestamp" + " + 1" * (terms - 1) + ";",
+        "number": "require(block.number" + " == x" * (terms - 1) + "); x = 20000000;",
+        "value": "require(msg.value" + " < 1" * (terms - 1) + ");",
+        "callee": "x" + ".g()" * (terms - 2) + ".getPrice();",
+        "index": "x" + "[0]" * (terms - 2) + ".getPrice();",
+    }[name]
+    return ("contract C {\n    uint256 x;\n    function deposit() public payable {\n"
+            f"        {body}\n    }}\n}}\n")
+
+
 class TestLongChains:
-    """Each detector query over a subtree runs once per node, so a chain whose
+    """Each detector question marks a node at most once, so a chain whose
     every link asks about the links below it stays linear."""
 
     @pytest.mark.parametrize("name", sorted(_LONG_CHAINS))
     def test_chain_analyzes_fast_with_unchanged_findings(self, name):
-        body, expected = _LONG_CHAINS[name]
-        unit = parse_source(
-            "contract C {\n    uint256 x;\n    function deposit() public payable {\n"
-            f"        {body}\n    }}\n}}\n"
-        )
+        unit = parse_source(_chain_source(name, _CHAIN_TERMS))
         start = time.perf_counter()
         findings = analyze(unit)
         elapsed = time.perf_counter() - start
-        assert Counter((f.rule_id, f.line, f.column) for f in findings) == expected
+        assert Counter((f.rule_id, f.line, f.column) for f in findings) == _LONG_CHAINS[name]
         assert elapsed < 1.0, f"{name}: analyze took {elapsed:.2f} s"
 
 
@@ -648,6 +701,251 @@ class TestOnePassIndex:
         assert parsed == built and repr(parsed) == repr(built)
         assert "index" not in SourceUnit._fields and "index" not in repr(parsed)
         assert children(parsed) == parsed.contracts
+        # parent links: each node's parent holds it; never a field, and unbound nodes read None
+        for name in CORPUS_NAMES:
+            unit = parse_source((CORPUS / name).read_text())
+            assert unit.parent is None
+            for node in walk(unit):
+                assert node is unit or any(kid is node for kid in children(node.parent)), node
+        assert all(node.parent is None for node in walk(built))
+        assert not any("parent" in cls._fields for cls in Node.__subclasses__())
+        assert "parent" not in repr(parsed)
+        # a statement moved into another function and bound again has the new holder
+        set_owner, stop = parsed.contracts[0].functions
+        moved = set_owner.body.pop()
+        stop.body.append(moved)
+        annotate_bindings(parsed)
+        assert moved.parent is stop and moved.target.parent is moved
+
+
+# --- the detectors as subtree searches ------------------------------------------
+
+# The detector queries of rules.py before the binder set parent links: memoised
+# searches down each subtree a detector asked about, and walks of each loop and
+# require condition.  ARB-TIME-001 asked about no subtree, so analyze keeps its own.
+def _contains_member(node, obj_name, member, seen):
+    """Whether node's subtree holds obj_name.member; seen keeps each answer by node id."""
+    path = []  # (node, iterator over its children) for each open node
+    while True:
+        if not node._child_fields:
+            hit = False
+        elif (hit := seen.get(id(node))) is None:
+            hit = _is_member(node, obj_name, member)
+            if not hit:
+                path.append((node, iter(children(node))))
+        if hit:
+            seen[id(node)] = True
+            seen.update((id(opened), True) for opened, _ in path)
+            return True
+        while path:
+            node = next(path[-1][1], None)
+            if node is not None:
+                break
+            seen[id(path.pop()[0])] = False
+        else:
+            return False
+
+
+def _call_matches(call, lowered, seen):
+    """Whether a name on call's callee chain is in lowered; seen keeps each link's answer."""
+    path = []
+    node = call.callee
+    while (hit := seen.get(id(node))) is None:
+        path.append(id(node))
+        cls = node.__class__
+        if cls is MemberAccess:
+            if node.member.lower() in lowered:
+                hit = True
+                break
+            node = node.obj
+        elif cls is IndexAccess:
+            node = node.obj
+        elif cls is CallExpr:
+            node = node.callee
+        else:
+            hit = cls is Ident and node.name.lower() in lowered
+            break
+    for key in path:
+        seen[key] = hit
+    return hit
+
+
+def _reference_seq_001(index, config, add):
+    uptime = {p.lower() for p in config.uptime_patterns}
+    oracle = {p.lower() for p in config.oracle_patterns}
+    uptime_seen, oracle_seen, first_uptime, oracle_reads = {}, {}, {}, []
+    for call, contract, fn, top in index[CallExpr]:
+        if fn is None:
+            continue
+        if _call_matches(call, uptime, uptime_seen):
+            first_uptime.setdefault(id(fn), top)
+        elif _call_matches(call, oracle, oracle_seen):
+            oracle_reads.append((call, contract, fn, top))
+    for call, contract, fn, top in oracle_reads:
+        if top <= first_uptime.get(id(fn), top):
+            add("ARB-SEQ-001", call, f"oracle read in {contract.name}.{fn.name} without a "
+                "preceding sequencer uptime check")
+
+
+def _reference_time_002(index, config, add):
+    ties = [
+        (value, decl)
+        for cls in (StateVarDecl, VarDeclStmt, AssignStmt, BinaryExpr)
+        for node, *_ in index[cls]
+        for value, decl in _ties(node)
+        if decl is not None
+    ]
+    seen = {}
+    linked = {id(decl) for value, decl in ties if _contains_member(value, "block", "number", seen)}
+    for value, decl in ties:
+        if (id(decl) in linked and isinstance(value, NumberLit)
+                and value.value >= config.block_number_literal_min):
+            add("ARB-TIME-002", value,
+                f"hardcoded block number {value.value} tied to block.number via {decl.name!r}")
+
+
+def _reference_time_003(index, config, add):
+    ops = {"+", "-", "%"} | _CMP_OPS
+    seen = {}
+    for node, *_ in index[BinaryExpr]:
+        if node.op not in ops:
+            continue
+        for side, other in ((node.left, node.right), (node.right, node.left)):
+            if (isinstance(other, NumberLit) and 0 < other.value < config.timestamp_threshold_s
+                    and _contains_member(side, "block", "timestamp", seen)):
+                add("ARB-TIME-003", node,
+                    f"block.timestamp used against a {other.value}s interval, "
+                    f"below the {config.timestamp_threshold_s}s reliability threshold")
+                break
+
+
+def _reference_alias_001(index, config, add):
+    aliases = {p.lower() for p in config.alias_patterns}
+    seen = {}
+    alias_aware = {
+        id(contract) for call, contract, *_ in index[CallExpr] if _call_matches(call, aliases, seen)
+    }
+    for node, contract, _, _ in index[BinaryExpr]:
+        if node.op not in {"==", "!="} or id(contract) in alias_aware:
+            continue
+        for side, other in ((node.left, node.right), (node.right, node.left)):
+            if not _is_member(side, "msg", "sender"):
+                continue
+            var_type = _state_var_type(other)
+            is_state_address = isinstance(var_type, ElementaryType) and var_type.name == "address"
+            if is_state_address or isinstance(other, AddressLit):
+                add("ARB-ALIAS-001", node, "msg.sender compared against a raw L1 address; "
+                    "L1-contract callers arrive aliased, so this check "
+                    "misbehaves for cross-chain messages")
+                break
+
+
+def _reference_dos_001(index, config, add):
+    triggers = {t.lower() for t in config.loop_call_triggers}
+    for loop, *_ in index[ForStmt] + index[WhileStmt]:
+        if loop.condition is None:
+            continue
+        bounded = any(
+            isinstance(n, MemberAccess)
+            and n.member == "length"
+            and isinstance(var_type := _state_var_type(n.obj), ArrayType)
+            and var_type.length is None
+            for n in walk(loop.condition)
+        )
+        if bounded and any(
+            isinstance(n, CallExpr)
+            and isinstance(n.callee, MemberAccess)
+            and n.callee.member.lower() in triggers
+            for stmt in loop.body
+            for n in walk(stmt)
+        ):
+            add("ARB-DOS-001", loop, "loop bounded by a dynamic state array's length makes "
+                "external calls; growing the array can exhaust block gas")
+
+
+def _reference_dos_002(index, config, add):
+    seen = {}
+    protected = {
+        id(fn)
+        for require, _, fn, _ in index[RequireStmt]
+        if any(
+            isinstance(sub, BinaryExpr)
+            and sub.op in {"<", "<=", ">", ">="}
+            and _contains_member(sub, "msg", "value", seen)
+            for sub in walk(require.condition)
+        )
+    }
+    for fn, *_ in index[FunctionDef]:
+        if fn.mutability == "payable" and "deposit" in fn.name.lower() and id(fn) not in protected:
+            add("ARB-DOS-002", fn, f"payable function {fn.name!r} accepts deposits with no "
+                "minimum-amount require; dust spam is cheap on L2")
+
+
+_REFERENCE_DETECTORS = {
+    "ARB-SEQ-001": _reference_seq_001,
+    "ARB-TIME-002": _reference_time_002,
+    "ARB-TIME-003": _reference_time_003,
+    "ARB-ALIAS-001": _reference_alias_001,
+    "ARB-DOS-001": _reference_dos_001,
+    "ARB-DOS-002": _reference_dos_002,
+}
+
+
+def _reference_analyze(unit, config=None):
+    """analyze with the detector queries above in place of today's."""
+    with mock.patch.dict(rules._DETECTORS, _REFERENCE_DETECTORS):
+        return analyze(unit, config)
+
+
+_CORPUS_TOKENS = {}  # token kind -> every text of that kind in the corpus, with repeats
+for _name in CORPUS_NAMES:
+    _tokens = tokenize((CORPUS / _name).read_text())
+    for _kind, _text in zip(_tokens.kinds, _tokens.texts):
+        _CORPUS_TOKENS.setdefault(_kind, []).append(_text)
+
+
+def _edit(source, rng):
+    """source with 1-3 tokens each deleted, doubled or replaced by a corpus token of its kind."""
+    tokens = tokenize(source)
+    for i in sorted(rng.sample(range(len(tokens)), rng.randint(1, 3)), reverse=True):
+        start, end, text = tokens.starts[i], tokens.ends[i], tokens.texts[i]
+        text = rng.choice(["", f"{text} {text}", rng.choice(_CORPUS_TOKENS[tokens.kinds[i]])])
+        source = source[:start] + text + source[end:]  # later tokens first keeps offsets valid
+    return source
+
+
+@st.composite
+def _edited_sources(draw):
+    """A corpus file under token edits that still parses, or 1-3 corpus files
+    concatenated with suffixed contract names."""
+    names = draw(st.lists(st.sampled_from(CORPUS_NAMES), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        return "".join(
+            _suffix_contracts((CORPUS / name).read_text(), str(i)) for i, name in enumerate(names)
+        )
+    source = (CORPUS / names[0]).read_text()
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    for _ in range(100):  # about one edit in seven parses
+        edited = _edit(source, rng)
+        try:
+            parse_source(edited)
+            return edited
+        except MiniSolSyntaxError:
+            pass
+    return source
+
+
+class TestDetectorsAgainstSubtreeSearches:
+    @settings(max_examples=150, deadline=None)
+    @given(source=_edited_sources())
+    @example(source=_chain_source("callee", 40))
+    @example(source=_chain_source("index", 40))
+    @example(source=_chain_source("number", 40))
+    @example(source=_chain_source("timestamp", 40))
+    @example(source=_chain_source("value", 40))
+    def test_analyze_matches_the_subtree_searches(self, source):
+        unit = parse_source(source)
+        assert analyze(unit) == _reference_analyze(unit)
 
 
 class TestCorpus:
