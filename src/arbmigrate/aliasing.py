@@ -20,7 +20,7 @@ ADDRESS_SPACE = 1 << 160
 # Offset added to an L1 contract address to form its L2 alias.
 ALIAS_OFFSET_INT = 0x1111000000000000000000000000000000001111
 
-_HEX_ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
+HEX_ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
 
 
 class Address(FrozenRecord):
@@ -34,7 +34,7 @@ class Address(FrozenRecord):
     @classmethod
     def from_hex(cls, text: str) -> "Address":
         """Parse a 0x-prefixed, exactly-40-hex-digit address string."""
-        if not _HEX_ADDRESS_RE.match(text):
+        if not HEX_ADDRESS_RE.match(text):
             raise ValueError(f"not a 0x-prefixed 40-hex-digit address: {text!r}")
         return cls(int(text, 16))
 

@@ -38,7 +38,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     findings = []
     files = []
     status = 0  # 2 once any file is unreadable or unparseable; every bad file is reported
-    for path in args.paths:
+    for path in dict.fromkeys(args.paths):  # each distinct path once, in the order given
         try:
             source = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:

@@ -251,9 +251,9 @@ class SourceUnit(Node):
                  source: str = "", *, span: Span = EMPTY_SPAN):
         self.span, self.path, self.source = span, path, source
         self.contracts = [] if contracts is None else contracts
-        # every node filed by exact type as (node, contract, function, top) sites,
-        # each list in pre-order; set by parser.annotate_bindings, None = unbound
-        self.index: dict[type, list[tuple]] | None = None
+        # every node filed under its exact type, each list in pre-order, its holders
+        # up its parent links; set by parser.annotate_bindings, None = unbound
+        self.index: dict[type, list[Node]] | None = None
 
 
 def children(node: Node) -> list[Node]:

@@ -568,11 +568,8 @@ class _Parser:
 
 # --- name resolution and the rule index -------------------------------------
 
-# Each node is filed as a site (node, contract, function, top): the contract
-# and function that enclose it (None outside one) and the position among the
-# function's children (params, returns, then body statements) of the one
-# that holds it, so positions order a function's top-level statements.
-_Index = dict[type, list[tuple[Node, "ContractDef | None", "FunctionDef | None", int]]]
+# The nodes that open a scope, bound by annotate_bindings's bind_stmt.
+_SCOPED = (IfStmt, ForStmt, WhileStmt, FunctionDef, ContractDef, SourceUnit)
 
 
 def annotate_bindings(unit: SourceUnit) -> None:
@@ -585,40 +582,36 @@ def annotate_bindings(unit: SourceUnit) -> None:
     declared before it in enclosing blocks), then in its contract (state
     variables over functions over contracts). A free name such as ``msg`` or
     ``block`` keeps ``decl = None``."""
-    index: _Index = defaultdict(list)
-    index[SourceUnit].append((unit, None, None, -1))
-    unit.parent = None
-    contracts = {c.name: c for c in unit.contracts}
-    function, top = None, -1  # with contract and members, set by the loop at the end
+    index: dict[type, list[Node]] = defaultdict(list)
 
-    def bind(root: Node, scope: dict, parent: Node) -> None:  # root's subtree holds no statement
+    def bind(root: Node, scope: dict, parent: Node) -> None:  # root's subtree opens no scope
         root.parent = parent
         stack = [root]
         while stack:
             node = stack.pop()
             cls = node.__class__
-            index[cls].append((node, contract, function, top))
+            index[cls].append(node)
             if cls is Ident:
-                node.decl = scope.get(node.name) or members.get(node.name)
+                node.decl = scope.get(node.name)
             elif cls._child_fields:
                 kids = children(node)
                 for kid in kids:
                     kid.parent = node
                 stack.extend(reversed(kids))
 
-    def bind_stmts(stmts: list[Stmt], scope: dict, parent: Node) -> None:
+    def bind_stmts(stmts: list, scope: dict, parent: Node) -> None:
         for stmt in stmts:
             bind_stmt(stmt, scope, parent)
 
-    def bind_stmt(stmt: Stmt, scope: dict, parent: Node) -> None:
+    def bind_stmt(stmt: Node, scope: dict, parent: Node | None) -> None:
         cls = stmt.__class__
-        if cls not in (IfStmt, ForStmt, WhileStmt):  # a simple statement, parameter or type
+        if cls not in _SCOPED:  # a simple statement, parameter, type or state variable
             bind(stmt, scope, parent)  # resolve its names, then declare
             if cls is VarDeclStmt:
                 scope[stmt.name] = stmt
             return
         stmt.parent = parent
-        index[cls].append((stmt, contract, function, top))
+        index[cls].append(stmt)
         if cls is IfStmt:
             bind(stmt.condition, scope, stmt)
             bind_stmts(stmt.then_body, dict(scope), stmt)
@@ -633,25 +626,19 @@ def annotate_bindings(unit: SourceUnit) -> None:
             if stmt.post is not None:
                 bind_stmt(stmt.post, inner, stmt)
             bind_stmts(stmt.body, dict(inner), stmt)
-        else:
+        elif cls is WhileStmt:
             bind(stmt.condition, scope, stmt)
             bind_stmts(stmt.body, dict(scope), stmt)
+        elif cls is FunctionDef:
+            bind_stmts(children(stmt), {**scope, **{p.name: p for p in stmt.params}}, stmt)
+        elif cls is ContractDef:  # later keys win: state variables over functions over contracts
+            members = {**scope, **{f.name: f for f in stmt.functions},
+                       **{v.name: v for v in stmt.state_vars}}
+            bind_stmts(stmt.members, members, stmt)
+        else:
+            bind_stmts(stmt.contracts, {c.name: c for c in stmt.contracts}, stmt)
 
-    for contract in unit.contracts:
-        contract.parent = unit
-        index[ContractDef].append((contract, None, None, -1))
-        members = {**contracts, **{f.name: f for f in contract.functions},
-                   **{v.name: v for v in contract.state_vars}}
-        for member in contract.members:
-            if not isinstance(member, FunctionDef):
-                bind(member, {}, contract)
-                continue
-            member.parent = contract
-            index[FunctionDef].append((member, contract, None, -1))
-            function, scope = member, {p.name: p for p in member.params}
-            for top, kid in enumerate(children(member)):
-                bind_stmt(kid, scope, member)
-            function, top = None, -1
+    bind_stmt(unit, {}, None)
     unit.index = index
 
 

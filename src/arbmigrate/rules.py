@@ -20,6 +20,7 @@ from .minisol import (
     AssignStmt,
     BinaryExpr,
     CallExpr,
+    ContractDef,
     ElementaryType,
     ForStmt,
     FunctionDef,
@@ -37,7 +38,6 @@ from .minisol import (
     annotate_bindings,
 )
 from .minisol.nodes import EMPTY_SPAN
-from .minisol.parser import _Index
 
 FINDINGS_SCHEMA_VERSION = "1"
 
@@ -301,13 +301,29 @@ def _holders(starts: Iterable[Node]) -> set[int]:
     return marked
 
 
+def _enclosing(node: Node, cls: type) -> tuple[Node | None, Node]:
+    """The nearest node of class cls above node (None if none), and the node just under it."""
+    below, holder = node, node.parent
+    while holder is not None and holder.__class__ is not cls:
+        below, holder = holder, holder.parent
+    return holder, below
+
+
+def _chain_root(call: CallExpr) -> Node:
+    """Where call's callee chain ends, followed down member and index access."""
+    node = call.callee
+    while (cls := node.__class__) is MemberAccess or cls is IndexAccess:
+        node = node.obj
+    return node
+
+
 def _calls_named(index: _Index, patterns: Iterable[str]) -> set[int]:
     """The ids of the calls whose callee chain (feed.getPrice: feed, getPrice;
     never an argument or index) names one of patterns, ignoring case.  Buckets
     are in pre-order, so in reverse an inner call on a chain is answered first."""
     lowered = {p.lower() for p in patterns}
     named: set[int] = set()
-    for call, *_ in reversed(index[CallExpr]):
+    for call in reversed(index[CallExpr]):
         node = call.callee
         while (cls := node.__class__) is MemberAccess or cls is IndexAccess:
             if cls is MemberAccess and node.member.lower() in lowered:
@@ -332,6 +348,7 @@ def _excerpt(unit: SourceUnit, node: Node, limit: int = 120) -> str:
 
 # --- detectors --------------------------------------------------------------
 
+_Index = dict[type, list[Node]]  # SourceUnit.index, as annotate_bindings sets it
 _Add = Callable[[str, Node, str], None]
 _CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 
@@ -339,27 +356,28 @@ _CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 def _detect_seq_001(index: _Index, config: RuleConfig, add: _Add) -> None:
     uptime = _calls_named(index, config.uptime_patterns)
     oracle = _calls_named(index, config.oracle_patterns)
-    first_uptime: dict[int, int] = {}  # id(function) -> top of its first uptime check
-    oracle_reads = []
-    for call, contract, fn, top in index[CallExpr]:
+    first_uptime: dict[int, Node] = {}  # id(function) -> top statement of its first uptime check
+    for call in index[CallExpr]:  # in pre-order, so a function's statements in source order
+        is_uptime = id(call) in uptime
+        # a call on a read's result (feed.getPrice().latest()) is part of that one read
+        if not is_uptime and (id(call) not in oracle or id(_chain_root(call)) in oracle):
+            continue
+        fn, top = _enclosing(call, FunctionDef)
         if fn is None:
             continue
-        if id(call) in uptime:
+        if is_uptime:
             first_uptime.setdefault(id(fn), top)
-        elif id(call) in oracle:
-            oracle_reads.append((call, contract, fn, top))
-    for call, contract, fn, top in oracle_reads:
-        if top <= first_uptime.get(id(fn), top):
+        elif first_uptime.get(id(fn), top) is top:
             add(
                 "ARB-SEQ-001",
                 call,
-                f"oracle read in {contract.name}.{fn.name} without a "
+                f"oracle read in {fn.parent.name}.{fn.name} without a "
                 "preceding sequencer uptime check",
             )
 
 
 def _detect_time_001(index: _Index, config: RuleConfig, add: _Add) -> None:
-    for node, *_ in index[BinaryExpr]:
+    for node in index[BinaryExpr]:
         if node.op in {"==", "!="} and (
             _is_member(node.left, "block", "number") or _is_member(node.right, "block", "number")
         ):
@@ -388,11 +406,11 @@ def _detect_time_002(index: _Index, config: RuleConfig, add: _Add) -> None:
     ties = [
         (value, decl)
         for cls in (StateVarDecl, VarDeclStmt, AssignStmt, BinaryExpr)
-        for node, *_ in index[cls]
+        for node in index[cls]
         for value, decl in _ties(node)
         if decl is not None  # a free name ties nothing
     ]
-    numbers = _holders(n for n, *_ in index[MemberAccess] if _is_member(n, "block", "number"))
+    numbers = _holders(n for n in index[MemberAccess] if _is_member(n, "block", "number"))
     linked = {id(decl) for value, decl in ties if id(value) in numbers}
     for value, decl in ties:
         if (
@@ -409,8 +427,8 @@ def _detect_time_002(index: _Index, config: RuleConfig, add: _Add) -> None:
 
 def _detect_time_003(index: _Index, config: RuleConfig, add: _Add) -> None:
     ops = {"+", "-", "%"} | _CMP_OPS
-    stamps = _holders(n for n, *_ in index[MemberAccess] if _is_member(n, "block", "timestamp"))
-    for node, *_ in index[BinaryExpr]:
+    stamps = _holders(n for n in index[MemberAccess] if _is_member(n, "block", "timestamp"))
+    for node in index[BinaryExpr]:
         if node.op not in ops:
             continue
         for side, other in ((node.left, node.right), (node.right, node.left)):
@@ -437,9 +455,9 @@ def _state_var_type(expr: Node) -> Node | None:
 
 def _detect_alias_001(index: _Index, config: RuleConfig, add: _Add) -> None:
     aliases = _calls_named(index, config.alias_patterns)
-    alias_aware = {id(contract) for call, contract, *_ in index[CallExpr] if id(call) in aliases}
-    for node, contract, _, _ in index[BinaryExpr]:
-        if node.op not in {"==", "!="} or id(contract) in alias_aware:
+    alias_aware = {id(_enclosing(c, ContractDef)[0]) for c in index[CallExpr] if id(c) in aliases}
+    for node in index[BinaryExpr]:
+        if node.op not in {"==", "!="}:
             continue
         for side, other in ((node.left, node.right), (node.right, node.left)):
             if not _is_member(side, "msg", "sender"):
@@ -447,29 +465,30 @@ def _detect_alias_001(index: _Index, config: RuleConfig, add: _Add) -> None:
             var_type = _state_var_type(other)
             is_state_address = isinstance(var_type, ElementaryType) and var_type.name == "address"
             if is_state_address or isinstance(other, AddressLit):
-                add(
-                    "ARB-ALIAS-001",
-                    node,
-                    "msg.sender compared against a raw L1 address; "
-                    "L1-contract callers arrive aliased, so this check "
-                    "misbehaves for cross-chain messages",
-                )
+                if id(_enclosing(node, ContractDef)[0]) not in alias_aware:
+                    add(
+                        "ARB-ALIAS-001",
+                        node,
+                        "msg.sender compared against a raw L1 address; "
+                        "L1-contract callers arrive aliased, so this check "
+                        "misbehaves for cross-chain messages",
+                    )
                 break
 
 
 def _detect_dos_001(index: _Index, config: RuleConfig, add: _Add) -> None:
     triggers = {t.lower() for t in config.loop_call_triggers}
     bounds = _holders(
-        n for n, *_ in index[MemberAccess]
+        n for n in index[MemberAccess]
         if n.member == "length"
         and isinstance(var_type := _state_var_type(n.obj), ArrayType)
         and var_type.length is None
     )
     calls = _holders(
-        call for call, *_ in index[CallExpr]
+        call for call in index[CallExpr]
         if isinstance(call.callee, MemberAccess) and call.callee.member.lower() in triggers
     )
-    for loop, *_ in index[ForStmt] + index[WhileStmt]:  # no climb marks a for (;;)'s None
+    for loop in index[ForStmt] + index[WhileStmt]:  # no climb marks a for (;;)'s None
         if id(loop.condition) in bounds and any(id(stmt) in calls for stmt in loop.body):
             add(
                 "ARB-DOS-001",
@@ -480,13 +499,13 @@ def _detect_dos_001(index: _Index, config: RuleConfig, add: _Add) -> None:
 
 
 def _detect_dos_002(index: _Index, config: RuleConfig, add: _Add) -> None:
-    values = _holders(n for n, *_ in index[MemberAccess] if _is_member(n, "msg", "value"))
+    values = _holders(n for n in index[MemberAccess] if _is_member(n, "msg", "value"))
     checks = _holders(
-        node for node, *_ in index[BinaryExpr]
+        node for node in index[BinaryExpr]
         if node.op in {"<", "<=", ">", ">="} and id(node) in values
     )
-    protected = {id(fn) for req, _, fn, _ in index[RequireStmt] if id(req.condition) in checks}
-    for fn, *_ in index[FunctionDef]:
+    protected = _holders(req for req in index[RequireStmt] if id(req.condition) in checks)
+    for fn in index[FunctionDef]:
         if fn.mutability == "payable" and "deposit" in fn.name.lower() and id(fn) not in protected:
             add(
                 "ARB-DOS-002",

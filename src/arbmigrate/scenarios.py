@@ -18,7 +18,7 @@ from typing import Any, Callable, Mapping
 
 from . import retryable
 from ._record import FrozenRecord, Record
-from .aliasing import _HEX_ADDRESS_RE, Address, SenderContext, SenderKind, apply_alias, l2_msg_sender
+from .aliasing import HEX_ADDRESS_RE, Address, SenderContext, SenderKind, apply_alias, l2_msg_sender
 from .chainmodel import L1Chain, L2View, WallClock, l2_view_l1_number_at
 from .gasmodel import GasParams, gas_fees
 from .sequencer import L2Tx, Sequencer, SequencerStatus, TxOrigin
@@ -66,7 +66,7 @@ class Param(FrozenRecord):
                 value = {"true": True, "false": False}.get(value.lower(), value)
             inside = isinstance(value, bool)
         elif domain is Address:
-            inside = isinstance(value, str) and _HEX_ADDRESS_RE.match(value) is not None
+            inside = isinstance(value, str) and HEX_ADDRESS_RE.match(value) is not None
         else:
             inside = isinstance(value, str) and value in domain
         if not inside:

@@ -58,6 +58,13 @@ class TestAnalyze:
         assert "ARB-ALIAS-001" in out
         assert "2 finding(s) in 1 file(s)" in out
 
+    def test_a_repeated_path_is_analyzed_once(self, capsys):
+        path = str(CORPUS / "alias_permission_dirty.sol")
+        once = run(capsys, "analyze", "--format", "json", path)
+        assert run(capsys, "analyze", "--format", "json", path, path) == once
+        code, out, _ = run(capsys, "analyze", path, path)
+        assert code == 0 and out.endswith("\n2 finding(s) in 1 file(s)\n")
+
     def test_check_mode_exit_one_on_findings(self, capsys):
         code, _, _ = run(capsys, "analyze", "--check", str(CORPUS / "dos_loop_dirty.sol"))
         assert code == 1
@@ -849,3 +856,17 @@ def test_source_parses_at_the_oldest_supported_python():
     version = (3, int(floor[1]))
     for path in sorted(Path(arbmigrate.__file__).parent.rglob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a leading underscore keeps a name to its module; a private module (._record) is fine
+    package = Path(arbmigrate.__file__).parent
+    crossings = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("arbmigrate")):
+                crossings += [
+                    f"{path.relative_to(package)}: {node.module}.{alias.name}" for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                ]
+    assert crossings == []

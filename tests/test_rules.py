@@ -1,7 +1,7 @@
 import json
 import random
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 from unittest import mock
 
@@ -50,6 +50,7 @@ from arbmigrate.rules import (
     Finding,
     RuleConfig,
     Severity,
+    _enclosing,
     _is_member,
     _state_var_type,
     _ties,
@@ -133,6 +134,13 @@ class TestSeqRule:
         )
         assert [f.rule_id for f in findings] == ["ARB-SEQ-001"]
 
+    def test_every_read_before_the_first_check_fires(self):
+        findings = analyze_text(wrap(
+            "uint256 p = getPrice(1); uint256 q = getPrice(2);"
+            " require(checkSequencerUp()); uint256 r = getPrice(3);"
+        ))
+        assert [f.excerpt for f in findings] == ["getPrice(1)", "getPrice(2)"]
+
     def test_uptime_check_in_same_statement_does_not_protect(self):
         findings = analyze_text(
             wrap("require(checkSequencerUp() && feed.getPrice() > 0);")
@@ -161,8 +169,13 @@ class TestSeqRule:
         # a callee chain holds no index expression nor argument: only the inner call reads
         ("feeds[getPrice()].latest();", [(43, "getPrice()")]),
         ("wrap(getPrice()).latest();", [(42, "getPrice()")]),
-        # a chain does run through a called callee: a call on a read's result reads too
-        ("feed.getPrice().latest();", [(37, "feed.getPrice().latest()"), (37, "feed.getPrice()")]),
+        # a call on a read's result is part of that read, reported once at the inner call
+        ("feed.getPrice().latest();", [(37, "feed.getPrice()")]),
+        ("getPrice()(1);", [(37, "getPrice()")]),
+        ("getPrice().latestRoundData();", [(37, "getPrice()")]),
+        ("a.getPrice().b().c();", [(37, "a.getPrice()")]),
+        # a call on an uptime check's result is an uptime check, and it comes first
+        ("require(sequencerUptimeFeed().latestRoundData() > 0); uint256 p = getPrice(1);", []),
         ("feed.getPrice;", []),  # names the oracle but makes no call
     ])
     def test_only_the_calls_whose_callee_chain_names_the_oracle_read(self, body, reads):
@@ -625,12 +638,9 @@ def _reference_index(unit):
     return index
 
 
-def _site_ids(index):
-    """Each nonempty bucket, with every node of a site as its id."""
-    return {
-        cls: [(id(node), id(contract), id(function), top) for node, contract, function, top in sites]
-        for cls, sites in index.items() if sites
-    }
+def _bucket_ids(index):
+    """Each nonempty bucket of unit.index, as the ids of its nodes in order."""
+    return {cls: [id(node) for node in nodes] for cls, nodes in index.items() if nodes}
 
 
 @st.composite
@@ -672,10 +682,17 @@ class TestOnePassIndex:
             assume(False)
         idents = [node for node in walk(unit) if isinstance(node, Ident)]
         decls = [ident.decl for ident in idents]
-        sites = _site_ids(unit.index)
+        buckets = _bucket_ids(unit.index)
         _reference_annotate_bindings(unit)
         assert [id(ident.decl) for ident in idents] == [id(decl) for decl in decls]
-        assert _site_ids(_reference_index(unit)) == sites
+        reference = _reference_index(unit)
+        assert {cls: [id(site[0]) for site in sites] for cls, sites in reference.items()} == buckets
+        # the parent links place each node as its site did
+        for node, contract, function, top in (site for sites in reference.values() for site in sites):
+            assert _enclosing(node, ContractDef)[0] is contract
+            holder, below = _enclosing(node, FunctionDef)
+            assert holder is function
+            assert top == -1 if function is None else children(function)[top] is below
 
     def test_analyze_binds_a_unit_built_by_hand_like_its_parsed_twin(self):
         for name in CORPUS_NAMES:
@@ -683,7 +700,7 @@ class TestOnePassIndex:
             built = _rebuild(parsed)
             assert built.index is None
             assert analyze(built) == analyze(parsed), name
-            assert _site_ids(built.index).keys() == _site_ids(parsed.index).keys()
+            assert _bucket_ids(built.index).keys() == _bucket_ids(parsed.index).keys()
         # spans and source text only place a finding; an all-default unit is found too
         owner = StateVarDecl(ElementaryType("address"), None, "owner")
         check = RequireStmt(BinaryExpr("==", MemberAccess(Ident("msg"), "sender"), Ident("owner")))
@@ -781,8 +798,12 @@ def _reference_seq_001(index, config, add):
             first_uptime.setdefault(id(fn), top)
         elif _call_matches(call, oracle, oracle_seen):
             oracle_reads.append((call, contract, fn, top))
+    reads = {id(call) for call, *_ in oracle_reads}
     for call, contract, fn, top in oracle_reads:
-        if top <= first_uptime.get(id(fn), top):
+        root = call.callee  # a call on a read's result is part of that read
+        while isinstance(root, (MemberAccess, IndexAccess)):
+            root = root.obj
+        if top <= first_uptime.get(id(fn), top) and id(root) not in reads:
             add("ARB-SEQ-001", call, f"oracle read in {contract.name}.{fn.name} without a "
                 "preceding sequencer uptime check")
 
@@ -892,8 +913,15 @@ _REFERENCE_DETECTORS = {
 
 
 def _reference_analyze(unit, config=None):
-    """analyze with the detector queries above in place of today's."""
-    with mock.patch.dict(rules._DETECTORS, _REFERENCE_DETECTORS):
+    """analyze with the detector queries above, over the sites of
+    _reference_index, in place of today's."""
+    sites = defaultdict(list, _reference_index(unit))
+
+    def on_sites(detect):
+        return lambda _index, config, add: detect(sites, config, add)
+
+    detectors = {rule_id: on_sites(detect) for rule_id, detect in _REFERENCE_DETECTORS.items()}
+    with mock.patch.dict(rules._DETECTORS, detectors):
         return analyze(unit, config)
 
 
