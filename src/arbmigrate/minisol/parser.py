@@ -56,7 +56,6 @@ from .nodes import (
     UnaryExpr,
     VarDeclStmt,
     WhileStmt,
-    children,
 )
 
 ELEMENTARY_TYPES = ("uint256", "uint", "address", "bool", "string")
@@ -68,7 +67,7 @@ _LOCATIONS = ("memory", "calldata", "storage")
 _DECLARED = (ContractDef, StateVarDecl, FunctionDef, VarDeclStmt)
 # Where each braced list resumes after a bad item (_Parser._resync): the unit at
 # the next 'contract'; a contract at a member start right after a ';' or '}'; a
-# block past the next ';' or before its '}'.  Brackets count from the failure.
+# block past the next ';' or before its '}'.  Brackets count from the item's first token.
 _UNIT = frozenset({"contract"})
 _MEMBERS = _TYPE_START | {"function"}
 _BLOCK: frozenset[str] = frozenset()
@@ -195,23 +194,31 @@ class _Parser:
 
     # -- recovery --------------------------------------------------------
 
-    def _resync(self, follow: frozenset[str]) -> None:
-        """Skip the rest of a bad item to where its list resumes (see _UNIT).  An
-        item that fails at its first token loses at least that token."""
-        texts, depth = self.texts, 0
+    def _resync(self, follow: frozenset[str], first: int) -> None:
+        """Skip the rest of a bad item, from its first token on, to where its list
+        resumes (see _UNIT).  '(' and '[' open groups that no ';' inside ends;
+        '{' opens a brace, and a '}' closes only a brace, the outermost one's
+        every group too.  An item that fails at its first token loses at least that token."""
+        texts, failed = self.texts, self.pos
+        self.pos, groups, braces = first, 0, 0
         while text := texts[self.pos]:
-            if depth == 0 and text == ("contract" if follow is _UNIT else "}"):
+            if self.pos >= failed and not braces and text == ("contract" if follow is _UNIT else "}"):
                 # a '}' that a member start or another '}' follows ends the bad member
                 if follow is _MEMBERS and texts[self.pos + 1] in _MEMBERS | {"}"}:
                     self.pos += 1
                 return
-            if text in ("(", "[", "{"):
-                depth += 1
-            elif depth and text in (")", "]", "}"):
-                depth -= 1
+            if text in ("(", "["):
+                groups += 1
+            elif text == "{":
+                braces += 1
+            elif text == "}" and braces:
+                braces -= 1
+                groups = groups if braces else 0
+            elif groups and text in (")", "]"):
+                groups -= 1
             self.pos += 1
-            if depth == 0 and (text == ";" and not follow
-                               or text in (";", "}") and texts[self.pos] in follow):
+            if self.pos > failed and not braces and not groups and (
+                    text == ";" and not follow or text in (";", "}") and texts[self.pos] in follow):
                 return
 
     def _braced(self, parse_item, follow: frozenset[str]) -> list:
@@ -227,6 +234,7 @@ class _Parser:
         while not self._check(close):
             if self._at_end():
                 raise self._fail("expected '}'")
+            first = self.pos
             try:
                 item = parse_item()
                 items.append(self._declare(names, item) if isinstance(item, _DECLARED) else item)
@@ -237,7 +245,7 @@ class _Parser:
                 if lost_brace:  # the next member ends the block, as if its '}' had come
                     self.lost_brace_at = self.pos
                     return items
-                self._resync(follow)
+                self._resync(follow, first)
         self._expect(close)
         return items
 
@@ -568,8 +576,21 @@ class _Parser:
 
 # --- name resolution and the rule index -------------------------------------
 
-# The nodes that open a scope, bound by annotate_bindings's bind_stmt.
-_SCOPED = (IfStmt, ForStmt, WhileStmt, FunctionDef, ContractDef, SourceUnit)
+# The nodes that open a scope.  Each list one holds is bound in its own copy of
+# the node's scope, taken when the list's turn comes: a for body sees the init
+# variable, and an else body none of the then body's locals.
+_SCOPED = frozenset({IfStmt, ForStmt, WhileStmt, FunctionDef, ContractDef, SourceUnit})
+
+
+def _hoisted(node: Node) -> list:
+    """What a scope-opening node declares for all it holds, later names winning:
+    a unit's contracts, a contract's functions then state variables, a function's params."""
+    cls = node.__class__
+    if cls is SourceUnit:
+        return node.contracts
+    if cls is ContractDef:
+        return node.functions + node.state_vars
+    return node.params if cls is FunctionDef else []
 
 
 def annotate_bindings(unit: SourceUnit) -> None:
@@ -581,64 +602,38 @@ def annotate_bindings(unit: SourceUnit) -> None:
     A name is looked up in its block scope (parameters, then the locals
     declared before it in enclosing blocks), then in its contract (state
     variables over functions over contracts). A free name such as ``msg`` or
-    ``block`` keeps ``decl = None``."""
+    ``block`` keeps ``decl = None``.  One loop over an explicit stack binds
+    the unit, so a unit of any depth binds."""
     index: dict[type, list[Node]] = defaultdict(list)
-
-    def bind(root: Node, scope: dict, parent: Node) -> None:  # root's subtree opens no scope
-        root.parent = parent
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            cls = node.__class__
-            index[cls].append(node)
-            if cls is Ident:
-                node.decl = scope.get(node.name)
-            elif cls._child_fields:
-                kids = children(node)
-                for kid in kids:
-                    kid.parent = node
-                stack.extend(reversed(kids))
-
-    def bind_stmts(stmts: list, scope: dict, parent: Node) -> None:
-        for stmt in stmts:
-            bind_stmt(stmt, scope, parent)
-
-    def bind_stmt(stmt: Node, scope: dict, parent: Node | None) -> None:
-        cls = stmt.__class__
-        if cls not in _SCOPED:  # a simple statement, parameter, type or state variable
-            bind(stmt, scope, parent)  # resolve its names, then declare
-            if cls is VarDeclStmt:
-                scope[stmt.name] = stmt
-            return
-        stmt.parent = parent
-        index[cls].append(stmt)
-        if cls is IfStmt:
-            bind(stmt.condition, scope, stmt)
-            bind_stmts(stmt.then_body, dict(scope), stmt)
-            if stmt.else_body is not None:
-                bind_stmts(stmt.else_body, dict(scope), stmt)
-        elif cls is ForStmt:
-            inner = dict(scope)
-            if stmt.init is not None:
-                bind_stmt(stmt.init, inner, stmt)
-            if stmt.condition is not None:
-                bind(stmt.condition, inner, stmt)
-            if stmt.post is not None:
-                bind_stmt(stmt.post, inner, stmt)
-            bind_stmts(stmt.body, dict(inner), stmt)
-        elif cls is WhileStmt:
-            bind(stmt.condition, scope, stmt)
-            bind_stmts(stmt.body, dict(scope), stmt)
-        elif cls is FunctionDef:
-            bind_stmts(children(stmt), {**scope, **{p.name: p for p in stmt.params}}, stmt)
-        elif cls is ContractDef:  # later keys win: state variables over functions over contracts
-            members = {**scope, **{f.name: f for f in stmt.functions},
-                       **{v.name: v for v in stmt.state_vars}}
-            bind_stmts(stmt.members, members, stmt)
-        else:
-            bind_stmts(stmt.contracts, {c.name: c for c in stmt.contracts}, stmt)
-
-    bind_stmt(unit, {}, None)
+    # (node, scope, parent); a list entry is a scoped node's statement list, and
+    # (None, scope, decl) declares a local once its initializer is bound
+    stack: list = [(unit, {}, None)]
+    while stack:
+        node, scope, parent = stack.pop()
+        cls = node.__class__
+        if cls is list:
+            scope = dict(scope)
+            stack.extend([(item, scope, parent) for item in reversed(node)])
+            continue
+        if node is None:
+            scope[parent.name] = parent
+            continue
+        node.parent = parent
+        index[cls].append(node)
+        if cls is Ident:
+            node.decl = scope.get(node.name)
+            continue
+        scoped = cls in _SCOPED
+        if scoped:
+            scope = {**scope, **{decl.name: decl for decl in _hoisted(node)}}
+        elif cls is VarDeclStmt:
+            stack.append((None, scope, node))
+        for field in reversed(cls._child_fields):
+            value = getattr(node, field)
+            if value.__class__ is list and not scoped:
+                stack.extend([(item, scope, node) for item in reversed(value)])
+            elif value is not None:
+                stack.append((value, scope, node))
     unit.index = index
 
 

@@ -620,6 +620,12 @@ def test_bench_tracer_sees_the_untraced_output_and_every_token(capsys):
     assert doc["stdout"] == out
     tokens = sum(len(tokenize(Path(path).read_text(encoding="utf-8"))) for path in files)
     assert doc["counters"]["lexer.tokens"] == tokens > 0
+    # its per-layer view times each analyzer stage by name: a renamed or fused
+    # stage would read zero calls, not an error
+    calls = {name: total[0] for name, total in doc["totals"].items()}
+    for name in ("parser.parse", "parser.bind", "rules.analyze"):
+        assert calls.get(name) == len(files), name
+    assert calls.get("rules.serialize") == 1
     # its per-rule view runs analyze with one rule enabled: each counts what analyze reports
     counted = {rule.id: doc["counters"][f"rules.{rule.id}.findings"] for rule in rule_catalog()}
     found = Counter(finding["rule_id"] for finding in json.loads(out)["findings"])

@@ -369,6 +369,17 @@ class TestParser:
         # a bad statement: the block's '}' still closes it
         ("contract C { function f() public { x = (1; y = 2; } function g() public { z = ; } }",
          ["1:42: error: expected ')', found ';'", "1:79: error: expected expression, found ';'"]),
+        # a bad 'for' header is skipped whole: its own ';' and ')' are not statements
+        ("contract C {\n    function f(uint256 n) public {\n"
+         "        for (uint256 i = 0 i < n; i++) n = n - 1;\n        n = ;\n    }\n}\n",
+         ["3:28: error: expected ';', found 'i'", "4:13: error: expected expression, found ';'"]),
+        # a header that lost its ')': the body's '}' closes the open '(' with it, so
+        # the skip ends at the next ';' and the block's '}' is not swallowed
+        ("contract C {\n    function f(uint256 n) public {\n"
+         "        for (uint256 i = 0; i < n; i++ {\n            n = n - 1;\n        }\n"
+         "        n = 0;\n        n = ;\n    }\n    function g() public { x = ; }\n}\n",
+         ["3:40: error: expected ')', found '{'", "7:13: error: expected expression, found ';'",
+          "9:31: error: expected expression, found ';'"]),
         # a lost '}': the next member ends the block, and each enclosing one, reported once
         ("contract C {\n    function f() public {\n        x = 1;\n\n    function g() public {}\n}\n",
          ["5:5: error: unsupported construct: 'function' inside a function body"]),
@@ -380,7 +391,7 @@ class TestParser:
          ["1:36: error: unsupported construct: 'function' inside a function body",
           "1:61: error: expected 'contract', found '}'"]),
     ], ids=["member", "contract-header", "contract-name", "stray-braces", "statement",
-            "lost-brace", "lost-braces", "function-in-body"])
+            "for-header", "for-header-paren", "lost-brace", "lost-braces", "function-in-body"])
     def test_recovery_resumes_at_the_bad_items_own_level(self, source, diagnostics):
         with pytest.raises(MiniSolSyntaxError) as err:
             parse_source(source)
@@ -574,10 +585,11 @@ class TestParser:
             "contract C { uint256 n;\n"
             " function f() public { uint256 x = x; n = 1; uint256 n = x; n = 2; }\n"
             " function g() public { for (uint256 i = 0; i < 3; i++) { h(i); } i = 1; }\n"
-            " function h(uint256 n) public { if (n > 0) { uint256 n = 1; n = 2; } n = 3; } }"
+            " function h(uint256 n) public { if (n > 0) { uint256 n = 1; n = 2; } n = 3; }\n"
+            " function k(bool c) public { if (c) { uint256 n = 1; uint256 y = n; } else { n = y; } } }"
         )
         state_n = unit.contracts[0].state_vars[0]
-        f, g, h = unit.contracts[0].functions
+        f, g, h, k = unit.contracts[0].functions
 
         def assert_decls(node, expected):  # by identity, in source order
             got = [i.decl for i in walk(node) if isinstance(i, Ident)]
@@ -592,6 +604,9 @@ class TestParser:
         # a block's local ends with the block, and the parameter shows again
         param_n, inner_n = h.params[0], h.body[0].then_body[0]
         assert_decls(h, [param_n, inner_n, param_n])
+        # an else body sees none of the then body's locals
+        then_n = k.body[0].then_body[0]
+        assert_decls(k, [k.params[0], then_n, state_n, None])
 
 
 GOLDEN_REPR = Path(__file__).parent / "golden" / "nodes_repr.txt"

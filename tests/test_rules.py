@@ -228,6 +228,16 @@ class TestTimeRules:
         )
         assert analyze_text(source) == []
 
+    @pytest.mark.parametrize("literal, fires", [(999_999, False), (1_000_000, True)])
+    def test_block_number_floor_is_inclusive(self, literal, fires):
+        # the README's table: a literal of at least block_number_literal_min
+        source = (
+            f"contract C {{ uint256 public launchBlock = {literal};"
+            " function live() public view returns (bool)"
+            " { return block.number >= launchBlock; } }"
+        )
+        assert [f.rule_id for f in analyze_text(source)] == ["ARB-TIME-002"] * fires
+
     def test_big_literal_on_unlinked_variable_not_flagged(self):
         source = (
             "contract C { uint256 public cap = 21000000;"
@@ -406,6 +416,13 @@ class TestAnalyzeContract:
                 full = analyze(unit)
                 subset = analyze(unit, config)
                 assert subset == [f for f in full if f.rule_id != dropped]
+
+    @pytest.mark.parametrize("width", [120, 121])
+    def test_an_excerpt_keeps_at_most_120_characters(self, width):
+        call = "getPrice(" + "a" * (width - 10) + ")"
+        [finding] = analyze_text(wrap(f"uint256 p = {call};"))
+        assert len(call) == width
+        assert finding.excerpt == (call if width == 120 else call[:117] + "...")
 
     def test_editing_one_function_only_moves_its_findings(self):
         base = (
@@ -710,6 +727,26 @@ class TestOnePassIndex:
         assert (finding.rule_id, finding.line, finding.column, finding.excerpt) == (
             "ARB-ALIAS-001", 0, 0, "")
         assert check.condition.right.decl is owner
+
+    def test_analyze_binds_a_unit_built_by_hand_at_any_depth(self):
+        # 1,000 nested ifs: deeper than the parser accepts and than Python's recursion limit
+        total = StateVarDecl(ElementaryType("uint256"), None, "total")
+        cap = Param(ElementaryType("uint256"), "cap")
+        check = RequireStmt(BinaryExpr("==", MemberAccess(Ident("block"), "number"), NumberLit(17000000)))
+        store = AssignStmt(Ident("total"), "=", Ident("cap"))
+        body = [check, store]
+        for _ in range(1_000):
+            body = [IfStmt(Ident("cap"), body)]
+        unit = SourceUnit([ContractDef("C", [total, FunctionDef("f", [cap], body=body)])])
+        [finding] = analyze(unit)
+        assert finding.rule_id == "ARB-TIME-001" and len(unit.index[IfStmt]) == 1_000
+        assert store.target.decl is total and store.value.decl is cap
+        assert check.condition.left.obj.decl is None
+        holders = []  # the 1,000 ifs, the function, the contract and the unit
+        node = store
+        while (node := node.parent) is not None:
+            holders.append(node)
+        assert len(holders) == 1_003 and holders[999] is body[0] and holders[-1] is unit
 
     def test_index_is_not_a_field(self):
         parsed = parse_source((CORPUS / "alias_permission_dirty.sol").read_text(), path="a.sol")
