@@ -8,10 +8,20 @@ Exit codes: 0 = ran (and, with --check, nothing beyond expectation);
 from __future__ import annotations
 
 import argparse
+import contextlib
+import marshal
+import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
+
+# `analyze` forks one worker per usable CPU once each would get this many files:
+# a forked worker paid for itself at about 16 files in fresh-process runs.  Where
+# os.sched_getaffinity is missing (every platform without fork, and macOS), it never forks.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_PER_WORKER = 32
 
 
 def _usage_error(message: str) -> int:
@@ -19,9 +29,74 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _outcome(path: str, config) -> tuple:
+    """One file's result, in values marshal can send: ("read", error),
+    ("syntax", diagnostics) or ("ok", findings as plain tuples)."""
     from .minisol import MiniSolSyntaxError, parse_source
-    from .rules import RuleConfig, analyze, findings_to_json, get_rule
+    from .rules import analyze
+    try:
+        source = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        return "read", str(exc)
+    try:
+        unit = parse_source(source, path=path)
+    except MiniSolSyntaxError as exc:
+        return "syntax", [str(diag) for diag in exc.diagnostics]
+    return "ok", [tuple(finding) for finding in analyze(unit, config)]
+
+
+def _delivered(first: int, children: list):
+    """Per path, what a worker sent for it, or None where the caller computes it:
+    the first slice's paths and every path of a worker that sent nothing."""
+    yield from repeat(None, first)
+    for _, pipe, size in children:
+        try:
+            yield from marshal.loads(pipe.read())
+        except (EOFError, ValueError):  # the worker raised or died before it sent its list
+            yield from repeat(None, size)
+    yield from repeat(None)
+
+
+@contextlib.contextmanager
+def _fan_out(paths: list[str], config):
+    """Split paths into contiguous slices, one per worker, and fork a child for
+    each slice after the first; yield _delivered over them.  With one worker
+    nothing forks.  On exit every read end is closed, so no child stays blocked
+    on a full pipe, and then every child is reaped."""
+    count = max(1, min(_WORKERS, len(paths) // _PER_WORKER))
+    bounds = [len(paths) * k // count for k in range(count + 1)]
+    children = []  # (pid, read end, slice size)
+    try:
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the parent computes the rest
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:  # the worker: it never returns into the caller
+                try:
+                    os.close(read)
+                    for _, pipe, _ in children:
+                        pipe.close()
+                    outcomes = [_outcome(path, config) for path in paths[start:stop]]
+                    with open(write, "wb") as pipe:
+                        pipe.write(marshal.dumps(outcomes))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb"), stop - start))
+        yield _delivered(bounds[1], children)
+    finally:
+        for _, pipe, _ in children:
+            pipe.close()
+        for pid, _, _ in children:
+            os.waitpid(pid, 0)
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .rules import Finding, RuleConfig, findings_to_json, get_rule
     config = RuleConfig()
     if args.config:
         try:
@@ -38,21 +113,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     findings = []
     files = []
     status = 0  # 2 once any file is unreadable or unparseable; every bad file is reported
-    for path in dict.fromkeys(args.paths):  # each distinct path once, in the order given
-        try:
-            source = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            status = _usage_error(f"cannot read {path}: {exc}")
-            continue
-        try:
-            unit = parse_source(source, path=path)
-        except MiniSolSyntaxError as exc:
-            for diag in exc.diagnostics:
-                print(f"{path}:{diag}", file=sys.stderr)
-            status = 2
-            continue
-        files.append(path)
-        findings.extend(analyze(unit, config))
+    paths = list(dict.fromkeys(args.paths))  # each distinct path once, in the order given
+    with _fan_out(paths, config) as delivered:
+        for path, outcome in zip(paths, delivered):
+            kind, value = outcome or _outcome(path, config)
+            if kind == "read":
+                status = _usage_error(f"cannot read {path}: {value}")
+            elif kind == "syntax":
+                for diag in value:
+                    print(f"{path}:{diag}", file=sys.stderr)
+                status = 2
+            else:
+                files.append(path)
+                findings.extend(map(Finding._make, value))
     if status:
         return status
 

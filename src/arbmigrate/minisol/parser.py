@@ -67,7 +67,8 @@ _LOCATIONS = ("memory", "calldata", "storage")
 _DECLARED = (ContractDef, StateVarDecl, FunctionDef, VarDeclStmt)
 # Where each braced list resumes after a bad item (_Parser._resync): the unit at
 # the next 'contract'; a contract at a member start right after a ';' or '}'; a
-# block past the next ';' or before its '}'.  Brackets count from the item's first token.
+# block right after a ';' or the '}' that closes the item's outermost brace, unless
+# an 'else' follows, or before its own '}'.  Brackets count from the item's first token.
 _UNIT = frozenset({"contract"})
 _MEMBERS = _TYPE_START | {"function"}
 _BLOCK: frozenset[str] = frozenset()
@@ -217,8 +218,8 @@ class _Parser:
             elif groups and text in (")", "]"):
                 groups -= 1
             self.pos += 1
-            if self.pos > failed and not braces and not groups and (
-                    text == ";" and not follow or text in (";", "}") and texts[self.pos] in follow):
+            if self.pos > failed and not braces and not groups and text in (";", "}") and (
+                    texts[self.pos] in follow if follow else texts[self.pos] != "else"):
                 return
 
     def _braced(self, parse_item, follow: frozenset[str]) -> list:

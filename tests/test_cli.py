@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import arbmigrate
+from arbmigrate import cli, rules
 from arbmigrate.aliasing import Address
 from arbmigrate.chainmodel import MAX_TABLE_ROWS
 from arbmigrate.cli import main
@@ -241,6 +243,142 @@ class TestAnalyze:
         doc = json.loads(out)
         files = [f["file"] for f in doc["findings"]]
         assert files == sorted(files)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns in this process, one per worker the parent starts."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+# Each case maps the 70 corpus copies and the odd files to an argv; a worker's
+# slice holds paths 24 and beyond when three workers share 70 or so paths.
+_FAN_OUT_CASES = {
+    "corpus-json": lambda f, odd: ["--format", "json", *f],
+    "corpus-text": lambda f, odd: ["--format", "text", *f],
+    "check": lambda f, odd: ["--check", "--format", "json", *f],
+    "rules": lambda f, odd: ["--rules", "ARB-TIME-001,ARB-DOS-001", "--format", "text", *f],
+    "repeated-path": lambda f, odd: [*f[:40], f[2], f[55], *f[40:], f[60], f[60]],
+    "unreadable": lambda f, odd: [*f[:30], odd["missing"], *f[30:50], odd["folder"], *f[50:]],
+    "non-utf8": lambda f, odd: [*f[:50], odd["latin1"], *f[50:]],
+    "syntax-error": lambda f, odd: [*f[:30], odd["bad"], *f[30:]],
+}
+
+
+class TestAnalyzeFanOut:
+    """analyze split across forked workers prints what the one-process loop prints."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        files = []
+        for copy in range(5):  # the corpus five times over, under distinct paths
+            folder = tmp_path / f"copy{copy}"
+            folder.mkdir()
+            for source in sorted(CORPUS.glob("*.sol")):
+                (folder / source.name).write_bytes(source.read_bytes())
+                files.append(str(folder / source.name))
+        odd = {"missing": tmp_path / "missing.sol", "folder": tmp_path / "copy0",
+               "latin1": tmp_path / "latin1.sol", "bad": tmp_path / "bad.sol"}
+        odd["latin1"].write_bytes("contract C {} // caf\u00e9".encode("latin-1"))
+        odd["bad"].write_text("contract C { function f() public { uint256 x = ; } }")
+        return files, {name: str(path) for name, path in odd.items()}
+
+    @pytest.mark.parametrize("case", _FAN_OUT_CASES)
+    def test_forked_run_prints_what_the_serial_run_prints(self, tree, case, capsys, monkeypatch, forks):
+        argv = ["analyze", *_FAN_OUT_CASES[case](*tree)]
+        monkeypatch.setattr(cli, "_WORKERS", 1)
+        serial = run(capsys, *argv)
+        assert forks == []
+        monkeypatch.setattr(cli, "_WORKERS", 3)
+        monkeypatch.setattr(cli, "_PER_WORKER", 2)
+        assert run(capsys, *argv) == serial
+        assert len(forks) == 2
+        _no_child_left()
+
+    def test_an_error_in_a_workers_slice_surfaces_from_the_parent(self, tree, capsys, monkeypatch, forks):
+        files, odd = tree
+        real = rules.analyze
+
+        def analyze(unit, config=None):
+            if unit.path == files[60]:  # in the last worker's slice
+                raise RuntimeError(f"analyze failed on {unit.path}")
+            return real(unit, config)
+
+        monkeypatch.setattr(rules, "analyze", analyze)
+        monkeypatch.setattr(cli, "_PER_WORKER", 2)
+        argv = ["analyze", *files[:10], odd["bad"], *files[10:50], odd["missing"], *files[50:]]
+        seen = []
+        for workers in (1, 3):
+            monkeypatch.setattr(cli, "_WORKERS", workers)
+            with pytest.raises(RuntimeError) as err:
+                main(argv)
+            seen.append((str(err.value), capsys.readouterr()))
+            _no_child_left()
+        assert len(forks) == 2
+        assert seen[0] == seen[1]
+        message, (out, err) = seen[0]
+        assert message == f"analyze failed on {files[60]}" and out == ""
+        bad_line, missing_line = err.splitlines()
+        assert bad_line == f"{odd['bad']}:1:48: error: expected expression, found ';'"
+        assert missing_line.startswith(f"error: cannot read {odd['missing']}: ")
+
+    def test_an_error_in_the_parents_slice_leaves_no_worker_blocked(self, tmp_path, monkeypatch, forks):
+        # the worker's outcomes outgrow a pipe's buffer, so its write blocks until the
+        # parent reads them or closes the read end; the parent raises before reading
+        big = tmp_path / "big.sol"
+        big.write_text("contract Big { function f(uint256 n) public {\n"
+                       + "        require(block.number != n);\n" * 3000 + "} }\n")
+        first = str(CORPUS / "dos_loop_dirty.sol")
+        real = rules.analyze
+
+        def analyze(unit, config=None):
+            if unit.path == first:
+                raise RuntimeError(f"analyze failed on {unit.path}")
+            return real(unit, config)
+
+        monkeypatch.setattr(cli, "_WORKERS", 2)
+        monkeypatch.setattr(cli, "_PER_WORKER", 1)
+
+        def hung(signum, frame):
+            raise TimeoutError("the parent waited on a blocked worker")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            monkeypatch.setattr(rules, "analyze", analyze)
+            with pytest.raises(RuntimeError, match="dos_loop_dirty"):
+                main(["analyze", first, str(big)])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 1
+        _no_child_left()
+
+    @pytest.mark.parametrize("count, workers", [(30, 0), (63, 0), (64, 1)])
+    def test_the_default_floor_forks_only_for_32_files_a_worker(self, tree, count, workers, capsys,
+                                                                  monkeypatch, forks):
+        monkeypatch.setattr(cli, "_WORKERS", 2)
+        if not workers:
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        code, out, _ = run(capsys, "analyze", "--format", "json", *tree[0][:count])
+        assert code == 0 and len(json.loads(out)["files"]) == count
+        assert len(forks) == workers
+        _no_child_left()
 
 
 _OUT_OF_RANGE = [

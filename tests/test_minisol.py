@@ -373,13 +373,21 @@ class TestParser:
         ("contract C {\n    function f(uint256 n) public {\n"
          "        for (uint256 i = 0 i < n; i++) n = n - 1;\n        n = ;\n    }\n}\n",
          ["3:28: error: expected ';', found 'i'", "4:13: error: expected expression, found ';'"]),
-        # a header that lost its ')': the body's '}' closes the open '(' with it, so
-        # the skip ends at the next ';' and the block's '}' is not swallowed
+        # a header that lost its ')': the body's '}' closes the open '(' with it and
+        # ends the skip there, so the block's '}' is not swallowed
         ("contract C {\n    function f(uint256 n) public {\n"
          "        for (uint256 i = 0; i < n; i++ {\n            n = n - 1;\n        }\n"
          "        n = 0;\n        n = ;\n    }\n    function g() public { x = ; }\n}\n",
          ["3:40: error: expected ')', found '{'", "7:13: error: expected expression, found ';'",
           "9:31: error: expected expression, found ';'"]),
+        # a bad header with a braced body ends at the body's '}', so the next statement's
+        # error is reported; an 'else' after that '}' still belongs to the bad item
+        ("contract C { function f(uint256 n) public { if (n n) { n = 1; } n = ; } }",
+         ["1:51: error: expected ')', found 'n'", "1:69: error: expected expression, found ';'"]),
+        ("contract C { function f(uint256 n) public { while (n n) { n = 1; } n = ; } }",
+         ["1:54: error: expected ')', found 'n'", "1:72: error: expected expression, found ';'"]),
+        ("contract C { function f(uint256 n) public { if (n n) { n = 1; } else { n = 2; } n = ; } }",
+         ["1:51: error: expected ')', found 'n'", "1:85: error: expected expression, found ';'"]),
         # a lost '}': the next member ends the block, and each enclosing one, reported once
         ("contract C {\n    function f() public {\n        x = 1;\n\n    function g() public {}\n}\n",
          ["5:5: error: unsupported construct: 'function' inside a function body"]),
@@ -391,7 +399,8 @@ class TestParser:
          ["1:36: error: unsupported construct: 'function' inside a function body",
           "1:61: error: expected 'contract', found '}'"]),
     ], ids=["member", "contract-header", "contract-name", "stray-braces", "statement",
-            "for-header", "for-header-paren", "lost-brace", "lost-braces", "function-in-body"])
+            "for-header", "for-header-paren", "if-header", "while-header", "if-header-else",
+            "lost-brace", "lost-braces", "function-in-body"])
     def test_recovery_resumes_at_the_bad_items_own_level(self, source, diagnostics):
         with pytest.raises(MiniSolSyntaxError) as err:
             parse_source(source)
