@@ -12,7 +12,6 @@ import contextlib
 import marshal
 import os
 import sys
-from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -30,42 +29,32 @@ def _usage_error(message: str) -> int:
 
 
 def _outcome(path: str, config) -> tuple:
-    """One file's result, in values marshal can send: ("read", error),
-    ("syntax", diagnostics) or ("ok", findings as plain tuples)."""
+    """One file's stderr lines and its findings as plain tuples, None once the
+    file is unreadable or unparseable: values marshal can send."""
     from .minisol import MiniSolSyntaxError, parse_source
     from .rules import analyze
     try:
         source = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        return "read", str(exc)
+        return [f"error: cannot read {path}: {exc}"], None
     try:
         unit = parse_source(source, path=path)
     except MiniSolSyntaxError as exc:
-        return "syntax", [str(diag) for diag in exc.diagnostics]
-    return "ok", [tuple(finding) for finding in analyze(unit, config)]
+        return [f"{path}:{diag}" for diag in exc.diagnostics], None
+    return [], [tuple(finding) for finding in analyze(unit, config)]
 
 
-def _delivered(first: int, children: list):
-    """Per path, what a worker sent for it, or None where the caller computes it:
-    the first slice's paths and every path of a worker that sent nothing."""
-    yield from repeat(None, first)
-    for _, pipe, size in children:
-        try:
-            yield from marshal.loads(pipe.read())
-        except (EOFError, ValueError):  # the worker raised or died before it sent its list
-            yield from repeat(None, size)
-    yield from repeat(None)
-
-
-@contextlib.contextmanager
-def _fan_out(paths: list[str], config):
-    """Split paths into contiguous slices, one per worker, and fork a child for
-    each slice after the first; yield _delivered over them.  With one worker
-    nothing forks.  On exit every read end is closed, so no child stays blocked
-    on a full pipe, and then every child is reaped."""
+def _outcomes(paths: list[str], config):
+    """Each path's _outcome, in path order.  The paths are split into contiguous
+    slices, one per worker, and a child is forked for each slice after the first;
+    the parent computes its own slice, and every slice whose worker sent nothing
+    (its fork failed, or it raised or died) at that slice's place.  With one
+    worker nothing forks.  When the generator ends or is closed, every read end
+    is closed, so no child stays blocked on a full pipe, and then every child is
+    reaped."""
     count = max(1, min(_WORKERS, len(paths) // _PER_WORKER))
     bounds = [len(paths) * k // count for k in range(count + 1)]
-    children = []  # (pid, read end, slice size)
+    children = []  # (pid, read end), one per slice after the first until a fork fails
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
             read, write = os.pipe()
@@ -78,7 +67,7 @@ def _fan_out(paths: list[str], config):
             if pid == 0:  # the worker: it never returns into the caller
                 try:
                     os.close(read)
-                    for _, pipe, _ in children:
+                    for _, pipe in children:
                         pipe.close()
                     outcomes = [_outcome(path, config) for path in paths[start:stop]]
                     with open(write, "wb") as pipe:
@@ -86,17 +75,22 @@ def _fan_out(paths: list[str], config):
                 finally:
                     os._exit(0)
             os.close(write)
-            children.append((pid, open(read, "rb"), stop - start))
-        yield _delivered(bounds[1], children)
+            children.append((pid, open(read, "rb")))
+        for k, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            sent = []
+            if 0 < k <= len(children):
+                with contextlib.suppress(EOFError, ValueError):  # the worker sent nothing
+                    sent = marshal.loads(children[k - 1][1].read())
+            yield from sent or (_outcome(path, config) for path in paths[start:stop])
     finally:
-        for _, pipe, _ in children:
+        for _, pipe in children:
             pipe.close()
-        for pid, _, _ in children:
+        for pid, _ in children:
             os.waitpid(pid, 0)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .rules import Finding, RuleConfig, findings_to_json, get_rule
+    from .rules import Finding, RuleConfig, findings_to_doc, findings_to_json
     config = RuleConfig()
     if args.config:
         try:
@@ -114,33 +108,26 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     files = []
     status = 0  # 2 once any file is unreadable or unparseable; every bad file is reported
     paths = list(dict.fromkeys(args.paths))  # each distinct path once, in the order given
-    with _fan_out(paths, config) as delivered:
-        for path, outcome in zip(paths, delivered):
-            kind, value = outcome or _outcome(path, config)
-            if kind == "read":
-                status = _usage_error(f"cannot read {path}: {value}")
-            elif kind == "syntax":
-                for diag in value:
-                    print(f"{path}:{diag}", file=sys.stderr)
+    with contextlib.closing(_outcomes(paths, config)) as outcomes:
+        for path, (lines, found) in zip(paths, outcomes):
+            for line in lines:
+                print(line, file=sys.stderr)
+            if found is None:
                 status = 2
             else:
                 files.append(path)
-                findings.extend(map(Finding._make, value))
+                findings.extend(map(Finding._make, found))
     if status:
         return status
 
     if args.format == "json":
-        sys.stdout.write(findings_to_json(findings, files))  # which sorts them itself
+        sys.stdout.write(findings_to_json(findings, files))
     else:
-        findings.sort(key=lambda f: f.sort_key())
-        for f in findings:
-            rule = get_rule(f.rule_id)
-            print(
-                f"{f.file}:{f.line}:{f.column}: {rule.severity.value} "
-                f"{f.rule_id}: {f.message}"
-            )
-            if f.excerpt:
-                print(f"    {f.excerpt}")
+        for f in findings_to_doc(findings, files)["findings"]:
+            print(f"{f['file']}:{f['line']}:{f['column']}: {f['severity']} "
+                  f"{f['rule_id']}: {f['message']}")
+            if f["excerpt"]:
+                print(f"    {f['excerpt']}")
         print(f"{len(findings)} finding(s) in {len(files)} file(s)")
     if args.check and findings:
         return 1

@@ -30,6 +30,8 @@ class GasParams(FrozenRecord):
             raise ValueError("gas parameters must be non-negative")
         if gas_price_l2 < 0:
             raise ValueError("gas_price_l2 must be non-negative")
+        if max(gas_used_l2, calldata_price_l1, calldata_size_l1, gas_price_l2) >= 2**256:
+            raise ValueError("gas parameters must be below 2**256")
         vars(self).update(gas_used_l2=gas_used_l2, calldata_price_l1=calldata_price_l1,
                           calldata_size_l1=calldata_size_l1, gas_price_l2=gas_price_l2)
 

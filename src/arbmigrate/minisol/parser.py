@@ -174,6 +174,15 @@ class _Parser:
         self.pos += 1
         return self.texts[self.pos - 1]
 
+    def _number(self) -> int:
+        """Consume a number token; its value, a uint256.  The length is checked first:
+        a uint256 has at most 78 digits, and int() refuses text of over 4,300."""
+        text = self.texts[self.pos]
+        if len(text) > 78 or (value := int(text)) >= 2**256:
+            raise self._fail("number literal out of uint256 range")
+        self.pos += 1
+        return value
+
     def _node_span(self, start: int) -> Span:
         """From the offset start through the last token consumed."""
         return Span(start, self.ends[self.pos - 1])
@@ -201,7 +210,8 @@ class _Parser:
         '{' opens a brace, and a '}' closes only a brace, the outermost one's
         every group too.  An item that fails at its first token loses at least that token."""
         texts, failed = self.texts, self.pos
-        self.pos, groups, braces = first, 0, 0
+        # a 'for' that lost its '(' still has the header's ';'s in a group, closed by its ')'
+        self.pos, groups, braces = first, int(texts[first] == "for" and texts[first + 1] != "("), 0
         while text := texts[self.pos]:
             if self.pos >= failed and not braces and text == ("contract" if follow is _UNIT else "}"):
                 # a '}' that a member start or another '}' follows ends the bad member
@@ -359,7 +369,7 @@ class _Parser:
         if self._accept("["):
             length = None
             if self.kinds[self.pos] is TokenKind.NUMBER:
-                length = int(self._advance())
+                length = self._number()
             self._expect("]")
             base = ArrayType(base, length, span=self._node_span(base.span.start))
             if self._check("["):
@@ -547,8 +557,7 @@ class _Parser:
             self.pos += 1
             return Ident(name=text, span=span)
         if kind is TokenKind.NUMBER:
-            self.pos += 1
-            return NumberLit(value=int(text), span=span)
+            return NumberLit(value=self._number(), span=span)
         if kind is TokenKind.HEX:
             self.pos += 1
             return HexLit(value=int(text, 16), span=span)

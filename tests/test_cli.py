@@ -530,6 +530,15 @@ class TestGasCommands:
         assert code == 2
         assert "gas_price_l2" in err
 
+    def test_calc_of_huge_arguments_is_usage_error(self, capsys):
+        # a 4,000-digit price times a 4,000-digit size made a gas limit too long to print (exit 1)
+        huge = "9" * 4000
+        code, out, err = run(
+            capsys, "gas", "calc", "--gas-used-l2", "1", "--calldata-price-l1", huge,
+            "--calldata-size-l1", huge, "--gas-price-l2", "1",
+        )
+        assert (code, out, err) == (2, "", "error: gas parameters must be below 2**256\n")
+
     def test_table_prints_six_rows_and_mean(self, capsys):
         code, out, _ = run(capsys, "gas", "table")
         assert code == 0
@@ -719,6 +728,28 @@ def test_entry_point_loads_only_its_layers(code, loaded, absent):
     assert not modules & {f"arbmigrate.{name}" for name in absent}
 
 
+def test_a_forked_analyze_loads_no_process_pool(tmp_path):
+    # the workers are os.fork children that send marshal data through pipes; importing
+    # a process pool costs an analyze job 19-39 ms, about half of what the fan-out saves
+    paths = []
+    for copy in range(5):  # 70 distinct paths: two workers of at least 32 files each
+        for source in sorted(CORPUS.glob("*.sol")):
+            paths.append(tmp_path / f"{copy}-{source.name}")
+            paths[-1].write_bytes(source.read_bytes())
+    code = f"""import os
+from arbmigrate import cli
+fork, forked = os.fork, []
+def counted():
+    forked.append(fork())
+    return forked[-1]
+os.fork, cli._WORKERS = counted, 2
+assert cli.main({["analyze", "--format", "json", *map(str, paths)]!r}) == 0 and len(forked) == 1
+"""
+    modules = _modules_after(code)
+    assert "arbmigrate.rules" in modules
+    assert not modules & {"multiprocessing", "concurrent.futures", "pickle"}
+
+
 @pytest.mark.parametrize("command", ["analyze", "checklist"])
 def test_analyzer_side_defines_its_classes_without_code_generation(tmp_path, command):
     # every analyze job is a fresh process: importing dataclasses (and inspect) and generating
@@ -825,6 +856,8 @@ _SMALL = st.integers(-5, 5000).map(str)
 # sizes far past the S1 and sim limits, which must exit 2; the sizes in between
 # are accepted and take seconds each, so they are left to the unit tests
 _SIZE = _SMALL | st.integers(10**11, 99999999999999999999).map(str)
+
+
 _SOURCE = st.one_of(
     st.builds(lambda src, cut: src[:cut], st.sampled_from([p.read_bytes() for p in sorted(CORPUS.glob("*.sol"))]),
               st.integers(0, 2000)),
@@ -913,6 +946,42 @@ def _draw_argv(data, tmp: Path) -> list[str]:
                      | st.lists(st.text(max_size=6), max_size=3))
 
 
+def _digits(low: int, high: int = 5000) -> st.SearchStrategy[str]:
+    """Numbers of low to high digits."""
+    return st.builds(lambda digit, count: digit * count, st.sampled_from("19"), st.integers(low, high))
+
+
+# Decimal literals past the uint256 range, as often within the 4,300-digit limit
+# of int() on text as past it.
+_HUGE_LITERAL = st.builds(
+    lambda template, digits: template.format(digits),
+    st.sampled_from(["contract C {{ uint256 x = {}; }}", "contract C {{ uint256[{}] x; }}",
+                     "contract C {{ function f() public {{ require(block.number > {}); }} }}"]),
+    _digits(79, 4300) | _digits(4301),
+)
+
+
+def _draw_huge(data, tmp: Path) -> tuple[list[str], Callable[[int, str, str], None] | None]:
+    """analyze over a decimal literal past the uint256 range, with the check of what it printed,
+    or gas calc with numbers of up to 5,000 digits."""
+    if data.draw(st.booleans()):
+        path = tmp / "huge.sol"
+        path.write_text(data.draw(_HUGE_LITERAL))
+
+        def expect(code: int, out: str, err: str) -> None:
+            assert (code, out) == (2, "")
+            message = "error: number literal out of uint256 range"
+            assert re.fullmatch(rf"{re.escape(str(path))}:1:\d+: {message}\n", err)
+
+        return ["analyze", str(path)], expect
+    # a price and a size of 2,151 digits or more: where int() takes both, their
+    # product is past its 4,300-digit limit
+    big = _digits(2151)
+    values = {"--gas-used-l2": _SMALL | big, "--calldata-price-l1": big, "--calldata-size-l1": big,
+              "--gas-price-l2": _SMALL | big}
+    return ["gas", "calc", *[arg for flag in values for arg in (flag, data.draw(values[flag]))]], None
+
+
 def _just_inside(declared, with_maximum: bool) -> st.SearchStrategy[str]:
     """--param values inside a declared domain: its edges and values near its minimum."""
     domain = declared.domain
@@ -976,9 +1045,13 @@ def _draw_declared(data) -> tuple[list[str], Callable[[int, str, str], None]]:
 @settings(max_examples=160, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_generated_argv_exits_zero_one_or_two(tmp_path, data):
-    # a quarter of the runs take their --param values from the declared domains
-    if data.draw(st.integers(0, 3)) == 0:
+    # a quarter of the runs take their --param values from the declared domains, and an
+    # eighth put numbers of up to 5,000 digits into an analyze source or gas calc
+    branch = data.draw(st.integers(0, 7))
+    if branch < 2:
         argv, expect = _draw_declared(data)
+    elif branch == 2:
+        argv, expect = _draw_huge(data, tmp_path)
     else:
         argv, expect = _draw_argv(data, tmp_path), None
     out, err = io.StringIO(), io.StringIO()

@@ -75,6 +75,15 @@ class TestGasFormula:
         with pytest.raises(ValueError):
             GasParams(-1, 0, 0, 1)
 
+    @pytest.mark.parametrize("field", range(4))
+    def test_params_are_uint256_values(self, field):
+        top = [1, 1, 1, 1]
+        top[field] = 2**256 - 1
+        assert gas_fees(GasParams(*top)) >= 2**256 - 1
+        top[field] = 2**256
+        with pytest.raises(ValueError, match=r"below 2\*\*256"):
+            GasParams(*top)
+
 
 class TestSavingsTable:
     def test_aave_row(self):

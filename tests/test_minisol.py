@@ -373,6 +373,12 @@ class TestParser:
         ("contract C {\n    function f(uint256 n) public {\n"
          "        for (uint256 i = 0 i < n; i++) n = n - 1;\n        n = ;\n    }\n}\n",
          ["3:28: error: expected ';', found 'i'", "4:13: error: expected expression, found ';'"]),
+        # a 'for' that lost its '(': its ')' still closes the header, so neither the
+        # header's ';'s nor its ')' read as statements
+        ("contract C {\n    function f(uint256 n) public {\n"
+         "        for uint256 i = 0; i < n; i++) {\n            n = n - 1;\n        }\n"
+         "        n = ;\n    }\n}\n",
+         ["3:13: error: expected '(', found 'uint256'", "6:13: error: expected expression, found ';'"]),
         # a header that lost its ')': the body's '}' closes the open '(' with it and
         # ends the skip there, so the block's '}' is not swallowed
         ("contract C {\n    function f(uint256 n) public {\n"
@@ -399,12 +405,28 @@ class TestParser:
          ["1:36: error: unsupported construct: 'function' inside a function body",
           "1:61: error: expected 'contract', found '}'"]),
     ], ids=["member", "contract-header", "contract-name", "stray-braces", "statement",
-            "for-header", "for-header-paren", "if-header", "while-header", "if-header-else",
-            "lost-brace", "lost-braces", "function-in-body"])
+            "for-header", "for-lost-paren", "for-header-paren", "if-header", "while-header",
+            "if-header-else", "lost-brace", "lost-braces", "function-in-body"])
     def test_recovery_resumes_at_the_bad_items_own_level(self, source, diagnostics):
         with pytest.raises(MiniSolSyntaxError) as err:
             parse_source(source)
         assert [str(d) for d in err.value.diagnostics] == diagnostics
+
+    def test_number_literals_are_uint256_values(self):
+        top = str(2**256 - 1)
+        unit = parse_source(f"contract C {{ uint256[{top}] a; uint256 b = {'0' * 78}; uint256 c = {top}; }}")
+        a, b, c = unit.contracts[0].state_vars
+        assert (a.var_type.length, b.initializer.value, c.initializer.value) == (2**256 - 1, 0, 2**256 - 1)
+        # one past the value or the length bound, and text past int()'s 4,300-digit limit
+        for literal in (str(2**256), "0" * 79, "9" * 4301, "1" + "0" * 5000):
+            for source in (f"contract C {{ uint256 x = {literal}; }}",
+                           f"contract C {{ uint256[{literal}] x; }}",
+                           f"contract C {{ function f() public {{ require(block.number > {literal}); }} }}"):
+                with pytest.raises(MiniSolSyntaxError) as err:
+                    parse_source(source)
+                column = source.index(literal) + 1
+                assert [str(d) for d in err.value.diagnostics] == [
+                    f"1:{column}: error: number literal out of uint256 range"]
 
     def test_bad_function_header_is_reported_once(self):
         # the '{' of syncAlias() deleted: the intact setOwner is not reported
