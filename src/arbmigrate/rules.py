@@ -24,6 +24,7 @@ from .minisol import (
     ElementaryType,
     ForStmt,
     FunctionDef,
+    HexLit,
     Ident,
     IndexAccess,
     LineIndex,
@@ -351,6 +352,7 @@ def _excerpt(unit: SourceUnit, node: Node, limit: int = 120) -> str:
 _Index = dict[type, list[Node]]  # SourceUnit.index, as annotate_bindings sets it
 _Add = Callable[[str, Node, str], None]
 _CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
+_INT_LITS = (NumberLit, HexLit)  # integer literals, decimal or hex
 
 
 def _detect_seq_001(index: _Index, config: RuleConfig, add: _Add) -> None:
@@ -415,7 +417,7 @@ def _detect_time_002(index: _Index, config: RuleConfig, add: _Add) -> None:
     for value, decl in ties:
         if (
             id(decl) in linked
-            and isinstance(value, NumberLit)
+            and isinstance(value, _INT_LITS)
             and value.value >= config.block_number_literal_min
         ):
             add(
@@ -433,7 +435,7 @@ def _detect_time_003(index: _Index, config: RuleConfig, add: _Add) -> None:
             continue
         for side, other in ((node.left, node.right), (node.right, node.left)):
             if (
-                isinstance(other, NumberLit)
+                isinstance(other, _INT_LITS)
                 and 0 < other.value < config.timestamp_threshold_s
                 and id(side) in stamps
             ):

@@ -499,17 +499,38 @@ class EventScriptError(ValueError):
     """Malformed event record."""
 
 
+# value -> member, so a submit reads its origin without calling the enum
+_ORIGINS = {origin.value: origin for origin in TxOrigin}
+
+
+def _integer(event: Mapping[str, Any], key: str, default: int | None = None) -> int:
+    value = event[key] if default is None else event.get(key, default)
+    if value.__class__ is not int and (not isinstance(value, int) or isinstance(value, bool)):
+        raise EventScriptError(f"field {key!r} expects an integer, got {value!r}")
+    return value
+
+
+def _boolean(event: Mapping[str, Any], key: str, default: bool) -> bool:
+    value = event.get(key, default)
+    if value is not True and value is not False:  # exactly isinstance(value, bool)
+        raise EventScriptError(f"field {key!r} expects a boolean, got {value!r}")
+    return value
+
+
 def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
     """Run an ordered event script against fresh simulator state.
 
     Returns a summary: executed transactions (with execution time and the
     gas parameters they carried), final queue contents, ticket states, and
-    the fee ledger.  A malformed record raises :class:`EventScriptError`
-    naming its index.
+    the fee ledger.  A transaction's summary row is built when its tick
+    runs: besides what a ``tick`` or ``expire_tickets`` record pops, each
+    record costs constant time.  A malformed record, or one that is not an
+    object, raises :class:`EventScriptError` naming its index.
     """
     seq = Sequencer()
     submitted: set[str] = set()  # the sequencer takes unique ids only
-    executed: list[tuple[L2Tx, int]] = []  # (tx, execution time)
+    executed: list[dict[str, Any]] = []  # summary rows, in execution order
+    staleness = 0  # the largest executed_at - submit_time so far
     ledger = retryable.FeeLedger()
     tickets: dict[str, retryable.Ticket] = {}
     created: dict[str, int] = {}  # ticket id -> creation order, reverted ones too
@@ -523,49 +544,44 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
             raise EventScriptError(f"unknown ticket id {ticket_id!r}")
         return tickets[ticket_id]
 
-    def integer(event: Mapping[str, Any], key: str, default: int | None = None) -> int:
-        value = event[key] if default is None else event.get(key, default)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise EventScriptError(f"field {key!r} expects an integer, got {value!r}")
-        return value
-
-    def boolean(event: Mapping[str, Any], key: str, default: bool) -> bool:
-        value = event.get(key, default)
-        if not isinstance(value, bool):
-            raise EventScriptError(f"field {key!r} expects a boolean, got {value!r}")
-        return value
-
     for index, event in enumerate(events):
         try:
+            if event.__class__ is not dict and not isinstance(event, Mapping):
+                raise EventScriptError(f"must be an object, got {event!r}")
             if "at" not in event or "action" not in event:
                 raise EventScriptError("must have 'at' and 'action'")
-            at = integer(event, "at")
+            at = _integer(event, "at")
             action = event["action"]
             if at < last_at:
                 raise EventScriptError(f"at {at} precedes {last_at}")
             last_at = at
 
-            if action == "sequencer_down":
-                seq.set_status(SequencerStatus.DOWN)
-            elif action == "sequencer_up":
-                seq.set_status(SequencerStatus.ACTIVE)
-            elif action == "submit_tx":
+            # most frequent actions first
+            if action == "submit_tx":
                 tx_id = str(event["id"])
                 if tx_id in submitted:
                     raise EventScriptError(f"transaction id {tx_id!r} already submitted")
+                origin = event.get("origin", "direct_to_sequencer")
                 seq.submit(
                     L2Tx(
                         id=tx_id,
                         submit_time=at,
-                        origin=TxOrigin(event.get("origin", "direct_to_sequencer")),
-                        gas_price=integer(event, "gas_price", 0),
-                        gas_limit=integer(event, "gas_limit", 0),
-                        underpriced=boolean(event, "underpriced", False),
+                        # TxOrigin converts or rejects whatever the table does not hold
+                        origin=origin.__class__ is str and _ORIGINS.get(origin) or TxOrigin(origin),
+                        gas_price=_integer(event, "gas_price", 0),
+                        gas_limit=_integer(event, "gas_limit", 0),
+                        underpriced=_boolean(event, "underpriced", False),
                     )
                 )
                 submitted.add(tx_id)
             elif action == "tick":
-                executed += [(tx, at) for tx in seq.tick(at)]
+                for tx in seq.tick(at):
+                    submit_time = tx.submit_time
+                    executed.append({"id": tx.id, "submit_time": submit_time, "executed_at": at,
+                                     "origin": tx.origin._value_, "gas_price": tx.gas_price,
+                                     "underpriced": tx.underpriced})
+                    if at - submit_time > staleness:
+                        staleness = at - submit_time
             elif action == "create_ticket":
                 ticket_id = str(event["id"])
                 if ticket_id in created:
@@ -576,27 +592,27 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                         ledger,
                         ticket_id=ticket_id,
                         created_at=at,
-                        funds_provided=integer(event, "funds_provided"),
-                        required=integer(event, "required"),
-                        submission_fee=integer(event, "submission_fee"),
-                        l2_gas_provided=integer(event, "l2_gas_provided"),
-                        callvalue=integer(event, "callvalue"),
-                        refund_address=integer(event, "refund_address", 0),
-                        l1_gas_spent=integer(event, "l1_gas_spent", 0),
-                        escrow_callvalue=boolean(event, "escrow_callvalue", True),
+                        funds_provided=_integer(event, "funds_provided"),
+                        required=_integer(event, "required"),
+                        submission_fee=_integer(event, "submission_fee"),
+                        l2_gas_provided=_integer(event, "l2_gas_provided"),
+                        callvalue=_integer(event, "callvalue"),
+                        refund_address=_integer(event, "refund_address", 0),
+                        l1_gas_spent=_integer(event, "l1_gas_spent", 0),
+                        escrow_callvalue=_boolean(event, "escrow_callvalue", True),
                     )
                 except retryable.TicketRevert:
                     pass  # a reverted ticket is in created but not in tickets
             elif action == "auto_redeem":
                 t = ticket(event)
-                if not retryable.auto_redeem(t, ledger, integer(event, "l2_gas_required"), now=at):
+                if not retryable.auto_redeem(t, ledger, _integer(event, "l2_gas_required"), now=at):
                     heapq.heappush(buffered, (t.deadline(), created[t.id], t))
             elif action == "manual_redeem":
                 retryable.manual_redeem(
                     ticket(event),
                     ledger,
-                    integer(event, "new_submission_fee"),
-                    integer(event, "l2_gas"),
+                    _integer(event, "new_submission_fee"),
+                    _integer(event, "l2_gas"),
                     now=at,
                 )
             elif action == "expire_tickets":
@@ -606,6 +622,10 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                 while buffered and buffered[0][0] <= at:
                     due.append(heapq.heappop(buffered)[2])
                 retryable.expire_tickets(due, ledger, now=at)
+            elif action == "sequencer_down":
+                seq.set_status(SequencerStatus.DOWN)
+            elif action == "sequencer_up":
+                seq.set_status(SequencerStatus.ACTIVE)
             else:
                 raise EventScriptError(f"unknown action {action!r}")
         except EventScriptError as exc:
@@ -616,20 +636,10 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
             raise EventScriptError(f"event {index}: {exc}") from exc
 
     return {
-        "executed": [
-            {
-                "id": tx.id,
-                "submit_time": tx.submit_time,
-                "executed_at": at,
-                "origin": tx.origin.value,
-                "gas_price": tx.gas_price,
-                "underpriced": tx.underpriced,
-            }
-            for tx, at in executed
-        ],
+        "executed": executed,
         "pending": [tx.id for tx in seq.pending],
         "delayed_inbox": list(seq.delayed_inbox),
-        "max_staleness_s": max((at - tx.submit_time for tx, at in executed), default=0),
+        "max_staleness_s": staleness,
         "tickets": {tid: t.state.value for tid, t in sorted(tickets.items())},
         "reverted_tickets": sorted(created.keys() - tickets.keys()),
         "ledger": ledger._asdict(),

@@ -770,6 +770,18 @@ def test_analyzer_side_defines_its_classes_without_code_generation(tmp_path, com
     assert not modules & {"dataclasses", "inspect"}
 
 
+_BENCH = Path(__file__).parents[1] / "bench"
+
+
+def _traced(*argv: str) -> dict:
+    """The document bench/tracer.py prints for one job run with argv."""
+    env = {**os.environ, "PYTHONPATH": str(Path(arbmigrate.__file__).parents[1])}
+    traced = subprocess.run([sys.executable, str(_BENCH / "tracer.py"), *argv],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert traced.returncode == 0, traced.stderr
+    return json.loads(traced.stdout)
+
+
 def test_bench_tracer_sees_the_untraced_output_and_every_token(capsys):
     # the benchmark's per-layer view wraps lexer.tokenize through parse_source's
     # module global and counts tokens as len() of what tokenize returns
@@ -778,12 +790,7 @@ def test_bench_tracer_sees_the_untraced_output_and_every_token(capsys):
     files = [str(path) for path in sorted(CORPUS.glob("*_dirty.sol"))]
     files.append(str(CORPUS / "alias_permission_clean.sol"))
     argv = ["analyze", "--format", "json", *files]
-    env = {**os.environ, "PYTHONPATH": str(Path(arbmigrate.__file__).parents[1])}
-    tracer = Path(__file__).parents[1] / "bench" / "tracer.py"
-    traced = subprocess.run([sys.executable, str(tracer), "cli", *argv],
-                            env=env, capture_output=True, text=True, timeout=60)
-    assert traced.returncode == 0, traced.stderr
-    doc = json.loads(traced.stdout)
+    doc = _traced("cli", *argv)
     code, out, _ = run(capsys, *argv)
     assert doc["exit"] == code == 0
     assert doc["stdout"] == out
@@ -799,6 +806,24 @@ def test_bench_tracer_sees_the_untraced_output_and_every_token(capsys):
     counted = {rule.id: doc["counters"][f"rules.{rule.id}.findings"] for rule in rule_catalog()}
     found = Counter(finding["rule_id"] for finding in json.loads(out)["findings"])
     assert counted == dict(found) and all(counted.values())
+
+
+def test_bench_tracer_sees_the_untraced_replay_and_every_layer_call():
+    # the per-layer view of a replay job wraps Sequencer's methods on the class and
+    # retryable's functions through module globals; a call that bypassed either
+    # would read zero calls for its layer, not fail
+    import runpy
+
+    doc = _traced("replay", str(_REPLAY_SCRIPT))
+    assert doc["exit"] == 0
+    assert doc["stdout"] == runpy.run_path(str(_BENCH / "replay_driver.py"))["run"](str(_REPLAY_SCRIPT))
+    actions = Counter(event["action"] for event in json.loads(_REPLAY_SCRIPT.read_text()))
+    calls = {name: total[0] for name, total in doc["totals"].items()}
+    assert calls.get("scenarios.replay") == 1
+    assert calls.get("sequencer.submit") == actions["submit_tx"] > 0
+    assert calls.get("sequencer.tick") == actions["tick"] > 0
+    assert calls.get("retryable.create") == actions["create_ticket"] > 0
+    assert calls.get("retryable.expire") == actions["expire_tickets"] > 0
 
 
 _REPLAY_SCRIPT = Path(__file__).parent / "golden" / "replay_script.json"

@@ -21,6 +21,7 @@ from arbmigrate.minisol import (
     ElementaryType,
     ForStmt,
     FunctionDef,
+    HexLit,
     Ident,
     IfStmt,
     IndexAccess,
@@ -228,9 +229,10 @@ class TestTimeRules:
         )
         assert analyze_text(source) == []
 
-    @pytest.mark.parametrize("literal, fires", [(999_999, False), (1_000_000, True)])
+    @pytest.mark.parametrize("literal, fires", [(999_999, False), (1_000_000, True),
+                                                ("0xF423F", False), ("0xF4240", True)])
     def test_block_number_floor_is_inclusive(self, literal, fires):
-        # the README's table: a literal of at least block_number_literal_min
+        # the README's table: a literal of at least block_number_literal_min, decimal or hex
         source = (
             f"contract C {{ uint256 public launchBlock = {literal};"
             " function live() public view returns (bool)"
@@ -261,6 +263,14 @@ class TestTimeRules:
 
     def test_timestamp_long_interval_silent(self):
         assert analyze_text(wrap("require(block.timestamp - last >= 3600);")) == []
+
+    @pytest.mark.parametrize("literal, fires", [("0x1e", True), ("0xE10", False)])
+    def test_timestamp_hex_interval_is_an_interval(self, literal, fires):
+        findings = analyze_text(wrap(f"require(block.timestamp - last >= {literal});"))
+        assert [f.rule_id for f in findings] == ["ARB-TIME-003"] * fires
+        assert [f.message for f in findings] == [
+            "block.timestamp used against a 30s interval, below the 60s reliability threshold"
+        ] * fires
 
     def test_timestamp_threshold_configurable(self):
         config = RuleConfig(timestamp_threshold_s=10)
@@ -856,7 +866,7 @@ def _reference_time_002(index, config, add):
     seen = {}
     linked = {id(decl) for value, decl in ties if _contains_member(value, "block", "number", seen)}
     for value, decl in ties:
-        if (id(decl) in linked and isinstance(value, NumberLit)
+        if (id(decl) in linked and isinstance(value, (NumberLit, HexLit))
                 and value.value >= config.block_number_literal_min):
             add("ARB-TIME-002", value,
                 f"hardcoded block number {value.value} tied to block.number via {decl.name!r}")
@@ -869,7 +879,7 @@ def _reference_time_003(index, config, add):
         if node.op not in ops:
             continue
         for side, other in ((node.left, node.right), (node.right, node.left)):
-            if (isinstance(other, NumberLit) and 0 < other.value < config.timestamp_threshold_s
+            if (isinstance(other, (NumberLit, HexLit)) and 0 < other.value < config.timestamp_threshold_s
                     and _contains_member(side, "block", "timestamp", seen)):
                 add("ARB-TIME-003", node,
                     f"block.timestamp used against a {other.value}s interval, "

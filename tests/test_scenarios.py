@@ -1,3 +1,4 @@
+import heapq
 import json
 import random
 import re
@@ -727,17 +728,157 @@ class TestEventReplay:
              "event 0: field 'escrow_callvalue' expects a boolean, got 0"),
             ([{"at": 0, "action": "submit_tx", "id": "a", "underpriced": 1}],
              "event 0: field 'underpriced' expects a boolean, got 1"),
+            ([{"at": 0, "action": ["tick"]}], "event 0: unknown action ['tick']"),
+            ([{"at": 0, "action": 5}], "event 0: unknown action 5"),
+            ([{"at": 0, "action": None}], "event 0: unknown action None"),
+            ([{"at": 0, "action": "submit_tx", "id": "a", "origin": ["x"]}],
+             "event 0: ['x'] is not a valid TxOrigin"),
+            ([{"at": 0, "action": "submit_tx", "id": "a", "origin": None}],
+             "event 0: None is not a valid TxOrigin"),
+            # a record with two faults reports the first in field order
+            ([{"at": "soon", "action": 5}], "event 0: field 'at' expects an integer, got 'soon'"),
+            ([{"at": 0, "action": "submit_tx", "id": "a", "origin": "moon", "gas_price": "1",
+               "underpriced": 0}],
+             "event 0: 'moon' is not a valid TxOrigin"),
+            ([{**_TICKET, "required": None, "escrow_callvalue": "no"}],
+             "event 0: field 'required' expects an integer, got None"),
+            ([None], "event 0: must be an object, got None"),
+            ([{"at": 0, "action": "tick"}, []], "event 1: must be an object, got []"),
+            ([["at", "action"]], "event 0: must be an object, got ['at', 'action']"),
+            ([5], "event 0: must be an object, got 5"),
+            (["tick"], "event 0: must be an object, got 'tick'"),
         ],
         ids=["unknown-ticket", "missing-id", "bad-origin", "duplicate-tx", "non-integer-at",
              "fractional-at", "string-at", "bool-at", "fractional-gas-price", "string-callvalue",
              "bool-gas-required", "second-auto-redeem", "redeem-after-window",
-             "string-false-escrow", "string-no-underpriced", "zero-escrow", "one-underpriced"],
+             "string-false-escrow", "string-no-underpriced", "zero-escrow", "one-underpriced",
+             "list-action", "int-action", "null-action", "list-origin", "null-origin",
+             "two-faults-at-first", "two-faults-in-a-submit", "two-faults-in-a-ticket",
+             "null-record", "list-record", "list-record-with-keys", "int-record", "string-record"],
     )
     def test_malformed_record_names_its_index(self, events, message):
         from arbmigrate.scenarios import replay_events
 
         with pytest.raises(EventScriptError, match=re.escape(message)):
             replay_events(events)
+
+
+def _reference_replay(events):
+    """replay_events as it was before summary rows were built at each tick:
+    (tx, time) pairs, closures for the field checks and TxOrigin(value) per submit."""
+    seq = Sequencer()
+    submitted = set()
+    executed = []
+    ledger = retryable.FeeLedger()
+    tickets = {}
+    created = {}
+    buffered = []
+    last_at = 0
+
+    def ticket(event):
+        ticket_id = str(event["id"])
+        if ticket_id not in tickets:
+            raise EventScriptError(f"unknown ticket id {ticket_id!r}")
+        return tickets[ticket_id]
+
+    def integer(event, key, default=None):
+        value = event[key] if default is None else event.get(key, default)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise EventScriptError(f"field {key!r} expects an integer, got {value!r}")
+        return value
+
+    def boolean(event, key, default):
+        value = event.get(key, default)
+        if not isinstance(value, bool):
+            raise EventScriptError(f"field {key!r} expects a boolean, got {value!r}")
+        return value
+
+    for index, event in enumerate(events):
+        try:
+            if "at" not in event or "action" not in event:
+                raise EventScriptError("must have 'at' and 'action'")
+            at = integer(event, "at")
+            action = event["action"]
+            if at < last_at:
+                raise EventScriptError(f"at {at} precedes {last_at}")
+            last_at = at
+
+            if action == "sequencer_down":
+                seq.set_status(SequencerStatus.DOWN)
+            elif action == "sequencer_up":
+                seq.set_status(SequencerStatus.ACTIVE)
+            elif action == "submit_tx":
+                tx_id = str(event["id"])
+                if tx_id in submitted:
+                    raise EventScriptError(f"transaction id {tx_id!r} already submitted")
+                seq.submit(
+                    L2Tx(
+                        id=tx_id,
+                        submit_time=at,
+                        origin=TxOrigin(event.get("origin", "direct_to_sequencer")),
+                        gas_price=integer(event, "gas_price", 0),
+                        gas_limit=integer(event, "gas_limit", 0),
+                        underpriced=boolean(event, "underpriced", False),
+                    )
+                )
+                submitted.add(tx_id)
+            elif action == "tick":
+                executed += [(tx, at) for tx in seq.tick(at)]
+            elif action == "create_ticket":
+                ticket_id = str(event["id"])
+                if ticket_id in created:
+                    raise EventScriptError(f"duplicate ticket id {ticket_id!r}")
+                created[ticket_id] = len(created)
+                try:
+                    tickets[ticket_id] = retryable.create_ticket(
+                        ledger,
+                        ticket_id=ticket_id,
+                        created_at=at,
+                        funds_provided=integer(event, "funds_provided"),
+                        required=integer(event, "required"),
+                        submission_fee=integer(event, "submission_fee"),
+                        l2_gas_provided=integer(event, "l2_gas_provided"),
+                        callvalue=integer(event, "callvalue"),
+                        refund_address=integer(event, "refund_address", 0),
+                        l1_gas_spent=integer(event, "l1_gas_spent", 0),
+                        escrow_callvalue=boolean(event, "escrow_callvalue", True),
+                    )
+                except retryable.TicketRevert:
+                    pass
+            elif action == "auto_redeem":
+                t = ticket(event)
+                if not retryable.auto_redeem(t, ledger, integer(event, "l2_gas_required"), now=at):
+                    heapq.heappush(buffered, (t.deadline(), created[t.id], t))
+            elif action == "manual_redeem":
+                retryable.manual_redeem(ticket(event), ledger, integer(event, "new_submission_fee"),
+                                        integer(event, "l2_gas"), now=at)
+            elif action == "expire_tickets":
+                due = []
+                while buffered and buffered[0][0] <= at:
+                    due.append(heapq.heappop(buffered)[2])
+                retryable.expire_tickets(due, ledger, now=at)
+            else:
+                raise EventScriptError(f"unknown action {action!r}")
+        except EventScriptError as exc:
+            raise EventScriptError(f"event {index}: {exc}") from None
+        except KeyError as exc:
+            raise EventScriptError(f"event {index}: missing field {exc}") from None
+        except (TypeError, ValueError, retryable.TicketStateError) as exc:
+            raise EventScriptError(f"event {index}: {exc}") from exc
+
+    return {
+        "executed": [
+            {"id": tx.id, "submit_time": tx.submit_time, "executed_at": at,
+             "origin": tx.origin.value, "gas_price": tx.gas_price, "underpriced": tx.underpriced}
+            for tx, at in executed
+        ],
+        "pending": [tx.id for tx in seq.pending],
+        "delayed_inbox": list(seq.delayed_inbox),
+        "max_staleness_s": max((at - tx.submit_time for tx, at in executed), default=0),
+        "tickets": {tid: t.state.value for tid, t in sorted(tickets.items())},
+        "reverted_tickets": sorted(created.keys() - tickets.keys()),
+        "ledger": ledger._asdict(),
+    }
 
 
 def _replay_with_full_scan_expiry(events):
@@ -825,3 +966,111 @@ def test_heap_expiry_matches_a_full_scan(events):
             return str(exc)
 
     assert outcome(replay_events) == outcome(_replay_with_full_scan_expiry)
+
+
+class _Amount(int):
+    """An int subclass: replay accepts it wherever it accepts an int."""
+
+
+# action -> (integer fields, boolean fields) it reads, "at" aside
+_TYPED_FIELDS = {
+    "submit_tx": (("gas_price", "gas_limit"), ("underpriced",)),
+    "create_ticket": (("funds_provided", "required", "submission_fee", "l2_gas_provided",
+                       "callvalue", "refund_address", "l1_gas_spent"), ("escrow_callvalue",)),
+    "auto_redeem": (("l2_gas_required",), ()),
+    "manual_redeem": (("new_submission_fee", "l2_gas"), ()),
+}
+_NOT_INTEGERS = ["7", 1.5, None, True, False, []]
+_NOT_BOOLEANS = [0, 1, "false", None, 1.0]
+# fault -> whether it fits events[i]; None, drawn half the time, injects none
+_FAULTS = {
+    "integer": lambda events, i, event: True,
+    "boolean": lambda events, i, event: event["action"] in ("submit_tx", "create_ticket"),
+    "missing": lambda events, i, event: True,
+    "duplicate": lambda events, i, event: "id" in event and any(
+        e["action"] == event["action"] for e in events[:i]),
+    "regression": lambda events, i, event: i > 0 and events[i - 1]["at"] > 0,
+    "action": lambda events, i, event: True,
+    "origin": lambda events, i, event: event["action"] == "submit_tx",
+}
+
+
+@st.composite
+def _mixed_scripts(draw):
+    """Scripts of all eight actions: both origins, underpriced transactions, outages
+    past the force-inclusion delay, and tickets that are auto-redeemed, buffered and then
+    manually redeemed or expired, or reverted. About half of them carry one fault."""
+    window = retryable.BUFFER_LIFETIME
+    events, created_at, fresh, buffered, at = [], {}, [], [], 0
+    for n in range(draw(st.integers(1, 30))):
+        at += draw(st.sampled_from([0, 0, 1, 300, 300, 86_400, 90_000, window]))
+        action = draw(st.sampled_from(["submit_tx", "tick", "create_ticket", "auto_redeem",
+                                       "manual_redeem"] * 2
+                                      + ["expire_tickets", "sequencer_down", "sequencer_up"]))
+        event = {"at": at, "action": action}
+        if action == "submit_tx":
+            amount = draw(st.sampled_from([int, _Amount]))
+            event.update(id=f"x{n}", gas_price=amount(draw(st.integers(0, 10**9))))
+            if draw(st.booleans()):
+                event.update(origin="delayed_inbox", underpriced=draw(st.booleans()))
+            elif draw(st.booleans()):
+                event.update(origin="direct_to_sequencer", gas_limit=draw(st.integers(0, 10**6)))
+        elif action == "create_ticket":
+            value, short = draw(st.integers(0, 50)), draw(st.integers(0, 4)) == 0
+            event.update({**_TICKET, "at": at, "id": f"t{n}", "funds_provided": 20 + value - short,
+                          "required": 20 + value, "callvalue": value, "l1_gas_spent": 5,
+                          "escrow_callvalue": draw(st.booleans())})
+            if not short:
+                created_at[f"t{n}"] = at
+                fresh.append(f"t{n}")
+        elif action == "auto_redeem":
+            if not fresh:
+                continue
+            tid = fresh.pop(draw(st.integers(0, len(fresh) - 1)))
+            fail = draw(st.booleans())
+            event.update(id=tid, l2_gas_required=11 if fail else 10)
+            buffered += [tid] * fail
+        elif action == "manual_redeem":
+            open_now = [tid for tid in buffered if at < created_at[tid] + window]
+            if not open_now:
+                continue
+            tid = draw(st.sampled_from(open_now))
+            buffered.remove(tid)
+            event.update(id=tid, new_submission_fee=3, l2_gas=4)
+        events.append(event)
+    fault = draw(st.sampled_from([None] * 7 + [*_FAULTS]))
+    fits = [i for i, event in enumerate(events) if fault and _FAULTS[fault](events, i, event)]
+    if fits:
+        index = draw(st.sampled_from(fits))
+        event = events[index] = dict(events[index])
+        integers, booleans = _TYPED_FIELDS.get(event["action"], ((), ()))
+        if fault == "integer":
+            event[draw(st.sampled_from(("at", *integers)))] = draw(st.sampled_from(_NOT_INTEGERS))
+        elif fault == "boolean":
+            event[booleans[0]] = draw(st.sampled_from(_NOT_BOOLEANS))
+        elif fault == "missing":
+            del event[draw(st.sampled_from(sorted(event)))]
+        elif fault == "duplicate":
+            event["id"] = draw(st.sampled_from([e["id"] for e in events[:index]
+                                                if e["action"] == event["action"]]))
+        elif fault == "regression":
+            event["at"] = draw(st.integers(0, events[index - 1]["at"] - 1))
+        elif fault == "action":
+            event["action"] = draw(st.sampled_from([["tick"], 5, None, "explode"]))
+        else:
+            event["origin"] = draw(st.sampled_from([["x"], None, 5, "moon"]))
+    return events
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=_mixed_scripts())
+def test_replay_matches_the_reference_loop(events):
+    from arbmigrate.scenarios import replay_events
+
+    def outcome(replay):
+        try:
+            return json.dumps(replay(events), sort_keys=True)
+        except EventScriptError as exc:
+            return str(exc)
+
+    assert outcome(replay_events) == outcome(_reference_replay)
