@@ -20,6 +20,16 @@ DEFAULT_BLOCK_INTERVAL = 15
 DEFAULT_SYNC_PERIOD = 60
 DEFAULT_SEQ_CLOCK_PRECISION = 1
 MAX_TABLE_ROWS = 100_000  # block_number_table builds every row in memory
+# The exclusive top of the 64-bit words that EVM times and block numbers are.
+# With every input below it, each number computed here stays printable.
+U64 = 2**64
+
+
+def _check_u64(**values: int) -> None:
+    """ValueError naming the first value that does not fit in 64 bits."""
+    for name, value in values.items():
+        if value >= U64:
+            raise ValueError(f"{name} must be at most 2**64 - 1")
 
 
 class WallClock(FrozenRecord):
@@ -44,6 +54,7 @@ class L1Chain(FrozenRecord):
             raise ValueError("genesis_number must be non-negative")
         if block_interval <= 0:
             raise ValueError("block_interval must be positive")
+        _check_u64(genesis_number=genesis_number, block_interval=block_interval)
         vars(self).update(genesis_number=genesis_number, block_interval=block_interval)
 
 
@@ -61,6 +72,7 @@ class L2View(FrozenRecord):
             raise ValueError("sync_period must be positive")
         if seq_clock_precision <= 0:
             raise ValueError("seq_clock_precision must be positive")
+        _check_u64(sync_period=sync_period, seq_clock_precision=seq_clock_precision)
         vars(self).update(sync_period=sync_period, seq_clock_precision=seq_clock_precision,
                           last_synced_l1_number=last_synced_l1_number,
                           last_sync_time=last_sync_time)
@@ -131,6 +143,7 @@ def block_number_table(
         raise ValueError("step must be positive")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
+    _check_u64(horizon=horizon, step=step)
     count = horizon // step + 1
     if count > MAX_TABLE_ROWS:
         raise ValueError(f"a table of {count:,} rows exceeds the {MAX_TABLE_ROWS:,}-row limit")

@@ -1,6 +1,6 @@
-"""MiniSol: lexer, parser, AST, and canonical printer for the contract-language
-subset the rule engine analyzes. The grammar is documented in
-docs/minisol-grammar.md (MiniSol grammar v1)."""
+"""MiniSol: lexer, parser and AST for the contract-language subset the rule
+engine analyzes. The grammar is documented in docs/minisol-grammar.md
+(MiniSol grammar v1)."""
 
 from .lexer import (
     Diagnostic,
@@ -48,8 +48,7 @@ from .nodes import (
     children,
     walk,
 )
-from .parser import annotate_bindings, parse_source, parse_tokens
-from .printer import print_contract, print_expr, print_source, print_type
+from .parser import annotate_bindings, parse_source
 
 GRAMMAR_VERSION = "1"
 
@@ -61,6 +60,5 @@ __all__ = [
     "Node", "NumberLit", "Param", "RequireStmt", "ReturnStmt", "SourceUnit",
     "Span", "StateVarDecl", "Stmt", "StringLit", "TokenKind", "Tokens",
     "TypeName", "UnaryExpr", "VarDeclStmt", "WhileStmt", "annotate_bindings",
-    "children", "parse_source", "parse_tokens", "print_contract", "print_expr",
-    "print_source", "print_type", "tokenize", "walk",
+    "children", "parse_source", "tokenize", "walk",
 ]

@@ -170,15 +170,10 @@ def tokenize(source: str) -> Tokens:
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 # The string escapes: the character after a backslash -> the one it stands
 # for.  Any other escaped character stands for itself when read.
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-_ESCAPED = str.maketrans({value: "\\" + key for key, value in _ESCAPES.items()})
+ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
 
 def unescape_string(text: str) -> str:
     """Literal text (with quotes) -> value. Supports \\\\ \\" \\n \\t."""
-    return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), text[1:-1])
+    return _ESCAPE.sub(lambda m: ESCAPES.get(m[1], m[1]), text[1:-1])
 
-
-def escape_string(value: str) -> str:
-    """Value -> literal text (with quotes); the inverse of unescape_string."""
-    return '"' + value.translate(_ESCAPED) + '"'

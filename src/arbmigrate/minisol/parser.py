@@ -559,8 +559,10 @@ class _Parser:
         if kind is TokenKind.NUMBER:
             return NumberLit(value=self._number(), span=span)
         if kind is TokenKind.HEX:
+            if (value := int(text, 16)) >= 2**256:
+                raise self._fail("number literal out of uint256 range")
             self.pos += 1
-            return HexLit(value=int(text, 16), span=span)
+            return HexLit(value=value, span=span)
         if kind is TokenKind.ADDRESS:
             self.pos += 1
             return AddressLit(value=int(text, 16), span=span)
@@ -650,17 +652,11 @@ def annotate_bindings(unit: SourceUnit) -> None:
 # --- entry points ----------------------------------------------------------
 
 
-def parse_tokens(tokens: Tokens, source: str, path: str = "<source>") -> SourceUnit:
-    """Parse what tokenize(source) returned; diagnostics and findings take
-    their lines and columns, and excerpts their text, from source."""
-    parser = _Parser(tokens, source)
+def parse_source(source: str, path: str = "<source>") -> SourceUnit:
+    """Tokenize, parse and bind; raises MiniSolSyntaxError with all diagnostics."""
+    parser = _Parser(tokenize(source), source)
     unit = parser.parse_unit(path)
     if parser.diagnostics:
         raise MiniSolSyntaxError(parser.diagnostics)
     annotate_bindings(unit)
     return unit
-
-
-def parse_source(source: str, path: str = "<source>") -> SourceUnit:
-    """Tokenize and parse; raises MiniSolSyntaxError with all diagnostics."""
-    return parse_tokens(tokenize(source), source, path)

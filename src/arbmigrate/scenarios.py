@@ -19,7 +19,7 @@ from typing import Any, Callable, Mapping
 from . import retryable
 from ._record import FrozenRecord, Record
 from .aliasing import HEX_ADDRESS_RE, Address, SenderContext, SenderKind, apply_alias, l2_msg_sender
-from .chainmodel import L1Chain, L2View, WallClock, l2_view_l1_number_at
+from .chainmodel import U64, L1Chain, L2View, WallClock, l2_view_l1_number_at
 from .gasmodel import GasParams, gas_fees
 from .sequencer import L2Tx, Sequencer, SequencerStatus, TxOrigin
 
@@ -31,9 +31,9 @@ class ScenarioError(ValueError):
 # What a runner returns: the L1 outcome, the L2 outcome and the divergence
 # metrics; run_scenario adds the rest of the report from the spec.
 Outcome = tuple[dict[str, Any], dict[str, Any], dict[str, float]]
-# EVM words: times, block numbers and gas are 64-bit, wei amounts 256-bit. As
+# EVM words: times, block numbers and gas are 64-bit (U64), wei amounts 256-bit. As
 # the (exclusive) tops of integer domains they keep every report integer printable.
-_U64, _U256 = 2**64, 2**256
+_U256 = 2**256
 
 
 class Param(FrozenRecord):
@@ -49,7 +49,7 @@ class Param(FrozenRecord):
         if not isinstance(domain, range):
             words = {bool: "true or false", Address: "a 0x-prefixed 40-hex-digit address"}
             return words.get(domain) or "one of " + ", ".join(domain)
-        top = f"2**{domain.stop.bit_length() - 1} - 1" if domain.stop in (_U64, _U256) else f"{domain.stop - 1:,}"
+        top = f"2**{domain.stop.bit_length() - 1} - 1" if domain.stop in (U64, _U256) else f"{domain.stop - 1:,}"
         return f"an integer from {domain.start:,} to {top}"
 
     def parse(self, key: str, value: Any) -> Any:
@@ -184,10 +184,10 @@ _S1 = ScenarioSpec(
     title="stale-oracle",
     risk="outdated off-chain data while the sequencer is down",
     params={
-        "downtime_s": Param(3600, range(0, _U64)),
-        "down_start_s": Param(600, range(0, _U64)),
-        "horizon_s": Param(7200, range(1, _U64)),
-        "update_interval_s": Param(60, range(1, _U64)),
+        "downtime_s": Param(3600, range(0, U64)),
+        "down_start_s": Param(600, range(0, U64)),
+        "horizon_s": Param(7200, range(1, U64)),
+        "update_interval_s": Param(60, range(1, U64)),
         "positions": Param(8, range(0, 1_000_001)),
         # a step moves the price at most 100%, with no drift: odds it passes 1.8e308 <= start / 1.8e308
         "start_price_cents": Param(10_000, range(10, 10**12 + 1)),
@@ -237,10 +237,10 @@ _S2 = ScenarioSpec(
     title="block-number-equality",
     risk="block-number equality checks that can never fire on L2",
     params={
-        "block_interval_s": Param(15, range(1, _U64)),
-        "sync_period_s": Param(60, range(1, _U64)),
-        "horizon_s": Param(3600, range(1, _U64)),
-        "genesis_number": Param(1000, range(0, _U64)),
+        "block_interval_s": Param(15, range(1, U64)),
+        "sync_period_s": Param(60, range(1, U64)),
+        "horizon_s": Param(3600, range(1, U64)),
+        "genesis_number": Param(1000, range(0, U64)),
     },
     linked_rules=("ARB-TIME-001", "ARB-TIME-002"),
     narrative=(
@@ -332,11 +332,11 @@ _S4 = ScenarioSpec(
     title="dos-refund-loop",
     risk="unbounded loops that cheap L2 fees make attackable",
     params={
-        "block_gas_limit": Param(30_000_000, range(0, _U64)),
-        "base_gas": Param(50_000, range(0, _U64)),
-        "per_iteration_gas": Param(40_000, range(1, _U64)),
-        "push_gas": Param(50_000, range(0, _U64)),
-        "push_calldata_bytes": Param(68, range(0, _U64)),
+        "block_gas_limit": Param(30_000_000, range(0, U64)),
+        "base_gas": Param(50_000, range(0, U64)),
+        "per_iteration_gas": Param(40_000, range(1, U64)),
+        "push_gas": Param(50_000, range(0, U64)),
+        "push_calldata_bytes": Param(68, range(0, U64)),
         "l1_gas_price_wei": Param(20_000_000_000, range(0, _U256)),
         "l2_gas_price_wei": Param(100_000_000, range(1, _U256)),
         "calldata_price_l1_wei": Param(320_000_000_000, range(0, _U256)),
@@ -417,12 +417,12 @@ _S5 = ScenarioSpec(
     risk="repeated submission fees and expiry losses on L1-to-L2 tickets",
     params={
         "submission_fee": Param(1_000, range(0, _U256)),
-        "l2_gas_provided": Param(5_000, range(0, _U64)),
-        "auto_gas_required": Param(3_000, range(0, _U64)),
-        "auto_fail_gas_required": Param(6_000, range(1, _U64)),
+        "l2_gas_provided": Param(5_000, range(0, U64)),
+        "auto_gas_required": Param(3_000, range(0, U64)),
+        "auto_fail_gas_required": Param(6_000, range(1, U64)),
         "callvalue": Param(100_000, range(0, _U256)),
         "manual_submission_fee": Param(1_000, range(0, _U256)),
-        "manual_l2_gas": Param(3_000, range(0, _U64)),
+        "manual_l2_gas": Param(3_000, range(0, U64)),
         "l1_direct_fee": Param(3_000, range(0, _U256)),
         "escrow_callvalue": Param(False, bool),
     },

@@ -1,11 +1,11 @@
 """Canonical MiniSol rendering: 4-space indents, one member or statement per
 line, `} else if` chains, minimal parentheses and the lexer's string escapes
 (docs/minisol-grammar.md, "Canonical form"). Reparsing the output yields a
-structurally equal AST."""
+structurally equal AST. No command prints MiniSol: this is the tests' oracle."""
 
 from __future__ import annotations
 
-from .nodes import (
+from arbmigrate.minisol.nodes import (
     AddressLit,
     ArrayType,
     AssignStmt,
@@ -38,12 +38,21 @@ from .nodes import (
     VarDeclStmt,
     WhileStmt,
 )
-from .lexer import escape_string
-from .parser import BINARY_PRECEDENCE
+from arbmigrate.minisol.lexer import ESCAPES
+from arbmigrate.minisol.parser import BINARY_PRECEDENCE
+
+# The lexer's string escapes read backwards: each character that has an escape
+# -> its escape.
+_ESCAPED = str.maketrans({value: "\\" + key for key, value in ESCAPES.items()})
 
 _UNARY_PREC = 7
 _POSTFIX_PREC = 8
 _ATOM_PREC = 9
+
+
+def escape_string(value: str) -> str:
+    """Value -> literal text (with quotes); the inverse of lexer.unescape_string."""
+    return '"' + value.translate(_ESCAPED) + '"'
 
 
 def _prec(expr: Expr) -> int:

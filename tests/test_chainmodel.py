@@ -134,3 +134,18 @@ class TestClockAndChain:
             L1Chain(genesis_number=-1)
         with pytest.raises(ValueError):
             L1Chain(genesis_number=0, block_interval=0)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: L1Chain(genesis_number=n),
+        lambda n: L1Chain(0, block_interval=n),
+        lambda n: L2View(sync_period=n),
+        lambda n: L2View(seq_clock_precision=n),
+        lambda n: block_number_table(CHAIN, VIEW, horizon=n, step=n),
+        lambda n: block_number_table(CHAIN, VIEW, horizon=0, step=n),
+    ], ids=["genesis", "interval", "sync", "precision", "horizon", "step"])
+    def test_values_are_64_bit(self, build):
+        # S2 declares the same quantities up to 2**64 - 1; past that a block number
+        # could outgrow the 4,300 digits that int() -> str prints
+        build(2**64 - 1)
+        with pytest.raises(ValueError, match=r"^[a-z_]+ must be at most 2\*\*64 - 1$"):
+            build(2**64)

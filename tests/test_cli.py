@@ -714,7 +714,7 @@ _SIMULATORS = {"scenarios", "sequencer", "retryable", "chainmodel", "gasmodel", 
     "code, loaded, absent",
     [
         (f"from arbmigrate import cli; cli.main(['analyze', {str(CORPUS / 'dos_loop_dirty.sol')!r}])",
-         {"minisol", "rules"}, _SIMULATORS),
+         {"minisol", "rules"}, _SIMULATORS | {"minisol.printer"}),
         ("from arbmigrate import cli; cli.main(['scenario', 'run', 'S3'])",
          {"scenarios", "aliasing"}, {"minisol", "rules"}),
         ("from arbmigrate import scenarios", {"scenarios"}, {"minisol", "rules"}),
@@ -976,20 +976,43 @@ def _digits(low: int, high: int = 5000) -> st.SearchStrategy[str]:
     return st.builds(lambda digit, count: digit * count, st.sampled_from("19"), st.integers(low, high))
 
 
-# Decimal literals past the uint256 range, as often within the 4,300-digit limit
-# of int() on text as past it.
-_HUGE_LITERAL = st.builds(
-    lambda template, digits: template.format(digits),
-    st.sampled_from(["contract C {{ uint256 x = {}; }}", "contract C {{ uint256[{}] x; }}",
-                     "contract C {{ function f() public {{ require(block.number > {}); }} }}"]),
-    _digits(79, 4300) | _digits(4301),
+def _huge_literals(templates: list[str], low: int) -> st.SearchStrategy[str]:
+    """The templates with a literal of low digits or more, as often within the 4,300-digit
+    limit of int() on decimal text as past it."""
+    return st.builds(lambda template, digits: template.format(digits), st.sampled_from(templates),
+                     _digits(low, 4300) | _digits(4301))
+
+
+# Literals past the uint256 range: decimal from 79 digits, hex from 65. ARB-TIME-002
+# prints a literal that block.number is compared with in decimal.
+_HUGE_LITERAL = _huge_literals(
+    ["contract C {{ uint256 x = {}; }}", "contract C {{ uint256[{}] x; }}",
+     "contract C {{ function f() public {{ require(block.number > {}); }} }}"], 79,
+) | _huge_literals(
+    ["contract C {{ uint256 x = 0x{}; }}",
+     "contract C {{ function f() public {{ uint256 start = 0x{}; require(block.number >= start); }} }}"],
+    65,
 )
 
 
 def _draw_huge(data, tmp: Path) -> tuple[list[str], Callable[[int, str, str], None] | None]:
-    """analyze over a decimal literal past the uint256 range, with the check of what it printed,
-    or gas calc with numbers of up to 5,000 digits."""
-    if data.draw(st.booleans()):
+    """analyze over a literal past the uint256 range or sim with a value past 64 bits, with the
+    check of what it printed, or gas calc with numbers of up to 5,000 digits."""
+    command = data.draw(st.sampled_from(["analyze", "sim", "gas"]))
+    if command == "sim":
+        # within int()'s 4,300 digits, so argparse takes it; a horizon reached in one step at
+        # one block a second puts the table's last block number past that limit
+        n = data.draw(_digits(21, 4300))
+        flags = data.draw(st.sampled_from(
+            [["--genesis", n], ["--block-interval", n], ["--sync-period", n], ["--step", n],
+             ["--horizon", n, "--step", n, "--block-interval", "1", "--sync-period", "1"]]))
+
+        def expect(code: int, out: str, err: str) -> None:
+            assert (code, out) == (2, "")
+            assert re.fullmatch(r"error: [a-z_]+ must be at most 2\*\*64 - 1\n", err), err
+
+        return ["sim", *flags], expect
+    if command == "analyze":
         path = tmp / "huge.sol"
         path.write_text(data.draw(_HUGE_LITERAL))
 
@@ -1071,7 +1094,7 @@ def _draw_declared(data) -> tuple[list[str], Callable[[int, str, str], None]]:
 @given(data=st.data())
 def test_generated_argv_exits_zero_one_or_two(tmp_path, data):
     # a quarter of the runs take their --param values from the declared domains, and an
-    # eighth put numbers of up to 5,000 digits into an analyze source or gas calc
+    # eighth put numbers of up to 5,000 digits into an analyze source, sim or gas calc
     branch = data.draw(st.integers(0, 7))
     if branch < 2:
         argv, expect = _draw_declared(data)
@@ -1101,14 +1124,15 @@ def test_source_parses_at_the_oldest_supported_python():
 
 
 def test_no_module_imports_a_private_name_of_another():
-    # a leading underscore keeps a name to its module; a private module (._record) is fine
+    # a leading underscore keeps a name to its module; a private module (._record) is fine.
+    # The tests' printer, like any client, reads only the package's public names.
     package = Path(arbmigrate.__file__).parent
     crossings = []
-    for path in sorted(package.rglob("*.py")):
+    for path in [*sorted(package.rglob("*.py")), Path(__file__).parent / "minisol_printer.py"]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("arbmigrate")):
                 crossings += [
-                    f"{path.relative_to(package)}: {node.module}.{alias.name}" for alias in node.names
+                    f"{path.relative_to(path.parents[1])}: {node.module}.{alias.name}" for alias in node.names
                     if alias.name.startswith("_") and not alias.name.startswith("__")
                 ]
     assert crossings == []

@@ -22,10 +22,11 @@ import os
 from pathlib import Path
 
 import pytest
+from minisol_printer import print_source
 from test_minisol import _Gen
 
 from arbmigrate.cli import main
-from arbmigrate.minisol import MiniSolSyntaxError, parse_source, print_source, tokenize
+from arbmigrate.minisol import MiniSolSyntaxError, parse_source, tokenize
 from arbmigrate.rules import analyze
 from arbmigrate.scenarios import replay_events
 

@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from minisol_printer import print_source
 from test_minisol import _Gen
 
 from arbmigrate import rules
@@ -39,7 +40,6 @@ from arbmigrate.minisol import (
     annotate_bindings,
     children,
     parse_source,
-    print_source,
     tokenize,
     walk,
 )
