@@ -7,12 +7,12 @@ Exit codes: 0 = ran (and, with --check, nothing beyond expectation);
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import marshal
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 
@@ -89,7 +89,7 @@ def _outcomes(paths: list[str], config):
             os.waitpid(pid, 0)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: SimpleNamespace) -> int:
     from .rules import Finding, RuleConfig, findings_to_doc, findings_to_json
     config = RuleConfig()
     if args.config:
@@ -97,8 +97,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             config = RuleConfig.from_file(args.config)
         except (OSError, ValueError, RecursionError) as exc:  # json: RecursionError on deep nesting
             return _usage_error(f"cannot load rule config: {exc}")
-    if args.rules:
+    if args.rules is not None:
         rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()]
+        if not rule_ids:
+            return _usage_error(f"--rules names no rule id: {args.rules!r}")
         try:
             config = config.with_enabled(rule_ids)
         except ValueError as exc:
@@ -134,7 +136,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenario_list(args: argparse.Namespace) -> int:
+def _cmd_scenario_list(args: SimpleNamespace) -> int:
     from .scenarios import list_scenarios
     for spec in list_scenarios():
         print(f"{spec.id}  {spec.title}")
@@ -146,7 +148,7 @@ def _cmd_scenario_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenario_run(args: argparse.Namespace) -> int:
+def _cmd_scenario_run(args: SimpleNamespace) -> int:
     from .scenarios import ScenarioError, run_scenario, serialize_report
     params = {}
     for item in args.param or []:
@@ -171,7 +173,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gas_calc(args: argparse.Namespace) -> int:
+def _cmd_gas_calc(args: SimpleNamespace) -> int:
     from .gasmodel import GasParams, quote
     try:
         q = quote(
@@ -189,13 +191,13 @@ def _cmd_gas_calc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gas_table(args: argparse.Namespace) -> int:
+def _cmd_gas_table(args: SimpleNamespace) -> int:
     from .gasmodel import cost_comparison_table, render_savings_table
     print(render_savings_table(cost_comparison_table()))
     return 0
 
 
-def _cmd_alias(args: argparse.Namespace) -> int:
+def _cmd_alias(args: SimpleNamespace) -> int:
     from .aliasing import ALIAS_OFFSET, Address, apply_alias, undo_alias
     try:
         address = Address.from_hex(args.address)
@@ -207,7 +209,7 @@ def _cmd_alias(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_checklist(args: argparse.Namespace) -> int:
+def _cmd_checklist(args: SimpleNamespace) -> int:
     from .rules import findings_from_json, migration_checklist, render_checklist
     try:
         text = Path(args.findings).read_text(encoding="utf-8")
@@ -218,7 +220,7 @@ def _cmd_checklist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sim(args: argparse.Namespace) -> int:
+def _cmd_sim(args: SimpleNamespace) -> int:
     from .chainmodel import L1Chain, L2View, block_number_table
     try:
         chain = L1Chain(genesis_number=args.genesis, block_interval=args.block_interval)
@@ -232,7 +234,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rules(args: argparse.Namespace) -> int:
+def _cmd_rules(args: SimpleNamespace) -> int:
     from .rules import rule_catalog
     for rule in rule_catalog():
         print(f"{rule.id}  [{rule.severity.value}]  {rule.category.value}")
@@ -241,75 +243,112 @@ def _cmd_rules(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="arbmigrate",
-        description=(
-            "Migration-safety toolkit: simulate Ethereum-vs-Arbitrum semantic "
-            "differences and statically detect migration risks in contract source."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's words, then its handler, positionals and options, each (name, kind, convert,
+# default, required): kind is "switch", "value" or "append" (a value that repeats; such a
+# positional takes every positional from its place on), convert int, a choice tuple or None.
+_COMMANDS = {
+    ("analyze",): (_cmd_analyze, [("paths", "append", None, None, True)], [
+        ("--rules", "value", None, None, False), ("--config", "value", None, None, False),
+        ("--format", "value", ("text", "json"), "text", False), ("--check", "switch", None, False, False)]),
+    ("scenario", "list"): (_cmd_scenario_list, [], []),
+    ("scenario", "run"): (_cmd_scenario_run, [("id", "value", None, None, True)], [
+        ("--param", "append", None, None, False), ("--seed", "value", int, 0, False),
+        ("--out", "value", None, None, False), ("--check", "switch", None, False, False)]),
+    ("gas", "calc"): (_cmd_gas_calc, [], [(flag, "value", int, None, True) for flag in (
+        "--gas-used-l2", "--calldata-price-l1", "--calldata-size-l1", "--gas-price-l2")]),
+    ("gas", "table"): (_cmd_gas_table, [], []),
+    ("alias",): (_cmd_alias, [("direction", "value", ("apply", "undo"), None, True),
+                              ("address", "value", None, None, True)], [("--offset", "value", None, None, False)]),
+    ("checklist",): (_cmd_checklist, [("findings", "value", None, None, True)], []),
+    ("sim",): (_cmd_sim, [], [(flag, "value", int, default, False) for flag, default in (
+        ("--genesis", 1000), ("--block-interval", 15), ("--sync-period", 60), ("--horizon", 75), ("--step", 15))]),
+    ("rules",): (_cmd_rules, [], []),
+}
+_HELP = {flag: (flag, "help", None, None, False) for flag in ("-h", "--help")}
 
-    p = sub.add_parser("analyze", help="run the rule engine over MiniSol files")
-    p.add_argument("paths", nargs="+", help=".sol files (MiniSol subset)")
-    p.add_argument("--rules", help="comma-separated rule ids to enable")
-    p.add_argument("--config", help="rule config JSON file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--check", action="store_true", help="exit 1 if any finding")
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("scenario", help="differential L1-vs-L2 scenarios")
-    scen_sub = p.add_subparsers(dest="scenario_command", required=True)
-    pl = scen_sub.add_parser("list", help="list built-in scenarios")
-    pl.set_defaults(func=_cmd_scenario_list)
-    pr = scen_sub.add_parser("run", help="run one scenario")
-    pr.add_argument("id")
-    pr.add_argument("--param", action="append", metavar="K=V")
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--out", help="write the JSON report to a file")
-    pr.add_argument("--check", action="store_true", help="exit 1 if the report diverges")
-    pr.set_defaults(func=_cmd_scenario_run)
+def _usage(path: tuple) -> str:
+    lines = [] if path else ["usage: arbmigrate --version"]
+    for words, (_, positionals, options) in _COMMANDS.items():
+        args = [name.upper() + "..." * (kind == "append") for name, kind, *_ in positionals]
+        for flag, kind, convert, _, required in options:
+            hint = "|".join(convert) if isinstance(convert, tuple) else "N" if convert else "TEXT"
+            shown = flag if kind == "switch" else f"{flag} {hint}"
+            args.append((shown if required else f"[{shown}]") + "..." * (kind == "append"))
+        if words[:len(path)] == path:
+            lines.append(" ".join(["usage: arbmigrate", *words, *args]))
+    return "\n".join(lines)
 
-    p = sub.add_parser("gas", help="L2 gas arithmetic")
-    gas_sub = p.add_subparsers(dest="gas_command", required=True)
-    pc = gas_sub.add_parser("calc", help="quote gas limit and fees")
-    pc.add_argument("--gas-used-l2", type=int, required=True)
-    pc.add_argument("--calldata-price-l1", type=int, required=True)
-    pc.add_argument("--calldata-size-l1", type=int, required=True)
-    pc.add_argument("--gas-price-l2", type=int, required=True)
-    pc.set_defaults(func=_cmd_gas_calc)
-    pt = gas_sub.add_parser("table", help="print the bundled cost comparison")
-    pt.set_defaults(func=_cmd_gas_table)
 
-    p = sub.add_parser("alias", help="L1-to-L2 address alias transforms")
-    p.add_argument("direction", choices=("apply", "undo"))
-    p.add_argument("address", help="0x-prefixed 40-hex-digit address")
-    p.add_argument("--offset", help="override the alias offset")
-    p.set_defaults(func=_cmd_alias)
+def _is_flag(word: str, flags) -> bool:
+    # a word that starts with a short flag or abbreviates a long one, or any word that starts with
+    # a dash but "-", a negative number (as the regex -\d+|-\d*\.\d+ matches) and words with a space
+    if word[:2] in flags or word[:2] == "--" and any(flag.startswith(word.partition("=")[0]) for flag in flags):
+        return True
+    whole, dot, fraction = word[1:].removesuffix("\n").partition(".")
+    number = (whole + fraction).isdecimal() and bool(fraction or not dot)
+    return word[:1] == "-" and len(word) > 1 and " " not in word and not number
 
-    p = sub.add_parser("checklist", help="migration checklist from a findings file")
-    p.add_argument("findings", help="findings JSON produced by `analyze --format json`")
-    p.set_defaults(func=_cmd_checklist)
 
-    p = sub.add_parser("sim", help="block-number comparison table (L1 vs L2 view)")
-    p.add_argument("--genesis", type=int, default=1000)
-    p.add_argument("--block-interval", type=int, default=15)
-    p.add_argument("--sync-period", type=int, default=60)
-    p.add_argument("--horizon", type=int, default=75)
-    p.add_argument("--step", type=int, default=15)
-    p.set_defaults(func=_cmd_sim)
-
-    p = sub.add_parser("rules", help="print the rule catalog")
-    p.set_defaults(func=_cmd_rules)
-
-    return parser
+def _parse(words: list[str]):
+    """The handler and namespace that words name, or an exit code.  A wrong value stops the reading;
+    unknown flags and missing or surplus arguments are reported at the end, after any -h."""
+    path, command, values, late, dashes, count, last, words = (), None, {}, None, None, 0, -1, iter(words)
+    options = {**_HELP, "--version": ("--version", "version", None, None, False)}
+    for at, word in enumerate(words):
+        if dashes is None and word != "--" and _is_flag(word, options):
+            flag, eq, value = word.partition("=")
+            option = options.get(flag)  # an abbreviation is no flag
+            if option is None:
+                late = late or f"unknown option {word!r}"
+                continue
+            if eq and option[1] not in ("value", "append"):
+                return _usage_error(f"{flag} takes no value")
+            if option[1] in ("help", "version"):
+                print(_usage(path) if option[1] == "help" else f"arbmigrate {__version__}")
+                return 0
+            if option[1] == "switch":
+                value = True
+            elif not eq:
+                value = next(words, None)
+                if value is None or _is_flag(value, options):
+                    return _usage_error(f"{flag} expects a value")
+        elif command is None:
+            path += (word,)
+            if not any(known[:len(path)] == path for known in _COMMANDS):
+                return _usage_error(f"unknown command {' '.join(path)!r}")
+            command = _COMMANDS.get(path)
+            options = {**_HELP, **{option[0]: option for option in command[2]}} if command else _HELP
+            values = {option[0]: option[3] for option in command[1] + command[2]} if command else {}
+            continue
+        elif word == "--" and dashes is None:
+            dashes = at
+            continue
+        elif count < len(command[1]) or command[1] and command[1][-1][1] == "append":
+            option, value, count, last = command[1][min(count, len(command[1]) - 1)], word, count + 1, at
+        else:
+            late = late or f"unexpected argument {word!r}"
+            continue
+        try:
+            value = int(value) if option[2] is int else value
+        except ValueError:
+            return _usage_error(f"{option[0]} expects an integer, got {value!r}")
+        if isinstance(option[2], tuple) and value not in option[2]:
+            return _usage_error(f"{option[0]} expects one of {', '.join(option[2])}, got {value!r}")
+        values[option[0]] = [*(values[option[0]] or []), value] if option[1] == "append" else value
+    if command is None:
+        return _usage_error(f"missing command; run arbmigrate {' '.join([*path, '-h'])}")
+    if dashes is not None and last < dashes - 1:  # a "--" is taken only next to a positional
+        late = late or "unexpected '--'"
+    missing = [option[0] for option in command[1] + command[2] if option[4] and values[option[0]] is None]
+    if missing or late:
+        return _usage_error(f"missing {', '.join(missing)}" if missing else late)
+    return command[0], SimpleNamespace(**{name.lstrip("-").replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parsed = _parse(sys.argv[1:] if argv is None else argv)
+    return parsed if isinstance(parsed, int) else parsed[0](parsed[1])
 
 
 if __name__ == "__main__":

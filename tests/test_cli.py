@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -17,10 +18,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import arbmigrate
-from arbmigrate import cli, rules
+from arbmigrate import __version__, cli, rules
 from arbmigrate.aliasing import Address
 from arbmigrate.chainmodel import MAX_TABLE_ROWS
-from arbmigrate.cli import main
+from arbmigrate.cli import (
+    _cmd_alias, _cmd_analyze, _cmd_checklist, _cmd_gas_calc, _cmd_gas_table, _cmd_rules, _cmd_scenario_list,
+    _cmd_scenario_run, _cmd_sim, main,
+)
 from arbmigrate.rules import RuleConfig, rule_catalog
 from arbmigrate.scenarios import list_scenarios
 
@@ -113,6 +117,13 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--rules", "ARB-DOS-001", path)
         assert code == 0
         assert "0 finding(s)" in out
+
+    @pytest.mark.parametrize("rules", ["", ",", " , "])
+    def test_rules_naming_no_rule_is_usage_error(self, capsys, rules):
+        # it once enabled no rule, so a dirty file passed --check with 0 findings
+        code, out, err = run(capsys, "analyze", "--check", "--rules", rules, str(CORPUS / "dos_loop_dirty.sol"))
+        assert (code, out) == (2, "")
+        assert err == f"error: --rules names no rule id: {rules!r}\n"
 
     def test_unknown_rule_id_is_usage_error(self, capsys):
         code, _, err = run(capsys, "analyze", "--rules", "ARB-NOPE-1", str(CORPUS / "dos_loop_clean.sol"))
@@ -690,10 +701,10 @@ def test_rules_catalog_command(capsys):
     assert "ARB-SEQ-001" in out and "ARB-DOS-002" in out
 
 
-def test_usage_error_exit_code_via_argparse():
-    with pytest.raises(SystemExit) as err:
-        main(["gas"])
-    assert err.value.code == 2
+def test_usage_error_exit_code(capsys):
+    assert main(["gas"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def _modules_after(code):
@@ -710,22 +721,33 @@ def _modules_after(code):
 _SIMULATORS = {"scenarios", "sequencer", "retryable", "chainmodel", "gasmodel", "aliasing"}
 
 
+# the command line is read without argparse, and so without gettext and locale
+_ARGPARSE = {"argparse", "gettext", "locale"}
+
+
 @pytest.mark.parametrize(
-    "code, loaded, absent",
+    "code, loaded, absent, absent_stdlib",
     [
         (f"from arbmigrate import cli; cli.main(['analyze', {str(CORPUS / 'dos_loop_dirty.sol')!r}])",
-         {"minisol", "rules"}, _SIMULATORS | {"minisol.printer"}),
+         {"minisol", "rules"}, _SIMULATORS | {"minisol.printer"}, _ARGPARSE),
         ("from arbmigrate import cli; cli.main(['scenario', 'run', 'S3'])",
-         {"scenarios", "aliasing"}, {"minisol", "rules"}),
-        ("from arbmigrate import scenarios", {"scenarios"}, {"minisol", "rules"}),
-        ("import arbmigrate; arbmigrate.rules.analyze", {"rules"}, _SIMULATORS),
+         {"scenarios", "aliasing"}, {"minisol", "rules"}, _ARGPARSE),
+        ("from arbmigrate import cli; assert cli.main(['--version']) == 0",
+         {"cli"}, _SIMULATORS | {"minisol", "rules"}, _ARGPARSE),
+        ("from arbmigrate import scenarios", {"scenarios"}, {"minisol", "rules"}, set()),
+        ("import arbmigrate; arbmigrate.rules.analyze", {"rules"}, _SIMULATORS, set()),
     ],
-    ids=["analyze", "scenario-run", "import-scenarios", "package-attribute"],
+    ids=["analyze", "scenario-run", "version", "import-scenarios", "package-attribute"],
 )
-def test_entry_point_loads_only_its_layers(code, loaded, absent):
+def test_entry_point_loads_only_its_layers(code, loaded, absent, absent_stdlib):
     modules = _modules_after(code)
     assert {f"arbmigrate.{name}" for name in loaded} <= modules
-    assert not modules & {f"arbmigrate.{name}" for name in absent}
+    assert not modules & ({f"arbmigrate.{name}" for name in absent} | absent_stdlib)
+
+
+def test_a_bare_interpreter_loads_no_argparse():
+    # so the absent_stdlib sets above are not met by every process
+    assert not _modules_after("pass") & _ARGPARSE
 
 
 def test_a_forked_analyze_loads_no_process_pool(tmp_path):
@@ -1000,7 +1022,7 @@ def _draw_huge(data, tmp: Path) -> tuple[list[str], Callable[[int, str, str], No
     check of what it printed, or gas calc with numbers of up to 5,000 digits."""
     command = data.draw(st.sampled_from(["analyze", "sim", "gas"]))
     if command == "sim":
-        # within int()'s 4,300 digits, so argparse takes it; a horizon reached in one step at
+        # within int()'s 4,300 digits, so int() reads the flag's value; a horizon reached in one step at
         # one block a second puts the table's last block number past that limit
         n = data.draw(_digits(21, 4300))
         flags = data.draw(st.sampled_from(
@@ -1106,11 +1128,217 @@ def test_generated_argv_exits_zero_one_or_two(tmp_path, data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse: 2 for a usage error, 0 after --version
+        except SystemExit as exc:  # main returns its code and raises none; kept as a guard
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     if expect:
         expect(code, out.getvalue(), err.getvalue())
+
+
+# --- the command table against the argparse parser it replaced -----------------
+
+def _reference_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="arbmigrate",
+        description=(
+            "Migration-safety toolkit: simulate Ethereum-vs-Arbitrum semantic "
+            "differences and statically detect migration risks in contract source."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="run the rule engine over MiniSol files")
+    p.add_argument("paths", nargs="+", help=".sol files (MiniSol subset)")
+    p.add_argument("--rules", help="comma-separated rule ids to enable")
+    p.add_argument("--config", help="rule config JSON file")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--check", action="store_true", help="exit 1 if any finding")
+    p.set_defaults(func=_cmd_analyze)
+
+    p = sub.add_parser("scenario", help="differential L1-vs-L2 scenarios")
+    scen_sub = p.add_subparsers(dest="scenario_command", required=True)
+    pl = scen_sub.add_parser("list", help="list built-in scenarios")
+    pl.set_defaults(func=_cmd_scenario_list)
+    pr = scen_sub.add_parser("run", help="run one scenario")
+    pr.add_argument("id")
+    pr.add_argument("--param", action="append", metavar="K=V")
+    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--out", help="write the JSON report to a file")
+    pr.add_argument("--check", action="store_true", help="exit 1 if the report diverges")
+    pr.set_defaults(func=_cmd_scenario_run)
+
+    p = sub.add_parser("gas", help="L2 gas arithmetic")
+    gas_sub = p.add_subparsers(dest="gas_command", required=True)
+    pc = gas_sub.add_parser("calc", help="quote gas limit and fees")
+    pc.add_argument("--gas-used-l2", type=int, required=True)
+    pc.add_argument("--calldata-price-l1", type=int, required=True)
+    pc.add_argument("--calldata-size-l1", type=int, required=True)
+    pc.add_argument("--gas-price-l2", type=int, required=True)
+    pc.set_defaults(func=_cmd_gas_calc)
+    pt = gas_sub.add_parser("table", help="print the bundled cost comparison")
+    pt.set_defaults(func=_cmd_gas_table)
+
+    p = sub.add_parser("alias", help="L1-to-L2 address alias transforms")
+    p.add_argument("direction", choices=("apply", "undo"))
+    p.add_argument("address", help="0x-prefixed 40-hex-digit address")
+    p.add_argument("--offset", help="override the alias offset")
+    p.set_defaults(func=_cmd_alias)
+
+    p = sub.add_parser("checklist", help="migration checklist from a findings file")
+    p.add_argument("findings", help="findings JSON produced by `analyze --format json`")
+    p.set_defaults(func=_cmd_checklist)
+
+    p = sub.add_parser("sim", help="block-number comparison table (L1 vs L2 view)")
+    p.add_argument("--genesis", type=int, default=1000)
+    p.add_argument("--block-interval", type=int, default=15)
+    p.add_argument("--sync-period", type=int, default=60)
+    p.add_argument("--horizon", type=int, default=75)
+    p.add_argument("--step", type=int, default=15)
+    p.set_defaults(func=_cmd_sim)
+
+    p = sub.add_parser("rules", help="print the rule catalog")
+    p.set_defaults(func=_cmd_rules)
+
+    return parser
+
+
+
+_REFERENCE = _reference_parser()
+_HELP_FLAGS = {"-h", "--help", "--version"}
+_TABLE_FLAGS = {option[0] for _, _, options in cli._COMMANDS.values() for option in options}
+_VALUE_FLAGS = {option[0] for _, _, options in cli._COMMANDS.values() for option in options if option[1] != "switch"}
+
+
+def _quietly(parse, argv: list[str]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def _reference_outcome(argv: list[str]):
+    """The argparse parser's exit code for argv, or the handler and the values it would get."""
+    parsed = _quietly(_REFERENCE.parse_args, argv)
+    if isinstance(parsed, int):
+        return parsed
+    values = {k: v for k, v in vars(parsed).items() if k not in ("command", "scenario_command", "gas_command")}
+    return values.pop("func"), values
+
+
+def _table_outcome(argv: list[str]):
+    parsed = _quietly(cli._parse, argv)
+    return parsed if isinstance(parsed, int) else (parsed[0], vars(parsed[1]))
+
+
+def _respell(data, argv: list[str]) -> list[str]:
+    """argv with up to three words respelled: a flag and its value joined as --opt=value, a flag
+    abbreviated, a `--` put in, or a word moved elsewhere."""
+    argv = list(argv)
+    for _ in range(data.draw(st.integers(0, 3))):
+        k = data.draw(st.integers(0, max(0, len(argv) - 1)))
+        how = data.draw(st.sampled_from(["join", "abbreviate", "dashes", "move"]))
+        if how == "join" and argv[k:k + 1] and argv[k] in _VALUE_FLAGS and k + 1 < len(argv):
+            argv[k:k + 2] = [f"{argv[k]}={argv[k + 1]}"]
+        elif how == "abbreviate" and argv[k:k + 1] and argv[k].startswith("--") and len(argv[k]) > 3:
+            argv[k] = argv[k][:data.draw(st.integers(3, len(argv[k]) - 1))]
+        elif how == "dashes":
+            argv.insert(k, "--")
+        elif how == "move" and argv:
+            argv.insert(data.draw(st.integers(0, len(argv) - 1)), argv.pop(k))
+    return argv
+
+
+# The two deliberate differences from the argparse parser, each with one example.
+# 1. No flag may be abbreviated: argparse read the start of a long flag (`--form`) as that
+#    flag, and a short flag with more after it (`-hh`) as that flag and the rest; the table
+#    reads either as an unknown flag, so it never runs the command.
+_ABBREVIATED = ["analyze", "--form", "json", str(CORPUS / "dos_loop_dirty.sol")]
+# 2. `analyze` takes paths after options: argparse rejected a second run of paths, and the
+#    table gives the handler every path, as argparse's intermixed parsing does.
+_PATHS_AFTER_OPTIONS = ["analyze", str(CORPUS / "dos_loop_dirty.sol"), "--check", str(CORPUS / "dos_loop_clean.sol")]
+
+
+def _abbreviated(argv: list[str]) -> bool:
+    """Whether a word before any `--` is one that argparse took for a flag the table does not know."""
+    flags = _HELP_FLAGS | _TABLE_FLAGS
+    for word in argv[:argv.index("--")] if "--" in argv else argv:
+        head = word.partition("=")[0]
+        if head not in flags and (word.startswith("-h") or head.startswith("--") and any(
+                flag.startswith(head) for flag in flags)):
+            return True
+    return False
+
+
+def _intermixed(argv: list[str]):
+    """What argparse's intermixed parsing of analyze makes of argv, as _reference_outcome."""
+    # parse_intermixed_args refuses subparsers, so it runs on the analyze subparser itself
+    analyze = next(action for action in _REFERENCE._actions if action.dest == "command").choices["analyze"]
+    parsed = _quietly(analyze.parse_intermixed_args, argv[1:])
+    return parsed if isinstance(parsed, int) else (parsed.func, {
+        k: v for k, v in vars(parsed).items() if k != "func"})
+
+
+def _documented_difference(argv: list[str], reference, table) -> bool:
+    if _abbreviated(argv):
+        return isinstance(table, int)
+    return argv[:1] == ["analyze"] and reference == 2 and table == _intermixed(argv)
+
+
+def test_documented_differences_from_argparse(capsys):
+    reference, table = _reference_outcome(_ABBREVIATED), _table_outcome(_ABBREVIATED)
+    assert reference[1]["format"] == "json" and table == 2
+    assert _documented_difference(_ABBREVIATED, reference, table)
+    assert main(_ABBREVIATED) == 2 and capsys.readouterr().err == "error: unknown option '--form'\n"
+    assert (_reference_outcome(["-hh"]), _table_outcome(["-hh"])) == (0, 2)  # argparse: -h -h
+
+    reference, table = _reference_outcome(_PATHS_AFTER_OPTIONS), _table_outcome(_PATHS_AFTER_OPTIONS)
+    assert reference == 2 and table[1]["paths"] == _PATHS_AFTER_OPTIONS[1::2]
+    assert _documented_difference(_PATHS_AFTER_OPTIONS, reference, table)
+    assert main(_PATHS_AFTER_OPTIONS) == 1
+    assert capsys.readouterr().out == run(capsys, "analyze", "--check", *_PATHS_AFTER_OPTIONS[1::2])[1]
+
+
+@pytest.mark.parametrize("argv", [
+    # -h prints help unless a wrong value or command came before it
+    ["--version"], ["-h"], ["scenario", "-h"], ["gas", "calc", "--help"], ["--bogus", "-h"],
+    ["analyze", "--bogus", "-h"], ["analyze", "--format", "xml", "-h"], ["alias", "sideways", "-h"],
+    ["alias", "-h", "sideways"], ["--help=1"], ["gas", "calc", "--gas-used-l2", "x", "-h"],
+    # "--" ends the flags, and is taken only next to a positional
+    ["scenario", "--", "run", "S1"], ["scenario", "run", "--", "-h"], ["analyze", "--", "-x.sol", "--check"],
+    ["sim", "--"], ["analyze", "a.sol", "--check", "--"], ["alias", "apply", "0x1", "--"],
+    ["analyze", "a.sol", "--rules", "x", "--"], ["analyze", "--rules", "x", "a.sol", "--"],
+    # a value that starts with a dash: a negative number, "-" or a word with a space, not a flag
+    ["analyze", "a.sol", "--rules"], ["analyze", "--rules", "--check", "a.sol"], ["analyze", "--rules", "-5", "a.sol"],
+    ["analyze", "--rules", "-x y", "a.sol"], ["analyze", "--rules=-x", "a.sol"], ["analyze", "--check=1", "a.sol"],
+    ["scenario", "run", "S1", "--seed=-3"], ["scenario", "run", "S1", "--seed", "1_0"], ["sim", "--step", "-\n"],
+    ["scenario", "run", "S1", "--param", "-5\n"], ["scenario", "run", "S1", "--param", "-h x"], ["analyze", "-"],
+    # missing and surplus words
+    ["alias", "apply", "0x1", "0x2"], ["gas", "calc"], ["gas"], [], ["-5"], ["scenario", "run", "S1", "S2"],
+])
+def test_table_parses_hand_picked_argv_as_argparse_did(argv):
+    assert _table_outcome(argv) == _reference_outcome(argv)
+
+
+def test_help_and_version_print_and_exit_zero(capsys):
+    assert main(["--version"]) == 0 and capsys.readouterr().out == f"arbmigrate {__version__}\n"
+    assert main(["analyze", "--check", "-h", "--bogus"]) == 0
+    out = capsys.readouterr().out
+    assert out == "usage: arbmigrate analyze PATHS... [--rules TEXT] [--config TEXT] [--format text|json] [--check]\n"
+    assert main(["scenario", "-h"]) == 0
+    assert [line.split()[:4] for line in capsys.readouterr().out.splitlines()] == [
+        ["usage:", "arbmigrate", "scenario", "list"], ["usage:", "arbmigrate", "scenario", "run"]]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_table_parses_generated_argv_as_argparse_did(tmp_path, data):
+    # both accept and reject the same argv and hand the handler the same values, but
+    # where one of the two documented differences applies
+    argv = _respell(data, _draw_argv(data, tmp_path))
+    reference, table = _reference_outcome(argv), _table_outcome(argv)
+    assert reference == table or _documented_difference(argv, reference, table), (argv, reference, table)
 
 
 def test_source_parses_at_the_oldest_supported_python():
