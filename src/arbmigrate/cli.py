@@ -8,6 +8,7 @@ Exit codes: 0 = ran (and, with --check, nothing beyond expectation);
 from __future__ import annotations
 
 import contextlib
+import gc
 import marshal
 import os
 import sys
@@ -347,6 +348,10 @@ def _parse(words: list[str]):
 
 
 def main(argv: list[str] | None = None) -> int:
+    """With no argv this is the arbmigrate program, whose start-up heap lives until exit: it is
+    frozen, so no later collection walks it.  A call with a list leaves the collector as it was."""
+    if argv is None:
+        gc.freeze()
     parsed = _parse(sys.argv[1:] if argv is None else argv)
     return parsed if isinstance(parsed, int) else parsed[0](parsed[1])
 

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -750,14 +751,20 @@ def test_a_bare_interpreter_loads_no_argparse():
     assert not _modules_after("pass") & _ARGPARSE
 
 
-def test_a_forked_analyze_loads_no_process_pool(tmp_path):
-    # the workers are os.fork children that send marshal data through pipes; importing
-    # a process pool costs an analyze job 19-39 ms, about half of what the fan-out saves
+def _corpus_copies(tmp_path) -> list[str]:
+    """70 distinct paths, the corpus five times over: two workers of at least 32 files each."""
     paths = []
-    for copy in range(5):  # 70 distinct paths: two workers of at least 32 files each
+    for copy in range(5):
         for source in sorted(CORPUS.glob("*.sol")):
             paths.append(tmp_path / f"{copy}-{source.name}")
             paths[-1].write_bytes(source.read_bytes())
+    return [str(path) for path in paths]
+
+
+def test_a_forked_analyze_loads_no_process_pool(tmp_path):
+    # the workers are os.fork children that send marshal data through pipes; importing
+    # a process pool costs an analyze job 19-39 ms, about half of what the fan-out saves
+    paths = _corpus_copies(tmp_path)
     code = f"""import os
 from arbmigrate import cli
 fork, forked = os.fork, []
@@ -765,7 +772,7 @@ def counted():
     forked.append(fork())
     return forked[-1]
 os.fork, cli._WORKERS = counted, 2
-assert cli.main({["analyze", "--format", "json", *map(str, paths)]!r}) == 0 and len(forked) == 1
+assert cli.main({["analyze", "--format", "json", *paths]!r}) == 0 and len(forked) == 1
 """
     modules = _modules_after(code)
     assert "arbmigrate.rules" in modules
@@ -790,6 +797,72 @@ def test_analyzer_side_defines_its_classes_without_code_generation(tmp_path, com
     modules = _modules_after(f"from arbmigrate import cli; cli.main({argv!r})")
     assert {"arbmigrate.minisol.nodes", "arbmigrate.rules"} & modules
     assert not modules & {"dataclasses", "inspect"}
+
+
+def _as_program(argv: list[str], workers: int = 1) -> tuple[int, str, str, int, int]:
+    """Exit code, stdout and stderr of a fresh interpreter that runs argv as the arbmigrate
+    program does, through main() with no argv, then its gc freeze count once main has
+    returned and the number of workers it forked."""
+    script = f"""import gc, os, sys
+from arbmigrate import cli
+fork, forked = os.fork, []
+def counted():
+    forked.append(fork())
+    return forked[-1]
+os.fork, cli._WORKERS, sys.argv = counted, {workers}, ["arbmigrate", *{argv!r}]
+code = cli.main()
+sys.stdout.flush()
+print(gc.get_freeze_count(), len(forked), file=sys.stderr)
+sys.exit(code)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(arbmigrate.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    head, newline, counts = result.stderr.removesuffix("\n").rpartition("\n")
+    frozen, forked = map(int, counts.split())
+    return result.returncode, result.stdout, head + newline, frozen, forked
+
+
+_S3 = ["scenario", "run", "S3"]
+
+
+@pytest.mark.parametrize("case", ["scenario", "usage-error", "forked-analyze"])
+def test_the_program_freezes_its_start_up_heap(tmp_path, case):
+    # everything built before main() lives until exit, so no collection after it (and none
+    # at finalization) walks it again; forked analyze workers inherit the frozen set
+    argv, workers = {"scenario": (_S3, 1), "usage-error": (["analyze", "--format", "xml"], 1),
+                     "forked-analyze": (["analyze", *_corpus_copies(tmp_path)], 2)}[case]
+    code, _, _, frozen, forked = _as_program(argv, workers)
+    assert frozen > 0
+    assert (code, forked) == {"scenario": (0, 0), "usage-error": (2, 0), "forked-analyze": (0, 1)}[case]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--check", str(CORPUS / "dos_loop_dirty.sol")], [*_S3, "--check"], ["rules"], ["--version"],
+    ["scenario", "run", "S9"],
+])
+def test_a_library_call_leaves_the_collector_as_it_was(argv, capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    main(argv)
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_importing_the_cli_freezes_nothing():
+    _modules_after("import gc, arbmigrate.cli\nassert gc.get_freeze_count() == 0")  # else it exits 1
+
+
+@pytest.mark.parametrize("argv, workers", [
+    *[(["analyze", "--format", form], workers) for form in ("json", "text") for workers in (1, 2)],
+    *[(["scenario", "run", spec.id, "--check"], 1) for spec in list_scenarios()],
+])
+def test_the_program_prints_what_a_library_call_prints(tmp_path, argv, workers, capsys, monkeypatch):
+    if argv[0] == "analyze":  # two workers fork over the corpus copies, one reads the corpus
+        paths = _corpus_copies(tmp_path) if workers > 1 else sorted(map(str, CORPUS.glob("*.sol")))
+        argv = [*argv, *paths]
+    monkeypatch.setattr(cli, "_WORKERS", workers)
+    assert _as_program(argv, workers)[:3] == run(capsys, *argv)
 
 
 _BENCH = Path(__file__).parents[1] / "bench"
