@@ -20,7 +20,7 @@ ADDRESS_SPACE = 1 << 160
 # Offset added to an L1 contract address to form its L2 alias.
 ALIAS_OFFSET_INT = 0x1111000000000000000000000000000000001111
 
-HEX_ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
+HEX_ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}\Z")  # \Z: "$" also matches before a final "\n"
 
 
 class Address(FrozenRecord):

@@ -5,7 +5,8 @@ two outcomes are identical).
 Scenarios are parameterized models coded against the simulator modules; there
 is no contract VM.  Randomness (the S1 price path) comes from a seeded
 generator, so a fixed (id, params, seed) triple produces a byte-identical
-serialized report.
+serialized report.  S5 runs its three ticket paths as event scripts through
+``replay_events``, the one code that drives tickets.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import Any, Callable, Mapping
 
 from . import retryable
 from ._record import FrozenRecord, Record
-from .aliasing import HEX_ADDRESS_RE, Address, SenderContext, SenderKind, apply_alias, l2_msg_sender
-from .chainmodel import U64, L1Chain, L2View, WallClock, l2_view_l1_number_at
+from .aliasing import ALIAS_OFFSET, HEX_ADDRESS_RE, Address, SenderContext, SenderKind, apply_alias, l2_msg_sender
+from .chainmodel import (DEFAULT_BLOCK_INTERVAL, DEFAULT_SYNC_PERIOD, U64, L1Chain, L2View, WallClock,
+                         l2_view_l1_number_at)
 from .gasmodel import GasParams, gas_fees
 from .sequencer import L2Tx, Sequencer, SequencerStatus, TxOrigin
 
@@ -237,8 +239,8 @@ _S2 = ScenarioSpec(
     title="block-number-equality",
     risk="block-number equality checks that can never fire on L2",
     params={
-        "block_interval_s": Param(15, range(1, U64)),
-        "sync_period_s": Param(60, range(1, U64)),
+        "block_interval_s": Param(DEFAULT_BLOCK_INTERVAL, range(1, U64)),
+        "sync_period_s": Param(DEFAULT_SYNC_PERIOD, range(1, U64)),
         "horizon_s": Param(3600, range(1, U64)),
         "genesis_number": Param(1000, range(0, U64)),
     },
@@ -282,7 +284,7 @@ _S3 = ScenarioSpec(
     params={
         "l1_sender": Param("0x00000000000000000000000000000000deadbeef", Address),
         "sender_kind": Param("contract", tuple(kind.value for kind in SenderKind)),
-        "offset": Param("0x1111000000000000000000000000000000001111", Address),
+        "offset": Param(ALIAS_OFFSET.hex(), Address),
     },
     linked_rules=("ARB-ALIAS-001",),
     narrative=(
@@ -359,55 +361,31 @@ _S4 = ScenarioSpec(
 def _run_retryable_fee_paths(params: dict[str, Any], seed: int) -> Outcome:
     if params["auto_fail_gas_required"] <= params["l2_gas_provided"]:
         raise ScenarioError("auto_fail_gas_required must exceed l2_gas_provided")
+    # Each path is an event script on one ticket; replay_events checks its ledger.
     funds = params["submission_fee"] + params["l2_gas_provided"] + params["callvalue"]
+    create = {"at": 0, "action": "create_ticket", "id": "t", "funds_provided": funds,
+              "required": funds, "submission_fee": params["submission_fee"],
+              "l2_gas_provided": params["l2_gas_provided"], "callvalue": params["callvalue"],
+              "refund_address": 0xA11CE, "escrow_callvalue": params["escrow_callvalue"]}
 
-    def fresh_ticket(ledger: retryable.FeeLedger, ticket_id: str) -> retryable.Ticket:
-        return retryable.create_ticket(
-            ledger,
-            ticket_id=ticket_id,
-            created_at=0,
-            funds_provided=funds,
-            required=funds,
-            submission_fee=params["submission_fee"],
-            l2_gas_provided=params["l2_gas_provided"],
-            callvalue=params["callvalue"],
-            refund_address=0xA11CE,
-            escrow_callvalue=params["escrow_callvalue"],
-        )
+    def redeem(gas: int) -> dict[str, Any]:
+        return {"at": 60, "action": "auto_redeem", "id": "t", "l2_gas_required": gas}
 
-    ledger_a = retryable.FeeLedger()
-    ticket_a = fresh_ticket(ledger_a, "path-auto-success")
-    retryable.auto_redeem(ticket_a, ledger_a, params["auto_gas_required"], now=60)
-
-    ledger_b = retryable.FeeLedger()
-    ticket_b = fresh_ticket(ledger_b, "path-manual")
-    retryable.auto_redeem(ticket_b, ledger_b, params["auto_fail_gas_required"], now=60)
-    retryable.manual_redeem(
-        ticket_b,
-        ledger_b,
-        params["manual_submission_fee"],
-        params["manual_l2_gas"],
-        now=3 * 86_400,
-    )
-
-    ledger_c = retryable.FeeLedger()
-    ticket_c = fresh_ticket(ledger_c, "path-expiry")
-    retryable.auto_redeem(ticket_c, ledger_c, params["auto_fail_gas_required"], now=60)
-    retryable.expire_tickets([ticket_c], ledger_c, now=retryable.BUFFER_LIFETIME)
-
-    for ledger in (ledger_a, ledger_b, ledger_c):
-        ledger.assert_balanced()
+    failed = redeem(params["auto_fail_gas_required"])
+    success, manual, expiry = (replay_events([create, *path])["ledger"] for path in (
+        [redeem(params["auto_gas_required"])],
+        [failed, {"at": 3 * 86_400, "action": "manual_redeem", "id": "t",
+                  "new_submission_fee": params["manual_submission_fee"],
+                  "l2_gas": params["manual_l2_gas"]}],
+        [failed, {"at": retryable.BUFFER_LIFETIME, "action": "expire_tickets"}],
+    ))
 
     l1 = {"fees": params["l1_direct_fee"], "delivered": params["callvalue"], "lost": 0}
-    l2 = {
-        "auto_success": ledger_a._asdict(),
-        "auto_fail_manual": ledger_b._asdict(),
-        "auto_fail_expiry": ledger_c._asdict(),
-    }
+    l2 = {"auto_success": success, "auto_fail_manual": manual, "auto_fail_expiry": expiry}
     return l1, l2, {
-        "extra_fees_auto_vs_l1": ledger_a.consumed_as_fees - params["l1_direct_fee"],
-        "extra_fees_manual_vs_auto": ledger_b.consumed_as_fees - ledger_a.consumed_as_fees,
-        "value_lost_on_expiry": ledger_c.lost,
+        "extra_fees_auto_vs_l1": success["consumed_as_fees"] - params["l1_direct_fee"],
+        "extra_fees_manual_vs_auto": manual["consumed_as_fees"] - success["consumed_as_fees"],
+        "value_lost_on_expiry": expiry["lost"],
     }
 
 
@@ -522,10 +500,11 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
 
     Returns a summary: executed transactions (with execution time and the
     gas parameters they carried), final queue contents, ticket states, and
-    the fee ledger.  A transaction's summary row is built when its tick
-    runs: besides what a ``tick`` or ``expire_tickets`` record pops, each
-    record costs constant time.  A malformed record, or one that is not an
-    object, raises :class:`EventScriptError` naming its index.
+    the fee ledger, whose identity is checked once at the end
+    (``AssertionError`` if it fails).  A transaction's summary row is built
+    when its tick runs: besides what a ``tick`` or ``expire_tickets`` record
+    pops, each record costs constant time.  A malformed record, or one that
+    is not an object, raises :class:`EventScriptError` naming its index.
     """
     seq = Sequencer()
     submitted: set[str] = set()  # the sequencer takes unique ids only
@@ -635,6 +614,7 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
         except (TypeError, ValueError, retryable.TicketStateError) as exc:
             raise EventScriptError(f"event {index}: {exc}") from exc
 
+    ledger.assert_balanced()
     return {
         "executed": executed,
         "pending": [tx.id for tx in seq.pending],

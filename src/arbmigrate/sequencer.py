@@ -1,19 +1,20 @@
 """Sequencer model: collect/order/execute, downtime, delayed inbox, force inclusion.
 
-While the sequencer is active it drains the delayed inbox first (oldest
-transactions before anything newer) and then its own pending queue.  While it
-is down, transactions pile up in the delayed inbox; only entries older than
-``force_inclusion_delay`` get executed regardless of sequencer status, so
-nothing is ever stuck forever.
+A new sequencer is active with empty queues, and transactions enter it only
+through ``submit``.  While it is active it drains the delayed inbox first
+(oldest transactions before anything newer) and then its own pending queue.
+While it is down, transactions pile up in the delayed inbox; only entries at
+least ``FORCE_INCLUSION_DELAY`` seconds old get executed regardless of
+sequencer status, so nothing is ever stuck forever.
 
 A down tick touches only what it force-includes: the delayed-inbox
 transactions that are not underpriced also sit in a min-heap ordered by
 ``(submit_time, arrival order)``, so its top is the oldest one.  The tick pops
-the entries that have waited out ``force_inclusion_delay``, runs them in
-arrival order and removes them from the inbox, a dict keyed by transaction id.
-Queue transactions through ``submit`` only; editing a queued one in place
-leaves the heap out of date.  Transaction ids must be unique, and the sequencer
-keeps none to check: ``scenarios.replay_events`` checks the ids it reads.
+the entries that have waited out the delay, runs them in arrival order and
+removes them from the inbox, a dict keyed by transaction id.  Editing a queued
+transaction in place leaves the heap out of date.  Transaction ids must be
+unique, and the sequencer keeps none to check: ``scenarios.replay_events``
+checks the ids it reads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Any
 from ._record import Record
 
 
-DEFAULT_FORCE_INCLUSION_DELAY = 86_400
+FORCE_INCLUSION_DELAY = 86_400
 
 
 class TxOrigin(Enum):
@@ -61,34 +62,18 @@ class L2Tx(Record):
         self.underpriced = underpriced
 
 
-class Sequencer(Record):
+class Sequencer:
     """Single-owner sequencer state; callers serialize mutations."""
 
-    def __init__(
-        self,
-        status: SequencerStatus = SequencerStatus.ACTIVE,
-        force_inclusion_delay: int = DEFAULT_FORCE_INCLUSION_DELAY,
-        pending: deque[L2Tx] | None = None,
-        delayed_inbox: dict[str, L2Tx] | None = None,  # id -> tx, arrival order
-        executed_count: int = 0,
-        _arrivals: int = 0,
-        _last_tick: int | None = None,
-    ):
-        self.status, self.force_inclusion_delay = status, force_inclusion_delay
-        self.pending = deque() if pending is None else pending
-        self.delayed_inbox = {} if delayed_inbox is None else delayed_inbox
-        self.executed_count = executed_count
-        # txs taken in, the given queues included; a submit's count is its arrival order
-        self._arrivals = max(_arrivals, len(self.pending) + len(self.delayed_inbox))
-        self._last_tick = _last_tick
-        # (submit_time, arrival order, id) of every delayed-inbox tx that is not
-        # underpriced. Not a field.
-        self._due = [
-            (tx.submit_time, order, tx.id)
-            for order, tx in enumerate(self.delayed_inbox.values())
-            if not tx.underpriced
-        ]
-        heapq.heapify(self._due)
+    def __init__(self):
+        self.status = SequencerStatus.ACTIVE
+        self.pending: deque[L2Tx] = deque()
+        self.delayed_inbox: dict[str, L2Tx] = {}  # id -> tx, arrival order
+        self.executed_count = 0
+        self._arrivals = 0  # txs taken in; a submit's count is its arrival order
+        self._last_tick: int | None = None
+        # (submit_time, arrival order, id) of every delayed-inbox tx that is not underpriced
+        self._due: list[tuple[int, int, str]] = []
 
     def submit(self, tx: L2Tx) -> None:
         """Route a fresh transaction to the pending queue or the delayed inbox.
@@ -122,11 +107,11 @@ class Sequencer(Record):
             self.pending.clear()
             self._due.clear()
         else:
-            # Force inclusion: delayed-inbox txs whose age reached the
-            # configured delay run even without the sequencer, unless their
-            # gas parameters are flagged underpriced (those are not queued).
+            # Force inclusion: delayed-inbox txs whose age reached the delay
+            # run even without the sequencer, unless their gas parameters are
+            # flagged underpriced (those are not queued).
             due = []
-            while self._due and now - self._due[0][0] >= self.force_inclusion_delay:
+            while self._due and now - self._due[0][0] >= FORCE_INCLUSION_DELAY:
                 due.append(heapq.heappop(self._due))
             due.sort(key=lambda entry: entry[1])
             executed = [self.delayed_inbox.pop(tx_id) for _, _, tx_id in due]

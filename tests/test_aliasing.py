@@ -57,7 +57,8 @@ class TestAddress:
 
     @pytest.mark.parametrize(
         "bad",
-        ["deadbeef", "0x123", "0x" + "g" * 40, "0x" + "a" * 41, "", "0x" + "a" * 39],
+        ["deadbeef", "0x123", "0x" + "g" * 40, "0x" + "a" * 41, "", "0x" + "a" * 39,
+         "0x" + "a" * 40 + "\n"],
     )
     def test_from_hex_rejects_malformed_input(self, bad):
         with pytest.raises(ValueError):

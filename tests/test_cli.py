@@ -583,6 +583,13 @@ class TestAliasCommands:
         )
         assert out.strip().lower() == "0x" + "0" * 39 + "5"
 
+    def test_address_with_a_trailing_newline_is_usage_error(self, capsys):
+        sender = "0x00000000000000000000000000000000deadbeef\n"
+        for argv in (["alias", "apply", sender], ["scenario", "run", "S3", "--param", f"l1_sender={sender}"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("error:") == 1 and "40-hex-digit" in err
+
 
 class TestChecklistCommand:
     def test_checklist_from_findings_file(self, tmp_path, capsys):

@@ -17,26 +17,23 @@ from arbmigrate.chainmodel import L1Chain, L2View, WallClock, l2_timestamp_read,
 from arbmigrate.gasmodel import GasParams, cost_comparison_table, quote, savings_table
 from arbmigrate.retryable import FeeLedger, auto_redeem, create_ticket
 from arbmigrate.scenarios import ScenarioSpec, list_scenarios, run_scenario
-from arbmigrate.sequencer import L2Tx, Sequencer, SequencerStatus, TxOrigin
+from arbmigrate.sequencer import L2Tx, Sequencer
 
 GOLDEN_REPR = Path(__file__).parent / "golden" / "sim_repr.txt"
 
 FROZEN = ("Address", "SenderContext", "WallClock", "L1Chain", "L2View", "L2Timestamp",
           "GasParams", "GasQuote", "CostRow", "SavingsTable", "ScenarioSpec")
-MUTABLE = ("FeeLedger", "Ticket", "L2Tx", "Sequencer", "DifferentialReport")
+MUTABLE = ("FeeLedger", "Ticket", "L2Tx", "DifferentialReport")
 
 
 def _instances():
-    """One fresh instance of each of the 16 simulator classes, by class name."""
+    """One fresh instance of each of the 15 simulator classes, by class name."""
     chain = L1Chain(genesis_number=100, block_interval=12)
     ledger = FeeLedger()
     ticket = create_ticket(ledger, ticket_id="t1", created_at=5, funds_provided=1600,
                            required=1500, submission_fee=100, l2_gas_provided=400,
                            callvalue=1000, refund_address=0xbeef)
     auto_redeem(ticket, ledger, l2_gas_required=300, now=6)
-    seq = Sequencer(status=SequencerStatus.DOWN, force_inclusion_delay=50,
-                    delayed_inbox={"d": L2Tx("d", 10, TxOrigin.DELAYED_INBOX, gas_price=3)})
-    seq.tick(60)
     params = GasParams(gas_used_l2=21_000, calldata_price_l1=16, calldata_size_l1=100,
                        gas_price_l2=10)
     made = [
@@ -53,7 +50,6 @@ def _instances():
         ledger,
         ticket,
         L2Tx("x", 7, payload=(7, 10_000), underpriced=True),
-        seq,
         ScenarioSpec(**vars(list_scenarios()[2])),  # a fresh copy of the S3 spec
         run_scenario("S3"),
     ]
@@ -134,13 +130,6 @@ def test_scenario_spec_run_takes_no_part_in_eq_or_repr():
     other = ScenarioSpec(**spec._asdict(), run=list_scenarios()[1].run)
     assert other == spec and repr(other) == repr(spec)
     assert "run" not in spec._asdict()
-
-
-def test_sequencer_equality_ignores_the_due_heap():
-    a, b = _instances()["Sequencer"], _instances()["Sequencer"]
-    b._due.append((0, 0, "phantom"))
-    assert a == b and repr(a) == repr(b)
-    assert "_due" not in a._asdict() and "_due" not in repr(a)
 
 
 def test_fee_ledger_asdict_keeps_the_declaration_order():

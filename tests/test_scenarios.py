@@ -21,6 +21,7 @@ from arbmigrate.scenarios import (
     Outcome,
     ScenarioError,
     list_scenarios,
+    replay_events,
     run_scenario,
     serialize_report,
 )
@@ -109,6 +110,8 @@ class TestCatalog:
         ("S3", "sender_kind", "CONTRACT", "one of externally_owned, contract"),
         ("S3", "l1_sender", 5, "a 0x-prefixed 40-hex-digit address"),
         ("S3", "offset", "0x12", "a 0x-prefixed 40-hex-digit address"),
+        ("S3", "l1_sender", "0x00000000000000000000000000000000deadbeef\n",
+         "a 0x-prefixed 40-hex-digit address"),
         ("S5", "escrow_callvalue", "yes", "true or false"),
         ("S5", "escrow_callvalue", 1, "true or false"),
     ])
@@ -605,14 +608,116 @@ class TestRetryableFeePaths:
         assert report.l2_outcome["auto_fail_manual"]["delivered_callvalue"] == 100_000
 
 
+def _reference_fee_paths(params: dict[str, Any], seed: int) -> Outcome:
+    """The S5 runner before it ran its paths through replay_events: a ledger and a ticket per path."""
+    if params["auto_fail_gas_required"] <= params["l2_gas_provided"]:
+        raise ScenarioError("auto_fail_gas_required must exceed l2_gas_provided")
+    funds = params["submission_fee"] + params["l2_gas_provided"] + params["callvalue"]
+
+    def fresh_ticket(ledger: retryable.FeeLedger, ticket_id: str) -> retryable.Ticket:
+        return retryable.create_ticket(
+            ledger,
+            ticket_id=ticket_id,
+            created_at=0,
+            funds_provided=funds,
+            required=funds,
+            submission_fee=params["submission_fee"],
+            l2_gas_provided=params["l2_gas_provided"],
+            callvalue=params["callvalue"],
+            refund_address=0xA11CE,
+            escrow_callvalue=params["escrow_callvalue"],
+        )
+
+    ledger_a = retryable.FeeLedger()
+    ticket_a = fresh_ticket(ledger_a, "path-auto-success")
+    retryable.auto_redeem(ticket_a, ledger_a, params["auto_gas_required"], now=60)
+
+    ledger_b = retryable.FeeLedger()
+    ticket_b = fresh_ticket(ledger_b, "path-manual")
+    retryable.auto_redeem(ticket_b, ledger_b, params["auto_fail_gas_required"], now=60)
+    retryable.manual_redeem(
+        ticket_b,
+        ledger_b,
+        params["manual_submission_fee"],
+        params["manual_l2_gas"],
+        now=3 * 86_400,
+    )
+
+    ledger_c = retryable.FeeLedger()
+    ticket_c = fresh_ticket(ledger_c, "path-expiry")
+    retryable.auto_redeem(ticket_c, ledger_c, params["auto_fail_gas_required"], now=60)
+    retryable.expire_tickets([ticket_c], ledger_c, now=retryable.BUFFER_LIFETIME)
+
+    for ledger in (ledger_a, ledger_b, ledger_c):
+        ledger.assert_balanced()
+
+    l1 = {"fees": params["l1_direct_fee"], "delivered": params["callvalue"], "lost": 0}
+    l2 = {
+        "auto_success": ledger_a._asdict(),
+        "auto_fail_manual": ledger_b._asdict(),
+        "auto_fail_expiry": ledger_c._asdict(),
+    }
+    return l1, l2, {
+        "extra_fees_auto_vs_l1": ledger_a.consumed_as_fees - params["l1_direct_fee"],
+        "extra_fees_manual_vs_auto": ledger_b.consumed_as_fees - ledger_a.consumed_as_fees,
+        "value_lost_on_expiry": ledger_c.lost,
+    }
+
+
+def _in_domain(domain):
+    """Values of a declared S5 domain: small ones, the edges, and any in range."""
+    if domain is bool:
+        return st.booleans()
+    low, high = domain.start, domain.stop - 1
+    return st.one_of(st.integers(low, min(high, low + 10**6)), st.sampled_from([low, high]),
+                     st.integers(low, high))
+
+
+@st.composite
+def _s5_params(draw):
+    """S5 parameters from their declared domains, with auto_fail_gas_required > l2_gas_provided."""
+    declared = list_scenarios()[4].params
+    params = {key: draw(_in_domain(param.domain)) for key, param in declared.items()}
+    fail = declared["auto_fail_gas_required"].domain
+    params["l2_gas_provided"] = min(params["l2_gas_provided"], fail.stop - 2)
+    params["auto_fail_gas_required"] = draw(st.one_of(
+        st.integers(params["l2_gas_provided"] + 1, fail.stop - 1),
+        st.just(params["l2_gas_provided"] + 1)))
+    return params
+
+
+class TestFeePathsMatchTheReference:
+    @settings(max_examples=200, deadline=None)
+    @given(params=_s5_params(), seed=st.integers(0, 2**64))
+    def test_event_scripts_give_the_reference_report(self, params, seed):
+        spec = list_scenarios()[4]
+        expected = DifferentialReport("S5", seed, params, *_reference_fee_paths(params, seed),
+                                      spec.narrative, list(spec.linked_rules))
+        assert serialize_report(run_scenario("S5", params, seed)) == serialize_report(expected)
+
+    def test_replay_checks_the_ledger_identity(self, monkeypatch):
+        auto_redeem = retryable.auto_redeem
+
+        def mis_accounting(ticket, ledger, *args, **kwargs):
+            ledger.refunded += 1  # one unit refunded that was never paid in
+            return auto_redeem(ticket, ledger, *args, **kwargs)
+
+        monkeypatch.setattr(retryable, "auto_redeem", mis_accounting)
+        script = [{"at": 0, "action": "create_ticket", "id": "t", "funds_provided": 30, "required": 30,
+                   "submission_fee": 10, "l2_gas_provided": 10, "callvalue": 10},
+                  {"at": 1, "action": "auto_redeem", "id": "t", "l2_gas_required": 5}]
+        with pytest.raises(AssertionError, match="ledger identity violated"):
+            replay_events(script)
+        with pytest.raises(AssertionError, match="ledger identity violated"):
+            run_scenario("S5")
+
+
 _TICKET = {"at": 0, "action": "create_ticket", "id": "t", "funds_provided": 30,
            "required": 30, "submission_fee": 10, "l2_gas_provided": 10, "callvalue": 10}
 
 
 class TestEventReplay:
     def test_downtime_script_reproduces_recovery_ordering(self):
-        from arbmigrate.scenarios import replay_events
-
         summary = replay_events([
             {"at": 0, "action": "sequencer_down"},
             {"at": 10, "action": "submit_tx", "id": "a"},
@@ -628,8 +733,6 @@ class TestEventReplay:
     def test_duplicate_id_rejected_and_state_unchanged(self, monkeypatch):
         # the sequencer keeps no ids, so replay rejects a repeated one before
         # the sequencer takes it in, also after the first one has executed
-        from arbmigrate.scenarios import replay_events
-
         taken, submit = [], Sequencer.submit
 
         def spy(seq, tx):
@@ -646,8 +749,6 @@ class TestEventReplay:
         assert taken == ["a"]
 
     def test_ticket_lifecycle_script(self):
-        from arbmigrate.scenarios import replay_events
-
         summary = replay_events([
             {"at": 0, "action": "create_ticket", "id": "t1", "funds_provided": 600,
              "required": 600, "submission_fee": 100, "l2_gas_provided": 200,
@@ -668,8 +769,6 @@ class TestEventReplay:
         assert ledger["lost"] == 50
 
     def test_underpriced_gas_params_surface_in_summary(self):
-        from arbmigrate.scenarios import replay_events
-
         summary = replay_events([
             {"at": 0, "action": "sequencer_down"},
             {"at": 0, "action": "submit_tx", "id": "cheap",
@@ -681,8 +780,6 @@ class TestEventReplay:
         assert summary["executed"] == []
 
     def test_script_errors(self):
-        from arbmigrate.scenarios import EventScriptError, replay_events
-
         with pytest.raises(EventScriptError, match="unknown action"):
             replay_events([{"at": 0, "action": "explode"}])
         with pytest.raises(EventScriptError, match="precedes"):
@@ -757,8 +854,6 @@ class TestEventReplay:
              "null-record", "list-record", "list-record-with-keys", "int-record", "string-record"],
     )
     def test_malformed_record_names_its_index(self, events, message):
-        from arbmigrate.scenarios import replay_events
-
         with pytest.raises(EventScriptError, match=re.escape(message)):
             replay_events(events)
 

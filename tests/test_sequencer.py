@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbmigrate.sequencer import (
+    FORCE_INCLUSION_DELAY,
     L2Tx,
     Sequencer,
     SequencerStatus,
@@ -21,6 +22,13 @@ def delayed(tx_id, t, **kw):
     return L2Tx(id=tx_id, submit_time=t, origin=TxOrigin.DELAYED_INBOX, **kw)
 
 
+def down():
+    """A new sequencer, set DOWN."""
+    seq = Sequencer()
+    seq.set_status(SequencerStatus.DOWN)
+    return seq
+
+
 def ticked(seq, now):
     """The (tx, execution time) pairs of one tick."""
     return [(tx, now) for tx in seq.tick(now)]
@@ -29,6 +37,14 @@ def ticked(seq, now):
 def max_wait(pairs):
     """Largest (execution time - submit time) over (tx, at) pairs; 0 if there are none."""
     return max((at - tx.submit_time for tx, at in pairs), default=0)
+
+
+def test_a_new_sequencer_is_active_with_empty_queues_and_takes_no_argument():
+    seq = Sequencer()
+    assert seq.status is SequencerStatus.ACTIVE
+    assert (list(seq.pending), seq.delayed_inbox, seq.counts()) == ([], {}, (0, 0, 0, 0))
+    with pytest.raises(TypeError):
+        Sequencer(SequencerStatus.DOWN)
 
 
 def test_active_direct_tx_executes_at_next_tick():
@@ -40,7 +56,7 @@ def test_active_direct_tx_executes_at_next_tick():
 
 
 def test_down_sequencer_accumulates_in_delayed_inbox():
-    seq = Sequencer(status=SequencerStatus.DOWN)
+    seq = down()
     seq.submit(direct("a", 10))
     seq.submit(direct("b", 20))
     assert seq.tick(30) == []
@@ -77,7 +93,7 @@ def test_recovery_drains_old_delayed_txs_before_new_direct_ones():
 
 
 def test_force_inclusion_after_configured_delay():
-    seq = Sequencer(status=SequencerStatus.DOWN)
+    seq = down()
     seq.submit(direct("stuck", 0))
     assert seq.tick(86_399) == []
     executed = seq.tick(86_400)
@@ -86,7 +102,7 @@ def test_force_inclusion_after_configured_delay():
 
 
 def test_underpriced_tx_skips_force_inclusion_until_the_sequencer_is_active():
-    seq = Sequencer(status=SequencerStatus.DOWN)
+    seq = down()
     seq.submit(delayed("cheap", 0, gas_price=1, underpriced=True))
     assert seq.tick(90_000) == []
     seq.set_status(SequencerStatus.ACTIVE)
@@ -96,33 +112,34 @@ def test_underpriced_tx_skips_force_inclusion_until_the_sequencer_is_active():
 
 
 def test_each_delayed_tx_is_force_included_at_its_own_deadline():
-    seq = Sequencer(status=SequencerStatus.DOWN, force_inclusion_delay=100)
+    seq = down()
+    shift = FORCE_INCLUSION_DELAY - 100  # each tick as if the delay were 100 s
     seq.submit(delayed("late", 50))
     seq.submit(delayed("early", 0))
     seq.submit(delayed("cheap", 0, underpriced=True))
-    assert seq.tick(99) == []
-    assert [tx.id for tx in seq.tick(100)] == ["early"]
+    assert seq.tick(shift + 99) == []
+    assert [tx.id for tx in seq.tick(shift + 100)] == ["early"]
     seq.submit(delayed("backdated", 20))
-    assert [tx.id for tx in seq.tick(120)] == ["backdated"]
-    assert seq.tick(149) == []
-    assert [tx.id for tx in seq.tick(150)] == ["late"]
-    assert seq.tick(10_000) == []
+    assert [tx.id for tx in seq.tick(shift + 120)] == ["backdated"]
+    assert seq.tick(shift + 149) == []
+    assert [tx.id for tx in seq.tick(shift + 150)] == ["late"]
+    assert seq.tick(shift + 10_000) == []
     assert list(seq.delayed_inbox) == ["cheap"]
 
 
-def test_inbox_given_to_the_constructor_is_force_included():
-    seq = Sequencer(
-        status=SequencerStatus.DOWN,
-        force_inclusion_delay=10,
-        pending=deque([direct("p", 0)]),
-        delayed_inbox={"a": delayed("a", 3), "b": delayed("b", 1, underpriced=True)},
-    )
-    assert seq.tick(12) == []
-    assert [tx.id for tx in seq.tick(13)] == ["a"]
-    assert seq.counts() == (3, 1, 1, 1)  # the given queues count as submitted
+def test_inbox_queued_before_an_outage_is_force_included():
+    seq = Sequencer()
+    seq.submit(direct("p", 0))
+    seq.submit(delayed("a", 3))
+    seq.submit(delayed("b", 1, underpriced=True))
+    seq.set_status(SequencerStatus.DOWN)
+    shift = FORCE_INCLUSION_DELAY - 10  # each tick as if the delay were 10 s
+    assert seq.tick(shift + 12) == []
+    assert [tx.id for tx in seq.tick(shift + 13)] == ["a"]
+    assert seq.counts() == (3, 1, 1, 1)
     seq.submit(delayed("c", 4))  # arrives after "b", so it runs after it
     seq.set_status(SequencerStatus.ACTIVE)
-    assert [tx.id for tx in seq.tick(20)] == ["b", "c", "p"]
+    assert [tx.id for tx in seq.tick(shift + 20)] == ["b", "c", "p"]
     assert seq.counts() == (4, 0, 0, 4)
 
 
@@ -143,7 +160,7 @@ def test_staleness_covers_downtime_window():
 
 def test_staleness_empty_log_is_zero():
     assert max_wait(ticked(Sequencer(), 0)) == 0
-    seq = Sequencer(status=SequencerStatus.DOWN)
+    seq = down()
     seq.submit(direct("a", 0))
     assert max_wait(ticked(seq, 86_399)) == 0
 
@@ -161,7 +178,7 @@ def test_zero_downtime_staleness_bounded_by_tick_interval():
 
 
 def test_conservation_simple():
-    seq = Sequencer(status=SequencerStatus.DOWN)
+    seq = down()
     seq.submit(direct("a", 0))
     seq.submit(delayed("b", 1))
     seq.set_status(SequencerStatus.ACTIVE)
@@ -223,7 +240,7 @@ class FullScanSequencer(Sequencer):
         else:
             remaining = {}
             for tx in self.delayed_inbox.values():
-                if not tx.underpriced and now - tx.submit_time >= self.force_inclusion_delay:
+                if not tx.underpriced and now - tx.submit_time >= FORCE_INCLUSION_DELAY:
                     executed.append(tx)
                 else:
                     remaining[tx.id] = tx
@@ -250,25 +267,30 @@ _SCHEDULE = st.lists(
 
 @settings(max_examples=400, deadline=None)
 @given(
-    delay=st.sampled_from([0, 5, 50, 86_400]),
+    lag=st.sampled_from([0, 5, 50, 86_400]),
     status=st.sampled_from(list(SequencerStatus)),
     inbox=st.lists(st.tuples(st.sampled_from([-50, 0, 50]), st.booleans()), max_size=4),
     schedule=_SCHEDULE,
 )
-def test_watermark_ticks_match_a_full_scan(delay, status, inbox, schedule):
-    """The heap top is the exact watermark: ticks match a full scan of every down tick."""
-    given = [delayed(f"given{i}", 100 + offset, underpriced=cheap)
-             for i, (offset, cheap) in enumerate(inbox)]
-    fast = Sequencer(status=status, force_inclusion_delay=delay,
-                     delayed_inbox={tx.id: tx for tx in given})
-    slow = FullScanSequencer(status=status, force_inclusion_delay=delay,
-                             delayed_inbox={tx.id: tx for tx in given})
-    now = 100
+def test_watermark_ticks_match_a_full_scan(lag, status, inbox, schedule):
+    """The heap top is the exact watermark: ticks match a full scan of every down tick.
+
+    Every transaction is submitted FORCE_INCLUSION_DELAY - lag seconds earlier
+    than its tick offset says, so it falls due at the tick where a delay of
+    lag would make it due.
+    """
+    early = FORCE_INCLUSION_DELAY - lag
+    now = FORCE_INCLUSION_DELAY + 100
+    fast, slow = Sequencer(), FullScanSequencer()
+    for seq in (fast, slow):
+        for i, (offset, cheap) in enumerate(inbox):
+            seq.submit(delayed(f"given{i}", now + offset - early, underpriced=cheap))
+        seq.set_status(status)
     for i, (kind, *args) in enumerate(schedule):
         if kind == "submit":
             origin, offset, underpriced = args
             for seq in (fast, slow):
-                seq.submit(L2Tx(id=f"tx{i}", submit_time=now + offset,
+                seq.submit(L2Tx(id=f"tx{i}", submit_time=now + offset - early,
                                 origin=origin, underpriced=underpriced))
         elif kind == "status":
             fast.set_status(args[0])
