@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from ._keccak import keccak256
 from ._record import FrozenRecord
 
 ADDRESS_SPACE = 1 << 160
@@ -43,6 +42,8 @@ class Address(FrozenRecord):
 
     def checksummed(self) -> str:
         """EIP-55 mixed-case form: casing derived from the keccak of the hex."""
+        from ._keccak import keccak256  # only `alias` writes a checksum
+
         plain = f"{self.value:040x}"
         digest = keccak256(plain.encode("ascii")).hex()
         chars = [

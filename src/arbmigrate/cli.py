@@ -2,7 +2,7 @@
 
 Exit codes: 0 = ran (and, with --check, nothing beyond expectation);
 1 = findings/divergence beyond expectation in check mode; 2 = usage error
-(bad arguments, unknown ids, unparseable input).
+(bad arguments, unknown ids, unparseable input) or output that could not be written.
 """
 
 from __future__ import annotations
@@ -349,11 +349,23 @@ def _parse(words: list[str]):
 
 def main(argv: list[str] | None = None) -> int:
     """With no argv this is the arbmigrate program, whose start-up heap lives until exit: it is
-    frozen, so no later collection walks it.  A call with a list leaves the collector as it was."""
+    frozen, so no later collection walks it.  A call with a list leaves the collector as it was.
+    Output that cannot be written (a closed pipe, a full disk) is an error, exit 2."""
     if argv is None:
         gc.freeze()
     parsed = _parse(sys.argv[1:] if argv is None else argv)
-    return parsed if isinstance(parsed, int) else parsed[0](parsed[1])
+    if isinstance(parsed, int):
+        return parsed
+    try:
+        code = parsed[0](parsed[1])
+        if sys.stdout is not None:  # None once the program starts with stdout closed
+            sys.stdout.flush()
+    except OSError as exc:
+        if argv is None:  # what stdout still buffers goes nowhere, so exit does not fail again
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return _usage_error(str(exc))
+    return code
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import namedtuple
 from enum import Enum
 from itertools import accumulate, chain
-from typing import NamedTuple
 
 from .._record import Record
 
@@ -30,12 +30,10 @@ class TokenKind(Enum):
     OPERATOR = "operator"
 
 
-class Diagnostic(NamedTuple):
+class Diagnostic(namedtuple("Diagnostic", "message line column")):
     """A syntax error at a 1-based line and column."""
 
-    message: str
-    line: int
-    column: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}: error: {self.message}"

@@ -11,14 +11,13 @@ compare structurally equal.  A list defaults to a new one.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Union
+from collections import namedtuple
+from typing import Iterator, Union
 
 from .._record import Record
 
 
-class Span(NamedTuple):
-    start: int
-    end: int
+Span = namedtuple("Span", "start end")
 
 
 EMPTY_SPAN = Span(0, 0)  # a node built by hand, with no place in any source

@@ -9,11 +9,12 @@ the JSON form is canonical (sorted keys, LF, trailing newline).
 
 from __future__ import annotations
 
-import json
+from collections import namedtuple
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
+from ._record import quote
 from .minisol import (
     AddressLit,
     ArrayType,
@@ -56,21 +57,11 @@ class Severity(Enum):
     INFO = "info"
 
 
-class Rule(NamedTuple):
-    id: str
-    category: Category
-    severity: Severity
-    description: str
-    remediation: str
+Rule = namedtuple("Rule", "id category severity description remediation")
 
 
-class Finding(NamedTuple):
-    rule_id: str
-    file: str
-    line: int
-    column: int
-    excerpt: str
-    message: str
+class Finding(namedtuple("Finding", "rule_id file line column excerpt message")):
+    __slots__ = ()
 
     def sort_key(self) -> tuple:
         return (self.file, self.line, self.column, self.rule_id)
@@ -203,14 +194,16 @@ def get_rule(rule_id: str) -> Rule:
         ) from None
 
 
-class _RuleSettings(NamedTuple):
-    enabled: frozenset[str] = frozenset(_RULES_BY_ID)
-    oracle_patterns: tuple[str, ...] = ("latestRoundData", "getPrice", "getGLPprice")
-    uptime_patterns: tuple[str, ...] = ("sequencerUptimeFeed", "checkSequencerUp")
-    alias_patterns: tuple[str, ...] = ("applyL1ToL2Alias", "undoL1ToL2Alias")
-    timestamp_threshold_s: int = 60
-    loop_call_triggers: tuple[str, ...] = ("transfer", "send", "call")
-    block_number_literal_min: int = 1_000_000  # heuristic floor for "looks like a block height"
+_SETTINGS = {  # each rule setting, in field order, and its default
+    "enabled": frozenset(_RULES_BY_ID),
+    "oracle_patterns": ("latestRoundData", "getPrice", "getGLPprice"),
+    "uptime_patterns": ("sequencerUptimeFeed", "checkSequencerUp"),
+    "alias_patterns": ("applyL1ToL2Alias", "undoL1ToL2Alias"),
+    "timestamp_threshold_s": 60,
+    "loop_call_triggers": ("transfer", "send", "call"),
+    "block_number_literal_min": 1_000_000,  # heuristic floor for "looks like a block height"
+}
+_RuleSettings = namedtuple("_RuleSettings", _SETTINGS, defaults=_SETTINGS.values())
 
 
 class RuleConfig(_RuleSettings):
@@ -246,6 +239,8 @@ class RuleConfig(_RuleSettings):
 
     @classmethod
     def from_json(cls, text: str) -> "RuleConfig":
+        import json  # only the two readers parse JSON; analyze without --config never loads it
+
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("rule config must be a JSON object")
@@ -572,32 +567,33 @@ def findings_to_doc(findings: Sequence[Finding], files: Sequence[str]) -> dict:
     }
 
 
-# One flat finding object, its members on lines of their own: with no indent
-# set, json encodes with its C encoder, which indent=2 would turn off.
-_FINDING_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
-
-
 def _member_array(items: list[str]) -> str:
     """Encoded items as indent=2 lays out an array member of the top-level object."""
     return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def findings_to_json(findings: Sequence[Finding], files: Sequence[str]) -> str:
-    """The findings document, byte for byte as json.dumps(doc, indent=2,
-    sort_keys=True) writes it.  The document's shape is fixed and each finding
-    is a flat object, so the layout is written here and json's C encoder
-    encodes each file name and finding."""
-    doc = findings_to_doc(findings, files)
-    encode = _FINDING_ENCODER.encode
-    objects = ["{\n      " + encode(f)[1:-1] + "\n    }" for f in doc["findings"]]
+    """The findings document, byte for byte as json.dumps(findings_to_doc(findings,
+    files), indent=2, sort_keys=True) writes it, and a newline.  Its shape is fixed,
+    so each finding's eight keys are written here in sorted order."""
+    objects = [
+        f'{{\n      "category": "{rule.category.value}",\n      "column": {f.column},'
+        f'\n      "excerpt": {quote(f.excerpt)},\n      "file": {quote(f.file)},'
+        f'\n      "line": {f.line},\n      "message": {quote(f.message)},'
+        f'\n      "rule_id": {quote(f.rule_id)},\n      "severity": "{rule.severity.value}"\n    }}'
+        for f in sorted(findings, key=Finding.sort_key)
+        for rule in (get_rule(f.rule_id),)
+    ]
     return (
-        f'{{\n  "files": {_member_array(list(map(json.dumps, doc["files"])))},'
+        f'{{\n  "files": {_member_array([quote(name) for name in sorted(set(files))])},'
         f'\n  "findings": {_member_array(objects)},'
-        f'\n  "version": {json.dumps(doc["version"])}\n}}\n'
+        f'\n  "version": "{FINDINGS_SCHEMA_VERSION}"\n}}\n'
     )
 
 
 def findings_from_json(text: str) -> list[Finding]:
+    import json
+
     doc = json.loads(text)
     if not isinstance(doc, dict) or "findings" not in doc:
         raise ValueError("not a findings document: missing 'findings'")
@@ -625,12 +621,7 @@ def findings_from_json(text: str) -> list[Finding]:
 # --- migration checklist ------------------------------------------------------
 
 
-class ChecklistStep(NamedTuple):
-    key: str
-    title: str
-    detail: str
-    notes: tuple[str, ...] = ()
-    related_rule_ids: tuple[str, ...] = ()
+ChecklistStep = namedtuple("ChecklistStep", "key title detail notes related_rule_ids", defaults=[(), ()])
 
 
 _BASE_STEPS: tuple[tuple[str, str, str], ...] = (

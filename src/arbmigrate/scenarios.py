@@ -12,13 +12,12 @@ serialized report.  S5 runs its three ticket paths as event scripts through
 from __future__ import annotations
 
 import heapq
-import json
 import random
 from bisect import bisect_left
 from typing import Any, Callable, Mapping
 
 from . import retryable
-from ._record import FrozenRecord, Record
+from ._record import FrozenRecord, Record, dump_json
 from .aliasing import ALIAS_OFFSET, HEX_ADDRESS_RE, Address, SenderContext, SenderKind, apply_alias, l2_msg_sender
 from .chainmodel import (DEFAULT_BLOCK_INTERVAL, DEFAULT_SYNC_PERIOD, U64, L1Chain, L2View, WallClock,
                          l2_view_l1_number_at)
@@ -453,7 +452,7 @@ def run_scenario(
 def serialize_report(report: DifferentialReport) -> str:
     """Canonical JSON: sorted keys, LF line endings, trailing newline."""
     doc = {**report._asdict(), "divergent": report.divergent}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_json(doc) + "\n"
 
 
 # --- event-record replay ---------------------------------------------------

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -737,15 +738,17 @@ _ARGPARSE = {"argparse", "gettext", "locale"}
     "code, loaded, absent, absent_stdlib",
     [
         (f"from arbmigrate import cli; cli.main(['analyze', {str(CORPUS / 'dos_loop_dirty.sol')!r}])",
-         {"minisol", "rules"}, _SIMULATORS | {"minisol.printer"}, _ARGPARSE),
+         {"minisol", "rules"}, _SIMULATORS | {"minisol.printer"}, _ARGPARSE | {"json"}),
+        (f"from arbmigrate import cli; cli.main(['analyze', '--format', 'json', {str(CORPUS / 'dos_loop_dirty.sol')!r}])",
+         {"minisol", "rules"}, _SIMULATORS | {"minisol.printer"}, _ARGPARSE | {"json"}),
         ("from arbmigrate import cli; cli.main(['scenario', 'run', 'S3'])",
-         {"scenarios", "aliasing"}, {"minisol", "rules"}, _ARGPARSE),
+         {"scenarios", "aliasing"}, {"minisol", "rules", "_keccak"}, _ARGPARSE | {"json"}),
         ("from arbmigrate import cli; assert cli.main(['--version']) == 0",
          {"cli"}, _SIMULATORS | {"minisol", "rules"}, _ARGPARSE),
         ("from arbmigrate import scenarios", {"scenarios"}, {"minisol", "rules"}, set()),
         ("import arbmigrate; arbmigrate.rules.analyze", {"rules"}, _SIMULATORS, set()),
     ],
-    ids=["analyze", "scenario-run", "version", "import-scenarios", "package-attribute"],
+    ids=["analyze", "analyze-json", "scenario-run", "version", "import-scenarios", "package-attribute"],
 )
 def test_entry_point_loads_only_its_layers(code, loaded, absent, absent_stdlib):
     modules = _modules_after(code)
@@ -756,6 +759,54 @@ def test_entry_point_loads_only_its_layers(code, loaded, absent, absent_stdlib):
 def test_a_bare_interpreter_loads_no_argparse():
     # so the absent_stdlib sets above are not met by every process
     assert not _modules_after("pass") & _ARGPARSE
+
+
+def test_a_bare_interpreter_loads_no_json():
+    # so json in the absent_stdlib sets above is not met by every process
+    assert "json" not in _modules_after("pass")
+
+
+@pytest.mark.parametrize("command", ["checklist", "analyze-config"])
+def test_the_two_json_readers_load_json(tmp_path, command):
+    # analyze and scenario run write JSON without json; reading a findings file or a rule config needs it
+    findings, config = tmp_path / "findings.json", tmp_path / "rules.json"
+    findings.write_text(json.dumps({"findings": []}))
+    config.write_text(json.dumps({"timestamp_threshold_s": 90}))
+    argv = {"checklist": ["checklist", str(findings)],
+            "analyze-config": ["analyze", "--config", str(config), str(CORPUS / "dos_loop_dirty.sol")]}[command]
+    assert "json" in _modules_after(f"from arbmigrate import cli; assert cli.main({argv!r}) == 0")
+
+
+_UNWRITABLE = [["analyze", "--check", str(CORPUS / "dos_loop_dirty.sol")], ["scenario", "run", "S3"], ["rules"]]
+
+
+def _run_into(stdout, argv: list[str]) -> subprocess.CompletedProcess:
+    """The arbmigrate program, run in a fresh interpreter, writing its stdout to stdout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(arbmigrate.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "arbmigrate.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("argv", _UNWRITABLE, ids=["analyze-check", "scenario-run", "rules"])
+def test_a_closed_stdout_pipe_is_an_error_not_a_finding(argv):
+    # 1 means findings or divergence; output that cannot be written is exit 2 with one error line
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = _run_into(write, argv)
+    finally:
+        os.close(write)
+    assert result.returncode == 2
+    assert result.stderr == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("argv", _UNWRITABLE, ids=["analyze-check", "scenario-run", "rules"])
+def test_a_full_device_on_stdout_is_an_error_not_a_finding(argv):
+    with open("/dev/full", "w") as full:
+        result = _run_into(full, argv)
+    assert result.returncode == 2
+    assert result.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 def _corpus_copies(tmp_path) -> list[str]:
@@ -959,6 +1010,14 @@ def test_readme_library_imports_run():
     imports = [line for line in block.splitlines() if line.startswith(("from ", "import "))]
     assert len(imports) >= 5
     assert "arbmigrate.rules" in _modules_after("\n".join(imports))
+
+
+def test_readme_findings_json_example_is_what_analyze_writes(tmp_path, monkeypatch, capsys):
+    section = README.read_text(encoding="utf-8").split("## Findings JSON", 1)[1]
+    _, source, _, document, _ = section.split("```", 4)
+    (tmp_path / "Vault.sol").write_text(source.removeprefix("solidity\n"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "analyze", "--format", "json", "Vault.sol") == (0, document.removeprefix("json\n"), "")
 
 
 def test_unknown_package_attribute_raises_attribute_error():

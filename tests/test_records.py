@@ -1,4 +1,5 @@
-"""The record contract of the simulator classes: fields, ==, hash, repr, _asdict.
+"""The record contract of the simulator classes: fields, ==, hash, repr, _asdict;
+and the canonical JSON writer of the same module, against json.dumps.
 
 ``tests/golden/sim_repr.txt`` holds the repr of one instance of each class, so
 a change in a class's fields, their order or the repr format shows as a diff.
@@ -7,9 +8,14 @@ To record it again after an intended change, run
 review the diff.
 """
 
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from arbmigrate import _record
 
 from arbmigrate._record import Record
 from arbmigrate.aliasing import ADDRESS_SPACE, Address, SenderContext, SenderKind
@@ -166,6 +172,37 @@ def test_validation_errors_are_unchanged(build, error):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == error
+
+
+# every code point, lone surrogates and control characters included
+_ANY_TEXT = st.text(st.characters(blacklist_categories=()))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | st.floats() | _ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(_ANY_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_TEXT | st.text(alphabet='"\\\n\t\b\f\r\x00\x1f\x7f\x80\u00e9\u2028\ud800\udfff\U0001f600 ~'))
+@example("")
+@example("\U0010ffff\ud83d\ude00")
+def test_quote_is_what_json_dumps_writes(text):
+    assert _record.quote(text) == json.dumps(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+@example({"nan": float("nan"), "inf": [float("inf"), -float("inf"), -0.0], "": {}, "e": [], "big": -(10**40)})
+@example([True, False, None, 0, {"a": [{}]}, ()])
+def test_dump_json_is_what_json_dumps_with_indent_2_and_sorted_keys_writes(value):
+    assert _record.dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_dump_json_rejects_what_json_dumps_rejects():
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        _record.dump_json({"a": {1}})
 
 
 if __name__ == "__main__":

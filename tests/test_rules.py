@@ -1112,7 +1112,7 @@ class TestFindingsDocument:
             line=st.integers(min_value=-(2**70), max_value=2**70),
             column=st.integers(min_value=-(2**70), max_value=2**70),
             excerpt=st.text() | st.text(alphabet='"\\\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600{},: '),
-            message=st.text(),
+            message=st.text(st.characters(blacklist_categories=())),  # lone surrogates too
         ), max_size=6),
         files=st.lists(st.text(), max_size=4),
     )
