@@ -7,8 +7,8 @@ Exit codes: 0 = ran (and, with --check, nothing beyond expectation);
 
 from __future__ import annotations
 
+import atexit
 import contextlib
-import gc
 import marshal
 import os
 import sys
@@ -22,6 +22,7 @@ from . import __version__
 # os.sched_getaffinity is missing (every platform without fork, and macOS), it never forks.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 _PER_WORKER = 32
+_BATCH = 32  # files a slice reads, then parses, then analyzes before the next (_slice)
 
 
 def _usage_error(message: str) -> int:
@@ -29,24 +30,51 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _outcome(path: str, config) -> tuple:
-    """One file's stderr lines and its findings as plain tuples, None once the
-    file is unreadable or unparseable: values marshal can send."""
-    from .minisol import MiniSolSyntaxError, parse_source
+def _slice(paths: list[str], config):
+    """Each file's stderr lines and its findings as plain tuples, None once the file is
+    unreadable or unparseable (values marshal can send), in path order.  The files go in
+    batches of _BATCH, phase by phase, so each phase's code stays hot: every file is read,
+    then every text parsed, then each unit analyzed and unbound, so reference counting
+    frees it before its outcome is yielded.  An exception that reading or parsing a file
+    raised is raised at that file's turn, after every earlier file's outcome."""
+    from .minisol import MiniSolSyntaxError, parse_source, unbind
     from .rules import analyze
-    try:
-        source = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        return [f"error: cannot read {path}: {exc}"], None
-    try:
-        unit = parse_source(source, path=path)
-    except MiniSolSyntaxError as exc:
-        return [f"{path}:{diag}" for diag in exc.diagnostics], None
-    return [], [tuple(finding) for finding in analyze(unit, config)]
+
+    def read(path):
+        try:
+            return Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            return [f"error: cannot read {path}: {exc}"]
+        except Exception as exc:  # held until this file's turn
+            return exc
+
+    def parse(path, text):
+        try:
+            return parse_source(text, path=path) if text.__class__ is str else text
+        except MiniSolSyntaxError as exc:
+            return [f"{path}:{diag}" for diag in exc.diagnostics]
+        except Exception as exc:  # held until this file's turn
+            return exc
+
+    def finish(unit):
+        if isinstance(unit, Exception):
+            raise unit
+        if unit.__class__ is list:  # the file's stderr lines
+            return unit, None
+        found = [tuple(finding) for finding in analyze(unit, config)]
+        unbind(unit)
+        return [], found
+
+    for first in range(0, len(paths), _BATCH):
+        batch = paths[first:first + _BATCH]
+        units = [parse(path, text) for path, text in zip(batch, [read(path) for path in batch])]
+        units.reverse()
+        while units:  # popped, so no unit outlives its outcome's yield
+            yield finish(units.pop())
 
 
 def _outcomes(paths: list[str], config):
-    """Each path's _outcome, in path order.  The paths are split into contiguous
+    """Each path's outcome from _slice, in path order.  The paths are split into contiguous
     slices, one per worker, and a child is forked for each slice after the first;
     the parent computes its own slice, and every slice whose worker sent nothing
     (its fork failed, or it raised or died) at that slice's place.  With one
@@ -70,7 +98,7 @@ def _outcomes(paths: list[str], config):
                     os.close(read)
                     for _, pipe in children:
                         pipe.close()
-                    outcomes = [_outcome(path, config) for path in paths[start:stop]]
+                    outcomes = list(_slice(paths[start:stop], config))
                     with open(write, "wb") as pipe:
                         pipe.write(marshal.dumps(outcomes))
                 finally:
@@ -82,7 +110,7 @@ def _outcomes(paths: list[str], config):
             if 0 < k <= len(children):
                 with contextlib.suppress(EOFError, ValueError):  # the worker sent nothing
                     sent = marshal.loads(children[k - 1][1].read())
-            yield from sent or (_outcome(path, config) for path in paths[start:stop])
+            yield from sent or _slice(paths[start:stop], config)
     finally:
         for _, pipe in children:
             pipe.close()
@@ -348,24 +376,27 @@ def _parse(words: list[str]):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """With no argv this is the arbmigrate program, whose start-up heap lives until exit: it is
-    frozen, so no later collection walks it.  A call with a list leaves the collector as it was.
+    """With no argv this is the arbmigrate program: it runs the exit functions, flushes stdout
+    and stderr and ends the process with os._exit, so interpreter finalization, which would
+    free every object one by one, never runs.  A call with a list returns the exit code.
     Output that cannot be written (a closed pipe, a full disk) is an error, exit 2."""
-    if argv is None:
-        gc.freeze()
-    parsed = _parse(sys.argv[1:] if argv is None else argv)
-    if isinstance(parsed, int):
-        return parsed
     try:
-        code = parsed[0](parsed[1])
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        code = parsed if isinstance(parsed, int) else parsed[0](parsed[1])
         if sys.stdout is not None:  # None once the program starts with stdout closed
             sys.stdout.flush()
     except OSError as exc:
-        if argv is None:  # what stdout still buffers goes nowhere, so exit does not fail again
+        if argv is None:  # what stdout still buffers goes nowhere, so the last flush does not fail again
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return _usage_error(str(exc))
-    return code
+        code = _usage_error(str(exc))
+    if argv is not None:
+        return code
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from .nodes import (
     children,
     walk,
 )
-from .parser import annotate_bindings, parse_source
+from .parser import annotate_bindings, parse_source, unbind
 
 GRAMMAR_VERSION = "1"
 
@@ -60,5 +60,5 @@ __all__ = [
     "Node", "NumberLit", "Param", "RequireStmt", "ReturnStmt", "SourceUnit",
     "Span", "StateVarDecl", "Stmt", "StringLit", "TokenKind", "Tokens",
     "TypeName", "UnaryExpr", "VarDeclStmt", "WhileStmt", "annotate_bindings",
-    "children", "parse_source", "tokenize", "walk",
+    "children", "parse_source", "tokenize", "unbind", "walk",
 ]

@@ -649,6 +649,19 @@ def annotate_bindings(unit: SourceUnit) -> None:
     unit.index = index
 
 
+def unbind(unit: SourceUnit) -> SourceUnit:
+    """Undo annotate_bindings: clear ``unit.index``, every ``parent`` and every
+    ``Ident.decl``.  The unit then holds no reference cycle (its index lists the
+    unit itself), so reference counting frees it without the collector."""
+    for bucket in unit.index.values():
+        for node in bucket:
+            node.parent = None
+    for ident in unit.index.get(Ident, ()):
+        ident.decl = None
+    unit.index = None
+    return unit
+
+
 # --- entry points ----------------------------------------------------------
 
 

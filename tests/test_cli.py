@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 from typing import Callable
@@ -323,16 +324,23 @@ class TestAnalyzeFanOut:
         assert len(forks) == 2
         _no_child_left()
 
-    def test_an_error_in_a_workers_slice_surfaces_from_the_parent(self, tree, capsys, monkeypatch, forks):
+    # files[60] comes after the missing file in the last slice; files[45] comes before it, in
+    # the same 32-file batch of a serial run but in the middle slice of a forked one
+    @pytest.mark.parametrize("phase", ["parse_source", "analyze"])
+    @pytest.mark.parametrize("failing", [60, 45])
+    def test_an_error_in_a_workers_slice_surfaces_from_the_parent(self, tree, capsys, monkeypatch, forks,
+                                                                  phase, failing):
         files, odd = tree
-        real = rules.analyze
+        module = arbmigrate.minisol if phase == "parse_source" else rules
+        real = getattr(module, phase)
 
-        def analyze(unit, config=None):
-            if unit.path == files[60]:  # in the last worker's slice
-                raise RuntimeError(f"analyze failed on {unit.path}")
-            return real(unit, config)
+        def failing_phase(first, *args, **kwargs):
+            path = kwargs.get("path") if phase == "parse_source" else first.path
+            if path == files[failing]:
+                raise RuntimeError(f"{phase} failed on {path}")
+            return real(first, *args, **kwargs)
 
-        monkeypatch.setattr(rules, "analyze", analyze)
+        monkeypatch.setattr(module, phase, failing_phase)
         monkeypatch.setattr(cli, "_PER_WORKER", 2)
         argv = ["analyze", *files[:10], odd["bad"], *files[10:50], odd["missing"], *files[50:]]
         seen = []
@@ -345,10 +353,11 @@ class TestAnalyzeFanOut:
         assert len(forks) == 2
         assert seen[0] == seen[1]
         message, (out, err) = seen[0]
-        assert message == f"analyze failed on {files[60]}" and out == ""
-        bad_line, missing_line = err.splitlines()
-        assert bad_line == f"{odd['bad']}:1:48: error: expected expression, found ';'"
-        assert missing_line.startswith(f"error: cannot read {odd['missing']}: ")
+        assert message == f"{phase} failed on {files[failing]}" and out == ""
+        lines = err.splitlines()  # every file's lines up to the failing one, none after it
+        assert lines[0] == f"{odd['bad']}:1:48: error: expected expression, found ';'"
+        assert len(lines) == (2 if failing == 60 else 1)
+        assert failing == 45 or lines[1].startswith(f"error: cannot read {odd['missing']}: ")
 
     def test_an_error_in_the_parents_slice_leaves_no_worker_blocked(self, tmp_path, monkeypatch, forks):
         # the worker's outcomes outgrow a pipe's buffer, so its write blocks until the
@@ -381,6 +390,52 @@ class TestAnalyzeFanOut:
             signal.signal(signal.SIGALRM, previous)
         assert len(forks) == 1
         _no_child_left()
+
+    def test_no_unit_outlives_its_outcome(self, tree, monkeypatch):
+        # unbound once analyzed, a unit holds no reference cycle, so reference counting frees
+        # it before its outcome is yielded: without the collector, too
+        files, odd = tree
+        paths = [*files[:40], odd["bad"], *files[40:]]
+        real, parsed = arbmigrate.minisol.parse_source, []
+
+        def parse_source(source, path="<source>"):
+            unit = real(source, path=path)
+            parsed.append((paths.index(path), weakref.ref(unit)))
+            return unit
+
+        monkeypatch.setattr(arbmigrate.minisol, "parse_source", parse_source)
+        monkeypatch.setattr(cli, "_WORKERS", 1)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for at, (lines, found) in enumerate(cli._outcomes(paths, RuleConfig())):
+                assert (found is None) == (paths[at] == odd["bad"])
+                assert [place for place, unit in parsed if place <= at and unit() is not None] == []
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(parsed) == len(files)
+
+    def test_a_slice_runs_in_batches_phase_by_phase(self, tree, monkeypatch):
+        # every file of a _BATCH-file batch is parsed before any of them is analyzed; the
+        # outcomes are those of a file-by-file run, in path order
+        files, _ = tree
+        calls = []
+        for module, name in [(arbmigrate.minisol, "parse_source"), (rules, "analyze")]:
+            def spy(first, *args, real=getattr(module, name), name=name, **kwargs):
+                calls.append(name)
+                return real(first, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(cli, "_WORKERS", 1)
+        batched = list(cli._outcomes(files, RuleConfig()))
+        sizes = [len(files[first:first + cli._BATCH]) for first in range(0, len(files), cli._BATCH)]
+        assert sizes == [32, 32, 6]
+        assert calls == [name for size in sizes for name in ("parse_source", "analyze") for _ in range(size)]
+        monkeypatch.setattr(cli, "_BATCH", 1)
+        calls.clear()
+        assert list(cli._outcomes(files, RuleConfig())) == batched
+        assert calls == ["parse_source", "analyze"] * len(files)
 
     @pytest.mark.parametrize("count, workers", [(30, 0), (63, 0), (64, 1)])
     def test_the_default_floor_forks_only_for_32_files_a_worker(self, tree, count, workers, capsys,
@@ -777,17 +832,27 @@ def test_the_two_json_readers_load_json(tmp_path, command):
     assert "json" in _modules_after(f"from arbmigrate import cli; assert cli.main({argv!r}) == 0")
 
 
-_UNWRITABLE = [["analyze", "--check", str(CORPUS / "dos_loop_dirty.sol")], ["scenario", "run", "S3"], ["rules"]]
+# the last two print while the command line is read, before any command runs
+_UNWRITABLE = [["analyze", "--check", str(CORPUS / "dos_loop_dirty.sol")], ["scenario", "run", "S3"], ["rules"],
+               ["--version"], ["scenario", "-h"]]
+_UNWRITABLE_IDS = ["analyze-check", "scenario-run", "rules", "version", "help"]
+
+
+def _program_env() -> dict:
+    """The environment of a fresh interpreter that imports this arbmigrate, with stdout and
+    stderr buffered as they are by default, so output a flush sends shows up only if flushed."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(arbmigrate.__file__).parents[1])}
 
 
 def _run_into(stdout, argv: list[str]) -> subprocess.CompletedProcess:
     """The arbmigrate program, run in a fresh interpreter, writing its stdout to stdout."""
-    env = {**os.environ, "PYTHONPATH": str(Path(arbmigrate.__file__).parents[1])}
+    env = _program_env()
     return subprocess.run([sys.executable, "-m", "arbmigrate.cli", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=env, timeout=60)
 
 
-@pytest.mark.parametrize("argv", _UNWRITABLE, ids=["analyze-check", "scenario-run", "rules"])
+@pytest.mark.parametrize("argv", _UNWRITABLE, ids=_UNWRITABLE_IDS)
 def test_a_closed_stdout_pipe_is_an_error_not_a_finding(argv):
     # 1 means findings or divergence; output that cannot be written is exit 2 with one error line
     read, write = os.pipe()
@@ -801,7 +866,7 @@ def test_a_closed_stdout_pipe_is_an_error_not_a_finding(argv):
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this platform")
-@pytest.mark.parametrize("argv", _UNWRITABLE, ids=["analyze-check", "scenario-run", "rules"])
+@pytest.mark.parametrize("argv", _UNWRITABLE, ids=_UNWRITABLE_IDS)
 def test_a_full_device_on_stdout_is_an_error_not_a_finding(argv):
     with open("/dev/full", "w") as full:
         result = _run_into(full, argv)
@@ -857,43 +922,49 @@ def test_analyzer_side_defines_its_classes_without_code_generation(tmp_path, com
     assert not modules & {"dataclasses", "inspect"}
 
 
-def _as_program(argv: list[str], workers: int = 1) -> tuple[int, str, str, int, int]:
+def _as_program(argv: list[str], workers: int = 1) -> tuple[int, str, str, str]:
     """Exit code, stdout and stderr of a fresh interpreter that runs argv as the arbmigrate
-    program does, through main() with no argv, then its gc freeze count once main has
-    returned and the number of workers it forked."""
-    script = f"""import gc, os, sys
+    program does, through main() with no argv, and the number of workers it forked.  An exit
+    function registered before main() writes that number at the end of stderr; a module-level
+    object writes "finalized" to stderr if interpreter finalization frees it."""
+    script = f"""import atexit, os, sys
 from arbmigrate import cli
 fork, forked = os.fork, []
 def counted():
     forked.append(fork())
     return forked[-1]
+class Finalized:
+    def __del__(self, write=os.write):  # bound here: finalization may clear the globals first
+        write(2, b"finalized\\n")
+witness = Finalized()
+atexit.register(lambda: sys.stderr.write(str(len(forked))))  # no newline: only a flush sends it
 os.fork, cli._WORKERS, sys.argv = counted, {workers}, ["arbmigrate", *{argv!r}]
-code = cli.main()
-sys.stdout.flush()
-print(gc.get_freeze_count(), len(forked), file=sys.stderr)
-sys.exit(code)
+cli.main()
+print("main returned", file=sys.stderr)
 """
-    env = {**os.environ, "PYTHONPATH": str(Path(arbmigrate.__file__).parents[1])}
     result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script], env=_program_env(), capture_output=True, text=True, timeout=60
     )
-    head, newline, counts = result.stderr.removesuffix("\n").rpartition("\n")
-    frozen, forked = map(int, counts.split())
-    return result.returncode, result.stdout, head + newline, frozen, forked
+    head, newline, forked = result.stderr.rpartition("\n")
+    return result.returncode, result.stdout, head + newline, forked
 
 
 _S3 = ["scenario", "run", "S3"]
 
 
 @pytest.mark.parametrize("case", ["scenario", "usage-error", "forked-analyze"])
-def test_the_program_freezes_its_start_up_heap(tmp_path, case):
-    # everything built before main() lives until exit, so no collection after it (and none
-    # at finalization) walks it again; forked analyze workers inherit the frozen set
+def test_the_program_runs_exit_functions_and_skips_finalization(tmp_path, case):
+    # main() ends the process with os._exit once the exit functions have run and stdout and
+    # stderr are flushed: it never returns, and finalization frees nothing
     argv, workers = {"scenario": (_S3, 1), "usage-error": (["analyze", "--format", "xml"], 1),
-                     "forked-analyze": (["analyze", *_corpus_copies(tmp_path)], 2)}[case]
-    code, _, _, frozen, forked = _as_program(argv, workers)
-    assert frozen > 0
-    assert (code, forked) == {"scenario": (0, 0), "usage-error": (2, 0), "forked-analyze": (0, 1)}[case]
+                     "forked-analyze": (["analyze", "--format", "json", *_corpus_copies(tmp_path)], 2)}[case]
+    code, out, err, forked = _as_program(argv, workers)
+    # the worker count arrives only from the exit function, and only if the last flush sent it
+    assert (code, forked) == {"scenario": (0, "0"), "usage-error": (2, "0"), "forked-analyze": (0, "1")}[case]
+    assert "finalized" not in err and "main returned" not in err
+    if case == "forked-analyze":  # more than one buffer's worth, all of it written before the exit
+        assert len(out.encode()) > io.DEFAULT_BUFFER_SIZE
+        assert len(json.loads(out)["files"]) == 70
 
 
 @pytest.mark.parametrize("argv", [
@@ -920,7 +991,7 @@ def test_the_program_prints_what_a_library_call_prints(tmp_path, argv, workers, 
         paths = _corpus_copies(tmp_path) if workers > 1 else sorted(map(str, CORPUS.glob("*.sol")))
         argv = [*argv, *paths]
     monkeypatch.setattr(cli, "_WORKERS", workers)
-    assert _as_program(argv, workers)[:3] == run(capsys, *argv)
+    assert _as_program(argv, workers) == (*run(capsys, *argv), str(workers - 1))
 
 
 _BENCH = Path(__file__).parents[1] / "bench"

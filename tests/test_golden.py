@@ -19,12 +19,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from minisol_printer import print_source
 from test_minisol import _Gen
 
+import arbmigrate
 from arbmigrate.cli import main
 from arbmigrate.minisol import MiniSolSyntaxError, parse_source, tokenize
 from arbmigrate.rules import analyze
@@ -139,6 +142,23 @@ def _read(name: str) -> str:
 @pytest.mark.parametrize("name, argv", CLI_CASES, ids=[name for name, _ in CLI_CASES])
 def test_cli_output_matches_golden(name, argv):
     assert _cli_output(argv) == _read(name)
+
+
+def test_cli_output_does_not_depend_on_the_hash_seed():
+    # str hashes, and so the order of a set of strings, follow PYTHONHASHSEED, which no test
+    # in this process can vary: analyze over the corpus and every scenario at its defaults
+    # run in two fresh interpreters under two seeds
+    cases = [(name, argv) for name, argv in CLI_CASES if name == "analyze_corpus.json" or "_default" in name]
+    script = f"from arbmigrate.cli import main\nfor argv in {[argv for _, argv in cases]!r}:\n    main(argv)\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(arbmigrate.__file__).parents[1])}
+    outputs = [
+        subprocess.run([sys.executable, "-c", script], env={**env, "PYTHONHASHSEED": seed}, cwd=ROOT,
+                       capture_output=True, timeout=60)
+        for seed in ("0", "1")
+    ]
+    assert [(run.returncode, run.stderr) for run in outputs] == [(0, b"")] * 2
+    assert outputs[0].stdout == outputs[1].stdout == b"".join((GOLDEN / name).read_bytes() for name, _ in cases)
+    assert len(cases) == 6
 
 
 def test_replay_summary_matches_golden():

@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import time
+import weakref
 from collections import Counter, defaultdict
 from pathlib import Path
 from unittest import mock
@@ -41,6 +43,7 @@ from arbmigrate.minisol import (
     children,
     parse_source,
     tokenize,
+    unbind,
     walk,
 )
 from arbmigrate.rules import (
@@ -780,6 +783,30 @@ class TestOnePassIndex:
         stop.body.append(moved)
         annotate_bindings(parsed)
         assert moved.parent is stop and moved.target.parent is moved
+
+    def test_unbind_undoes_the_binder_and_leaves_no_cycle(self):
+        # analyze binds a unit whose index is None, so an unbound unit is found as before
+        sources = [(CORPUS / name).read_text() for name in CORPUS_NAMES]
+        sources += [print_source(_Gen(seed).unit()) for seed in range(40)]
+        enabled = gc.isenabled()
+        gc.disable()  # whatever outlives its last reference below sits in a cycle
+        try:
+            for source in sources:
+                unit = parse_source(source, path="unit.sol")
+                found = analyze(unit)
+                nodes = list(walk(unit))
+                assert unbind(unit) is unit and unit.index is None
+                assert all(node.parent is None for node in nodes)
+                assert all(node.decl is None for node in nodes if isinstance(node, Ident))
+                assert analyze(unit) == found
+                assert unit.index is not None and nodes[-1].parent is not None
+                unbind(unit)
+                dead = weakref.ref(unit)
+                del unit, nodes
+                assert dead() is None, source
+        finally:
+            if enabled:
+                gc.enable()
 
 
 # --- the detectors as subtree searches ------------------------------------------
