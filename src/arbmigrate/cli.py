@@ -2,13 +2,15 @@
 
 Exit codes: 0 = ran (and, with --check, nothing beyond expectation);
 1 = findings/divergence beyond expectation in check mode; 2 = usage error
-(bad arguments, unknown ids, unparseable input) or output that could not be written.
+(bad arguments, unknown ids, unparseable input) or output that could not be written, a
+closed stdout included.  A closed stderr loses the error line, never the exit code.
 """
 
 from __future__ import annotations
 
 import atexit
 import contextlib
+import errno
 import marshal
 import os
 import sys
@@ -25,8 +27,15 @@ _PER_WORKER = 32
 _BATCH = 32  # files a slice reads, then parses, then analyzes before the next (_slice)
 
 
+def _say(line: str) -> None:
+    """One stderr line, dropped if stderr is closed or fails: each comes with exit 2 anyway."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.write(line + "\n")
+
+
 def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    _say(f"error: {message}")
     return 2
 
 
@@ -118,7 +127,7 @@ def _outcomes(paths: list[str], config):
             os.waitpid(pid, 0)
 
 
-def _cmd_analyze(args: SimpleNamespace) -> int:
+def _cmd_analyze(args: SimpleNamespace) -> tuple[int, str] | int:
     from .rules import Finding, RuleConfig, findings_to_doc, findings_to_json
     config = RuleConfig()
     if args.config:
@@ -142,7 +151,7 @@ def _cmd_analyze(args: SimpleNamespace) -> int:
     with contextlib.closing(_outcomes(paths, config)) as outcomes:
         for path, (lines, found) in zip(paths, outcomes):
             for line in lines:
-                print(line, file=sys.stderr)
+                _say(line)
             if found is None:
                 status = 2
             else:
@@ -152,32 +161,28 @@ def _cmd_analyze(args: SimpleNamespace) -> int:
         return status
 
     if args.format == "json":
-        sys.stdout.write(findings_to_json(findings, files))
+        text = findings_to_json(findings, files)
     else:
-        for f in findings_to_doc(findings, files)["findings"]:
-            print(f"{f['file']}:{f['line']}:{f['column']}: {f['severity']} "
-                  f"{f['rule_id']}: {f['message']}")
-            if f["excerpt"]:
-                print(f"    {f['excerpt']}")
-        print(f"{len(findings)} finding(s) in {len(files)} file(s)")
-    if args.check and findings:
-        return 1
-    return 0
+        text = "".join(f"{f['file']}:{f['line']}:{f['column']}: {f['severity']} {f['rule_id']}: {f['message']}\n"
+                       + (f"    {f['excerpt']}\n" if f["excerpt"] else "")
+                       for f in findings_to_doc(findings, files)["findings"])
+        text += f"{len(findings)} finding(s) in {len(files)} file(s)\n"
+    return (1 if args.check and findings else 0), text
 
 
-def _cmd_scenario_list(args: SimpleNamespace) -> int:
+def _cmd_scenario_list(args: SimpleNamespace) -> tuple[int, str]:
     from .scenarios import list_scenarios
+    text = ""
     for spec in list_scenarios():
-        print(f"{spec.id}  {spec.title}")
-        print(f"    risk: {spec.risk}")
+        text += f"{spec.id}  {spec.title}\n    risk: {spec.risk}\n"
         if spec.linked_rules:
-            print(f"    rules: {', '.join(spec.linked_rules)}")
+            text += f"    rules: {', '.join(spec.linked_rules)}\n"
         for key, declared in spec.params.items():
-            print(f"    param: {key}={declared.default}  ({declared.describe()})")
-    return 0
+            text += f"    param: {key}={declared.default}  ({declared.describe()})\n"
+    return 0, text
 
 
-def _cmd_scenario_run(args: SimpleNamespace) -> int:
+def _cmd_scenario_run(args: SimpleNamespace) -> tuple[int, str] | int:
     from .scenarios import ScenarioError, run_scenario, serialize_report
     params = {}
     for item in args.param or []:
@@ -189,20 +194,10 @@ def _cmd_scenario_run(args: SimpleNamespace) -> int:
         report = run_scenario(args.id, params, seed=args.seed)
     except ScenarioError as exc:
         return _usage_error(str(exc))
-    text = serialize_report(report)
-    if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            return _usage_error(f"cannot write {args.out}: {exc}")
-    else:
-        sys.stdout.write(text)
-    if args.check and report.divergent:
-        return 1
-    return 0
+    return (1 if args.check and report.divergent else 0), serialize_report(report)  # main writes --out
 
 
-def _cmd_gas_calc(args: SimpleNamespace) -> int:
+def _cmd_gas_calc(args: SimpleNamespace) -> tuple[int, str] | int:
     from .gasmodel import GasParams, quote
     try:
         q = quote(
@@ -215,18 +210,15 @@ def _cmd_gas_calc(args: SimpleNamespace) -> int:
         )
     except ValueError as exc:
         return _usage_error(str(exc))
-    print(f"gas_limit: {q.gas_limit}")
-    print(f"gas_fees: {q.gas_fees}")
-    return 0
+    return 0, f"gas_limit: {q.gas_limit}\ngas_fees: {q.gas_fees}\n"
 
 
-def _cmd_gas_table(args: SimpleNamespace) -> int:
+def _cmd_gas_table(args: SimpleNamespace) -> tuple[int, str]:
     from .gasmodel import cost_comparison_table, render_savings_table
-    print(render_savings_table(cost_comparison_table()))
-    return 0
+    return 0, render_savings_table(cost_comparison_table()) + "\n"
 
 
-def _cmd_alias(args: SimpleNamespace) -> int:
+def _cmd_alias(args: SimpleNamespace) -> tuple[int, str] | int:
     from .aliasing import ALIAS_OFFSET, Address, apply_alias, undo_alias
     try:
         address = Address.from_hex(args.address)
@@ -234,22 +226,20 @@ def _cmd_alias(args: SimpleNamespace) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     transform = apply_alias if args.direction == "apply" else undo_alias
-    print(transform(address, offset).checksummed())
-    return 0
+    return 0, transform(address, offset).checksummed() + "\n"
 
 
-def _cmd_checklist(args: SimpleNamespace) -> int:
+def _cmd_checklist(args: SimpleNamespace) -> tuple[int, str] | int:
     from .rules import findings_from_json, migration_checklist, render_checklist
     try:
         text = Path(args.findings).read_text(encoding="utf-8")
         findings = findings_from_json(text)
     except (OSError, ValueError, RecursionError) as exc:
         return _usage_error(f"cannot load findings: {exc}")
-    sys.stdout.write(render_checklist(migration_checklist(findings)))
-    return 0
+    return 0, render_checklist(migration_checklist(findings))
 
 
-def _cmd_sim(args: SimpleNamespace) -> int:
+def _cmd_sim(args: SimpleNamespace) -> tuple[int, str] | int:
     from .chainmodel import L1Chain, L2View, block_number_table
     try:
         chain = L1Chain(genesis_number=args.genesis, block_interval=args.block_interval)
@@ -257,24 +247,20 @@ def _cmd_sim(args: SimpleNamespace) -> int:
         rows = block_number_table(chain, view, args.horizon, args.step)
     except ValueError as exc:
         return _usage_error(str(exc))
-    print(f"{'t(s)':<8}{'L1 block.number':<18}{'L2 block.number':<18}")
-    for t, l1, l2 in rows:
-        print(f"{t:<8}{l1:<18}{l2:<18}")
-    return 0
+    return 0, f"{'t(s)':<8}{'L1 block.number':<18}{'L2 block.number':<18}\n" + "".join(
+        f"{t:<8}{l1:<18}{l2:<18}\n" for t, l1, l2 in rows)
 
 
-def _cmd_rules(args: SimpleNamespace) -> int:
+def _cmd_rules(args: SimpleNamespace) -> tuple[int, str]:
     from .rules import rule_catalog
-    for rule in rule_catalog():
-        print(f"{rule.id}  [{rule.severity.value}]  {rule.category.value}")
-        print(f"    {rule.description}")
-        print(f"    fix: {rule.remediation}")
-    return 0
+    return 0, "".join(f"{rule.id}  [{rule.severity.value}]  {rule.category.value}\n    {rule.description}\n"
+                      f"    fix: {rule.remediation}\n" for rule in rule_catalog())
 
 
-# Each command's words, then its handler, positionals and options, each (name, kind, convert,
-# default, required): kind is "switch", "value" or "append" (a value that repeats; such a
-# positional takes every positional from its place on), convert int, a choice tuple or None.
+# Each command's words, then its handler (it returns its exit code and stdout text, or a bare 2),
+# positionals and options, each (name, kind, convert, default, required): kind is "switch", "value"
+# or "append" (a value that repeats; such a positional takes every positional from its place on),
+# convert int, a choice tuple or None.
 _COMMANDS = {
     ("analyze",): (_cmd_analyze, [("paths", "append", None, None, True)], [
         ("--rules", "value", None, None, False), ("--config", "value", None, None, False),
@@ -320,8 +306,9 @@ def _is_flag(word: str, flags) -> bool:
 
 
 def _parse(words: list[str]):
-    """The handler and namespace that words name, or an exit code.  A wrong value stops the reading;
-    unknown flags and missing or surplus arguments are reported at the end, after any -h."""
+    """The handler and namespace that words name, 0 and the -h or --version text, or an exit code.  A
+    wrong value stops the reading; unknown flags and missing or surplus arguments are reported at the
+    end, after any -h."""
     path, command, values, late, dashes, count, last, words = (), None, {}, None, None, 0, -1, iter(words)
     options = {**_HELP, "--version": ("--version", "version", None, None, False)}
     for at, word in enumerate(words):
@@ -334,8 +321,7 @@ def _parse(words: list[str]):
             if eq and option[1] not in ("value", "append"):
                 return _usage_error(f"{flag} takes no value")
             if option[1] in ("help", "version"):
-                print(_usage(path) if option[1] == "help" else f"arbmigrate {__version__}")
-                return 0
+                return 0, (_usage(path) if option[1] == "help" else f"arbmigrate {__version__}") + "\n"
             if option[1] == "switch":
                 value = True
             elif not eq:
@@ -376,26 +362,36 @@ def _parse(words: list[str]):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """With no argv this is the arbmigrate program: it runs the exit functions, flushes stdout
-    and stderr and ends the process with os._exit, so interpreter finalization, which would
-    free every object one by one, never runs.  A call with a list returns the exit code.
-    Output that cannot be written (a closed pipe, a full disk) is an error, exit 2."""
+    """Run the command and write its text to the --out file, or else to sys.stdout as it is now (a
+    caller may have replaced it); output that cannot be written is exit 2.  With no argv this is the
+    arbmigrate program: it runs the exit functions, flushes stdout and stderr and ends the process
+    with os._exit, so interpreter finalization, which would free every object one by one, never
+    runs.  A call with a list returns the exit code."""
     try:
-        parsed = _parse(sys.argv[1:] if argv is None else argv)
-        code = parsed if isinstance(parsed, int) else parsed[0](parsed[1])
-        if sys.stdout is not None:  # None once the program starts with stdout closed
+        parsed, out = _parse(sys.argv[1:] if argv is None else argv), None
+        if isinstance(parsed, tuple) and callable(parsed[0]):  # a handler and its arguments
+            out, parsed = getattr(parsed[1], "out", None), parsed[0](parsed[1])
+        code, text = (parsed, "") if isinstance(parsed, int) else parsed
+        if text and out:
+            try:
+                with open(out, "w", encoding="utf-8") as file:
+                    file.write(text)
+            except OSError as exc:
+                code = _usage_error(f"cannot write {out}: {exc}")
+        elif text:
+            if sys.stdout is None:  # the program was started with stdout closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        if argv is None:  # what stdout still buffers goes nowhere, so the last flush does not fail again
-            with open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
         code = _usage_error(str(exc))
     if argv is not None:
         return code
     atexit._run_exitfuncs()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
-            stream.flush()
+            with contextlib.suppress(OSError):  # what a failed write left is reported or dropped
+                stream.flush()
     os._exit(code)
 
 

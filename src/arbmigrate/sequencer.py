@@ -69,7 +69,6 @@ class Sequencer:
         self.status = SequencerStatus.ACTIVE
         self.pending: deque[L2Tx] = deque()
         self.delayed_inbox: dict[str, L2Tx] = {}  # id -> tx, arrival order
-        self.executed_count = 0
         self._arrivals = 0  # txs taken in; a submit's count is its arrival order
         self._last_tick: int | None = None
         # (submit_time, arrival order, id) of every delayed-inbox tx that is not underpriced
@@ -115,10 +114,4 @@ class Sequencer:
                 due.append(heapq.heappop(self._due))
             due.sort(key=lambda entry: entry[1])
             executed = [self.delayed_inbox.pop(tx_id) for _, _, tx_id in due]
-
-        self.executed_count += len(executed)
         return executed
-
-    def counts(self) -> tuple[int, int, int, int]:
-        """(submitted, pending, delayed, executed) for conservation checks."""
-        return self._arrivals, len(self.pending), len(self.delayed_inbox), self.executed_count

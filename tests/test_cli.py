@@ -832,10 +832,23 @@ def test_the_two_json_readers_load_json(tmp_path, command):
     assert "json" in _modules_after(f"from arbmigrate import cli; assert cli.main({argv!r}) == 0")
 
 
-# the last two print while the command line is read, before any command runs
-_UNWRITABLE = [["analyze", "--check", str(CORPUS / "dos_loop_dirty.sol")], ["scenario", "run", "S3"], ["rules"],
-               ["--version"], ["scenario", "-h"]]
-_UNWRITABLE_IDS = ["analyze-check", "scenario-run", "rules", "version", "help"]
+# one valid argv per command; the last two are answered while the command line is read
+_UNWRITABLE = {
+    "analyze-check": ["analyze", "--check", str(CORPUS / "dos_loop_dirty.sol")],
+    "scenario-list": ["scenario", "list"],
+    "scenario-run": ["scenario", "run", "S3"],
+    "gas-calc": ["gas", "calc", "--gas-used-l2", "100000", "--calldata-price-l1", "16",
+                 "--calldata-size-l1", "200", "--gas-price-l2", "10"],
+    "gas-table": ["gas", "table"],
+    "alias": ["alias", "apply", "0x" + "de" * 20],
+    "checklist": ["checklist", str(Path(__file__).parent / "golden" / "analyze_corpus.json")],
+    "sim": ["sim"],
+    "rules": ["rules"],
+    "version": ["--version"],
+    "help": ["scenario", "-h"],
+}
+_UNWRITABLE_IDS = list(_UNWRITABLE)
+_S3 = _UNWRITABLE["scenario-run"]
 
 
 def _program_env() -> dict:
@@ -845,14 +858,28 @@ def _program_env() -> dict:
     return {**env, "PYTHONPATH": str(Path(arbmigrate.__file__).parents[1])}
 
 
-def _run_into(stdout, argv: list[str]) -> subprocess.CompletedProcess:
-    """The arbmigrate program, run in a fresh interpreter, writing its stdout to stdout."""
-    env = _program_env()
-    return subprocess.run([sys.executable, "-m", "arbmigrate.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+def _run_into(stdout, argv: list[str], closing: str = "", stderr=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """The arbmigrate program, run in a fresh interpreter, writing its stdout to stdout and its stderr
+    to stderr; a shell starts it with closing as its redirection, so ">&-" starts it with stdout closed."""
+    command = [sys.executable, "-m", "arbmigrate.cli", *argv]
+    if closing:
+        command = ["sh", "-c", f'exec "$@" {closing}', "sh", *command]
+    return subprocess.run(command, stdout=stdout, stderr=stderr, text=True, env=_program_env(), timeout=60)
 
 
-@pytest.mark.parametrize("argv", _UNWRITABLE, ids=_UNWRITABLE_IDS)
+def test_the_unwritable_table_runs_every_command():
+    assert {tuple(argv[:len(words)]) for argv in _UNWRITABLE.values() for words in cli._COMMANDS} >= set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _UNWRITABLE.values(), ids=_UNWRITABLE_IDS)
+def test_a_closed_stdout_is_an_error_not_a_finding(argv):
+    # started with stdout closed, the program has no sys.stdout: nothing it prints can be written
+    result = _run_into(None, argv, closing=">&-")
+    assert result.returncode == 2
+    assert result.stderr == f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+
+
+@pytest.mark.parametrize("argv", _UNWRITABLE.values(), ids=_UNWRITABLE_IDS)
 def test_a_closed_stdout_pipe_is_an_error_not_a_finding(argv):
     # 1 means findings or divergence; output that cannot be written is exit 2 with one error line
     read, write = os.pipe()
@@ -866,12 +893,61 @@ def test_a_closed_stdout_pipe_is_an_error_not_a_finding(argv):
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this platform")
-@pytest.mark.parametrize("argv", _UNWRITABLE, ids=_UNWRITABLE_IDS)
+@pytest.mark.parametrize("argv", _UNWRITABLE.values(), ids=_UNWRITABLE_IDS)
 def test_a_full_device_on_stdout_is_an_error_not_a_finding(argv):
     with open("/dev/full", "w") as full:
         result = _run_into(full, argv)
     assert result.returncode == 2
     assert result.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bogus"], 2), (["scenario", "run", "S9"], 2), (["analyze", "--format", "xml", "x.sol"], 2),
+    (["analyze", str(CORPUS / "no_such_file.sol")], 2), (["rules"], 0),
+], ids=["unknown-command", "unknown-scenario", "bad-format", "unreadable-file", "rules"])
+@pytest.mark.parametrize("state", ["closed", "pipe"])
+def test_a_closed_stderr_loses_the_line_not_the_exit_code(argv, code, state, capsys):
+    # a usage error must not read as findings (exit 1) because its line could not be written
+    if state == "closed":
+        result = _run_into(subprocess.PIPE, argv, closing="2>&-")
+    else:  # a pipe whose read end is closed
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = _run_into(subprocess.PIPE, argv, stderr=write)
+        finally:
+            os.close(write)
+    assert (result.returncode, result.stderr) == (code, None if state == "pipe" else "")
+    assert result.stdout == run(capsys, *argv)[1]
+
+
+def _names(node: ast.AST) -> set[str]:
+    """The dotted names (sys.stdout, print, Path.write_text as .write_text) that node's code uses."""
+    names = set()
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name):
+            names.add(inner.id)
+        elif isinstance(inner, ast.Attribute):
+            names.add(f"{inner.value.id}.{inner.attr}" if isinstance(inner.value, ast.Name) else f".{inner.attr}")
+    return names
+
+
+def test_main_alone_writes_stdout_and_say_alone_stderr():
+    # one writer: a handler returns its text, main writes it, and stderr lines go through _say,
+    # so a new output (a side channel, a report file) extends main instead of each handler
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: _names(node) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert {"main", "_say", "_parse", "_cmd_analyze", "_cmd_rules"} <= set(functions)
+    assert not _names(tree) & {"print", ".write_text"}  # in no function, nor the module's own code
+    assert [name for name, used in functions.items() if "sys.stdout" in used] == ["main"]
+    assert sorted(name for name, used in functions.items() if "sys.stderr" in used) == ["_say", "main"]
+
+
+def test_a_closed_stdout_is_no_error_when_out_takes_the_report(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    result = _run_into(None, [*_S3, "--out", str(report)], closing=">&-")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert report.read_text(encoding="utf-8") == run(capsys, *_S3)[1]
 
 
 def _corpus_copies(tmp_path) -> list[str]:
@@ -947,9 +1023,6 @@ print("main returned", file=sys.stderr)
     )
     head, newline, forked = result.stderr.rpartition("\n")
     return result.returncode, result.stdout, head + newline, forked
-
-
-_S3 = ["scenario", "run", "S3"]
 
 
 @pytest.mark.parametrize("case", ["scenario", "usage-error", "forked-analyze"])
@@ -1439,6 +1512,8 @@ def _reference_outcome(argv: list[str]):
 
 def _table_outcome(argv: list[str]):
     parsed = _quietly(cli._parse, argv)
+    if isinstance(parsed, tuple) and isinstance(parsed[1], str):  # -h or --version: exit 0 and its text
+        return parsed[0]
     return parsed if isinstance(parsed, int) else (parsed[0], vars(parsed[1]))
 
 

@@ -42,7 +42,7 @@ def max_wait(pairs):
 def test_a_new_sequencer_is_active_with_empty_queues_and_takes_no_argument():
     seq = Sequencer()
     assert seq.status is SequencerStatus.ACTIVE
-    assert (list(seq.pending), seq.delayed_inbox, seq.counts()) == ([], {}, (0, 0, 0, 0))
+    assert (list(seq.pending), seq.delayed_inbox, seq._arrivals) == ([], {}, 0)
     with pytest.raises(TypeError):
         Sequencer(SequencerStatus.DOWN)
 
@@ -61,7 +61,7 @@ def test_down_sequencer_accumulates_in_delayed_inbox():
     seq.submit(direct("b", 20))
     assert seq.tick(30) == []
     assert list(seq.delayed_inbox) == ["a", "b"]
-    assert seq.counts() == (2, 0, 2, 0)
+    assert (len(seq.pending), len(seq.delayed_inbox)) == (0, 2)  # of 2 submitted, none executed
 
 
 def test_delayed_origin_always_enters_delayed_inbox():
@@ -89,7 +89,7 @@ def test_recovery_drains_old_delayed_txs_before_new_direct_ones():
     seq.submit(direct("c", 3601))
     executed = seq.tick(3602)
     assert [tx.id for tx in executed] == ["a", "b", "c"]
-    assert seq.counts() == (3, 0, 0, 3)
+    assert (len(seq.pending), len(seq.delayed_inbox)) == (0, 0)  # all 3 submitted, executed
 
 
 def test_force_inclusion_after_configured_delay():
@@ -136,11 +136,11 @@ def test_inbox_queued_before_an_outage_is_force_included():
     shift = FORCE_INCLUSION_DELAY - 10  # each tick as if the delay were 10 s
     assert seq.tick(shift + 12) == []
     assert [tx.id for tx in seq.tick(shift + 13)] == ["a"]
-    assert seq.counts() == (3, 1, 1, 1)
+    assert (len(seq.pending), len(seq.delayed_inbox)) == (1, 1)  # of 3 submitted, 1 executed
     seq.submit(delayed("c", 4))  # arrives after "b", so it runs after it
     seq.set_status(SequencerStatus.ACTIVE)
     assert [tx.id for tx in seq.tick(shift + 20)] == ["b", "c", "p"]
-    assert seq.counts() == (4, 0, 0, 4)
+    assert (len(seq.pending), len(seq.delayed_inbox)) == (0, 0)  # all 4 submitted, executed
 
 
 def test_tick_time_regression_rejected():
@@ -183,11 +183,9 @@ def test_conservation_simple():
     seq.submit(delayed("b", 1))
     seq.set_status(SequencerStatus.ACTIVE)
     seq.submit(direct("c", 2))
-    submitted, pending, inboxed, executed = seq.counts()
-    assert submitted == pending + inboxed + executed == 3
-    seq.tick(3)
-    submitted, pending, inboxed, executed = seq.counts()
-    assert submitted == 3 and executed == 3 and pending == inboxed == 0
+    assert len(seq.pending) + len(seq.delayed_inbox) == 3  # 3 submitted, none executed
+    assert len(seq.tick(3)) == 3
+    assert (len(seq.pending), len(seq.delayed_inbox)) == (0, 0)
 
 
 _EVENTS = st.lists(
@@ -205,20 +203,19 @@ _EVENTS = st.lists(
 @given(events=_EVENTS)
 def test_conservation_and_no_duplicates_under_random_schedules(events):
     seq = Sequencer()
-    now = 0
+    now = submitted = 0
     pairs = []
     for i, (kind, arg) in enumerate(events):
         now += 7
         if kind == "submit":
             origin = TxOrigin.DIRECT_TO_SEQUENCER if arg == "direct" else TxOrigin.DELAYED_INBOX
             seq.submit(L2Tx(id=f"tx{i}", submit_time=now, origin=origin))
+            submitted += 1
         elif kind == "status":
             seq.set_status(SequencerStatus(arg))
         else:
             pairs += ticked(seq, now)
-        submitted, pending, inboxed, executed = seq.counts()
-        assert submitted == pending + inboxed + executed
-        assert executed == len(pairs)
+        assert submitted == len(seq.pending) + len(seq.delayed_inbox) + len(pairs)
     executed_ids = [tx.id for tx, _ in pairs]
     assert len(executed_ids) == len(set(executed_ids))
     times = [at for _, at in pairs]
@@ -245,7 +242,6 @@ class FullScanSequencer(Sequencer):
                 else:
                     remaining[tx.id] = tx
             self.delayed_inbox = remaining
-        self.executed_count += len(executed)
         return executed
 
 
@@ -298,6 +294,5 @@ def test_watermark_ticks_match_a_full_scan(lag, status, inbox, schedule):
         else:
             now += args[0]
             assert [tx.id for tx in fast.tick(now)] == [tx.id for tx in slow.tick(now)]
-    assert fast.counts() == slow.counts()
     assert list(fast.delayed_inbox) == list(slow.delayed_inbox)
     assert [tx.id for tx in fast.pending] == [tx.id for tx in slow.pending]
