@@ -4,6 +4,11 @@ Exit codes: 0 = ran (and, with --check, nothing beyond expectation);
 1 = findings/divergence beyond expectation in check mode; 2 = usage error
 (bad arguments, unknown ids, unparseable input) or output that could not be written, a
 closed stdout included.  A closed stderr loses the error line, never the exit code.
+
+Run as the program, ``main()`` turns the cyclic garbage collector off.  That is safe
+because nothing it builds needs it: ``analyze`` unbinds each unit (``minisol.unbind``)
+once its outcome is taken, which leaves the unit acyclic, so reference counting frees
+it, and whatever else is left dies with the process at ``os._exit``.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import atexit
 import contextlib
 import errno
+import gc
 import marshal
 import os
 import sys
@@ -350,7 +356,10 @@ def _parse(words: list[str]):
             return _usage_error(f"{option[0]} expects an integer, got {value!r}")
         if isinstance(option[2], tuple) and value not in option[2]:
             return _usage_error(f"{option[0]} expects one of {', '.join(option[2])}, got {value!r}")
-        values[option[0]] = [*(values[option[0]] or []), value] if option[1] == "append" else value
+        if option[1] == "append" and values[option[0]] is not None:
+            values[option[0]].append(value)  # in place: a copy per word is quadratic in the paths
+        else:
+            values[option[0]] = [value] if option[1] == "append" else value
     if command is None:
         return _usage_error(f"missing command; run arbmigrate {' '.join([*path, '-h'])}")
     if dashes is not None and last < dashes - 1:  # a "--" is taken only next to a positional
@@ -364,15 +373,18 @@ def _parse(words: list[str]):
 def main(argv: list[str] | None = None) -> int:
     """Run the command and write its text to the --out file, or else to sys.stdout as it is now (a
     caller may have replaced it); output that cannot be written is exit 2.  With no argv this is the
-    arbmigrate program: it runs the exit functions, flushes stdout and stderr and ends the process
-    with os._exit, so interpreter finalization, which would free every object one by one, never
-    runs.  A call with a list returns the exit code."""
+    arbmigrate program: it turns the cyclic garbage collector off before it reads argv, runs the exit
+    functions, flushes stdout and stderr and ends the process with os._exit, so interpreter
+    finalization, which would free every object one by one, never runs.  A call with a list leaves
+    the collector as it was and returns the exit code."""
+    if argv is None:  # what the program builds is freed by reference counting (see the module doc)
+        gc.disable()
     try:
         parsed, out = _parse(sys.argv[1:] if argv is None else argv), None
         if isinstance(parsed, tuple) and callable(parsed[0]):  # a handler and its arguments
             out, parsed = getattr(parsed[1], "out", None), parsed[0](parsed[1])
         code, text = (parsed, "") if isinstance(parsed, int) else parsed
-        if text and out:
+        if text and out is not None:  # an empty --out is a path that cannot be written
             try:
                 with open(out, "w", encoding="utf-8") as file:
                     file.write(text)

@@ -137,6 +137,8 @@ _ROW_KINDS = (None, *(kind for _, kind in _OTHER_ROWS))
 
 def _kind(text: str) -> TokenKind | str:
     """The kind of a text with no fixed kind, or the message of its error row."""
+    if text.isascii() and text.isidentifier():  # no row before the identifier row takes it
+        return TokenKind.IDENTIFIER
     kind = _ROW_KINDS[_ROW.match(text).lastindex]
     if isinstance(kind, str):
         return kind.format(text)

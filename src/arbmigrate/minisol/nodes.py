@@ -32,7 +32,7 @@ class Node(Record):
     """Base class of all AST nodes: a record that knows which fields may hold nodes."""
 
     _child_fields: tuple[str, ...] = ()  # in field order
-    parent: Node | None = None  # the node that holds this one, set by parser.annotate_bindings
+    parent: Node | None = None  # the node that holds this one, set by the parser or annotate_bindings
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -94,7 +94,7 @@ class BoolLit(Node):
 class Ident(Node):
     def __init__(self, name: str, *, span: Span = EMPTY_SPAN):
         self.span, self.name = span, name
-        # the declaration named, set by parser.annotate_bindings; None = free (msg, block)
+        # the declaration named, set by the parser or annotate_bindings; None = free (msg, block)
         self.decl: VarDeclStmt | Param | StateVarDecl | FunctionDef | ContractDef | None = None
 
 
@@ -251,7 +251,7 @@ class SourceUnit(Node):
         self.span, self.path, self.source = span, path, source
         self.contracts = [] if contracts is None else contracts
         # every node filed under its exact type, each list in pre-order, its holders
-        # up its parent links; set by parser.annotate_bindings, None = unbound
+        # up its parent links; set by the parser or annotate_bindings, None = unbound
         self.index: dict[type, list[Node]] | None = None
 
 

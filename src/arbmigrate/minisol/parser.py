@@ -1,4 +1,4 @@
-"""Recursive-descent parser for MiniSol.
+"""Recursive-descent parser for MiniSol, which binds each node as it builds it.
 
 Anything outside the declared grammar is rejected with an "unsupported
 construct" diagnostic rather than silently misparsed, and a name declared
@@ -121,21 +121,23 @@ def _nested(parse):
 
 class _Parser:
     def __init__(self, tokens: Tokens, source: str):
-        # An end-of-input sentinel (kind None, text "") where the last token
-        # ends, so the helpers below index the lists at self.pos unchecked.
+        # parse_source's own token lists, each given an end-of-input sentinel (kind None,
+        # text "") where the last token ends, so the helpers below index them unchecked.
         end = tokens.ends[-1] if tokens.ends else 0
-        self.kinds, self.texts = [*tokens.kinds, None], [*tokens.texts, ""]
-        self.starts, self.ends = [*tokens.starts, end], [*tokens.ends, end]
+        columns = tokens.kinds, tokens.texts, tokens.starts, tokens.ends
+        self.kinds, self.texts, self.starts, self.ends = columns
+        for column, last in zip(columns, (None, "", end, end)):
+            column.append(last)
         self.lines = LineIndex(source)
         self.pos = 0
         self.depth = 0
         self.lost_brace_at = -1  # the 'function' token where the last block ended early
         self.diagnostics: list[Diagnostic] = []
+        self.index: dict[type, list[Node]] = defaultdict(list)  # the unit's, as it grows
+        self.scopes: tuple[dict, ...] = ()  # the open parameter, for and block scopes, innermost last
+        self.deferred: list[Ident] = []  # names none of them declared, for the contract and unit
 
     # -- token helpers ---------------------------------------------------
-
-    def _at_end(self) -> bool:
-        return self.kinds[self.pos] is None
 
     def _fail(self, message: str) -> _ParseFailure:
         return _ParseFailure(Diagnostic(message, *self.lines.position(self.starts[self.pos])))
@@ -184,16 +186,35 @@ class _Parser:
         return value
 
     def _node_span(self, start: int) -> Span:
-        """From the offset start through the last token consumed."""
-        return Span(start, self.ends[self.pos - 1])
+        """From the offset start through the last token consumed.  Each Span the parser
+        builds skips the namedtuple's Python-level __new__, which takes twice as long."""
+        return tuple.__new__(Span, (start, self.ends[self.pos - 1]))
 
-    def _declare(self, names: set[str], decl):
-        """Note decl's name in a scope; a second declaration there is a diagnostic."""
+    def _declare(self, names: dict[str, Node], decl):
+        """Note decl in a scope; a second declaration of its name there is a diagnostic."""
         if decl.name in names:
             message = f"duplicate declaration of {decl.name!r}"
             self.diagnostics.append(Diagnostic(message, *self.lines.position(decl.span.start)))
-        names.add(decl.name)
+        names[decl.name] = decl
         return decl
+
+    def _filed(self, node, at: int = 1 << 62):
+        """node, made its children's parent and filed at `at`, its bucket's length when its first
+        token was read, which only a class whose nodes can hold one another needs (default: last)."""
+        self.index[node.__class__].insert(at, node)
+        for field in node._child_fields:
+            value = getattr(node, field)
+            for child in value if value.__class__ is list else () if value is None else (value,):
+                child.parent = node
+        return node
+
+    def _settle(self, node: ContractDef | SourceUnit, since: int):
+        """node, filed, with each name deferred since then that it declares (_hoisted) bound."""
+        scope = {decl.name: decl for decl in _hoisted(node)}
+        for ident in self.deferred[since:]:
+            ident.decl = scope.get(ident.name)
+        self.deferred[since:] = [ident for ident in self.deferred[since:] if ident.decl is None]
+        return self._filed(node)
 
     def _separated(self, parse_item) -> list:
         """One or more items, separated by ','."""
@@ -241,9 +262,11 @@ class _Parser:
         if close:
             self._expect("{")
         items: list = []
-        names: set[str] = set()
-        while not self._check(close):
-            if self._at_end():
+        names: dict[str, Node] = {}  # the list's scope, which a block's later items see
+        outer = self.scopes  # a diagnostic may leave scopes open: no unit is returned then
+        self.scopes = (*outer, names) if follow is _BLOCK else outer
+        while self.texts[self.pos] != close:
+            if self.kinds[self.pos] is None:
                 raise self._fail("expected '}'")
             first = self.pos
             try:
@@ -258,6 +281,7 @@ class _Parser:
                     return items
                 self._resync(follow, first)
         self._expect(close)
+        self.scopes = outer
         return items
 
     # -- grammar ---------------------------------------------------------
@@ -265,14 +289,17 @@ class _Parser:
     def parse_unit(self, path: str) -> SourceUnit:
         contracts = self._braced(self.parse_contract, _UNIT)  # consumes the sentinel
         span = self._node_span(self.starts[0])
-        return SourceUnit(contracts=contracts, path=path, source=self.lines.source, span=span)
+        unit = SourceUnit(contracts=contracts, path=path, source=self.lines.source, span=span)
+        unit.index = self.index
+        return self._settle(unit, 0)
 
     def parse_contract(self) -> ContractDef:
         start = self._expect("contract")
         name = self._expect_identifier("contract name")
+        since = len(self.deferred)
         # state variables and functions share one scope
         members = self._braced(self.parse_member, _MEMBERS)
-        return ContractDef(name, members, span=self._node_span(start))
+        return self._settle(ContractDef(name, members, span=self._node_span(start)), since)
 
     def parse_member(self) -> StateVarDecl | FunctionDef:
         text = self.texts[self.pos]
@@ -301,13 +328,13 @@ class _Parser:
     def parse_state_var(self) -> StateVarDecl:
         start, var_type, visibility, name = self._declaration(_VISIBILITY, "state variable name")
         initializer = self._initializer()
-        return StateVarDecl(var_type, visibility, name, initializer, span=self._node_span(start))
+        return self._filed(StateVarDecl(var_type, visibility, name, initializer, span=self._node_span(start)))
 
     def parse_function(self) -> FunctionDef:
         start = self._expect("function")
         name = self._expect_identifier("function name")
         self._expect("(")
-        names: set[str] = set()
+        names: dict[str, Node] = {}
         params: list[Param] = [] if self._check(")") else self._separated(
             lambda: self._declare(names, self.parse_param())
         )
@@ -342,15 +369,17 @@ class _Parser:
                 raise self._fail(
                     f"unsupported construct in function header: {text!r}"
                 )
+        self.scopes = (names,)  # no scope is open around a contract member
         body = self.parse_block()
-        return FunctionDef(
+        self.scopes = ()
+        return self._filed(FunctionDef(
             name, params, visibility, mutability, modifiers, returns, body,
             span=self._node_span(start),
-        )
+        ))
 
     def parse_param(self) -> Param:
         start, var_type, location, name = self._declaration(_LOCATIONS, "parameter name")
-        return Param(var_type, name, location, span=self._node_span(start))
+        return self._filed(Param(var_type, name, location, span=self._node_span(start)))
 
     def parse_typename(self, allow_mapping: bool = True) -> TypeName:
         if self._check("mapping"):
@@ -362,8 +391,8 @@ class _Parser:
             self._expect("=>")
             value = self.parse_typename(allow_mapping=False)
             self._expect(")")
-            return MappingType(key=key, value=value, span=self._node_span(start))
-        if self._at_end():
+            return self._filed(MappingType(key=key, value=value, span=self._node_span(start)))
+        if self.kinds[self.pos] is None:
             raise self._fail("expected type")
         base: TypeName = self.parse_elementary()
         if self._accept("["):
@@ -371,7 +400,7 @@ class _Parser:
             if self.kinds[self.pos] is TokenKind.NUMBER:
                 length = self._number()
             self._expect("]")
-            base = ArrayType(base, length, span=self._node_span(base.span.start))
+            base = self._filed(ArrayType(base, length, span=self._node_span(base.span.start)))
             if self._check("["):
                 raise self._fail("unsupported construct: nested arrays")
         return base
@@ -382,7 +411,7 @@ class _Parser:
             raise self._fail(f"expected elementary type, found {text or 'end of input'!r}")
         start = self._expect(text)
         name = "uint256" if text == "uint" else text
-        return ElementaryType(name=name, span=self._node_span(start))
+        return self._filed(ElementaryType(name=name, span=self._node_span(start)))
 
     # -- statements -------------------------------------------------------
 
@@ -413,10 +442,10 @@ class _Parser:
             start = self._expect("return")
             value = None if self._check(";") else self.parse_expression()
             self._expect(";")
-            return ReturnStmt(value=value, span=self._node_span(start))
+            return self._filed(ReturnStmt(value=value, span=self._node_span(start)))
         if text in {"contract", "function"}:
             raise self._fail(f"unsupported construct: {text!r} inside a function body")
-        if self._at_end():
+        if self.kinds[self.pos] is None:
             raise self._fail("expected statement")
         stmt = self.parse_simple_statement()
         self._expect(";")
@@ -428,7 +457,7 @@ class _Parser:
             raise self._fail("unsupported construct: mapping variables must be state variables")
         start, var_type, location, name = self._declaration(_LOCATIONS, "variable name")
         initializer = self._initializer()
-        return VarDeclStmt(var_type, name, location, initializer, span=self._node_span(start))
+        return self._filed(VarDeclStmt(var_type, name, location, initializer, span=self._node_span(start)))
 
     def parse_require(self) -> RequireStmt:
         start = self._expect("require")
@@ -440,13 +469,13 @@ class _Parser:
                 raise self._fail("require message must be a string literal")
             at = self.starts[self.pos]
             value = unescape_string(self._advance())
-            message = StringLit(value=value, span=self._node_span(at))
+            message = self._filed(StringLit(value=value, span=self._node_span(at)))
         self._expect(")")
         self._expect(";")
-        return RequireStmt(condition=condition, message=message, span=self._node_span(start))
+        return self._filed(RequireStmt(condition=condition, message=message, span=self._node_span(start)))
 
     def parse_if(self) -> IfStmt:
-        start = self._expect("if")
+        start, at = self._expect("if"), len(self.index[IfStmt])
         self._expect("(")
         condition = self.parse_expression()
         self._expect(")")
@@ -454,13 +483,15 @@ class _Parser:
         else_body: list[Stmt] | None = None
         if self._accept("else"):
             else_body = self._body_or_single()
-        return IfStmt(condition, then_body, else_body, span=self._node_span(start))
+        return self._filed(IfStmt(condition, then_body, else_body, span=self._node_span(start)), at)
 
     def parse_for(self) -> ForStmt:
-        start = self._expect("for")
+        start, at = self._expect("for"), len(self.index[ForStmt])
         self._expect("(")
+        outer = self.scopes
         if self.texts[self.pos] in _TYPE_START:
             init: Stmt | None = self.parse_var_decl()  # consumes its ';'
+            self.scopes = (*outer, {init.name: init})  # seen by the rest of the loop alone
         else:
             init = None if self._check(";") else self.parse_simple_statement()
             self._expect(";")
@@ -471,15 +502,16 @@ class _Parser:
             post = self.parse_simple_statement()
         self._expect(")")
         body = self._body_or_single()
-        return ForStmt(init, condition, post, body, span=self._node_span(start))
+        self.scopes = outer
+        return self._filed(ForStmt(init, condition, post, body, span=self._node_span(start)), at)
 
     def parse_while(self) -> WhileStmt:
-        start = self._expect("while")
+        start, at = self._expect("while"), len(self.index[WhileStmt])
         self._expect("(")
         condition = self.parse_expression()
         self._expect(")")
         body = self._body_or_single()
-        return WhileStmt(condition=condition, body=body, span=self._node_span(start))
+        return self._filed(WhileStmt(condition=condition, body=body, span=self._node_span(start)), at)
 
     def parse_emit(self) -> EmitStmt:
         start = self._expect("emit")
@@ -487,7 +519,7 @@ class _Parser:
         if not isinstance(expr, CallExpr):
             raise self._fail("emit expects an event call")
         self._expect(";")
-        return EmitStmt(call=expr, span=self._node_span(start))
+        return self._filed(EmitStmt(call=expr, span=self._node_span(start)))
 
     def parse_simple_statement(self) -> Stmt:
         """Assignment, increment/decrement, or bare expression (no ';')."""
@@ -495,21 +527,19 @@ class _Parser:
         expr = self.parse_expression()
         op = self.texts[self.pos]
         if op not in _TARGET_OPS:
-            return ExprStmt(expr, span=self._node_span(start))
+            return self._filed(ExprStmt(expr, span=self._node_span(start)))
         if not isinstance(expr, (Ident, MemberAccess, IndexAccess)):
             raise self._fail(_TARGET_OPS[op].format(op))
         self._advance()
         if op in ("++", "--"):
-            return IncDecStmt(expr, op, span=self._node_span(start))
+            return self._filed(IncDecStmt(expr, op, span=self._node_span(start)))
         value = self.parse_expression()
-        return AssignStmt(expr, op, value, span=self._node_span(start))
+        return self._filed(AssignStmt(expr, op, value, span=self._node_span(start)))
 
     # -- expressions ------------------------------------------------------
 
-    def parse_expression(self) -> Expr:
-        return self.parse_binary(1)
-
-    def parse_binary(self, min_prec: int) -> Expr:
+    def parse_binary(self, min_prec: int = 1) -> Expr:
+        at = len(self.index[BinaryExpr])  # each operator built here wraps the one before
         left = self.parse_unary()
         while True:
             prec = BINARY_PRECEDENCE.get(self.texts[self.pos])
@@ -517,64 +547,76 @@ class _Parser:
                 return left
             op = self._advance()
             right = self.parse_binary(prec + 1)
-            left = BinaryExpr(op, left, right, span=Span(left.span.start, right.span.end))
+            span = tuple.__new__(Span, (left.span.start, right.span.end))
+            left = self._filed(BinaryExpr(op, left, right, span=span), at)
+
+    parse_expression = parse_binary  # an expression: operators of every precedence
 
     @_nested
     def parse_unary(self) -> Expr:
         op = self.texts[self.pos]
         if op in {"!", "-"}:
-            start = self._expect(op)
+            start, at = self._expect(op), len(self.index[UnaryExpr])
             operand = self.parse_unary()
-            return UnaryExpr(op=op, operand=operand, span=Span(start, operand.span.end))
+            span = tuple.__new__(Span, (start, operand.span.end))
+            return self._filed(UnaryExpr(op=op, operand=operand, span=span), at)
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
+        index = self.index  # each wrapper built here holds the ones before
+        at = len(index[MemberAccess]), len(index[CallExpr]), len(index[IndexAccess])
         expr = self.parse_primary()
         while True:
             text = self.texts[self.pos]
             if text == ".":
                 self.pos += 1
                 member = self._expect_identifier("member name")
-                expr = MemberAccess(expr, member, span=self._node_span(expr.span.start))
+                expr = self._filed(MemberAccess(expr, member, span=self._node_span(expr.span.start)), at[0])
             elif text == "(":
                 self.pos += 1
                 args = [] if self._check(")") else self._separated(self.parse_expression)
                 self._expect(")")
-                expr = CallExpr(expr, args, span=self._node_span(expr.span.start))
+                expr = self._filed(CallExpr(expr, args, span=self._node_span(expr.span.start)), at[1])
             elif text == "[":
                 self.pos += 1
-                index = self.parse_expression()
+                key = self.parse_expression()
                 self._expect("]")
-                expr = IndexAccess(expr, index, span=self._node_span(expr.span.start))
+                expr = self._filed(IndexAccess(expr, key, span=self._node_span(expr.span.start)), at[2])
             else:
                 return expr
 
     def parse_primary(self) -> Expr:
         pos = self.pos
         kind, text = self.kinds[pos], self.texts[pos]
-        span = Span(self.starts[pos], self.ends[pos])
-        if kind is TokenKind.IDENTIFIER:
+        span = tuple.__new__(Span, (self.starts[pos], self.ends[pos]))
+        if kind is TokenKind.IDENTIFIER:  # bound by the innermost open scope, else deferred
             self.pos += 1
-            return Ident(name=text, span=span)
+            self.index[Ident].append(ident := Ident(text, span=span))
+            for scope in reversed(self.scopes):
+                if text in scope:
+                    ident.decl = scope[text]
+                    return ident
+            self.deferred.append(ident)
+            return ident
         if kind is TokenKind.NUMBER:
-            return NumberLit(value=self._number(), span=span)
+            return self._filed(NumberLit(value=self._number(), span=span))
         if kind is TokenKind.HEX:
             if (value := int(text, 16)) >= 2**256:
                 raise self._fail("number literal out of uint256 range")
             self.pos += 1
-            return HexLit(value=value, span=span)
+            return self._filed(HexLit(value=value, span=span))
         if kind is TokenKind.ADDRESS:
             self.pos += 1
-            return AddressLit(value=int(text, 16), span=span)
+            return self._filed(AddressLit(value=int(text, 16), span=span))
         if kind is TokenKind.STRING:
             self.pos += 1
-            return StringLit(value=unescape_string(text), span=span)
+            return self._filed(StringLit(value=unescape_string(text), span=span))
         if text in {"true", "false"}:
             self.pos += 1
-            return BoolLit(value=text == "true", span=span)
+            return self._filed(BoolLit(value=text == "true", span=span))
         if text in _CAST_KEYWORDS and self.texts[pos + 1] == "(":
             self.pos += 1
-            return Ident(name=text, span=span)
+            return self._filed(Ident(name=text, span=span))  # a keyword: no declaration names it
         if text == "(":  # the operand's span takes in its parentheses
             self.pos += 1
             expr = self.parse_expression()
@@ -615,7 +657,8 @@ def annotate_bindings(unit: SourceUnit) -> None:
     declared before it in enclosing blocks), then in its contract (state
     variables over functions over contracts). A free name such as ``msg`` or
     ``block`` keeps ``decl = None``.  One loop over an explicit stack binds
-    the unit, so a unit of any depth binds."""
+    the unit, so a unit of any depth binds.  The parser binds what it parses
+    the same way; this binds a unit built by hand or edited after parsing."""
     index: dict[type, list[Node]] = defaultdict(list)
     # (node, scope, parent); a list entry is a scoped node's statement list, and
     # (None, scope, decl) declares a local once its initializer is bound
@@ -650,9 +693,9 @@ def annotate_bindings(unit: SourceUnit) -> None:
 
 
 def unbind(unit: SourceUnit) -> SourceUnit:
-    """Undo annotate_bindings: clear ``unit.index``, every ``parent`` and every
-    ``Ident.decl``.  The unit then holds no reference cycle (its index lists the
-    unit itself), so reference counting frees it without the collector."""
+    """Undo the binding, the parser's or annotate_bindings's: clear ``unit.index``,
+    every ``parent`` and every ``Ident.decl``.  The unit then holds no reference cycle
+    (its index lists the unit itself), so reference counting frees it without the collector."""
     for bucket in unit.index.values():
         for node in bucket:
             node.parent = None
@@ -666,10 +709,10 @@ def unbind(unit: SourceUnit) -> SourceUnit:
 
 
 def parse_source(source: str, path: str = "<source>") -> SourceUnit:
-    """Tokenize, parse and bind; raises MiniSolSyntaxError with all diagnostics."""
+    """Tokenize, then parse and bind in one pass; raises MiniSolSyntaxError with all diagnostics."""
     parser = _Parser(tokenize(source), source)
     unit = parser.parse_unit(path)
     if parser.diagnostics:
+        unbind(unit)  # the partial tree's parent links would hold it in cycles
         raise MiniSolSyntaxError(parser.diagnostics)
-    annotate_bindings(unit)
     return unit

@@ -1,6 +1,6 @@
 """Rule engine over MiniSol ASTs: the four migration risk categories.
 
-Detection is syntactic plus what the binder's one pass sets: name resolution
+Detection is syntactic plus what binding sets, in the parser's one pass: name resolution
 (``Ident.decl``), parent links (``Node.parent``) and the node index; helper
 functions are recognized by configurable name patterns, not data flow.
 Output is deterministic: findings sort by (file, line, column, rule id) and
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -313,11 +314,17 @@ def _chain_root(call: CallExpr) -> Node:
     return node
 
 
+@lru_cache(maxsize=32)
+def _lowered(names: tuple[str, ...]) -> frozenset[str]:
+    """names in lower case, once per distinct tuple of a RuleConfig rather than per unit."""
+    return frozenset(name.lower() for name in names)
+
+
 def _calls_named(index: _Index, patterns: Iterable[str]) -> set[int]:
     """The ids of the calls whose callee chain (feed.getPrice: feed, getPrice;
     never an argument or index) names one of patterns, ignoring case.  Buckets
     are in pre-order, so in reverse an inner call on a chain is answered first."""
-    lowered = {p.lower() for p in patterns}
+    lowered = _lowered(tuple(patterns))
     named: set[int] = set()
     for call in reversed(index[CallExpr]):
         node = call.callee
@@ -344,9 +351,10 @@ def _excerpt(unit: SourceUnit, node: Node, limit: int = 120) -> str:
 
 # --- detectors --------------------------------------------------------------
 
-_Index = dict[type, list[Node]]  # SourceUnit.index, as annotate_bindings sets it
+_Index = dict[type, list[Node]]  # SourceUnit.index, as the parser or annotate_bindings sets it
 _Add = Callable[[str, Node, str], None]
 _CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
+_INTERVAL_OPS = _CMP_OPS | {"+", "-", "%"}  # what ARB-TIME-003 applies to a timestamp
 _INT_LITS = (NumberLit, HexLit)  # integer literals, decimal or hex
 
 
@@ -423,10 +431,9 @@ def _detect_time_002(index: _Index, config: RuleConfig, add: _Add) -> None:
 
 
 def _detect_time_003(index: _Index, config: RuleConfig, add: _Add) -> None:
-    ops = {"+", "-", "%"} | _CMP_OPS
     stamps = _holders(n for n in index[MemberAccess] if _is_member(n, "block", "timestamp"))
     for node in index[BinaryExpr]:
-        if node.op not in ops:
+        if node.op not in _INTERVAL_OPS:
             continue
         for side, other in ((node.left, node.right), (node.right, node.left)):
             if (
@@ -474,7 +481,7 @@ def _detect_alias_001(index: _Index, config: RuleConfig, add: _Add) -> None:
 
 
 def _detect_dos_001(index: _Index, config: RuleConfig, add: _Add) -> None:
-    triggers = {t.lower() for t in config.loop_call_triggers}
+    triggers = _lowered(tuple(config.loop_call_triggers))
     bounds = _holders(
         n for n in index[MemberAccess]
         if n.member == "length"
@@ -523,6 +530,12 @@ _DETECTORS: dict[str, Callable[[_Index, RuleConfig, _Add], None]] = {
 }
 
 
+@lru_cache(maxsize=32)
+def _in_order(enabled: frozenset[str]) -> tuple[str, ...]:
+    """The enabled rule ids, sorted once per distinct set rather than once per unit."""
+    return tuple(sorted(enabled))
+
+
 def analyze(unit: SourceUnit, config: RuleConfig | None = None) -> list[Finding]:
     """Run every enabled rule over one parsed source unit."""
     cfg = config or DEFAULT_CONFIG
@@ -546,7 +559,7 @@ def analyze(unit: SourceUnit, config: RuleConfig | None = None) -> list[Finding]
 
     if unit.index is None:  # built by hand, never bound
         annotate_bindings(unit)
-    for rule_id in sorted(cfg.enabled):
+    for rule_id in _in_order(frozenset(cfg.enabled)):
         _DETECTORS[rule_id](unit.index, cfg, add)
     findings.sort(key=Finding.sort_key)
     return findings

@@ -513,6 +513,12 @@ class TestScenarioCommands:
         assert err.startswith(f"error: cannot write {out_file}: ")
         assert not out_file.parent.exists()
 
+    def test_empty_out_path_is_usage_error(self, capsys):
+        # an empty path is a path that cannot be written, not a request for stdout
+        code, out, err = run(capsys, "scenario", "run", "S3", "--out", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write : ") and err.count("\n") == 1, err
+
     def test_unknown_scenario_is_usage_error(self, capsys):
         code, _, err = run(capsys, "scenario", "run", "S8")
         assert code == 2
@@ -1040,6 +1046,22 @@ def test_the_program_runs_exit_functions_and_skips_finalization(tmp_path, case):
         assert len(json.loads(out)["files"]) == 70
 
 
+@pytest.mark.parametrize("argv", [["--version"], _S3, ["analyze", str(CORPUS / "dos_loop_dirty.sol")]])
+def test_the_program_runs_without_the_cyclic_collector(argv):
+    # run as the program, main() turns the collector off before it reads argv, as an exit
+    # function registered before main() sees
+    script = f"""import atexit, gc, sys
+from arbmigrate import cli
+atexit.register(lambda: sys.stderr.write(f"collector on: {{gc.isenabled()}}"))
+sys.argv = ["arbmigrate", *{argv!r}]
+cli.main()
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=_program_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stderr) == (0, "collector on: False")
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--check", str(CORPUS / "dos_loop_dirty.sol")], [*_S3, "--check"], ["rules"], ["--version"],
     ["scenario", "run", "S9"],
@@ -1094,15 +1116,32 @@ def test_bench_tracer_sees_the_untraced_output_and_every_token(capsys):
     tokens = sum(len(tokenize(Path(path).read_text(encoding="utf-8"))) for path in files)
     assert doc["counters"]["lexer.tokens"] == tokens > 0
     # its per-layer view times each analyzer stage by name: a renamed or fused
-    # stage would read zero calls, not an error
+    # stage would read zero calls, not an error.  The parser binds as it parses, so
+    # parsed input never calls annotate_bindings, and parser.bind has no span
     calls = {name: total[0] for name, total in doc["totals"].items()}
-    for name in ("parser.parse", "parser.bind", "rules.analyze"):
+    for name in ("parser.parse", "rules.analyze"):
         assert calls.get(name) == len(files), name
+    assert "parser.bind" not in calls
     assert calls.get("rules.serialize") == 1
     # its per-rule view runs analyze with one rule enabled: each counts what analyze reports
     counted = {rule.id: doc["counters"][f"rules.{rule.id}.findings"] for rule in rule_catalog()}
     found = Counter(finding["rule_id"] for finding in json.loads(out)["findings"])
     assert counted == dict(found) and all(counted.values())
+
+
+_BENCH_KEYS = ("workload", "what", "command", "seed", "seed_note", "parent_commit", "change_commit",
+               "method", "machine", "failed", "metrics", "claim")
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parents[1].glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_record_names_a_declared_workload_and_metric(path):
+    # every committed BENCH_*.json leads with the shared keys, and its claim is on one of
+    # the workloads and end-to-end metrics that BENCHMARK.json declares
+    declared = json.loads((path.parent / "BENCHMARK.json").read_text())
+    record = json.loads(path.read_text())
+    assert tuple(record)[:len(_BENCH_KEYS)] == _BENCH_KEYS
+    assert record["workload"] in {workload["name"] for workload in declared["workloads"]}
+    assert record["claim"]["metric"] in {metric["name"] for metric in declared["end_to_end"]}
 
 
 def test_bench_tracer_sees_the_untraced_replay_and_every_layer_call():

@@ -724,6 +724,41 @@ class TestOnePassIndex:
             assert holder is function
             assert top == -1 if function is None else children(function)[top] is below
 
+    @settings(max_examples=150, deadline=None)
+    @given(source=_binder_sources())
+    @example(source=(  # names used past their scope, forward and across contracts, and shadowed
+        "contract A {\n  function f(uint256 p) public returns (uint256) {\n    uint256 q = p + s;\n"
+        "    for (uint256 i = 0; i < q; i++) { uint256 q = i; }\n    return i + B(q);\n  }\n"
+        "  uint256 s = p + f(1);\n}\n"
+        "contract B { uint256 s; function g(uint256 s) public { uint256 t = s + A(s); t = t; } }\n"))
+    def test_the_parser_binds_as_annotate_bindings_does(self, source):
+        # parse_source binds while it parses; annotate_bindings, run on the same tree once it
+        # is unbound, must set the same decl, parent and bucket order, node for node
+        try:
+            unit = parse_source(source)
+        except MiniSolSyntaxError:
+            assume(False)
+        nodes = list(walk(unit))
+
+        def bindings():
+            decls = [id(node.decl) for node in nodes if isinstance(node, Ident)]
+            return [id(node.parent) for node in nodes], decls, _bucket_ids(unit.index)
+
+        parsed = bindings()
+        annotate_bindings(unbind(unit))
+        assert bindings() == parsed
+
+    def test_tied_findings_come_in_bucket_pre_order(self):
+        # both comparisons start at 4:13, so their sort keys tie and emission order decides:
+        # the outer one first, as pre-order buckets list it
+        source = ("contract T {\n  uint256 x;\n  function f() public {\n"
+                  "    require(block.timestamp - 5 < 10);\n  }\n}\n")
+        found = [(f.rule_id, f.line, f.column, f.message) for f in analyze(parse_source(source))]
+        assert found == [
+            ("ARB-TIME-003", 4, 13, "block.timestamp used against a 10s interval, below the 60s reliability threshold"),
+            ("ARB-TIME-003", 4, 13, "block.timestamp used against a 5s interval, below the 60s reliability threshold"),
+        ]
+
     def test_analyze_binds_a_unit_built_by_hand_like_its_parsed_twin(self):
         for name in CORPUS_NAMES:
             parsed = parse_source((CORPUS / name).read_text(), path=name)
@@ -804,6 +839,24 @@ class TestOnePassIndex:
                 dead = weakref.ref(unit)
                 del unit, nodes
                 assert dead() is None, source
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_a_failed_parse_leaves_no_cycle(self):
+        # the parser links each node to its holder as it builds them; a parse that fails
+        # unbinds what it built, so reference counting frees it without the collector
+        good = (CORPUS / "alias_permission_dirty.sol").read_text()
+        sources = [good + "contract Broken { function f() public { x = ; } }",
+                   good.replace("}", "", 1), "contract A { uint256 x = 1 + ; }"]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for source in sources:
+                with pytest.raises(MiniSolSyntaxError):
+                    parse_source(source)
+            assert gc.collect() == 0
         finally:
             if enabled:
                 gc.enable()
