@@ -134,7 +134,7 @@ def _outcomes(paths: list[str], config):
 
 
 def _cmd_analyze(args: SimpleNamespace) -> tuple[int, str] | int:
-    from .rules import Finding, RuleConfig, findings_to_doc, findings_to_json
+    from .rules import Finding, RuleConfig, findings_to_json, findings_to_text
     config = RuleConfig()
     if args.config:
         try:
@@ -166,14 +166,8 @@ def _cmd_analyze(args: SimpleNamespace) -> tuple[int, str] | int:
     if status:
         return status
 
-    if args.format == "json":
-        text = findings_to_json(findings, files)
-    else:
-        text = "".join(f"{f['file']}:{f['line']}:{f['column']}: {f['severity']} {f['rule_id']}: {f['message']}\n"
-                       + (f"    {f['excerpt']}\n" if f["excerpt"] else "")
-                       for f in findings_to_doc(findings, files)["findings"])
-        text += f"{len(findings)} finding(s) in {len(files)} file(s)\n"
-    return (1 if args.check and findings else 0), text
+    write = findings_to_json if args.format == "json" else findings_to_text
+    return (1 if args.check and findings else 0), write(findings, files)
 
 
 def _cmd_scenario_list(args: SimpleNamespace) -> tuple[int, str]:

@@ -73,15 +73,16 @@ class LineIndex:
         return line, offset - self._starts[line - 1] + 1
 
 
+# The keyword groups of docs/minisol-grammar.md, which the parser reads from here.
+ELEMENTARY_TYPES = ("uint256", "uint", "address", "bool", "string")
+VISIBILITY = ("public", "private", "internal", "external")
+MUTABILITY = ("payable", "view", "pure")
+LOCATIONS = ("memory", "calldata", "storage")
 KEYWORDS = frozenset(
     {
         "contract", "function", "returns", "require", "if", "else", "for",
-        "while", "emit", "return", "mapping",
-        "uint256", "uint", "address", "bool", "string",
-        "public", "private", "internal", "external",
-        "payable", "view", "pure",
-        "memory", "calldata", "storage",
-        "true", "false",
+        "while", "emit", "return", "mapping", "true", "false",
+        *ELEMENTARY_TYPES, *VISIBILITY, *MUTABILITY, *LOCATIONS,
     }
 )
 

@@ -13,6 +13,10 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .lexer import (
+    ELEMENTARY_TYPES,
+    LOCATIONS,
+    MUTABILITY,
+    VISIBILITY,
     Diagnostic,
     LineIndex,
     MiniSolSyntaxError,
@@ -58,11 +62,7 @@ from .nodes import (
     WhileStmt,
 )
 
-ELEMENTARY_TYPES = ("uint256", "uint", "address", "bool", "string")
 _TYPE_START = frozenset(ELEMENTARY_TYPES) | {"mapping"}
-_VISIBILITY = ("public", "private", "internal", "external")
-_MUTABILITY = ("payable", "view", "pure")
-_LOCATIONS = ("memory", "calldata", "storage")
 # The items of a braced list that declare a name in the list's scope.
 _DECLARED = (ContractDef, StateVarDecl, FunctionDef, VarDeclStmt)
 # Where each braced list resumes after a bad item (_Parser._resync): the unit at
@@ -73,7 +73,7 @@ _UNIT = frozenset({"contract"})
 _MEMBERS = _TYPE_START | {"function"}
 _BLOCK: frozenset[str] = frozenset()
 # Type keywords usable as conversion callees, e.g. payable(x) or address(0).
-_CAST_KEYWORDS = frozenset({"address", "payable", "uint256", "uint", "bool", "string"})
+_CAST_KEYWORDS = frozenset(ELEMENTARY_TYPES) | {"payable"}
 
 BINARY_PRECEDENCE = {
     "||": 1,
@@ -176,11 +176,12 @@ class _Parser:
         self.pos += 1
         return self.texts[self.pos - 1]
 
-    def _number(self) -> int:
-        """Consume a number token; its value, a uint256.  The length is checked first:
-        a uint256 has at most 78 digits, and int() refuses text of over 4,300."""
+    def _number(self, base: int = 10) -> int:
+        """Consume a number or hex token; its value, a uint256.  A decimal's length is
+        checked first: a uint256 has at most 78 digits, and int() refuses decimal text
+        of over 4,300 digits, where it reads hex text of any length."""
         text = self.texts[self.pos]
-        if len(text) > 78 or (value := int(text)) >= 2**256:
+        if (base == 10 and len(text) > 78) or (value := int(text, base)) >= 2**256:
             raise self._fail("number literal out of uint256 range")
         self.pos += 1
         return value
@@ -326,7 +327,7 @@ class _Parser:
         return initializer
 
     def parse_state_var(self) -> StateVarDecl:
-        start, var_type, visibility, name = self._declaration(_VISIBILITY, "state variable name")
+        start, var_type, visibility, name = self._declaration(VISIBILITY, "state variable name")
         initializer = self._initializer()
         return self._filed(StateVarDecl(var_type, visibility, name, initializer, span=self._node_span(start)))
 
@@ -346,11 +347,11 @@ class _Parser:
         returns: list[TypeName] = []
         while True:
             kind, text = self.kinds[self.pos], self.texts[self.pos]
-            if text in _VISIBILITY:
+            if text in VISIBILITY:
                 if visibility is not None:
                     raise self._fail(f"duplicate visibility {text!r}")
                 visibility = self._advance()
-            elif text in _MUTABILITY:
+            elif text in MUTABILITY:
                 if mutability is not None:
                     raise self._fail(f"duplicate mutability {text!r}")
                 mutability = self._advance()
@@ -378,7 +379,7 @@ class _Parser:
         ))
 
     def parse_param(self) -> Param:
-        start, var_type, location, name = self._declaration(_LOCATIONS, "parameter name")
+        start, var_type, location, name = self._declaration(LOCATIONS, "parameter name")
         return self._filed(Param(var_type, name, location, span=self._node_span(start)))
 
     def parse_typename(self, allow_mapping: bool = True) -> TypeName:
@@ -455,7 +456,7 @@ class _Parser:
     def parse_var_decl(self) -> VarDeclStmt:
         if self._check("mapping"):
             raise self._fail("unsupported construct: mapping variables must be state variables")
-        start, var_type, location, name = self._declaration(_LOCATIONS, "variable name")
+        start, var_type, location, name = self._declaration(LOCATIONS, "variable name")
         initializer = self._initializer()
         return self._filed(VarDeclStmt(var_type, name, location, initializer, span=self._node_span(start)))
 
@@ -601,10 +602,7 @@ class _Parser:
         if kind is TokenKind.NUMBER:
             return self._filed(NumberLit(value=self._number(), span=span))
         if kind is TokenKind.HEX:
-            if (value := int(text, 16)) >= 2**256:
-                raise self._fail("number literal out of uint256 range")
-            self.pos += 1
-            return self._filed(HexLit(value=value, span=span))
+            return self._filed(HexLit(value=self._number(16), span=span))
         if kind is TokenKind.ADDRESS:
             self.pos += 1
             return self._filed(AddressLit(value=int(text, 16), span=span))

@@ -565,19 +565,7 @@ def analyze(unit: SourceUnit, config: RuleConfig | None = None) -> list[Finding]
     return findings
 
 
-# --- findings document -------------------------------------------------------
-
-
-def findings_to_doc(findings: Sequence[Finding], files: Sequence[str]) -> dict:
-    return {
-        "version": FINDINGS_SCHEMA_VERSION,
-        "files": sorted(set(files)),
-        "findings": [
-            {**f._asdict(), "severity": rule.severity.value, "category": rule.category.value}
-            for f in sorted(findings, key=Finding.sort_key)
-            for rule in (get_rule(f.rule_id),)
-        ],
-    }
+# --- findings reports -------------------------------------------------------
 
 
 def _member_array(items: list[str]) -> str:
@@ -586,9 +574,10 @@ def _member_array(items: list[str]) -> str:
 
 
 def findings_to_json(findings: Sequence[Finding], files: Sequence[str]) -> str:
-    """The findings document, byte for byte as json.dumps(findings_to_doc(findings,
-    files), indent=2, sort_keys=True) writes it, and a newline.  Its shape is fixed,
-    so each finding's eight keys are written here in sorted order."""
+    """The findings document (the distinct files, each finding with its rule's severity
+    and category, the schema version), byte for byte as json.dumps(..., indent=2,
+    sort_keys=True) writes it, and a newline.  Its shape is fixed, so each finding's
+    eight keys are written here in sorted order."""
     objects = [
         f'{{\n      "category": "{rule.category.value}",\n      "column": {f.column},'
         f'\n      "excerpt": {quote(f.excerpt)},\n      "file": {quote(f.file)},'
@@ -602,6 +591,17 @@ def findings_to_json(findings: Sequence[Finding], files: Sequence[str]) -> str:
         f'\n  "findings": {_member_array(objects)},'
         f'\n  "version": "{FINDINGS_SCHEMA_VERSION}"\n}}\n'
     )
+
+
+def findings_to_text(findings: Sequence[Finding], files: Sequence[str]) -> str:
+    """The text report: a line per finding, its excerpt indented on the next line when
+    it has one, then a line counting the findings and the files analyzed."""
+    return "".join(
+        f"{f.file}:{f.line}:{f.column}: {rule.severity.value} {f.rule_id}: {f.message}\n"
+        + (f"    {f.excerpt}\n" if f.excerpt else "")
+        for f in sorted(findings, key=Finding.sort_key)
+        for rule in (get_rule(f.rule_id),)
+    ) + f"{len(findings)} finding(s) in {len(files)} file(s)\n"
 
 
 def findings_from_json(text: str) -> list[Finding]:

@@ -1675,6 +1675,20 @@ def test_source_parses_at_the_oldest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
 
+def test_a_failing_hypothesis_test_prints_its_example(tmp_path):
+    # under the project's warning filters, not INTERNALERROR; Hypothesis writes
+    # .hypothesis/ into the working directory, so the run stays in tmp_path
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(n):\n    assert n < 5\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Falsifying example" in result.stdout
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+
+
 def test_no_module_imports_a_private_name_of_another():
     # a leading underscore keeps a name to its module; a private module (._record) is fine.
     # The tests' printer, like any client, reads only the package's public names.

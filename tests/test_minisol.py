@@ -51,7 +51,10 @@ from arbmigrate.minisol import (
 )
 from arbmigrate._record import Record
 from arbmigrate.minisol import lexer
-from arbmigrate.minisol.lexer import KEYWORDS, OPERATORS, PUNCTUATION
+from arbmigrate.minisol.lexer import (
+    ELEMENTARY_TYPES, KEYWORDS, LOCATIONS, MUTABILITY, OPERATORS, PUNCTUATION, VISIBILITY,
+)
+from arbmigrate.minisol.parser import _CAST_KEYWORDS
 
 SAMPLE = """
 contract Vault {
@@ -299,9 +302,18 @@ def test_grammar_doc_token_rows_match_lexer_tables():
     def row(kind):
         return re.search(rf"^\| {kind} +\| `(.*)` +\|$", doc, re.M)[1].split()
 
+    def production(name):
+        return tuple(re.findall(r'"([^"]*)"', re.search(rf"^{name} +=([^;]*);", doc, re.M)[1]))
+
     assert tuple(row("operator")) == OPERATORS
     assert "".join(row("punctuation")) == PUNCTUATION
     assert frozenset(re.search(r"^Keywords: `([^`]*)`", doc, re.M)[1].split()) == KEYWORDS
+    assert production("elementary") == ELEMENTARY_TYPES
+    assert production("visibility") == VISIBILITY
+    assert production("mutability") == MUTABILITY
+    assert production("location") == LOCATIONS
+    assert production("cast_keyword") == (*ELEMENTARY_TYPES, "payable")
+    assert frozenset(production("cast_keyword")) == _CAST_KEYWORDS
 
 
 class TestParser:

@@ -60,8 +60,8 @@ from arbmigrate.rules import (
     _ties,
     analyze,
     findings_from_json,
-    findings_to_doc,
     findings_to_json,
+    findings_to_text,
     get_rule,
     migration_checklist,
     render_checklist,
@@ -1145,6 +1145,40 @@ class TestCorpus:
         assert run() == run()
 
 
+def findings_to_doc(findings, files):
+    """The findings document as a dict: findings_to_json writes json.dumps(doc, indent=2,
+    sort_keys=True) of it, and a newline, and the text report renders its rows."""
+    return {
+        "version": "1",
+        "files": sorted(set(files)),
+        "findings": [
+            {**f._asdict(), "severity": rule.severity.value, "category": rule.category.value}
+            for f in sorted(findings, key=Finding.sort_key)
+            for rule in (get_rule(f.rule_id),)
+        ],
+    }
+
+
+def _text_from_doc(findings, files):
+    """The text report as the command line rendered it from the document's rows."""
+    doc = findings_to_doc(findings, files)
+    text = "".join(f"{f['file']}:{f['line']}:{f['column']}: {f['severity']} {f['rule_id']}: {f['message']}\n"
+                   + (f"    {f['excerpt']}\n" if f["excerpt"] else "")
+                   for f in doc["findings"])
+    return text + f"{len(findings)} finding(s) in {len(files)} file(s)\n"
+
+
+_FINDING_LISTS = st.lists(st.builds(
+    Finding,
+    rule_id=st.sampled_from([rule.id for rule in rule_catalog()]),
+    file=st.text(),
+    line=st.integers(min_value=-(2**70), max_value=2**70),
+    column=st.integers(min_value=-(2**70), max_value=2**70),
+    excerpt=st.just("") | st.text() | st.text(alphabet='"\\\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600{},: '),
+    message=st.text(st.characters(blacklist_categories=())),  # lone surrogates too
+), max_size=6)
+
+
 class TestFindingsDocument:
     def _sample(self):
         unit = parse_source(
@@ -1180,26 +1214,23 @@ class TestFindingsDocument:
             return get_rule(rule_id)
 
         monkeypatch.setattr(rules, "get_rule", counting_get_rule)
-        rules.findings_to_doc(findings, ["alias_permission_dirty.sol"])
-        assert looked_up == Counter(f.rule_id for f in findings)
+        for write in (rules.findings_to_json, rules.findings_to_text):
+            looked_up.clear()
+            write(findings, ["alias_permission_dirty.sol"])
+            assert looked_up == Counter(f.rule_id for f in findings), write.__name__
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        findings=st.lists(st.builds(
-            Finding,
-            rule_id=st.sampled_from([rule.id for rule in rule_catalog()]),
-            file=st.text(),
-            line=st.integers(min_value=-(2**70), max_value=2**70),
-            column=st.integers(min_value=-(2**70), max_value=2**70),
-            excerpt=st.text() | st.text(alphabet='"\\\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600{},: '),
-            message=st.text(st.characters(blacklist_categories=())),  # lone surrogates too
-        ), max_size=6),
-        files=st.lists(st.text(), max_size=4),
-    )
+    @given(findings=_FINDING_LISTS, files=st.lists(st.text(), max_size=4))
     @example(findings=[], files=[])
     def test_json_is_what_json_dumps_with_indent_2_writes(self, findings, files):
         expected = json.dumps(findings_to_doc(findings, files), indent=2, sort_keys=True) + "\n"
         assert findings_to_json(findings, files) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(findings=_FINDING_LISTS, files=st.lists(st.text(), max_size=4))
+    @example(findings=[], files=[])
+    def test_text_report_renders_the_document_rows(self, findings, files):
+        assert findings_to_text(findings, files) == _text_from_doc(findings, files)
 
     def test_rejects_unknown_rule_ids(self):
         with pytest.raises(ValueError):
