@@ -356,6 +356,8 @@ class _Parser:
                     raise self._fail(f"duplicate mutability {text!r}")
                 mutability = self._advance()
             elif text == "returns":
+                if returns:
+                    raise self._fail("duplicate returns clause")
                 self._advance()
                 self._expect("(")
                 returns.extend(self._separated(self.parse_typename))
@@ -427,7 +429,7 @@ class _Parser:
     @_nested
     def parse_statement(self) -> Stmt:
         text = self.texts[self.pos]
-        if text in _TYPE_START:
+        if text in _TYPE_START and (self.texts[self.pos + 1] != "(" or text == "mapping"):  # not a cast
             return self.parse_var_decl()
         if text == "require":
             return self.parse_require()
@@ -489,8 +491,8 @@ class _Parser:
     def parse_for(self) -> ForStmt:
         start, at = self._expect("for"), len(self.index[ForStmt])
         self._expect("(")
-        outer = self.scopes
-        if self.texts[self.pos] in _TYPE_START:
+        outer, text = self.scopes, self.texts[self.pos]
+        if text in _TYPE_START and (self.texts[self.pos + 1] != "(" or text == "mapping"):
             init: Stmt | None = self.parse_var_decl()  # consumes its ';'
             self.scopes = (*outer, {init.name: init})  # seen by the rest of the loop alone
         else:

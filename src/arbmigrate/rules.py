@@ -343,7 +343,7 @@ def _calls_named(index: _Index, patterns: Iterable[str]) -> set[int]:
 
 def _excerpt(unit: SourceUnit, node: Node, limit: int = 120) -> str:
     text = unit.source[node.span.start : node.span.end]
-    first_line = text.splitlines()[0].strip() if text else ""
+    first_line = text.partition("\n")[0].partition("\r")[0].strip()  # lines end where LineIndex counts them
     if len(first_line) > limit:
         first_line = first_line[: limit - 3] + "..."
     return first_line

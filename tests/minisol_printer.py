@@ -106,7 +106,8 @@ def _print_operand(expr: Expr) -> str:
     if isinstance(expr, NumberLit):
         return str(expr.value)
     if isinstance(expr, HexLit):
-        return hex(expr.value)
+        digits = f"{expr.value:x}"
+        return "0x0" + digits if len(digits) == 40 else "0x" + digits  # 40 digits are an address
     if isinstance(expr, AddressLit):
         return f"0x{expr.value:040x}"
     if isinstance(expr, StringLit):

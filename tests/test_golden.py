@@ -7,8 +7,9 @@ one non-default setting, the summary of a fixed event script that uses
 every replay action, the diagnostics of every corpus file cut short at each
 token's end and one character into each token, the diagnostics (or the
 fired rule ids) of every corpus file with one token deleted, and the
-canonical printer's text of the corpus, of generated programs and of a
-hand-written source. A change that keeps behaviour keeps these bytes.
+canonical printer's text of the corpus, of programs generated from the
+grammar doc and of a hand-written source. A change that keeps behaviour
+keeps these bytes.
 
 To record the files again after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root and
@@ -19,13 +20,14 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from minisol_grammar import covering_set, sentence
 from minisol_printer import print_source
-from test_minisol import _Gen
 
 import arbmigrate
 from arbmigrate.cli import main
@@ -63,7 +65,7 @@ TRUNCATION = "truncation_diagnostics.txt"
 DELETION = "deletion_diagnostics.txt"
 PRINTER = "printer.txt"
 # Strings with a backslash, a quote, a newline and a tab, an else-if chain, a
-# for with empty parts, modifiers and returns lists: what _Gen never draws.
+# for with empty parts, modifiers and returns lists.
 PRINTER_INPUT = "printer_input.sol"
 PRINTER_SEEDS = range(200)
 
@@ -127,11 +129,13 @@ def _deletion_output() -> str:
 
 
 def _printer_output() -> str:
-    """print_source of each corpus file, of _Gen programs and of PRINTER_INPUT."""
+    """print_source of each corpus file, of PRINTER_INPUT and of generated programs: the
+    covering set, then random sentences."""
     sources = [(name, (ROOT / name).read_text(encoding="utf-8")) for name in CORPUS_FILES]
     sources.append((PRINTER_INPUT, _read(PRINTER_INPUT)))
+    sources += [(f"covering_set()[{i}]", text) for i, text in enumerate(covering_set()[0])]
+    sources += [(f"sentence(Random({seed}))", sentence(random.Random(seed))) for seed in PRINTER_SEEDS]
     cases = [(name, parse_source(source)) for name, source in sources]
-    cases += [(f"_Gen({seed})", _Gen(seed).unit()) for seed in PRINTER_SEEDS]
     return "".join(f"== {name}\n{print_source(unit)}" for name, unit in cases)
 
 

@@ -4,21 +4,20 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from minisol_grammar import (
+    DOC, NAMES, RULES, TERMINALS, GrammarError, covering_set, grammar, parts, read_grammar, sentence,
+)
 from minisol_printer import escape_string, print_expr, print_source
 
 from arbmigrate.minisol import (
-    AddressLit,
-    ArrayType,
-    AssignStmt,
     BinaryExpr,
     BoolLit,
     CallExpr,
     ContractDef,
     Diagnostic,
     ElementaryType,
-    EmitStmt,
     ExprStmt,
     ForStmt,
     FunctionDef,
@@ -26,24 +25,16 @@ from arbmigrate.minisol import (
     Ident,
     IfStmt,
     IncDecStmt,
-    IndexAccess,
     LineIndex,
-    MappingType,
     MemberAccess,
     MiniSolSyntaxError,
     Node,
     NumberLit,
-    Param,
     RequireStmt,
-    ReturnStmt,
     SourceUnit,
     Span,
-    StateVarDecl,
-    StringLit,
     TokenKind,
-    UnaryExpr,
     VarDeclStmt,
-    WhileStmt,
     children,
     parse_source,
     tokenize,
@@ -54,7 +45,8 @@ from arbmigrate.minisol import lexer
 from arbmigrate.minisol.lexer import (
     ELEMENTARY_TYPES, KEYWORDS, LOCATIONS, MUTABILITY, OPERATORS, PUNCTUATION, VISIBILITY,
 )
-from arbmigrate.minisol.parser import _CAST_KEYWORDS
+from arbmigrate.minisol.parser import _CAST_KEYWORDS, MAX_NESTING
+from arbmigrate.rules import DEFAULT_CONFIG
 
 SAMPLE = """
 contract Vault {
@@ -297,23 +289,29 @@ class TestTokenizer:
 
 
 def test_grammar_doc_token_rows_match_lexer_tables():
-    doc = (Path(__file__).parents[1] / "docs" / "minisol-grammar.md").read_text()
+    doc = DOC.read_text(encoding="utf-8")
+    productions = grammar().doc  # read_grammar: every name defined, every production reached
 
     def row(kind):
         return re.search(rf"^\| {kind} +\| `(.*)` +\|$", doc, re.M)[1].split()
 
-    def production(name):
-        return tuple(re.findall(r'"([^"]*)"', re.search(rf"^{name} +=([^;]*);", doc, re.M)[1]))
+    def quoted(*names):
+        return tuple(node[1] for name in names for node in parts(productions[name]) if node[0] == "tok")
 
     assert tuple(row("operator")) == OPERATORS
     assert "".join(row("punctuation")) == PUNCTUATION
     assert frozenset(re.search(r"^Keywords: `([^`]*)`", doc, re.M)[1].split()) == KEYWORDS
-    assert production("elementary") == ELEMENTARY_TYPES
-    assert production("visibility") == VISIBILITY
-    assert production("mutability") == MUTABILITY
-    assert production("location") == LOCATIONS
-    assert production("cast_keyword") == (*ELEMENTARY_TYPES, "payable")
-    assert frozenset(production("cast_keyword")) == _CAST_KEYWORDS
+    assert quoted("elementary") == ELEMENTARY_TYPES
+    assert quoted("visibility") == VISIBILITY
+    assert quoted("mutability") == MUTABILITY
+    assert quoted("location") == LOCATIONS
+    assert quoted("cast_keyword") == (*ELEMENTARY_TYPES, "payable")
+    assert frozenset(quoted("cast_keyword")) == _CAST_KEYWORDS
+    words = {text for text in quoted(*productions) if text[0].isalpha()}
+    assert words == KEYWORDS
+    assert set(quoted(*productions)) - words == {*OPERATORS, *PUNCTUATION}
+    kinds = {kind.replace("-", "_") for kind in re.findall(r"^\| ([a-z-]+) +\|", doc, re.M)}
+    assert TERMINALS.keys() <= kinds
 
 
 class TestParser:
@@ -480,6 +478,23 @@ class TestParser:
         with pytest.raises(MiniSolSyntaxError) as err:
             parse_source(source)
         assert err.value.diagnostics[-1].message.startswith("expected 'contract'")
+
+    @pytest.mark.parametrize("stmt", ["address(token).call(data);", "uint256(x) + 1;",
+                                      "for (address(a).call(); ; ) {}"])
+    def test_a_statement_may_start_with_a_cast(self, stmt):
+        [parsed] = parse_source(f"contract C {{ function f() public {{ {stmt} }} }}").contracts[0].functions[0].body
+        assert isinstance(parsed.init if isinstance(parsed, ForStmt) else parsed, ExprStmt)
+
+    @pytest.mark.parametrize("qualifiers, second, message", [
+        ("public private", "private", "duplicate visibility 'private'"),
+        ("view pure", "pure", "duplicate mutability 'pure'"),
+        ("returns (uint256) returns (bool)", "returns (bool)", "duplicate returns clause"),
+    ], ids=["visibility", "mutability", "returns"])
+    def test_a_function_has_one_visibility_mutability_and_returns_clause(self, qualifiers, second, message):
+        source = f"contract C {{ function f() {qualifiers} {{}} }}"
+        with pytest.raises(MiniSolSyntaxError) as err:
+            parse_source(source)
+        assert [str(d) for d in err.value.diagnostics] == [f"1:{source.rindex(second) + 1}: error: {message}"]
 
     def test_unsupported_construct_is_an_honest_failure(self):
         with pytest.raises(MiniSolSyntaxError) as err:
@@ -747,7 +762,7 @@ class TestNodeContract:
     def test_children_match_the_generic_reference_on_corpus_and_generated_units(self):
         corpus = Path(__file__).parent / "corpus"
         units = [parse_source(path.read_text()) for path in sorted(corpus.glob("*.sol"))]
-        units += [_Gen(seed).unit() for seed in range(40)]
+        units += [parse_source(sentence(random.Random(seed))) for seed in range(40)]
         assert len(units) == 54
         for unit in units:
             for node in walk(unit):
@@ -816,168 +831,66 @@ class TestPrinter:
         assert body in printed
 
 
-# --- random AST generator for the parse/print property ----------------------
-
-_NAMES = ["alpha", "beta", "gamma", "delta", "omega", "warden", "pool", "item", "idx", "cursor"]
-_ELEMENTARY = ["uint256", "address", "bool", "string"]
+# --- sentences generated from the grammar doc -------------------------------
 
 
-class _Gen:
-    def __init__(self, seed):
-        self.rng = random.Random(seed)
-
-    def name(self):
-        return self.rng.choice(_NAMES)
-
-    def elementary(self):
-        return ElementaryType(self.rng.choice(_ELEMENTARY))
-
-    def typename(self, state_level=False):
-        roll = self.rng.random()
-        if roll < 0.6:
-            return self.elementary()
-        if roll < 0.85:
-            length = self.rng.choice([None, self.rng.randint(1, 16)])
-            return ArrayType(base=self.elementary(), length=length)
-        if state_level:
-            return MappingType(key=self.elementary(), value=self.elementary())
-        return self.elementary()
-
-    def expr(self, depth=0):
-        if depth >= 3 or self.rng.random() < 0.35:
-            return self.atom()
-        roll = self.rng.random()
-        if roll < 0.45:
-            op = self.rng.choice(["+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&&", "||"])
-            return BinaryExpr(op=op, left=self.expr(depth + 1), right=self.expr(depth + 1))
-        if roll < 0.6:
-            return UnaryExpr(op=self.rng.choice(["!", "-"]), operand=self.expr(depth + 1))
-        if roll < 0.75:
-            return MemberAccess(obj=self.expr(depth + 1) if self.rng.random() < 0.3 else self.atom(), member=self.name())
-        if roll < 0.9:
-            args = [self.expr(depth + 1) for _ in range(self.rng.randint(0, 3))]
-            return CallExpr(callee=Ident(self.name()), args=args)
-        return IndexAccess(obj=Ident(self.name()), index=self.expr(depth + 1))
-
-    def atom(self):
-        roll = self.rng.random()
-        if roll < 0.3:
-            return NumberLit(self.rng.randint(0, 10**9))
-        if roll < 0.4:
-            return HexLit(self.rng.randint(0, 2**64))
-        if roll < 0.5:
-            return AddressLit(self.rng.randint(0, 2**160 - 1))
-        if roll < 0.6:
-            return StringLit(self.rng.choice(["", "ok", 'say "hi"', "line\nbreak", "tab\tstop"]))
-        if roll < 0.7:
-            return BoolLit(self.rng.random() < 0.5)
-        return Ident(self.name())
-
-    def assignable(self):
-        roll = self.rng.random()
-        if roll < 0.5:
-            return Ident(self.name())
-        if roll < 0.75:
-            return MemberAccess(obj=Ident(self.name()), member=self.name())
-        return IndexAccess(obj=Ident(self.name()), index=self.expr(2))
-
-    def stmt(self, depth, declared):
-        roll = self.rng.random()
-        if depth >= 2 or roll < 0.45:
-            simple = self.rng.random()
-            if simple < 0.3:
-                init = self.expr(1) if self.rng.random() < 0.7 else None
-                # a block declares a name once; a name of an enclosing scope may be reused
-                name = self.rng.choice([n for n in _NAMES if n not in declared])
-                declared.add(name)
-                return VarDeclStmt(var_type=self.elementary(), name=name, initializer=init)
-            if simple < 0.55:
-                op = self.rng.choice(["=", "+=", "-=", "*=", "/=", "%="])
-                return AssignStmt(target=self.assignable(), op=op, value=self.expr(1))
-            if simple < 0.65:
-                return IncDecStmt(target=Ident(self.name()), op=self.rng.choice(["++", "--"]))
-            if simple < 0.8:
-                msg = StringLit("nope") if self.rng.random() < 0.5 else None
-                return RequireStmt(condition=self.expr(1), message=msg)
-            if simple < 0.9:
-                value = self.expr(1) if self.rng.random() < 0.7 else None
-                return ReturnStmt(value=value)
-            return ExprStmt(expression=CallExpr(callee=Ident(self.name()), args=[self.expr(2)]))
-        if roll < 0.65:
-            else_body = None
-            if self.rng.random() < 0.5:
-                else_body = self.body(depth + 1)
-            return IfStmt(condition=self.expr(1), then_body=self.body(depth + 1), else_body=else_body)
-        if roll < 0.8:
-            init = VarDeclStmt(var_type=ElementaryType("uint256"), name="i", initializer=NumberLit(0))
-            post = IncDecStmt(target=Ident("i"), op="++")
-            return ForStmt(init=init, condition=self.expr(1), post=post, body=self.body(depth + 1))
-        if roll < 0.9:
-            return WhileStmt(condition=self.expr(1), body=self.body(depth + 1))
-        return EmitStmt(call=CallExpr(callee=Ident(self.name().capitalize()), args=[self.expr(2)]))
-
-    def body(self, depth):
-        declared = set()
-        return [self.stmt(depth, declared) for _ in range(self.rng.randint(0, 3))]
-
-    def function(self, index):
-        params = [
-            Param(var_type=self.elementary(), name=f"p{i}")
-            for i in range(self.rng.randint(0, 3))
-        ]
-        return FunctionDef(
-            name=f"fn{index}",
-            params=params,
-            visibility=self.rng.choice([None, "public", "private", "internal", "external"]),
-            mutability=self.rng.choice([None, "payable", "view", "pure"]),
-            modifiers=[self.name() for _ in range(self.rng.randint(0, 2))],
-            returns=[self.elementary() for _ in range(self.rng.randint(0, 2))],
-            body=self.body(0),
-        )
-
-    def contract(self, index):
-        members = []
-        for i in range(self.rng.randint(0, 3)):
-            var_type = self.typename(state_level=True)
-            init = None
-            if isinstance(var_type, ElementaryType) and self.rng.random() < 0.5:
-                init = self.expr(1)
-            members.append(
-                StateVarDecl(
-                    var_type=var_type,
-                    visibility=self.rng.choice([None, "public", "private", "internal"]),
-                    name=f"v{i}",
-                    initializer=init,
-                )
-            )
-        for i in range(self.rng.randint(0, 3)):
-            members.append(self.function(i))
-        return ContractDef(name=f"Gen{index}", members=members)
-
-    def unit(self):
-        return SourceUnit(contracts=[self.contract(i) for i in range(self.rng.randint(1, 3))])
+def _assert_prints_back(text):
+    unit = parse_source(text)  # raises on any diagnostic
+    assert parse_source(print_source(unit)) == unit, text
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_parse_print_identity_on_random_asts(seed):
-    unit = _Gen(seed).unit()
-    printed = print_source(unit)
-    reparsed = parse_source(printed)
-    assert reparsed == unit, printed
+class TestGeneratedSentences:
+    @pytest.mark.parametrize("ebnf, error", [
+        ("source_unit = { contract } + ;", "line 2: '+' is not in the notation"),
+        ("source_unit = (* open comment ;", "line 2: '*' is not in the notation"),
+        ("source_unit = { contract ;", "line 2: expected }, found ';'"),
+        ('source_unit = "a" | ;', "line 2: expected a term, found ';'"),
+        ('source_unit = "a" ;\nsource_unit = "b" ;', "line 3: 'source_unit' is not a new production name"),
+        ("source_unit = contract ;", "source_unit uses undefined contract"),
+        ('source_unit = "a" ;\nextra = "b" ;', "source_unit cannot reach extra"),
+    ], ids=["notation", "comment", "unclosed", "empty", "twice", "undefined", "unreachable"])
+    def test_the_reader_fails_on_what_it_cannot_read(self, ebnf, error):
+        with pytest.raises(GrammarError, match=f"^{re.escape(error)}$"):
+            read_grammar(f"```ebnf\n{ebnf}\n```\n")
 
+    def test_each_rule_the_generators_keep_is_stated_in_the_doc(self):
+        doc = DOC.read_text(encoding="utf-8")
+        assert [words for words, _, _ in RULES if words not in doc] == []
+        assert {production: rule for _, production, rule in RULES}["source_unit"] < MAX_NESTING
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10_000), st.data())
-def test_one_deleted_brace_sets_off_at_most_one_expected_contract(seed, data):
-    # A bad item resyncs inside its own list, so only a lost '{' can let a '}'
-    # close its contract early, and then the next member alone reads "expected
-    # 'contract'". In these programs a deletion of any other token sets off none.
-    source = print_source(_Gen(seed).unit())
-    tokens = tokenize(source)
-    braces = [i for i, text in enumerate(tokens.texts) if text in ("{", "}")]
-    i = data.draw(st.sampled_from(braces))
-    try:
-        parse_source(source[:tokens.starts[i]] + source[tokens.ends[i]:])
-    except MiniSolSyntaxError as err:
-        follow_ons = [d for d in err.diagnostics[1:] if d.message.startswith("expected 'contract'")]
-        assert len(follow_ons) <= (tokens.texts[i] == "{"), [str(d) for d in err.diagnostics]
+    def test_names_are_no_keyword_and_match_no_default_rule_pattern(self):
+        patterns = [pattern.lower() for key in ("oracle_patterns", "uptime_patterns", "alias_patterns",
+                                                "loop_call_triggers") for pattern in getattr(DEFAULT_CONFIG, key)]
+        assert [name for name in NAMES if name in KEYWORDS or any(p in name for p in patterns)] == []
+
+    def test_covering_set_takes_every_option_of_every_choice_and_prints_back(self):
+        sentences, covered = covering_set()
+        assert covered == grammar().options
+        for text in sentences:
+            _assert_prints_back(text)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_sentence_prints_back(self, seed):
+        _assert_prints_back(sentence(random.Random(seed)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_sentence_prints_back(self, rng):
+        _assert_prints_back(sentence(rng))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_one_deleted_brace_sets_off_at_most_one_expected_contract(self, rng, data):
+        # A bad item resyncs inside its own list, so only a lost '{' can let a '}'
+        # close its contract early, and then the next member alone reads "expected
+        # 'contract'". In these programs a deletion of any other token sets off none.
+        source = print_source(parse_source(sentence(rng)))
+        tokens = tokenize(source)
+        braces = [i for i, text in enumerate(tokens.texts) if text in ("{", "}")]
+        assume(braces)
+        i = data.draw(st.sampled_from(braces))
+        try:
+            parse_source(source[:tokens.starts[i]] + source[tokens.ends[i]:])
+        except MiniSolSyntaxError as err:
+            follow_ons = [d for d in err.diagnostics[1:] if d.message.startswith("expected 'contract'")]
+            assert len(follow_ons) <= (tokens.texts[i] == "{"), [str(d) for d in err.diagnostics]
