@@ -3,9 +3,7 @@ without generated code, and the JSON writer of both halves.
 
 A record class declares its fields once, in order, as the positional
 parameters of its ``__init__``; ``==``, repr and ``_asdict`` read that tuple.
-Keyword-only parameters and attributes set anywhere else are not fields.  A
-class may narrow the fields ``==`` compares (``_compared``) and those repr
-shows (``_shown``) in its body; by default both are every field.
+Keyword-only parameters and attributes set anywhere else are not fields.
 
 ``quote`` and ``dump_json`` write what ``json.dumps`` does (``indent=2,
 sort_keys=True``), so a command that only writes JSON never imports ``json``.
@@ -16,16 +14,12 @@ class Record:
     """Field-wise ``==`` within the exact class and a dataclass-style repr; unhashable."""
 
     _fields: tuple[str, ...] = ()
-    _compared: tuple[str, ...] = ()
-    _shown: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if "__init__" in vars(cls):
             code = cls.__init__.__code__
             cls._fields = code.co_varnames[1 : code.co_argcount]
-        cls._compared = vars(cls).get("_compared", cls._fields)
-        cls._shown = vars(cls).get("_shown", cls._fields)
 
     def _asdict(self) -> dict:
         """The fields in declaration order, as a new dict."""
@@ -34,13 +28,13 @@ class Record:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        mine = [getattr(self, name) for name in self._compared]
-        return mine == [getattr(other, name) for name in self._compared]
+        mine = [getattr(self, name) for name in self._fields]
+        return mine == [getattr(other, name) for name in self._fields]
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
 

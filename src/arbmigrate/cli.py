@@ -55,9 +55,9 @@ def _slice(paths: list[str], config):
     from .minisol import MiniSolSyntaxError, parse_source, unbind
     from .rules import analyze
 
-    def read(path):
+    def read(path):  # without a leading byte-order mark, so positions count from the text
         try:
-            return Path(path).read_text(encoding="utf-8")
+            return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
         except (OSError, UnicodeDecodeError) as exc:
             return [f"error: cannot read {path}: {exc}"]
         except Exception as exc:  # held until this file's turn

@@ -45,7 +45,6 @@ from .nodes import (
     UnaryExpr,
     VarDeclStmt,
     WhileStmt,
-    children,
     walk,
 )
 from .parser import annotate_bindings, parse_source, unbind
@@ -60,5 +59,5 @@ __all__ = [
     "Node", "NumberLit", "Param", "RequireStmt", "ReturnStmt", "SourceUnit",
     "Span", "StateVarDecl", "Stmt", "StringLit", "TokenKind", "Tokens",
     "TypeName", "UnaryExpr", "VarDeclStmt", "WhileStmt", "annotate_bindings",
-    "children", "parse_source", "tokenize", "unbind", "walk",
+    "parse_source", "tokenize", "unbind", "walk",
 ]

@@ -5,8 +5,9 @@ records too): a node class declares its fields once, in source order, as the
 positional parameters of its ``__init__``, and ``==`` and repr read them.
 Every node carries a source span, the byte offsets where its first token
 starts and its last token ends (``LineIndex`` finds their line and column);
-``span`` is keyword-only, so it is no field and two parses of the same text
-compare structurally equal.  A list defaults to a new one.
+``span``, like a unit's ``path`` and ``source``, is keyword-only, so it is no
+field and two parses of the same text compare structurally equal.  A list
+defaults to a new one.
 """
 
 from __future__ import annotations
@@ -243,28 +244,13 @@ class ContractDef(Node):
 
 
 class SourceUnit(Node):
-    _compared = ("contracts",)  # units of equal contracts are equal, whatever path and text
-    _shown = ("contracts", "path")
-
-    def __init__(self, contracts: list[ContractDef] | None = None, path: str = "<source>",
-                 source: str = "", *, span: Span = EMPTY_SPAN):
+    def __init__(self, contracts: list[ContractDef] | None = None, *, path: str = "<source>",
+                 source: str = "", span: Span = EMPTY_SPAN):
         self.span, self.path, self.source = span, path, source
         self.contracts = [] if contracts is None else contracts
-        # every node filed under its exact type, each list in pre-order, its holders
-        # up its parent links; set by the parser or annotate_bindings, None = unbound
+        # every node filed under its exact type, each list in pre-order, its holders up its
+        # parent links; set by the parser or annotate_bindings, None = unbound (analyze raises)
         self.index: dict[type, list[Node]] | None = None
-
-
-def children(node: Node) -> list[Node]:
-    """Direct child nodes, in source order (field declaration order)."""
-    out: list[Node] = []
-    for name in node._child_fields:
-        value = getattr(node, name)
-        if isinstance(value, Node):
-            out.append(value)
-        elif isinstance(value, list):
-            out.extend(item for item in value if isinstance(item, Node))
-    return out
 
 
 def walk(node: Node) -> Iterator[Node]:
@@ -273,4 +259,6 @@ def walk(node: Node) -> Iterator[Node]:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(children(node)))
+        for name in reversed(node._child_fields):
+            value = getattr(node, name)
+            stack.extend(reversed(value) if value.__class__ is list else () if value is None else (value,))

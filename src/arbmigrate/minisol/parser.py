@@ -658,7 +658,8 @@ def annotate_bindings(unit: SourceUnit) -> None:
     variables over functions over contracts). A free name such as ``msg`` or
     ``block`` keeps ``decl = None``.  One loop over an explicit stack binds
     the unit, so a unit of any depth binds.  The parser binds what it parses
-    the same way; this binds a unit built by hand or edited after parsing."""
+    the same way; a unit built by hand or edited after parsing goes through this
+    before ``analyze``, which reads the binding and makes none."""
     index: dict[type, list[Node]] = defaultdict(list)
     # (node, scope, parent); a list entry is a scoped node's statement list, and
     # (None, scope, decl) declares a local once its initializer is bound

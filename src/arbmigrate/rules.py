@@ -38,9 +38,7 @@ from .minisol import (
     StateVarDecl,
     VarDeclStmt,
     WhileStmt,
-    annotate_bindings,
 )
-from .minisol.nodes import EMPTY_SPAN
 
 FINDINGS_SCHEMA_VERSION = "1"
 
@@ -351,7 +349,7 @@ def _excerpt(unit: SourceUnit, node: Node, limit: int = 120) -> str:
 
 # --- detectors --------------------------------------------------------------
 
-_Index = dict[type, list[Node]]  # SourceUnit.index, as the parser or annotate_bindings sets it
+_Index = dict[type, list[Node]]  # SourceUnit.index, as the parser sets it
 _Add = Callable[[str, Node, str], None]
 _CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 _INTERVAL_OPS = _CMP_OPS | {"+", "-", "%"}  # what ARB-TIME-003 applies to a timestamp
@@ -537,15 +535,15 @@ def _in_order(enabled: frozenset[str]) -> tuple[str, ...]:
 
 
 def analyze(unit: SourceUnit, config: RuleConfig | None = None) -> list[Finding]:
-    """Run every enabled rule over one parsed source unit."""
+    """Run every enabled rule over one source unit as parse_source binds it.  A unit
+    built by hand or edited after parsing must go through annotate_bindings first:
+    an unbound one (``unit.index`` None) raises TypeError."""
     cfg = config or DEFAULT_CONFIG
     findings: list[Finding] = []
     lines = LineIndex(unit.source)
 
     def add(rule_id: str, node: Node, message: str) -> None:
-        # a node built by hand has no place in the source and reads 0:0
-        span = node.span
-        line, column = (0, 0) if span == EMPTY_SPAN else lines.position(span.start)
+        line, column = lines.position(node.span.start)
         findings.append(
             Finding(
                 rule_id=rule_id,
@@ -557,8 +555,6 @@ def analyze(unit: SourceUnit, config: RuleConfig | None = None) -> list[Finding]
             )
         )
 
-    if unit.index is None:  # built by hand, never bound
-        annotate_bindings(unit)
     for rule_id in _in_order(frozenset(cfg.enabled)):
         _DETECTORS[rule_id](unit.index, cfg, add)
     findings.sort(key=Finding.sort_key)

@@ -458,11 +458,12 @@ def serialize_report(report: DifferentialReport) -> str:
 # --- event-record replay ---------------------------------------------------
 #
 # Custom simulations are driven by ordered event records rather than a
-# scripting language.  Each record is {"at": seconds, "action": ..., **args}:
+# scripting language.  Each record is {"at": seconds, "action": ..., **args},
+# and a key its action does not read is ignored:
 #
 #   sequencer_down / sequencer_up
 #   submit_tx      {id, origin?: direct_to_sequencer|delayed_inbox,
-#                   gas_price?, gas_limit?, underpriced?}
+#                   gas_price?, underpriced?}
 #   tick
 #   create_ticket  {id, funds_provided, required, submission_fee,
 #                   l2_gas_provided, callvalue, refund_address?,
@@ -497,8 +498,8 @@ def _boolean(event: Mapping[str, Any], key: str, default: bool) -> bool:
 def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
     """Run an ordered event script against fresh simulator state.
 
-    Returns a summary: executed transactions (with execution time and the
-    gas parameters they carried), final queue contents, ticket states, and
+    Returns a summary: executed transactions (with execution time, gas price
+    and underpricing), final queue contents, ticket states, and
     the fee ledger, whose identity is checked once at the end
     (``AssertionError`` if it fails).  A transaction's summary row is built
     when its tick runs: besides what a ``tick`` or ``expire_tickets`` record
@@ -547,7 +548,6 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                         # TxOrigin converts or rejects whatever the table does not hold
                         origin=origin.__class__ is str and _ORIGINS.get(origin) or TxOrigin(origin),
                         gas_price=_integer(event, "gas_price", 0),
-                        gas_limit=_integer(event, "gas_limit", 0),
                         underpriced=_boolean(event, "underpriced", False),
                     )
                 )

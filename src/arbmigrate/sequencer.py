@@ -54,12 +54,11 @@ class L2Tx(Record):
 
     def __init__(self, id: str, submit_time: int,
                  origin: TxOrigin = TxOrigin.DIRECT_TO_SEQUENCER, gas_price: int = 0,
-                 gas_limit: int = 0, payload: Any = None, underpriced: bool = False):
+                 payload: Any = None, underpriced: bool = False):
         if submit_time < 0:
             raise ValueError("submit_time must be non-negative")
         self.id, self.submit_time, self.origin = id, submit_time, origin
-        self.gas_price, self.gas_limit, self.payload = gas_price, gas_limit, payload
-        self.underpriced = underpriced
+        self.gas_price, self.payload, self.underpriced = gas_price, payload, underpriced
 
 
 class Sequencer:

@@ -1,7 +1,8 @@
 """Canonical MiniSol rendering: 4-space indents, one member or statement per
 line, `} else if` chains, minimal parentheses and the lexer's string escapes
 (docs/minisol-grammar.md, "Canonical form"). Reparsing the output yields a
-structurally equal AST. No command prints MiniSol: this is the tests' oracle."""
+structurally equal AST. No command prints MiniSol: this is the tests' oracle,
+and `reference_children` is their one listing of a node's children."""
 
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from arbmigrate.minisol.nodes import (
     IndexAccess,
     MappingType,
     MemberAccess,
+    Node,
     NumberLit,
     RequireStmt,
     ReturnStmt,
@@ -48,6 +50,13 @@ _ESCAPED = str.maketrans({value: "\\" + key for key, value in ESCAPES.items()})
 _UNARY_PREC = 7
 _POSTFIX_PREC = 8
 _ATOM_PREC = 9
+
+
+def reference_children(node: Node) -> list[Node]:
+    """Direct child nodes in field order, read from every field, not only those the class lists."""
+    values = [getattr(node, name) for name in node._fields]
+    return [item for value in values for item in (value if isinstance(value, list) else [value])
+            if isinstance(item, Node)]
 
 
 def escape_string(value: str) -> str:

@@ -213,6 +213,20 @@ class TestAnalyze:
         assert "sup.sol:1:48: error: illegal character '\u00b2'" in err
         assert "Traceback" not in err
 
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        for path in sorted(CORPUS.glob("*.sol")):
+            marked = tmp_path / path.name
+            marked.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+            for form in ("text", "json"):
+                code, out, err = run(capsys, "analyze", "--check", "--format", form, str(marked))
+                assert (code, out.replace(str(tmp_path), str(CORPUS)), err) == run(
+                    capsys, "analyze", "--check", "--format", form, str(path)), (path.name, form)
+        # one mark is dropped: a second one, or one anywhere else, is an illegal character
+        for text, at in [("\ufeff\ufeffcontract C {}", "1:1"), ("\ufeffcontract C {\n\ufeff}", "2:1")]:
+            marked.write_text(text, encoding="utf-8")
+            assert run(capsys, "analyze", str(marked)) == (
+                2, "", f"{marked}:{at}: error: illegal character '\\ufeff'\n")
+
     @pytest.mark.parametrize(
         "body, code",
         [
@@ -1702,3 +1716,23 @@ def test_no_module_imports_a_private_name_of_another():
                     if alias.name.startswith("_") and not alias.name.startswith("__")
                 ]
     assert crossings == []
+
+
+def test_src_keeps_no_function_that_nothing_in_src_calls():
+    # a top-level function or method named nowhere in src/ outside its own body (an import,
+    # __all__ or a docstring names nothing) serves only tests; these four serve the bench's tracer
+    def uses(tree):
+        return Counter(getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree))
+
+    named, own = Counter(), Counter()
+    for path in sorted(Path(arbmigrate.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        named += uses(tree)
+        for top in tree.body:
+            for node in [top, *top.body] if isinstance(top, ast.ClassDef) else [top]:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                    own[node.name] += uses(node)[node.name]
+    unused = {name for name, inside in own.items() if named[name] == inside}
+    assert unused == {"annotate_bindings", "walk", "sync_state_at", "l2_timestamp_read"}
+    tracer = (_BENCH / "tracer.py").read_text(encoding="utf-8")
+    assert all(re.search(rf"\b{name}\b", tracer) for name in unused)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from minisol_grammar import (
     DOC, NAMES, RULES, TERMINALS, GrammarError, covering_set, grammar, parts, read_grammar, sentence,
 )
-from minisol_printer import escape_string, print_expr, print_source
+from minisol_printer import escape_string, print_expr, print_source, reference_children
 
 from arbmigrate.minisol import (
     BinaryExpr,
@@ -35,7 +35,6 @@ from arbmigrate.minisol import (
     Span,
     TokenKind,
     VarDeclStmt,
-    children,
     parse_source,
     tokenize,
     walk,
@@ -533,7 +532,7 @@ class TestParser:
     def test_spans_nest_and_siblings_are_ordered(self):
         unit = parse_source(SAMPLE, path="sample.sol")
         for node in walk(unit):
-            kids = list(children(node))
+            kids = reference_children(node)
             for kid in kids:
                 assert node.span.start <= kid.span.start
                 assert kid.span.end <= node.span.end
@@ -547,7 +546,7 @@ class TestParser:
 
         def reference(node, out):
             out.append(node)
-            for kid in children(node):
+            for kid in reference_children(node):
                 reference(kid, out)
             return out
 
@@ -675,18 +674,6 @@ REPR_EXTRA = """contract K {
 """
 
 
-def _reference_children(node):
-    """children() as it was before each class listed its child fields: every field is read."""
-    out = []
-    for name in node._fields:
-        value = getattr(node, name)
-        if isinstance(value, Node):
-            out.append(value)
-        elif isinstance(value, list):
-            out.extend(item for item in value if isinstance(item, Node))
-    return out
-
-
 def _repr_units():
     corpus = Path(__file__).parent / "corpus"
     units = [parse_source((corpus / name).read_text(), path=name) for name in REPR_CORPUS]
@@ -706,9 +693,9 @@ class TestNodeContract:
         lambda: Ident(nme="x"),
         lambda: BinaryExpr(op="+"),
         lambda: NumberLit(1, Span(0, 1)),
-        lambda: SourceUnit([], "a.sol", "", Span(0, 1)),
+        lambda: SourceUnit([], "a.sol"),
         lambda: ElementaryType("uint256", name="uint256"),
-    ], ids=["unknown-field", "missing-field", "positional-span", "positional-span-last", "duplicate"])
+    ], ids=["unknown-field", "missing-field", "positional-span", "positional-path", "duplicate"])
     def test_bad_construction_raises_type_error(self, build):
         with pytest.raises(TypeError):
             build()
@@ -728,45 +715,38 @@ class TestNodeContract:
         bound.decl = VarDeclStmt(ElementaryType("uint256"), "x")
         assert NumberLit(1, span=Span(0, 1)) == NumberLit(1, span=Span(5, 6))
         assert bound == Ident("x")
-        assert SourceUnit([], "a.sol", "x") == SourceUnit([], "b.sol", "y")
+        assert SourceUnit([], path="a.sol", source="x") == SourceUnit([], path="b.sol", source="y")
         assert NumberLit(1) != NumberLit(2)
         assert NumberLit(1) != HexLit(1)
         assert NumberLit(1) != 1
         assert SourceUnit([ContractDef("A")]) != SourceUnit([ContractDef("B")])
 
-    def test_repr_skips_span_binding_and_source(self):
+    def test_repr_skips_span_binding_path_and_source(self):
         bound = Ident("x", span=Span(0, 1))
         bound.decl = VarDeclStmt(ElementaryType("uint256"), "x")
         assert repr(bound) == "Ident(name='x')"
-        assert children(bound) == []
-        assert repr(SourceUnit([], "a.sol", "text")) == "SourceUnit(contracts=[], path='a.sol')"
+        assert repr(SourceUnit([], path="a.sol", source="text")) == "SourceUnit(contracts=[])"
 
-    def test_nodes_are_records_reading_every_field_but_a_units_text(self):
+    def test_nodes_are_records_and_a_units_one_field_is_its_contracts(self):
         classes = Node.__subclasses__()
         assert issubclass(Node, Record) and len(classes) == 29
-        for cls in classes:
-            if cls is SourceUnit:
-                assert (cls._compared, cls._shown) == (("contracts",), ("contracts", "path"))
-            else:
-                assert cls._compared == cls._shown == cls._fields
+        assert SourceUnit._fields == ("contracts",)
 
     def test_nodes_are_unhashable(self):
         with pytest.raises(TypeError):
             hash(Ident("x"))
 
-    def test_children_follow_field_order(self):
-        loop = ForStmt(None, BoolLit(True), None, [ExprStmt(Ident("a")), ExprStmt(Ident("b"))])
-        assert children(loop) == [loop.condition, *loop.body]
-        assert children(Ident("x")) == []
-
-    def test_children_match_the_generic_reference_on_corpus_and_generated_units(self):
+    def test_walk_matches_the_generic_reference_on_corpus_and_generated_units(self):
         corpus = Path(__file__).parent / "corpus"
         units = [parse_source(path.read_text()) for path in sorted(corpus.glob("*.sol"))]
         units += [parse_source(sentence(random.Random(seed))) for seed in range(40)]
         assert len(units) == 54
         for unit in units:
-            for node in walk(unit):
-                assert [id(n) for n in children(node)] == [id(n) for n in _reference_children(node)]
+            expected, stack = [], [unit]
+            while stack:
+                expected.append(stack.pop())
+                stack.extend(reversed(reference_children(expected[-1])))
+            assert [id(n) for n in walk(unit)] == [id(n) for n in expected]
 
     def test_repr_of_parsed_units_matches_golden(self):
         # one repr per line; record again only for an intended change of the repr format

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from minisol_grammar import sentence
-from minisol_printer import print_source
+from minisol_printer import print_source, reference_children
 
 from arbmigrate import rules
 from arbmigrate.minisol import (
@@ -40,7 +40,6 @@ from arbmigrate.minisol import (
     VarDeclStmt,
     WhileStmt,
     annotate_bindings,
-    children,
     parse_source,
     tokenize,
     unbind,
@@ -646,7 +645,7 @@ def _reference_annotate_bindings(unit):
                 resolve(stmt.condition, scope)
                 resolve_stmts(stmt.body, dict(scope))
             else:  # a simple statement: resolve its expressions, then declare
-                for expr in children(stmt):
+                for expr in reference_children(stmt):
                     resolve(expr, scope)
                 if isinstance(stmt, VarDeclStmt):
                     scope[stmt.name] = stmt
@@ -665,7 +664,7 @@ def _reference_index(unit):
     while stack:
         node, contract, function, top = site = stack.pop()
         index.setdefault(type(node), []).append(site)
-        kids = children(node)
+        kids = reference_children(node)
         if isinstance(node, FunctionDef):
             stack.extend((kid, contract, node, i) for i, kid in reversed(list(enumerate(kids))))
             continue
@@ -700,12 +699,13 @@ def _binder_sources(draw):
 
 
 def _rebuild(value):
-    """A copy of value made with the node constructors: same fields and spans, never bound."""
+    """A copy of value made with the node constructors: same fields, spans and unit text, never bound."""
     if isinstance(value, list):
         return [_rebuild(item) for item in value]
     if not isinstance(value, Node):
         return value
-    return type(value)(*(_rebuild(getattr(value, f)) for f in value._fields), span=value.span)
+    text = {"path": value.path, "source": value.source} if isinstance(value, SourceUnit) else {}
+    return type(value)(*(_rebuild(getattr(value, f)) for f in value._fields), span=value.span, **text)
 
 
 class TestOnePassIndex:
@@ -729,7 +729,7 @@ class TestOnePassIndex:
             assert _enclosing(node, ContractDef)[0] is contract
             holder, below = _enclosing(node, FunctionDef)
             assert holder is function
-            assert top == -1 if function is None else children(function)[top] is below
+            assert top == -1 if function is None else reference_children(function)[top] is below
 
     @settings(max_examples=150, deadline=None)
     @given(source=_binder_sources())
@@ -766,24 +766,31 @@ class TestOnePassIndex:
             ("ARB-TIME-003", 4, 13, "block.timestamp used against a 5s interval, below the 60s reliability threshold"),
         ]
 
-    def test_analyze_binds_a_unit_built_by_hand_like_its_parsed_twin(self):
+    def test_a_unit_built_by_hand_and_bound_is_found_like_its_parsed_twin(self):
         for name in CORPUS_NAMES:
             parsed = parse_source((CORPUS / name).read_text(), path=name)
             built = _rebuild(parsed)
             assert built.index is None
+            annotate_bindings(built)
             assert analyze(built) == analyze(parsed), name
             assert _bucket_ids(built.index).keys() == _bucket_ids(parsed.index).keys()
         # spans and source text only place a finding; an all-default unit is found too
         owner = StateVarDecl(ElementaryType("address"), None, "owner")
         check = RequireStmt(BinaryExpr("==", MemberAccess(Ident("msg"), "sender"), Ident("owner")))
         unit = SourceUnit([ContractDef("C", [owner, FunctionDef("f", body=[check])])])
+        annotate_bindings(unit)
         [finding] = analyze(unit)
-        # a node built by hand keeps EMPTY_SPAN: no place in the source, so 0:0
+        # a node built by hand keeps EMPTY_SPAN, the start of the unit's empty source
         assert (finding.rule_id, finding.line, finding.column, finding.excerpt) == (
-            "ARB-ALIAS-001", 0, 0, "")
+            "ARB-ALIAS-001", 1, 1, "")
         assert check.condition.right.decl is owner
 
-    def test_analyze_binds_a_unit_built_by_hand_at_any_depth(self):
+    def test_analyze_raises_on_a_unit_never_bound_or_unbound(self):
+        for unit in (SourceUnit(), unbind(parse_source((CORPUS / CORPUS_NAMES[0]).read_text()))):
+            with pytest.raises(TypeError):
+                analyze(unit)
+
+    def test_a_unit_built_by_hand_binds_at_any_depth(self):
         # 1,000 nested ifs: deeper than the parser accepts and than Python's recursion limit
         total = StateVarDecl(ElementaryType("uint256"), None, "total")
         cap = Param(ElementaryType("uint256"), "cap")
@@ -793,6 +800,7 @@ class TestOnePassIndex:
         for _ in range(1_000):
             body = [IfStmt(Ident("cap"), body)]
         unit = SourceUnit([ContractDef("C", [total, FunctionDef("f", [cap], body=body)])])
+        annotate_bindings(unit)
         [finding] = analyze(unit)
         assert finding.rule_id == "ARB-TIME-001" and len(unit.index[IfStmt]) == 1_000
         assert store.target.decl is total and store.value.decl is cap
@@ -809,13 +817,13 @@ class TestOnePassIndex:
         assert parsed.index and built.index is None
         assert parsed == built and repr(parsed) == repr(built)
         assert "index" not in SourceUnit._fields and "index" not in repr(parsed)
-        assert children(parsed) == parsed.contracts
+        assert reference_children(parsed) == parsed.contracts
         # parent links: each node's parent holds it; never a field, and unbound nodes read None
         for name in CORPUS_NAMES:
             unit = parse_source((CORPUS / name).read_text())
             assert unit.parent is None
             for node in walk(unit):
-                assert node is unit or any(kid is node for kid in children(node.parent)), node
+                assert node is unit or any(kid is node for kid in reference_children(node.parent)), node
         assert all(node.parent is None for node in walk(built))
         assert not any("parent" in cls._fields for cls in Node.__subclasses__())
         assert "parent" not in repr(parsed)
@@ -827,7 +835,7 @@ class TestOnePassIndex:
         assert moved.parent is stop and moved.target.parent is moved
 
     def test_unbind_undoes_the_binder_and_leaves_no_cycle(self):
-        # analyze binds a unit whose index is None, so an unbound unit is found as before
+        # annotate_bindings binds an unbound unit again, and it is found as before
         sources = [(CORPUS / name).read_text() for name in CORPUS_NAMES]
         sources += [sentence(random.Random(seed)) for seed in range(40)]
         enabled = gc.isenabled()
@@ -840,6 +848,7 @@ class TestOnePassIndex:
                 assert unbind(unit) is unit and unit.index is None
                 assert all(node.parent is None for node in nodes)
                 assert all(node.decl is None for node in nodes if isinstance(node, Ident))
+                annotate_bindings(unit)
                 assert analyze(unit) == found
                 assert unit.index is not None and all(node.parent is not None for node in nodes[1:])
                 unbind(unit)
@@ -883,7 +892,7 @@ def _contains_member(node, obj_name, member, seen):
         elif (hit := seen.get(id(node))) is None:
             hit = _is_member(node, obj_name, member)
             if not hit:
-                path.append((node, iter(children(node))))
+                path.append((node, iter(reference_children(node))))
         if hit:
             seen[id(node)] = True
             seen.update((id(opened), True) for opened, _ in path)

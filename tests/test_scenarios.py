@@ -912,7 +912,6 @@ def _reference_replay(events):
                         submit_time=at,
                         origin=TxOrigin(event.get("origin", "direct_to_sequencer")),
                         gas_price=integer(event, "gas_price", 0),
-                        gas_limit=integer(event, "gas_limit", 0),
                         underpriced=boolean(event, "underpriced", False),
                     )
                 )
@@ -1069,7 +1068,7 @@ class _Amount(int):
 
 # action -> (integer fields, boolean fields) it reads, "at" aside
 _TYPED_FIELDS = {
-    "submit_tx": (("gas_price", "gas_limit"), ("underpriced",)),
+    "submit_tx": (("gas_price",), ("underpriced",)),
     "create_ticket": (("funds_provided", "required", "submission_fee", "l2_gas_provided",
                        "callvalue", "refund_address", "l1_gas_spent"), ("escrow_callvalue",)),
     "auto_redeem": (("l2_gas_required",), ()),
