@@ -49,7 +49,7 @@ from .nodes import (
 )
 from .parser import annotate_bindings, parse_source, unbind
 
-GRAMMAR_VERSION = "1"
+GRAMMAR_VERSION = "2"
 
 __all__ = [
     "AddressLit", "ArrayType", "AssignStmt", "BinaryExpr", "BoolLit", "CallExpr",

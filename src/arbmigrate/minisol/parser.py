@@ -74,6 +74,10 @@ _MEMBERS = _TYPE_START | {"function"}
 _BLOCK: frozenset[str] = frozenset()
 # Type keywords usable as conversion callees, e.g. payable(x) or address(0).
 _CAST_KEYWORDS = frozenset(ELEMENTARY_TYPES) | {"payable"}
+# The literals that take no call, member or index, parenthesized or not; an address
+# literal has members (0x….balance).
+_BARE_LITERALS = frozenset({NumberLit, HexLit, StringLit, BoolLit})
+_SELECTORS = {".": "a member", "(": "a call", "[": "an index"}
 
 BINARY_PRECEDENCE = {
     "||": 1,
@@ -317,7 +321,13 @@ class _Parser:
         """Type, an optional qualifier, name: (start offset, type, qualifier, name)."""
         start = self._current()
         var_type = self.parse_typename()
-        qualifier = self._advance() if self.texts[self.pos] in qualifiers else None
+        qualifier = self.texts[self.pos]
+        if qualifier not in qualifiers:
+            qualifier = None
+        elif qualifier in LOCATIONS and var_type.__class__ is ElementaryType and var_type.name != "string":
+            raise self._fail(f"unsupported construct: data location {qualifier!r} on a value type")
+        else:
+            self.pos += 1
         return start, var_type, qualifier, self._expect_identifier(what)
 
     def _initializer(self) -> Expr | None:
@@ -569,6 +579,8 @@ class _Parser:
         index = self.index  # each wrapper built here holds the ones before
         at = len(index[MemberAccess]), len(index[CallExpr]), len(index[IndexAccess])
         expr = self.parse_primary()
+        if self.texts[self.pos] in _SELECTORS and expr.__class__ in _BARE_LITERALS:
+            raise self._fail(f"unsupported construct: {_SELECTORS[self.texts[self.pos]]} on a literal")
         while True:
             text = self.texts[self.pos]
             if text == ".":

@@ -37,14 +37,22 @@ class TicketState(Enum):
     MANUALLY_REDEEMED = "manually_redeemed"
     EXPIRED = "expired"
 
+    # Members are singletons: object's identity hash, in C, serves each TRANSITIONS lookup,
+    # where Enum's hashes the member's name in Python.
+    __hash__ = object.__hash__
+
+
+# CPython 3.11 reads a member through its class in EnumType.__getattr__; a global is ~10x cheaper
+CREATED, AUTO_REDEEMED, BUFFERED, MANUALLY_REDEEMED, EXPIRED = TicketState
+
 
 # state -> the operations it allows; every operation below consults it.
 TRANSITIONS = {
-    TicketState.CREATED: {"auto_redeem"},
-    TicketState.BUFFERED: {"manual_redeem", "expire"},
-    TicketState.AUTO_REDEEMED: set(),
-    TicketState.MANUALLY_REDEEMED: set(),
-    TicketState.EXPIRED: set(),
+    CREATED: {"auto_redeem"},
+    BUFFERED: {"manual_redeem", "expire"},
+    AUTO_REDEEMED: set(),
+    MANUALLY_REDEEMED: set(),
+    EXPIRED: set(),
 }
 
 
@@ -83,7 +91,7 @@ class FeeLedger(Record):
 class Ticket(Record):
     def __init__(self, id: str, created_at: int, submission_fee: int, l2_gas_provided: int,
                  callvalue: int, refund_address: int, excess: int = 0,
-                 escrow_callvalue: bool = True, state: TicketState = TicketState.CREATED):
+                 escrow_callvalue: bool = True, state: TicketState = CREATED):
         self.id, self.created_at, self.submission_fee = id, created_at, submission_fee
         self.l2_gas_provided, self.callvalue = l2_gas_provided, callvalue
         self.refund_address, self.excess = refund_address, excess
@@ -129,16 +137,9 @@ def create_ticket(
         raise ValueError(
             "funds_provided does not cover submission_fee + l2_gas_provided + callvalue"
         )
-    return Ticket(
-        id=ticket_id,
-        created_at=created_at,
-        submission_fee=submission_fee,
-        l2_gas_provided=l2_gas_provided,
-        callvalue=callvalue,
-        refund_address=refund_address,
-        excess=excess,
-        escrow_callvalue=escrow_callvalue,
-    )
+    # positional: a class called with keywords gathers them in a dict first
+    return Ticket(ticket_id, created_at, submission_fee, l2_gas_provided, callvalue, refund_address,
+                  excess, escrow_callvalue)
 
 
 def auto_redeem(ticket: Ticket, ledger: FeeLedger, l2_gas_required: int, now: int) -> bool:
@@ -152,7 +153,7 @@ def auto_redeem(ticket: Ticket, ledger: FeeLedger, l2_gas_required: int, now: in
     if l2_gas_required < 0:
         raise ValueError("l2_gas_required must be non-negative")
     if ticket.l2_gas_provided >= l2_gas_required:
-        ticket.state = TicketState.AUTO_REDEEMED
+        ticket.state = AUTO_REDEEMED
         ledger.paid_in += (
             ticket.submission_fee + ticket.l2_gas_provided + ticket.callvalue + ticket.excess
         )
@@ -162,7 +163,7 @@ def auto_redeem(ticket: Ticket, ledger: FeeLedger, l2_gas_required: int, now: in
         )
         ledger.delivered_callvalue += ticket.callvalue
         return True
-    ticket.state = TicketState.BUFFERED
+    ticket.state = BUFFERED
     ledger.paid_in += ticket.submission_fee + ticket.l2_gas_provided + ticket.excess
     ledger.consumed_as_fees += ticket.submission_fee
     ledger.refunded += ticket.l2_gas_provided + ticket.excess
@@ -182,7 +183,7 @@ def manual_redeem(
         raise ValueError("fee amounts must be non-negative")
     if now >= ticket.deadline():
         raise RedeemWindowClosed(f"ticket {ticket.id} redeem window closed at {ticket.deadline()}")
-    ticket.state = TicketState.MANUALLY_REDEEMED
+    ticket.state = MANUALLY_REDEEMED
     ledger.paid_in += new_submission_fee + l2_gas + ticket.callvalue
     ledger.consumed_as_fees += new_submission_fee + l2_gas
     ledger.delivered_callvalue += ticket.callvalue
@@ -198,7 +199,7 @@ def expire_tickets(tickets: Iterable[Ticket], ledger: FeeLedger, now: int) -> li
     for ticket in tickets:
         if "expire" not in TRANSITIONS[ticket.state] or now < ticket.deadline():
             continue
-        ticket.state = TicketState.EXPIRED
+        ticket.state = EXPIRED
         ledger.paid_in += ticket.callvalue
         if ticket.escrow_callvalue:
             ledger.refunded += ticket.callvalue

@@ -22,7 +22,7 @@ from .aliasing import ALIAS_OFFSET, HEX_ADDRESS_RE, Address, SenderContext, Send
 from .chainmodel import (DEFAULT_BLOCK_INTERVAL, DEFAULT_SYNC_PERIOD, U64, L1Chain, L2View, WallClock,
                          l2_view_l1_number_at)
 from .gasmodel import GasParams, gas_fees
-from .sequencer import L2Tx, Sequencer, SequencerStatus, TxOrigin
+from .sequencer import ACTIVE, DIRECT_TO_SEQUENCER, DOWN, L2Tx, Sequencer, TxOrigin
 
 
 class ScenarioError(ValueError):
@@ -143,12 +143,12 @@ def _run_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
 
     for step, t in enumerate(times):
         in_downtime = down_start <= t < down_end
-        seq.set_status(SequencerStatus.DOWN if in_downtime else SequencerStatus.ACTIVE)
+        seq.set_status(DOWN if in_downtime else ACTIVE)
         seq.submit(
             L2Tx(
                 id=f"price-update-{step}",
                 submit_time=t,
-                origin=TxOrigin.DIRECT_TO_SEQUENCER,
+                origin=DIRECT_TO_SEQUENCER,
                 payload=(t, true_price),
             )
         )
@@ -481,15 +481,15 @@ class EventScriptError(ValueError):
 _ORIGINS = {origin.value: origin for origin in TxOrigin}
 
 
-def _integer(event: Mapping[str, Any], key: str, default: int | None = None) -> int:
-    value = event[key] if default is None else event.get(key, default)
-    if value.__class__ is not int and (not isinstance(value, int) or isinstance(value, bool)):
+# replay_events checks a field inline when its value is exactly an int, True or False,
+# and calls these for any other value.
+def _integer(key: str, value: Any) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
         raise EventScriptError(f"field {key!r} expects an integer, got {value!r}")
     return value
 
 
-def _boolean(event: Mapping[str, Any], key: str, default: bool) -> bool:
-    value = event.get(key, default)
+def _boolean(key: str, value: Any) -> bool:
     if value is not True and value is not False:  # exactly isinstance(value, bool)
         raise EventScriptError(f"field {key!r} expects a boolean, got {value!r}")
     return value
@@ -516,6 +516,11 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
     # (deadline, creation order, ticket) of every ticket auto_redeem buffered
     buffered: list[tuple[int, int, retryable.Ticket]] = []
     last_at = 0
+    # bound per call, not at import, so that wrappers set on Sequencer or in retryable
+    # (bench/tracer.py times each layer so) are the ones bound
+    submit, tick = seq.submit, seq.tick
+    create_ticket, auto_redeem = retryable.create_ticket, retryable.auto_redeem
+    manual_redeem, expire_tickets = retryable.manual_redeem, retryable.expire_tickets
 
     def ticket(event: Mapping[str, Any]) -> retryable.Ticket:
         ticket_id = str(event["id"])
@@ -529,7 +534,8 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                 raise EventScriptError(f"must be an object, got {event!r}")
             if "at" not in event or "action" not in event:
                 raise EventScriptError("must have 'at' and 'action'")
-            at = _integer(event, "at")
+            if (at := event["at"]).__class__ is not int:
+                at = _integer("at", at)
             action = event["action"]
             if at < last_at:
                 raise EventScriptError(f"at {at} precedes {last_at}")
@@ -541,22 +547,21 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                 if tx_id in submitted:
                     raise EventScriptError(f"transaction id {tx_id!r} already submitted")
                 origin = event.get("origin", "direct_to_sequencer")
-                seq.submit(
-                    L2Tx(
-                        id=tx_id,
-                        submit_time=at,
-                        # TxOrigin converts or rejects whatever the table does not hold
-                        origin=origin.__class__ is str and _ORIGINS.get(origin) or TxOrigin(origin),
-                        gas_price=_integer(event, "gas_price", 0),
-                        underpriced=_boolean(event, "underpriced", False),
-                    )
-                )
+                # TxOrigin converts or rejects whatever the table does not hold
+                origin = origin.__class__ is str and _ORIGINS.get(origin) or TxOrigin(origin)
+                if (gas_price := event.get("gas_price", 0)).__class__ is not int:
+                    gas_price = _integer("gas_price", gas_price)
+                if (underpriced := event.get("underpriced", False)) is not True and underpriced is not False:
+                    underpriced = _boolean("underpriced", underpriced)
+                # positional: a class called with keywords gathers them in a dict first
+                submit(L2Tx(tx_id, at, origin, gas_price, None, underpriced))
                 submitted.add(tx_id)
             elif action == "tick":
-                for tx in seq.tick(at):
+                for tx in tick(at):
                     submit_time = tx.submit_time
-                    executed.append({"id": tx.id, "submit_time": submit_time, "executed_at": at,
-                                     "origin": tx.origin._value_, "gas_price": tx.gas_price,
+                    # keys in sorted order, which json.dumps(sort_keys=True) sorts in one pass
+                    executed.append({"executed_at": at, "gas_price": tx.gas_price, "id": tx.id,
+                                     "origin": tx.origin._value_, "submit_time": submit_time,
                                      "underpriced": tx.underpriced})
                     if at - submit_time > staleness:
                         staleness = at - submit_time
@@ -566,31 +571,39 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                     raise EventScriptError(f"duplicate ticket id {ticket_id!r}")
                 created[ticket_id] = len(created)
                 try:
-                    tickets[ticket_id] = retryable.create_ticket(
+                    tickets[ticket_id] = create_ticket(
                         ledger,
                         ticket_id=ticket_id,
                         created_at=at,
-                        funds_provided=_integer(event, "funds_provided"),
-                        required=_integer(event, "required"),
-                        submission_fee=_integer(event, "submission_fee"),
-                        l2_gas_provided=_integer(event, "l2_gas_provided"),
-                        callvalue=_integer(event, "callvalue"),
-                        refund_address=_integer(event, "refund_address", 0),
-                        l1_gas_spent=_integer(event, "l1_gas_spent", 0),
-                        escrow_callvalue=_boolean(event, "escrow_callvalue", True),
+                        funds_provided=v if (v := event["funds_provided"]).__class__ is int
+                            else _integer("funds_provided", v),
+                        required=v if (v := event["required"]).__class__ is int else _integer("required", v),
+                        submission_fee=v if (v := event["submission_fee"]).__class__ is int
+                            else _integer("submission_fee", v),
+                        l2_gas_provided=v if (v := event["l2_gas_provided"]).__class__ is int
+                            else _integer("l2_gas_provided", v),
+                        callvalue=v if (v := event["callvalue"]).__class__ is int else _integer("callvalue", v),
+                        refund_address=v if (v := event.get("refund_address", 0)).__class__ is int
+                            else _integer("refund_address", v),
+                        l1_gas_spent=v if (v := event.get("l1_gas_spent", 0)).__class__ is int
+                            else _integer("l1_gas_spent", v),
+                        escrow_callvalue=v if (v := event.get("escrow_callvalue", True)) is True or v is False
+                            else _boolean("escrow_callvalue", v),
                     )
                 except retryable.TicketRevert:
                     pass  # a reverted ticket is in created but not in tickets
             elif action == "auto_redeem":
                 t = ticket(event)
-                if not retryable.auto_redeem(t, ledger, _integer(event, "l2_gas_required"), now=at):
+                if (gas := event["l2_gas_required"]).__class__ is not int:
+                    gas = _integer("l2_gas_required", gas)
+                if not auto_redeem(t, ledger, gas, now=at):
                     heapq.heappush(buffered, (t.deadline(), created[t.id], t))
             elif action == "manual_redeem":
-                retryable.manual_redeem(
+                manual_redeem(
                     ticket(event),
                     ledger,
-                    _integer(event, "new_submission_fee"),
-                    _integer(event, "l2_gas"),
+                    v if (v := event["new_submission_fee"]).__class__ is int else _integer("new_submission_fee", v),
+                    v if (v := event["l2_gas"]).__class__ is int else _integer("l2_gas", v),
                     now=at,
                 )
             elif action == "expire_tickets":
@@ -599,11 +612,11 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                 due = []
                 while buffered and buffered[0][0] <= at:
                     due.append(heapq.heappop(buffered)[2])
-                retryable.expire_tickets(due, ledger, now=at)
+                expire_tickets(due, ledger, now=at)
             elif action == "sequencer_down":
-                seq.set_status(SequencerStatus.DOWN)
+                seq.set_status(DOWN)
             elif action == "sequencer_up":
-                seq.set_status(SequencerStatus.ACTIVE)
+                seq.set_status(ACTIVE)
             else:
                 raise EventScriptError(f"unknown action {action!r}")
         except EventScriptError as exc:
@@ -619,7 +632,7 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
         "pending": [tx.id for tx in seq.pending],
         "delayed_inbox": list(seq.delayed_inbox),
         "max_staleness_s": staleness,
-        "tickets": {tid: t.state.value for tid, t in sorted(tickets.items())},
+        "tickets": {tid: t.state._value_ for tid, t in sorted(tickets.items())},
         "reverted_tickets": sorted(created.keys() - tickets.keys()),
         "ledger": ledger._asdict(),
     }

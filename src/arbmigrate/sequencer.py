@@ -35,9 +35,16 @@ class TxOrigin(Enum):
     DELAYED_INBOX = "delayed_inbox"
 
 
+# CPython 3.11 reads a member through its class in EnumType.__getattr__; a global is ~10x cheaper
+DIRECT_TO_SEQUENCER, DELAYED_INBOX = TxOrigin
+
+
 class SequencerStatus(Enum):
     ACTIVE = "active"
     DOWN = "down"
+
+
+ACTIVE, DOWN = SequencerStatus  # as globals, like TxOrigin's members
 
 
 class TimeRegression(ValueError):
@@ -53,7 +60,7 @@ class L2Tx(Record):
     """
 
     def __init__(self, id: str, submit_time: int,
-                 origin: TxOrigin = TxOrigin.DIRECT_TO_SEQUENCER, gas_price: int = 0,
+                 origin: TxOrigin = DIRECT_TO_SEQUENCER, gas_price: int = 0,
                  payload: Any = None, underpriced: bool = False):
         if submit_time < 0:
             raise ValueError("submit_time must be non-negative")
@@ -80,10 +87,7 @@ class Sequencer:
         is active; everything else lands in the delayed inbox.
         """
         self._arrivals += 1
-        if (
-            tx.origin is TxOrigin.DIRECT_TO_SEQUENCER
-            and self.status is SequencerStatus.ACTIVE
-        ):
+        if tx.origin is DIRECT_TO_SEQUENCER and self.status is ACTIVE:
             self.pending.append(tx)
         else:
             self.delayed_inbox[tx.id] = tx
@@ -99,7 +103,7 @@ class Sequencer:
             raise TimeRegression(f"tick at {now} precedes previous tick at {self._last_tick}")
         self._last_tick = now
 
-        if self.status is SequencerStatus.ACTIVE:
+        if self.status is ACTIVE:
             executed = [*self.delayed_inbox.values(), *self.pending]
             self.delayed_inbox.clear()
             self.pending.clear()

@@ -33,6 +33,10 @@ RULES = (
     ('(* when followed by "(" *)', "cast_keyword", 'cast_keyword "(" [ expression { "," expression } ] ")"'),
     ("(* ending in a call: an event call *)", "call_expression",
      'postfix "(" [ expression { "," expression } ] ")"'),
+    # the options of primary that take no selector, in parentheses or not: where a selector is
+    # optional the generator skips it, and where one follows it derives the postfix again
+    ("(* none after a literal but an address *)", "postfix", {"number", "hex", "string", "true", "false"}),
+    ("(* a location only after a reference type *)", "location", {"uint256", "uint", "address", "bool"}),
     # the declaring productions, then the scope-opening ones: a declaring production's
     # identifier is new to the innermost scope, or to the one around the scope it opens
     ("A name is declared at most once per scope", "identifier",
@@ -183,33 +187,68 @@ def grammar() -> Grammar:
     return Grammar(DOC.read_text(encoding="utf-8"))
 
 
+def _first(node) -> set:
+    """The texts and production names a derivation of node can start with."""
+    kind, value = node
+    if kind in ("seq", "alt"):
+        return _first(value[0]) if kind == "seq" else set().union(*map(_first, value))
+    return _first(value) if kind in ("opt", "rep") else {value}
+
+
 def _derive(rng: random.Random, covered: set) -> str:
     """A random sentence, adding each option it takes to covered.  A choice takes each
     option that fits the depth budget alike, and an optional part (1 - depth / budget) ** 3
     of the time, a repetition's later turns a third as often."""
-    g, budget, tokens, scopes = grammar(), _RULE[START], [], []
+    g, budget, tokens, scopes, taken = grammar(), _RULE[START], [], [], []
     declaring, opening = _RULE["identifier"]
     used: set = set()  # the qualifiers the function being derived has
+    literals: set = set()  # where a primary put a literal that takes no selector
+    no_literal = False  # whether the next primary takes no literal: its postfix is derived again
 
-    def expand(node, prod: str, depth: int) -> None:
+    def closes(name: str, start: int) -> set:
+        """What may not follow tokens[start:], which name derived: a selector after a
+        literal, in parentheses or not, or a location after a value type."""
+        derived, k = tokens[start:], (len(tokens) - start) // 2
+        if name in ("primary", "postfix") and start + k in literals \
+                and derived == ["("] * k + derived[k:k + 1] + [")"] * k:
+            return {".", "(", "["}
+        if name in ("type", "elementary_or_array") and len(derived) == 1 and derived[0] in _RULE["location"]:
+            return {"location"}
+        return set()
+
+    def expand(node, prod: str, depth: int, closed: bool = False) -> set:
+        """Derive node inside prod; closed skips an optional part after its one draw."""
+        nonlocal no_literal
         kind, value = node
         if kind == "tok":
             tokens.append(value)
         elif kind == "seq":
+            after: set = set()  # what may not follow the item before
             for item in value:
-                expand(item, prod, depth)
+                while after & _first(item) and item[0] == "tok":  # the postfix before must take it
+                    literals.difference_update(range(start, len(tokens)))
+                    del tokens[start:], taken[mark:]
+                    no_literal = True
+                    after = expand(before, prod, depth)
+                start, mark, before = len(tokens), len(taken), item
+                after = expand(item, prod, depth, bool(after & _first(item)))
         elif kind == "alt":
             i = rng.choice([i for i, option in enumerate(value) if depth + g.height(option, prod) <= budget
-                            and not (prod == "function" and option[0] == "ref" and option[1] in used)])
-            covered.add((prod, id(node), i))
+                            and not (prod == "function" and option[0] == "ref" and option[1] in used)
+                            and not (prod == "primary" and no_literal and option[1] in _RULE["postfix"])])
+            if prod == "primary":
+                no_literal = False
+                if value[i][1] in _RULE["postfix"]:
+                    literals.add(len(tokens))
+            taken.append((prod, id(node), i))
             expand(value[i], prod, depth)
         elif kind in ("opt", "rep"):
             turns = 0  # random() is 0 where Hypothesis shrinks it, and 0 skips
             while (turns == 0 or kind == "rep") and depth + g.height(value, prod) <= budget \
-                    and rng.random() >= 1 - (1 - depth / budget) ** 3 / (1 + 2 * turns):
+                    and rng.random() >= 1 - (1 - depth / budget) ** 3 / (1 + 2 * turns) and not closed:
                 turns += 1
                 expand(value, prod, depth)
-            covered.add((prod, id(node), min(turns, 1)))
+            taken.append((prod, id(node), min(turns, 1)))
         elif value == "identifier" and prod in declaring:
             scope = scopes[-2 if prod in opening else -1]
             scope.add(name := rng.choice([n for n in NAMES if n not in scope] or [f"{NAMES[0]}{len(scope)}"]))
@@ -221,12 +260,15 @@ def _derive(rng: random.Random, covered: set) -> str:
                 used.clear()
             elif prod == "function" and value in _RULE["function"]:
                 used.add(value)
-            opens = value in opening
+            opens, start = value in opening, len(tokens)
             scopes.extend([set()] * opens)
             expand(g.body(value, prod), value, depth + 1)
             del scopes[len(scopes) - opens:]
+            return closes(value, start)
+        return set()
 
     expand(("ref", START), "", 0)
+    covered.update(taken)
     return " ".join(tokens)
 
 

@@ -1736,3 +1736,32 @@ def test_src_keeps_no_function_that_nothing_in_src_calls():
     assert unused == {"annotate_bindings", "walk", "sync_state_at", "l2_timestamp_read"}
     tracer = (_BENCH / "tracer.py").read_text(encoding="utf-8")
     assert all(re.search(rf"\b{name}\b", tracer) for name in unused)
+
+
+# file -> the functions and methods each replayed record or S1 step runs
+_PER_RECORD = {
+    "scenarios.py": ("replay_events", "_run_stale_oracle"),
+    "sequencer.py": ("Sequencer.submit", "Sequencer.tick"),
+    "retryable.py": ("Ticket._check", "auto_redeem", "manual_redeem", "expire_tickets"),
+}
+
+
+def test_per_record_code_reads_no_enum_member_through_its_class():
+    # On CPython 3.11 a read such as SequencerStatus.ACTIVE runs EnumType.__getattr__, about
+    # ten times a global read, so these bodies read the globals bound below each enum class.
+    # Default values and other functions do not count.
+    package = Path(arbmigrate.__file__).parent
+    enums = {"TxOrigin", "SequencerStatus", "TicketState"}
+    reads = []
+    for file, names in _PER_RECORD.items():
+        functions = {}
+        for top in ast.parse((package / file).read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.FunctionDef):
+                functions[top.name] = top
+            elif isinstance(top, ast.ClassDef):
+                functions.update({f"{top.name}.{node.name}": node for node in top.body
+                                  if isinstance(node, ast.FunctionDef)})
+        reads += [f"{file} {name}: {node.value.id}.{node.attr}" for name in names
+                  for statement in functions[name].body for node in ast.walk(statement)
+                  if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in enums]
+    assert reads == []

@@ -495,6 +495,35 @@ class TestParser:
             parse_source(source)
         assert [str(d) for d in err.value.diagnostics] == [f"1:{source.rindex(second) + 1}: error: {message}"]
 
+    @pytest.mark.parametrize("member, at, message", [
+        ("function f() public { false(); }", "(", "a call on a literal"),
+        ('function f() public { "".beta; }', ".", "a member on a literal"),
+        ("function f() public { 0[1]; }", "[", "an index on a literal"),
+        ("function f() public { 0x01(); }", "(", "a call on a literal"),
+        ("function f() public { emit 4(x); }", "(", "a call on a literal"),
+        ("function f() public { x = (0)[1]; }", "[", "an index on a literal"),
+        ("function f(uint256 memory x) public {}", "memory", "data location 'memory' on a value type"),
+        ("function f(uint calldata x) public {}", "calldata", "data location 'calldata' on a value type"),
+        ("function f(address memory a) public {}", "memory", "data location 'memory' on a value type"),
+        ("function f() public { bool storage b = true; }", "storage", "data location 'storage' on a value type"),
+    ], ids=["call-bool", "member-string", "index-number", "call-hex", "emit-number", "index-parenthesized",
+            "uint256-memory", "uint-calldata", "address-memory", "bool-storage"])
+    def test_what_solc_rejects_on_literals_and_value_types_gets_one_diagnostic(self, member, at, message):
+        source = f"contract C {{ {member} }}"
+        with pytest.raises(MiniSolSyntaxError) as err:
+            parse_source(source)
+        column = source.index(at, source.index("(") + 1) + 1
+        assert [str(d) for d in err.value.diagnostics] == [f"1:{column}: error: unsupported construct: {message}"]
+
+    @pytest.mark.parametrize("member", [
+        "function f() public { x = 0x00000000000000000000000000000000DeaDBeef.balance; }",
+        "function f(string memory s) public {}",
+        "function f(uint256[] memory a) public {}",
+        "function f() public { x = uint256(1); }",
+    ], ids=["address-literal-member", "string-memory", "array-memory", "cast"])
+    def test_the_near_misses_parse(self, member):
+        parse_source(f"contract C {{ {member} }}")
+
     def test_unsupported_construct_is_an_honest_failure(self):
         with pytest.raises(MiniSolSyntaxError) as err:
             parse_source("contract C { struct S { uint256 a; } }")

@@ -779,6 +779,12 @@ class TestEventReplay:
         assert summary["delayed_inbox"] == ["cheap"]
         assert summary["executed"] == []
 
+    def test_summary_rows_list_their_keys_in_sorted_order(self):
+        # json.dumps(sort_keys=True) then sorts each row in one pass
+        events = json.loads((Path(__file__).parent / "golden" / "replay_script.json").read_text())
+        rows = replay_events(events)["executed"]
+        assert rows and all(list(row) == sorted(row) for row in rows)
+
     def test_script_errors(self):
         with pytest.raises(EventScriptError, match="unknown action"):
             replay_events([{"at": 0, "action": "explode"}])
@@ -1103,8 +1109,7 @@ def _mixed_scripts(draw):
                                       + ["expire_tickets", "sequencer_down", "sequencer_up"]))
         event = {"at": at, "action": action}
         if action == "submit_tx":
-            amount = draw(st.sampled_from([int, _Amount]))
-            event.update(id=f"x{n}", gas_price=amount(draw(st.integers(0, 10**9))))
+            event.update(id=f"x{n}", gas_price=draw(st.integers(0, 10**9)))
             if draw(st.booleans()):
                 event.update(origin="delayed_inbox", underpriced=draw(st.booleans()))
             elif draw(st.booleans()):
@@ -1112,8 +1117,8 @@ def _mixed_scripts(draw):
         elif action == "create_ticket":
             value, short = draw(st.integers(0, 50)), draw(st.integers(0, 4)) == 0
             event.update({**_TICKET, "at": at, "id": f"t{n}", "funds_provided": 20 + value - short,
-                          "required": 20 + value, "callvalue": value, "l1_gas_spent": 5,
-                          "escrow_callvalue": draw(st.booleans())})
+                          "required": 20 + value, "callvalue": value, "refund_address": 0xA11CE,
+                          "l1_gas_spent": 5, "escrow_callvalue": draw(st.booleans())})
             if not short:
                 created_at[f"t{n}"] = at
                 fresh.append(f"t{n}")
@@ -1131,6 +1136,8 @@ def _mixed_scripts(draw):
             tid = draw(st.sampled_from(open_now))
             buffered.remove(tid)
             event.update(id=tid, new_submission_fee=3, l2_gas=4)
+        for key in ("at", *_TYPED_FIELDS.get(action, ((), ()))[0]):
+            event[key] = draw(st.sampled_from([int, _Amount]))(event[key])
         events.append(event)
     fault = draw(st.sampled_from([None] * 7 + [*_FAULTS]))
     fits = [i for i, event in enumerate(events) if fault and _FAULTS[fault](events, i, event)]
@@ -1168,3 +1175,58 @@ def test_replay_matches_the_reference_loop(events):
             return str(exc)
 
     assert outcome(replay_events) == outcome(_reference_replay)
+
+
+# A valid record of each action, after a prefix that gives auto_redeem a fresh ticket
+# (t1) and manual_redeem a buffered one (t0).
+_PREFIX = [{**_TICKET, "id": "t0"}, {"at": 0, "action": "auto_redeem", "id": "t0", "l2_gas_required": 99},
+           {**_TICKET, "id": "t1"}]
+_VALID = {
+    "submit_tx": {"id": "x", "origin": "delayed_inbox", "gas_price": 7, "underpriced": False},
+    "tick": {},
+    "create_ticket": {**_TICKET, "id": "t2", "refund_address": 0xA11CE, "l1_gas_spent": 5,
+                      "escrow_callvalue": True},
+    "auto_redeem": {"id": "t1", "l2_gas_required": 10},
+    "manual_redeem": {"id": "t0", "new_submission_fee": 3, "l2_gas": 4},
+    "expire_tickets": {},
+    "sequencer_down": {},
+    "sequencer_up": {},
+}
+
+
+def _outcome(replay, events):
+    try:
+        return json.dumps(replay(events), sort_keys=True)
+    except EventScriptError as exc:
+        return str(exc)
+
+
+@st.composite
+def _two_faults(draw, action):
+    """A valid record of action with two faults on two of its keys: a bad at, a bad
+    origin, a bad integer, a bad boolean or a missing key."""
+    event = {**_VALID[action], "at": 1, "action": action}
+    integers, booleans = _TYPED_FIELDS.get(action, ((), ()))
+    # (key, what a bad value of it is drawn from, or None to delete the key)
+    faults = [("at", _NOT_INTEGERS), *[(key, None) for key in event]]
+    faults += [(key, _NOT_INTEGERS) for key in integers] + [(key, _NOT_BOOLEANS) for key in booleans]
+    if action == "submit_tx":
+        faults.append(("origin", [["x"], None, 5, "moon"]))
+    # no key takes two faults
+    for key, bad in draw(st.lists(st.sampled_from(faults), min_size=2, max_size=2, unique_by=lambda f: f[0])):
+        if bad is None:
+            del event[key]
+        else:
+            event[key] = draw(st.sampled_from(bad))
+    return event
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.fixed_dictionaries({action: _two_faults(action) for action in _VALID}))
+def test_the_first_fault_in_a_record_wins_as_in_the_reference_loop(records):
+    from arbmigrate.scenarios import replay_events
+
+    assert _outcome(_reference_replay, _PREFIX).startswith("{")
+    for event in records.values():
+        events = [*_PREFIX, event]
+        assert _outcome(replay_events, events) == _outcome(_reference_replay, events)
