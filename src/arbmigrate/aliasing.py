@@ -52,9 +52,6 @@ class Address(FrozenRecord):
         ]
         return "0x" + "".join(chars)
 
-    def __str__(self) -> str:
-        return self.checksummed()
-
 
 ALIAS_OFFSET = Address(ALIAS_OFFSET_INT)
 
@@ -62,13 +59,6 @@ ALIAS_OFFSET = Address(ALIAS_OFFSET_INT)
 class SenderKind(Enum):
     EXTERNALLY_OWNED = "externally_owned"
     CONTRACT = "contract"
-
-
-class SenderContext(FrozenRecord):
-    """Who sent the L1-to-L2 message, and whether the sender is a contract."""
-
-    def __init__(self, l1_sender: Address, l1_sender_kind: SenderKind):
-        vars(self).update(l1_sender=l1_sender, l1_sender_kind=l1_sender_kind)
 
 
 def apply_alias(a: Address, offset: Address = ALIAS_OFFSET) -> Address:
@@ -79,12 +69,12 @@ def undo_alias(a: Address, offset: Address = ALIAS_OFFSET) -> Address:
     return Address((a.value - offset.value) % ADDRESS_SPACE)
 
 
-def l2_msg_sender(ctx: SenderContext, offset: Address = ALIAS_OFFSET) -> Address:
-    """The sender an L2 contract observes for a message from ``ctx``.
+def l2_msg_sender(l1_sender: Address, kind: SenderKind, offset: Address = ALIAS_OFFSET) -> Address:
+    """The sender an L2 contract observes for a message that ``l1_sender``, of ``kind``, sent.
 
     Contract senders are aliased; externally owned senders pass through
     unchanged.
     """
-    if ctx.l1_sender_kind is SenderKind.CONTRACT:
-        return apply_alias(ctx.l1_sender, offset)
-    return ctx.l1_sender
+    if kind is SenderKind.CONTRACT:
+        return apply_alias(l1_sender, offset)
+    return l1_sender

@@ -59,10 +59,6 @@ TRANSITIONS = {
 class TicketRevert(Exception):
     """Creation-time revert; carries the reason string."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
 
 class TicketStateError(Exception):
     """Operation applied to a ticket in the wrong state."""
@@ -90,11 +86,10 @@ class FeeLedger(Record):
 
 class Ticket(Record):
     def __init__(self, id: str, created_at: int, submission_fee: int, l2_gas_provided: int,
-                 callvalue: int, refund_address: int, excess: int = 0,
-                 escrow_callvalue: bool = True, state: TicketState = CREATED):
+                 callvalue: int, excess: int = 0, escrow_callvalue: bool = True,
+                 state: TicketState = CREATED):
         self.id, self.created_at, self.submission_fee = id, created_at, submission_fee
-        self.l2_gas_provided, self.callvalue = l2_gas_provided, callvalue
-        self.refund_address, self.excess = refund_address, excess
+        self.l2_gas_provided, self.callvalue, self.excess = l2_gas_provided, callvalue, excess
         self.escrow_callvalue, self.state = escrow_callvalue, state
 
     def deadline(self) -> int:
@@ -107,7 +102,6 @@ class Ticket(Record):
 
 def create_ticket(
     ledger: FeeLedger,
-    *,
     ticket_id: str,
     created_at: int,
     funds_provided: int,
@@ -115,7 +109,6 @@ def create_ticket(
     submission_fee: int,
     l2_gas_provided: int,
     callvalue: int,
-    refund_address: int,
     l1_gas_spent: int = 0,
     escrow_callvalue: bool = True,
 ) -> Ticket:
@@ -138,8 +131,8 @@ def create_ticket(
             "funds_provided does not cover submission_fee + l2_gas_provided + callvalue"
         )
     # positional: a class called with keywords gathers them in a dict first
-    return Ticket(ticket_id, created_at, submission_fee, l2_gas_provided, callvalue, refund_address,
-                  excess, escrow_callvalue)
+    return Ticket(ticket_id, created_at, submission_fee, l2_gas_provided, callvalue, excess,
+                  escrow_callvalue)
 
 
 def auto_redeem(ticket: Ticket, ledger: FeeLedger, l2_gas_required: int, now: int) -> bool:

@@ -528,12 +528,6 @@ _DETECTORS: dict[str, Callable[[_Index, RuleConfig, _Add], None]] = {
 }
 
 
-@lru_cache(maxsize=32)
-def _in_order(enabled: frozenset[str]) -> tuple[str, ...]:
-    """The enabled rule ids, sorted once per distinct set rather than once per unit."""
-    return tuple(sorted(enabled))
-
-
 def analyze(unit: SourceUnit, config: RuleConfig | None = None) -> list[Finding]:
     """Run every enabled rule over one source unit as parse_source binds it.  A unit
     built by hand or edited after parsing must go through annotate_bindings first:
@@ -555,8 +549,11 @@ def analyze(unit: SourceUnit, config: RuleConfig | None = None) -> list[Finding]
             )
         )
 
-    for rule_id in _in_order(frozenset(cfg.enabled)):
-        _DETECTORS[rule_id](unit.index, cfg, add)
+    # findings sort below, so the detectors may run in any order
+    enabled = cfg.enabled
+    for rule_id, detect in _DETECTORS.items():
+        if rule_id in enabled:
+            detect(unit.index, cfg, add)
     findings.sort(key=Finding.sort_key)
     return findings
 

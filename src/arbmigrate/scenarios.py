@@ -14,11 +14,11 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NoReturn
 
 from . import retryable
 from ._record import FrozenRecord, Record, dump_json
-from .aliasing import ALIAS_OFFSET, HEX_ADDRESS_RE, Address, SenderContext, SenderKind, apply_alias, l2_msg_sender
+from .aliasing import ALIAS_OFFSET, HEX_ADDRESS_RE, Address, SenderKind, apply_alias, l2_msg_sender
 from .chainmodel import (DEFAULT_BLOCK_INTERVAL, DEFAULT_SYNC_PERIOD, U64, L1Chain, L2View, WallClock,
                          l2_view_l1_number_at)
 from .gasmodel import GasParams, gas_fees
@@ -142,16 +142,9 @@ def _run_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
     monetary_delta = 0
 
     for step, t in enumerate(times):
-        in_downtime = down_start <= t < down_end
-        seq.set_status(DOWN if in_downtime else ACTIVE)
-        seq.submit(
-            L2Tx(
-                id=f"price-update-{step}",
-                submit_time=t,
-                origin=DIRECT_TO_SEQUENCER,
-                payload=(t, true_price),
-            )
-        )
+        seq.status = DOWN if down_start <= t < down_end else ACTIVE
+        # positional: a class called with keywords gathers them in a dict first
+        seq.submit(L2Tx(f"price-update-{step}", t, DIRECT_TO_SEQUENCER, 0, (t, true_price)))
         for tx in seq.tick(t):
             produced_at, px = tx.payload
             if produced_at >= observed_at:
@@ -260,9 +253,7 @@ _S2 = ScenarioSpec(
 def _run_alias_permission(params: dict[str, Any], seed: int) -> Outcome:
     owner = Address.from_hex(params["l1_sender"])
     offset = Address.from_hex(params["offset"])
-    ctx = SenderContext(l1_sender=owner, l1_sender_kind=SenderKind(params["sender_kind"]))
-
-    l2_sender = l2_msg_sender(ctx, offset)
+    l2_sender = l2_msg_sender(owner, SenderKind(params["sender_kind"]), offset)
     raw_check_l2 = "allow" if l2_sender == owner else "deny"
     alias_aware_l2 = "allow" if l2_sender == apply_alias(owner, offset) else "deny"
     raw_check_l1 = "allow"  # on L1 the caller is its own address
@@ -365,7 +356,7 @@ def _run_retryable_fee_paths(params: dict[str, Any], seed: int) -> Outcome:
     create = {"at": 0, "action": "create_ticket", "id": "t", "funds_provided": funds,
               "required": funds, "submission_fee": params["submission_fee"],
               "l2_gas_provided": params["l2_gas_provided"], "callvalue": params["callvalue"],
-              "refund_address": 0xA11CE, "escrow_callvalue": params["escrow_callvalue"]}
+              "escrow_callvalue": params["escrow_callvalue"]}
 
     def redeem(gas: int) -> dict[str, Any]:
         return {"at": 60, "action": "auto_redeem", "id": "t", "l2_gas_required": gas}
@@ -459,15 +450,16 @@ def serialize_report(report: DifferentialReport) -> str:
 #
 # Custom simulations are driven by ordered event records rather than a
 # scripting language.  Each record is {"at": seconds, "action": ..., **args},
-# and a key its action does not read is ignored:
+# and a key its action does not read is ignored (gas_limit and refund_address
+# among them, which old scripts still carry):
 #
 #   sequencer_down / sequencer_up
 #   submit_tx      {id, origin?: direct_to_sequencer|delayed_inbox,
 #                   gas_price?, underpriced?}
 #   tick
 #   create_ticket  {id, funds_provided, required, submission_fee,
-#                   l2_gas_provided, callvalue, refund_address?,
-#                   l1_gas_spent?, escrow_callvalue?}
+#                   l2_gas_provided, callvalue, l1_gas_spent?,
+#                   escrow_callvalue?}
 #   auto_redeem    {id, l2_gas_required}
 #   manual_redeem  {id, new_submission_fee, l2_gas}
 #   expire_tickets
@@ -489,10 +481,12 @@ def _integer(key: str, value: Any) -> int:
     return value
 
 
-def _boolean(key: str, value: Any) -> bool:
-    if value is not True and value is not False:  # exactly isinstance(value, bool)
-        raise EventScriptError(f"field {key!r} expects a boolean, got {value!r}")
-    return value
+def _boolean(key: str, value: Any) -> NoReturn:  # for a value that is neither True nor False
+    raise EventScriptError(f"field {key!r} expects a boolean, got {value!r}")
+
+
+# create_ticket's required amounts, in its parameter order
+_TICKET_AMOUNTS = ("funds_provided", "required", "submission_fee", "l2_gas_provided", "callvalue")
 
 
 def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
@@ -552,7 +546,7 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                 if (gas_price := event.get("gas_price", 0)).__class__ is not int:
                     gas_price = _integer("gas_price", gas_price)
                 if (underpriced := event.get("underpriced", False)) is not True and underpriced is not False:
-                    underpriced = _boolean("underpriced", underpriced)
+                    _boolean("underpriced", underpriced)
                 # positional: a class called with keywords gathers them in a dict first
                 submit(L2Tx(tx_id, at, origin, gas_price, None, underpriced))
                 submitted.add(tx_id)
@@ -570,26 +564,18 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                 if ticket_id in created:
                     raise EventScriptError(f"duplicate ticket id {ticket_id!r}")
                 created[ticket_id] = len(created)
+                # a plain loop: on 3.11 a comprehension runs in a frame of its own
+                amounts = []
+                for key in _TICKET_AMOUNTS:
+                    if (amount := event[key]).__class__ is not int:
+                        amount = _integer(key, amount)
+                    amounts.append(amount)
+                if (l1_gas_spent := event.get("l1_gas_spent", 0)).__class__ is not int:
+                    l1_gas_spent = _integer("l1_gas_spent", l1_gas_spent)
+                if (escrow := event.get("escrow_callvalue", True)) is not True and escrow is not False:
+                    _boolean("escrow_callvalue", escrow)
                 try:
-                    tickets[ticket_id] = create_ticket(
-                        ledger,
-                        ticket_id=ticket_id,
-                        created_at=at,
-                        funds_provided=v if (v := event["funds_provided"]).__class__ is int
-                            else _integer("funds_provided", v),
-                        required=v if (v := event["required"]).__class__ is int else _integer("required", v),
-                        submission_fee=v if (v := event["submission_fee"]).__class__ is int
-                            else _integer("submission_fee", v),
-                        l2_gas_provided=v if (v := event["l2_gas_provided"]).__class__ is int
-                            else _integer("l2_gas_provided", v),
-                        callvalue=v if (v := event["callvalue"]).__class__ is int else _integer("callvalue", v),
-                        refund_address=v if (v := event.get("refund_address", 0)).__class__ is int
-                            else _integer("refund_address", v),
-                        l1_gas_spent=v if (v := event.get("l1_gas_spent", 0)).__class__ is int
-                            else _integer("l1_gas_spent", v),
-                        escrow_callvalue=v if (v := event.get("escrow_callvalue", True)) is True or v is False
-                            else _boolean("escrow_callvalue", v),
-                    )
+                    tickets[ticket_id] = create_ticket(ledger, ticket_id, at, *amounts, l1_gas_spent, escrow)
                 except retryable.TicketRevert:
                     pass  # a reverted ticket is in created but not in tickets
             elif action == "auto_redeem":
@@ -614,9 +600,9 @@ def replay_events(events: list[Mapping[str, Any]]) -> dict[str, Any]:
                     due.append(heapq.heappop(buffered)[2])
                 expire_tickets(due, ledger, now=at)
             elif action == "sequencer_down":
-                seq.set_status(DOWN)
+                seq.status = DOWN
             elif action == "sequencer_up":
-                seq.set_status(ACTIVE)
+                seq.status = ACTIVE
             else:
                 raise EventScriptError(f"unknown action {action!r}")
         except EventScriptError as exc:

@@ -94,9 +94,6 @@ class Sequencer:
             if not tx.underpriced:
                 heapq.heappush(self._due, (tx.submit_time, self._arrivals, tx.id))
 
-    def set_status(self, status: SequencerStatus) -> None:
-        self.status = status
-
     def tick(self, now: int) -> list[L2Tx]:
         """Execute whatever is currently eligible; returns txs in execution order."""
         if self._last_tick is not None and now < self._last_tick:

@@ -147,7 +147,6 @@ def test_criterion_4_retryable_ledger_conservation():
                             submission_fee=fee,
                             l2_gas_provided=gas,
                             callvalue=cv,
-                            refund_address=1,
                             l1_gas_spent=rng.randint(0, 30_000),
                             escrow_callvalue=rng.random() < 0.5,
                         )
@@ -178,7 +177,6 @@ def test_criterion_4_retryable_ledger_conservation():
         ticket = create_ticket(
             ledger, ticket_id="boundary", created_at=0, funds_provided=300,
             required=300, submission_fee=100, l2_gas_provided=100, callvalue=100,
-            refund_address=1,
         )
         auto_redeem(ticket, ledger, l2_gas_required=999, now=1)
         assert expire_tickets([ticket], ledger, now=604_799) == []
@@ -227,7 +225,7 @@ def test_criterion_6_sequencer_ordering_property():
             pending_event = next(events, None)
             for now in range(0, horizon + 1, tick_every):
                 down = down_start <= now < down_end
-                seq.set_status(SequencerStatus.DOWN if down else SequencerStatus.ACTIVE)
+                seq.status = SequencerStatus.DOWN if down else SequencerStatus.ACTIVE
                 while pending_event is not None and pending_event[0] <= now:
                     at, kind = pending_event
                     origin = (
@@ -245,7 +243,7 @@ def test_criterion_6_sequencer_ordering_property():
                 executed += [(tx, now) for tx in seq.tick(now)]
                 assert submitted == len(seq.pending) + len(seq.delayed_inbox) + len(executed)
 
-            seq.set_status(SequencerStatus.ACTIVE)
+            seq.status = SequencerStatus.ACTIVE
             executed += [(tx, horizon + 1) for tx in seq.tick(horizon + 1)]
 
             order = {tx.id: i for i, (tx, _) in enumerate(executed)}

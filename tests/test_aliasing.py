@@ -8,7 +8,6 @@ from arbmigrate.aliasing import (
     ALIAS_OFFSET,
     ALIAS_OFFSET_INT,
     Address,
-    SenderContext,
     SenderKind,
     apply_alias,
     l2_msg_sender,
@@ -105,15 +104,12 @@ class TestL2MsgSender:
     OWNER = Address.from_hex("0x00000000000000000000000000000000deadbeef")
 
     def test_contract_sender_is_aliased(self):
-        ctx = SenderContext(self.OWNER, SenderKind.CONTRACT)
-        assert l2_msg_sender(ctx) == apply_alias(self.OWNER)
+        assert l2_msg_sender(self.OWNER, SenderKind.CONTRACT) == apply_alias(self.OWNER)
 
     def test_externally_owned_sender_passes_through(self):
-        ctx = SenderContext(self.OWNER, SenderKind.EXTERNALLY_OWNED)
-        assert l2_msg_sender(ctx) == self.OWNER
+        assert l2_msg_sender(self.OWNER, SenderKind.EXTERNALLY_OWNED) == self.OWNER
 
     def test_raw_permission_check_fails_alias_aware_check_passes(self):
-        ctx = SenderContext(self.OWNER, SenderKind.CONTRACT)
-        sender = l2_msg_sender(ctx)
+        sender = l2_msg_sender(self.OWNER, SenderKind.CONTRACT)
         assert (sender == self.OWNER) is False
         assert (sender == apply_alias(self.OWNER)) is True

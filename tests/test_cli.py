@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import arbmigrate
 from arbmigrate import __version__, cli, rules
+from arbmigrate._record import Record
 from arbmigrate.aliasing import Address
 from arbmigrate.chainmodel import MAX_TABLE_ROWS
 from arbmigrate.cli import (
@@ -694,6 +695,22 @@ class TestChecklistCommand:
         assert code == 2
         assert "cannot load findings" in err
 
+    @pytest.mark.parametrize("doc, reason", [
+        ({"findings": {}}, "not a findings document: 'findings' is not a list"),
+        ({"findings": [1]}, "finding 0 is malformed: not an object"),
+    ])
+    def test_findings_not_a_list_of_objects_is_usage_error(self, tmp_path, capsys, doc, reason):
+        path = tmp_path / "findings.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "checklist", str(path)) == (2, "", f"error: cannot load findings: {reason}\n")
+
+    def test_a_note_lists_three_locations_and_elides_the_rest(self, tmp_path, capsys):
+        path = tmp_path / "findings.json"
+        path.write_text(json.dumps({"findings": [
+            {"rule_id": "ARB-SEQ-001", "file": "a.sol", "line": line, "column": 1} for line in (4, 1, 3, 2)]}))
+        code, out, _ = run(capsys, "checklist", str(path))
+        assert code == 0 and "(4 finding(s): a.sol:1, a.sol:2, a.sol:3, ...)\n" in out
+
 
     @pytest.mark.parametrize("command", ["checklist", "analyze --config"])
     def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys, command):
@@ -770,6 +787,9 @@ class TestSimCommand:
     def test_negative_horizon_is_usage_error(self, capsys):
         code, out, err = run(capsys, "sim", "--horizon", "-5")
         assert (code, out, err) == (2, "", "error: horizon must be non-negative\n")
+
+    def test_zero_step_is_usage_error(self, capsys):
+        assert run(capsys, "sim", "--step", "0") == (2, "", "error: step must be positive\n")
 
     def test_table_over_the_row_limit_is_usage_error(self, capsys):
         code, out, err = run(capsys, "sim", "--horizon", str(MAX_TABLE_ROWS), "--step", "1")
@@ -1736,6 +1756,35 @@ def test_src_keeps_no_function_that_nothing_in_src_calls():
     assert unused == {"annotate_bindings", "walk", "sync_state_at", "l2_timestamp_read"}
     tracer = (_BENCH / "tracer.py").read_text(encoding="utf-8")
     assert all(re.search(rf"\b{name}\b", tracer) for name in unused)
+
+
+def test_every_simulator_record_field_has_a_reader():
+    # a field of a record class outside minisol that src/ reads as an attribute nowhere but in
+    # its class's __init__ (an augmented assignment reads) serves only repr and the tests
+    def reads(tree):
+        return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, ast.Load)) + Counter(
+            node.target.attr for node in ast.walk(tree)
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute))
+
+    read, in_init = Counter(), {}
+    for path in sorted(Path(arbmigrate.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read += reads(tree)
+        in_init.update({top.name: reads(node) for top in tree.body if isinstance(top, ast.ClassDef)
+                        for node in top.body if getattr(node, "name", None) == "__init__"})
+    classes, unread = [Record], set()
+    for cls in classes:
+        classes += cls.__subclasses__()
+        module = cls.__module__
+        if module.startswith("arbmigrate.") and not module.startswith("arbmigrate.minisol"):
+            own = in_init.get(cls.__name__, Counter())
+            unread |= {f"{cls.__name__}.{name}" for name in cls._fields if read[name] == own[name]}
+    # serialize_report writes a DifferentialReport whole, through _asdict; only sync_state_at,
+    # which the bench's tracer names, writes the two L2View fields
+    assert {name for name in unread if not name.startswith("DifferentialReport.")} == {
+        "L2View.last_synced_l1_number", "L2View.last_sync_time"}
+    assert re.search(r"\bsync_state_at\b", (_BENCH / "tracer.py").read_text(encoding="utf-8"))
 
 
 # file -> the functions and methods each replayed record or S1 step runs

@@ -411,9 +411,15 @@ class TestParser:
         ("contract C { function f() public { function g() public {} } }",
          ["1:36: error: unsupported construct: 'function' inside a function body",
           "1:61: error: expected 'contract', found '}'"]),
+        # a nested array type and an emit of no call: the next item's error is reported
+        ("contract C { uint256[][] a; uint256 y = ; }",
+         ["1:23: error: unsupported construct: nested arrays", "1:41: error: expected expression, found ';'"]),
+        ("contract C { function f() public { emit x; y = ; } }",
+         ["1:42: error: emit expects an event call", "1:48: error: expected expression, found ';'"]),
     ], ids=["member", "contract-header", "contract-name", "stray-braces", "statement",
             "for-header", "for-lost-paren", "for-header-paren", "if-header", "while-header",
-            "if-header-else", "lost-brace", "lost-braces", "function-in-body"])
+            "if-header-else", "lost-brace", "lost-braces", "function-in-body", "nested-array",
+            "emit-without-call"])
     def test_recovery_resumes_at_the_bad_items_own_level(self, source, diagnostics):
         with pytest.raises(MiniSolSyntaxError) as err:
             parse_source(source)

@@ -18,17 +18,17 @@ from hypothesis import strategies as st
 from arbmigrate import _record
 
 from arbmigrate._record import Record
-from arbmigrate.aliasing import ADDRESS_SPACE, Address, SenderContext, SenderKind
+from arbmigrate.aliasing import ADDRESS_SPACE, Address
 from arbmigrate.chainmodel import L1Chain, L2View, WallClock, l2_timestamp_read, sync_state_at
 from arbmigrate.gasmodel import GasParams, cost_comparison_table, quote, savings_table
 from arbmigrate.retryable import FeeLedger, auto_redeem, create_ticket
-from arbmigrate.scenarios import ScenarioSpec, list_scenarios, run_scenario
+from arbmigrate.scenarios import Param, ScenarioSpec, list_scenarios, run_scenario
 from arbmigrate.sequencer import L2Tx, Sequencer
 
 GOLDEN_REPR = Path(__file__).parent / "golden" / "sim_repr.txt"
 
-FROZEN = ("Address", "SenderContext", "WallClock", "L1Chain", "L2View", "L2Timestamp",
-          "GasParams", "GasQuote", "CostRow", "SavingsTable", "ScenarioSpec")
+FROZEN = ("Address", "WallClock", "L1Chain", "L2View", "L2Timestamp",
+          "GasParams", "GasQuote", "CostRow", "SavingsTable", "ScenarioSpec", "Param")
 MUTABLE = ("FeeLedger", "Ticket", "L2Tx", "DifferentialReport")
 
 
@@ -38,13 +38,12 @@ def _instances():
     ledger = FeeLedger()
     ticket = create_ticket(ledger, ticket_id="t1", created_at=5, funds_provided=1600,
                            required=1500, submission_fee=100, l2_gas_provided=400,
-                           callvalue=1000, refund_address=0xbeef)
+                           callvalue=1000)
     auto_redeem(ticket, ledger, l2_gas_required=300, now=6)
     params = GasParams(gas_used_l2=21_000, calldata_price_l1=16, calldata_size_l1=100,
                        gas_price_l2=10)
     made = [
         Address(0xDEADBEEF),
-        SenderContext(Address(0x1111), SenderKind.CONTRACT),
         WallClock(90),
         chain,
         sync_state_at(WallClock(90), chain, L2View(sync_period=36, seq_clock_precision=4)),
@@ -57,6 +56,7 @@ def _instances():
         ticket,
         L2Tx("x", 7, payload=(7, 10_000), underpriced=True),
         ScenarioSpec(**vars(list_scenarios()[2])),  # a fresh copy of the S3 spec
+        Param(**vars(list_scenarios()[2].params["sender_kind"])),  # and of one of its parameters
         run_scenario("S3"),
     ]
     return {type(obj).__name__: obj for obj in made}
@@ -122,9 +122,14 @@ def test_frozen_fields_cannot_be_assigned_or_deleted(name):
     assert repr(obj) == before
 
 
-@pytest.mark.parametrize("name", [n for n in FROZEN if n != "ScenarioSpec"])  # params: a dict
+@pytest.mark.parametrize("name", [n for n in FROZEN if n != "ScenarioSpec"])
 def test_equal_frozen_values_hash_equal(name):
     assert hash(_instances()[name]) == hash(_instances()[name])
+
+
+def test_scenario_spec_does_not_hash_because_its_params_is_a_dict():
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(_instances()["ScenarioSpec"])
 
 
 @pytest.mark.parametrize("name", MUTABLE)

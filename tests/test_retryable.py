@@ -29,7 +29,6 @@ def make_ticket(ledger, ticket_id="t1", *, fee=100, gas=400, callvalue=1000, ext
         submission_fee=fee,
         l2_gas_provided=gas,
         callvalue=callvalue,
-        refund_address=0xA11CE,
         **kw,
     )
 
@@ -47,10 +46,9 @@ class TestCreate:
                 submission_fee=10,
                 l2_gas_provided=10,
                 callvalue=70,
-                refund_address=1,
                 l1_gas_spent=21_000,
             )
-        assert err.value.reason == "insufficient_funds"
+        assert str(err.value) == "insufficient_funds"
         assert ledger.lost == 21_000
         assert ledger.balanced()
 
@@ -80,7 +78,6 @@ class TestCreate:
                 submission_fee=90,
                 l2_gas_provided=90,
                 callvalue=0,
-                refund_address=1,
             )
 
 
@@ -202,7 +199,7 @@ class TestStateMachine:
                 ledger = FeeLedger()
                 ticket = Ticket(
                     id="x", created_at=0, submission_fee=10, l2_gas_provided=10,
-                    callvalue=10, refund_address=1, state=state,
+                    callvalue=10, state=state,
                 )
                 allowed = name in TRANSITIONS[state]
                 if name == "expire":
@@ -241,7 +238,6 @@ def test_ledger_identity_over_random_operation_sequences():
                         submission_fee=fee,
                         l2_gas_provided=gas,
                         callvalue=cv,
-                        refund_address=1,
                         l1_gas_spent=rng.randint(0, 5_000),
                         escrow_callvalue=rng.random() < 0.5,
                     )

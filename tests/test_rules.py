@@ -159,6 +159,10 @@ class TestSeqRule:
         )
         assert [f.rule_id for f in analyze_text(source)] == ["ARB-SEQ-001"]
 
+    def test_read_in_a_state_variable_initializer_does_not_fire(self):
+        # the rule asks for a check in the same function, and no function holds this read
+        assert analyze_text("contract C { uint256 p = getPrice(1); }") == []
+
     def test_custom_patterns(self):
         config = RuleConfig(oracle_patterns=("readSpot",), uptime_patterns=("heartbeat",))
         findings = analyze_text(wrap("uint256 p = amm.readSpot();"), config)

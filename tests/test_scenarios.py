@@ -301,7 +301,7 @@ def _reference_stale_oracle(params: dict[str, Any], seed: int) -> Outcome:
 
     for step, t in enumerate(times):
         in_downtime = down_start <= t < down_end
-        seq.set_status(SequencerStatus.DOWN if in_downtime else SequencerStatus.ACTIVE)
+        seq.status = SequencerStatus.DOWN if in_downtime else SequencerStatus.ACTIVE
         seq.submit(
             L2Tx(
                 id=f"price-update-{step}",
@@ -624,7 +624,6 @@ def _reference_fee_paths(params: dict[str, Any], seed: int) -> Outcome:
             submission_fee=params["submission_fee"],
             l2_gas_provided=params["l2_gas_provided"],
             callvalue=params["callvalue"],
-            refund_address=0xA11CE,
             escrow_callvalue=params["escrow_callvalue"],
         )
 
@@ -850,6 +849,14 @@ class TestEventReplay:
             ([["at", "action"]], "event 0: must be an object, got ['at', 'action']"),
             ([5], "event 0: must be an object, got 5"),
             (["tick"], "event 0: must be an object, got 'tick'"),
+            # retryable's own checks, named with the record's index
+            ([{**_TICKET, "funds_provided": -1}], "event 0: funds_provided must be non-negative"),
+            ([{**_TICKET, "submission_fee": -1}], "event 0: fee amounts must be non-negative"),
+            ([_TICKET, {"at": 1, "action": "auto_redeem", "id": "t", "l2_gas_required": -1}],
+             "event 1: l2_gas_required must be non-negative"),
+            ([_TICKET, {"at": 1, "action": "auto_redeem", "id": "t", "l2_gas_required": 99},
+              {"at": 2, "action": "manual_redeem", "id": "t", "new_submission_fee": -1, "l2_gas": 1}],
+             "event 2: fee amounts must be non-negative"),
         ],
         ids=["unknown-ticket", "missing-id", "bad-origin", "duplicate-tx", "non-integer-at",
              "fractional-at", "string-at", "bool-at", "fractional-gas-price", "string-callvalue",
@@ -857,7 +864,8 @@ class TestEventReplay:
              "string-false-escrow", "string-no-underpriced", "zero-escrow", "one-underpriced",
              "list-action", "int-action", "null-action", "list-origin", "null-origin",
              "two-faults-at-first", "two-faults-in-a-submit", "two-faults-in-a-ticket",
-             "null-record", "list-record", "list-record-with-keys", "int-record", "string-record"],
+             "null-record", "list-record", "list-record-with-keys", "int-record", "string-record",
+             "negative-funds", "negative-fee", "negative-gas-required", "negative-manual-fee"],
     )
     def test_malformed_record_names_its_index(self, events, message):
         with pytest.raises(EventScriptError, match=re.escape(message)):
@@ -905,9 +913,9 @@ def _reference_replay(events):
             last_at = at
 
             if action == "sequencer_down":
-                seq.set_status(SequencerStatus.DOWN)
+                seq.status = SequencerStatus.DOWN
             elif action == "sequencer_up":
-                seq.set_status(SequencerStatus.ACTIVE)
+                seq.status = SequencerStatus.ACTIVE
             elif action == "submit_tx":
                 tx_id = str(event["id"])
                 if tx_id in submitted:
@@ -939,7 +947,6 @@ def _reference_replay(events):
                         submission_fee=integer(event, "submission_fee"),
                         l2_gas_provided=integer(event, "l2_gas_provided"),
                         callvalue=integer(event, "callvalue"),
-                        refund_address=integer(event, "refund_address", 0),
                         l1_gas_spent=integer(event, "l1_gas_spent", 0),
                         escrow_callvalue=boolean(event, "escrow_callvalue", True),
                     )
@@ -995,7 +1002,7 @@ def _replay_with_full_scan_expiry(events):
                         funds_provided=event["funds_provided"], required=event["required"],
                         submission_fee=event["submission_fee"],
                         l2_gas_provided=event["l2_gas_provided"], callvalue=event["callvalue"],
-                        refund_address=0, escrow_callvalue=event["escrow_callvalue"],
+                        escrow_callvalue=event["escrow_callvalue"],
                     )
                 except retryable.TicketRevert:
                     reverted.append(event["id"])
@@ -1076,7 +1083,7 @@ class _Amount(int):
 _TYPED_FIELDS = {
     "submit_tx": (("gas_price",), ("underpriced",)),
     "create_ticket": (("funds_provided", "required", "submission_fee", "l2_gas_provided",
-                       "callvalue", "refund_address", "l1_gas_spent"), ("escrow_callvalue",)),
+                       "callvalue", "l1_gas_spent"), ("escrow_callvalue",)),
     "auto_redeem": (("l2_gas_required",), ()),
     "manual_redeem": (("new_submission_fee", "l2_gas"), ()),
 }

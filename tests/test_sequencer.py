@@ -25,7 +25,7 @@ def delayed(tx_id, t, **kw):
 def down():
     """A new sequencer, set DOWN."""
     seq = Sequencer()
-    seq.set_status(SequencerStatus.DOWN)
+    seq.status = SequencerStatus.DOWN
     return seq
 
 
@@ -72,20 +72,20 @@ def test_delayed_origin_always_enters_delayed_inbox():
 
 def test_status_transitions():
     seq = Sequencer()
-    seq.set_status(SequencerStatus.DOWN)
-    seq.set_status(SequencerStatus.DOWN)  # no-op
+    assert seq.status is SequencerStatus.ACTIVE
+    seq.status = SequencerStatus.DOWN
     assert seq.status is SequencerStatus.DOWN
-    seq.set_status(SequencerStatus.ACTIVE)
+    seq.status = SequencerStatus.ACTIVE
     assert seq.status is SequencerStatus.ACTIVE
 
 
 def test_recovery_drains_old_delayed_txs_before_new_direct_ones():
     seq = Sequencer()
-    seq.set_status(SequencerStatus.DOWN)
+    seq.status = SequencerStatus.DOWN
     seq.submit(direct("a", 10))
     seq.submit(direct("b", 20))
     assert seq.tick(3599) == []
-    seq.set_status(SequencerStatus.ACTIVE)
+    seq.status = SequencerStatus.ACTIVE
     seq.submit(direct("c", 3601))
     executed = seq.tick(3602)
     assert [tx.id for tx in executed] == ["a", "b", "c"]
@@ -105,7 +105,7 @@ def test_underpriced_tx_skips_force_inclusion_until_the_sequencer_is_active():
     seq = down()
     seq.submit(delayed("cheap", 0, gas_price=1, underpriced=True))
     assert seq.tick(90_000) == []
-    seq.set_status(SequencerStatus.ACTIVE)
+    seq.status = SequencerStatus.ACTIVE
     executed = seq.tick(90_001)
     assert [tx.id for tx in executed] == ["cheap"]
     assert executed[0].gas_price == 1
@@ -132,13 +132,13 @@ def test_inbox_queued_before_an_outage_is_force_included():
     seq.submit(direct("p", 0))
     seq.submit(delayed("a", 3))
     seq.submit(delayed("b", 1, underpriced=True))
-    seq.set_status(SequencerStatus.DOWN)
+    seq.status = SequencerStatus.DOWN
     shift = FORCE_INCLUSION_DELAY - 10  # each tick as if the delay were 10 s
     assert seq.tick(shift + 12) == []
     assert [tx.id for tx in seq.tick(shift + 13)] == ["a"]
     assert (len(seq.pending), len(seq.delayed_inbox)) == (1, 1)  # of 3 submitted, 1 executed
     seq.submit(delayed("c", 4))  # arrives after "b", so it runs after it
-    seq.set_status(SequencerStatus.ACTIVE)
+    seq.status = SequencerStatus.ACTIVE
     assert [tx.id for tx in seq.tick(shift + 20)] == ["b", "c", "p"]
     assert (len(seq.pending), len(seq.delayed_inbox)) == (0, 0)  # all 4 submitted, executed
 
@@ -152,9 +152,9 @@ def test_tick_time_regression_rejected():
 
 def test_staleness_covers_downtime_window():
     seq = Sequencer()
-    seq.set_status(SequencerStatus.DOWN)
+    seq.status = SequencerStatus.DOWN
     seq.submit(direct("a", 0))
-    seq.set_status(SequencerStatus.ACTIVE)
+    seq.status = SequencerStatus.ACTIVE
     assert max_wait(ticked(seq, 3600)) >= 3600
 
 
@@ -181,7 +181,7 @@ def test_conservation_simple():
     seq = down()
     seq.submit(direct("a", 0))
     seq.submit(delayed("b", 1))
-    seq.set_status(SequencerStatus.ACTIVE)
+    seq.status = SequencerStatus.ACTIVE
     seq.submit(direct("c", 2))
     assert len(seq.pending) + len(seq.delayed_inbox) == 3  # 3 submitted, none executed
     assert len(seq.tick(3)) == 3
@@ -212,7 +212,7 @@ def test_conservation_and_no_duplicates_under_random_schedules(events):
             seq.submit(L2Tx(id=f"tx{i}", submit_time=now, origin=origin))
             submitted += 1
         elif kind == "status":
-            seq.set_status(SequencerStatus(arg))
+            seq.status = SequencerStatus(arg)
         else:
             pairs += ticked(seq, now)
         assert submitted == len(seq.pending) + len(seq.delayed_inbox) + len(pairs)
@@ -281,7 +281,7 @@ def test_watermark_ticks_match_a_full_scan(lag, status, inbox, schedule):
     for seq in (fast, slow):
         for i, (offset, cheap) in enumerate(inbox):
             seq.submit(delayed(f"given{i}", now + offset - early, underpriced=cheap))
-        seq.set_status(status)
+        seq.status = status
     for i, (kind, *args) in enumerate(schedule):
         if kind == "submit":
             origin, offset, underpriced = args
@@ -289,8 +289,8 @@ def test_watermark_ticks_match_a_full_scan(lag, status, inbox, schedule):
                 seq.submit(L2Tx(id=f"tx{i}", submit_time=now + offset - early,
                                 origin=origin, underpriced=underpriced))
         elif kind == "status":
-            fast.set_status(args[0])
-            slow.set_status(args[0])
+            fast.status = args[0]
+            slow.status = args[0]
         else:
             now += args[0]
             assert [tx.id for tx in fast.tick(now)] == [tx.id for tx in slow.tick(now)]
